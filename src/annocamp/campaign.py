@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import statistics
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,15 +22,21 @@ from .costmodel import (
     DEFAULT_TIME_MODEL,
     HitBudget,
     TimeModel,
-    iteration_time,
     scale_base_for_duration,
     task_time,
     videos_per_hit,
 )
 from .evaluate import LabelMatrix, aggregate, event_stats, expected_recall, metrics, truth_matrix
+from .output import write_csv
 from .planner import FEW_QUESTION_BUNDLE, NO_MODIFIERS, plan_iteration_minutes
 from .seeding import substream
-from .taxonomy import SubsetPlan, Taxonomy, partition_questions, singleton_taxonomy
+from .taxonomy import (
+    SubsetPlan,
+    Taxonomy,
+    expand_answer,
+    partition_questions,
+    singleton_taxonomy,
+)
 from .workersim import (
     DEFAULT_PREVALENCE,
     AnnotationEvent,
@@ -40,7 +44,6 @@ from .workersim import (
     VideoTruth,
     Worker,
     WorkerBehavior,
-    apply_modifiers,
     default_behavior,
     fit_hard_mixture,
     make_random_truth,
@@ -83,7 +86,6 @@ class WorkerStats:
     median_seconds_per_task: float
     gold_recall: float | None
     positive_rate: float
-    enjoyment: str | None = None
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,6 @@ class VerificationTask:
 
     video: str
     label: int
-    segment: tuple[float, float] | None = None
-    not_present: bool = False
 
 
 def gate_positives(tax: Taxonomy, truth: VideoTruth) -> list[int]:
@@ -233,12 +233,11 @@ def simulate_campaign(
     pool=None,
     known_positives: dict | None = None,
     blacklist: Blacklist | None = None,
-    threads: int = 1,
 ):
     """Simulate `iterations` complete passes; yields one event list per pass.
 
     Event streams are a pure function of the seed: per-task RNG streams are
-    derived by hashing, so any thread count produces identical output.
+    derived by hashing, so the output does not depend on execution order.
     """
     truths = list(truths)
     by_id = {t.video_id: t for t in truths}
@@ -284,16 +283,7 @@ def simulate_campaign(
 
     for iteration in range(iterations):
         workers = assign_workers(hits, pool, seed, iteration, blacklist)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-                chunks = list(
-                    pool_exec.map(
-                        lambda pair: run_hit(pair[0], pair[1], iteration),
-                        zip(hits, workers),
-                    )
-                )
-        else:
-            chunks = [run_hit(h, w, iteration) for h, w in zip(hits, workers)]
+        chunks = [run_hit(h, w, iteration) for h, w in zip(hits, workers)]
         yield [event for chunk in chunks for event in chunk]
 
 
@@ -322,16 +312,11 @@ def _format_event(event: AnnotationEvent, include_gold: bool) -> list:
     return row
 
 
-def write_events_csv(events, path, include_gold: bool | None = None) -> None:
-    events = list(events)
-    if include_gold is None:
-        include_gold = any(e.gold for e in events)
+def write_events_csv(events, path) -> None:
+    """Write an event list as CSV; the `gold` column appears iff an event is gold."""
+    include_gold = any(e.gold for e in events)
     header = EVENT_COLUMNS + (("gold",) if include_gold else ())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for event in events:
-            writer.writerow(_format_event(event, include_gold))
+    write_csv(path, header, (_format_event(e, include_gold) for e in events))
 
 
 @dataclass
@@ -352,12 +337,19 @@ def _parse_bool(raw: str, line: int, column: str) -> bool:
 def ingest(source, tax: Taxonomy, known_videos=None) -> IngestResult:
     """Validated events plus per-worker statistics from an event CSV.
 
-    Malformed rows are reported with their line number; gold duplicate
-    answers are split out of the evaluation stream.
+    Malformed rows are reported with their line number, and so is a second
+    non-gold answer to the same (worker, video, question, iteration); gold
+    duplicate answers are split out of the evaluation stream.
     """
     known = set(known_videos) if known_videos is not None else None
     events: list[AnnotationEvent] = []
     gold_events: list[AnnotationEvent] = []
+    # Duplicate check: one bitmask of answered questions per (worker, video,
+    # iteration) task, plus each evaluation event's line. A dict keyed per
+    # row would hold about 2 MB more on a 22k-row file.
+    question_bit = {q.id: 1 << i for i, q in enumerate(tax.questions)}
+    answered: dict[tuple[str, str, int], int] = {}
+    event_lines = array("q")
     with open(source, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in EVENT_COLUMNS if c not in (reader.fieldnames or [])]
@@ -367,46 +359,41 @@ def ingest(source, tax: Taxonomy, known_videos=None) -> IngestResult:
             line = reader.line_num
             try:
                 question_id = int(row["question"])
-                question = tax.question(question_id)
                 gate = _parse_bool(row["gate"], line, "gate")
-                members = tuple(
-                    int(m) for m in row["members"].split(";") if m.strip()
-                )
+                raw = row["members"]
+                members = tuple(int(m) for m in raw.split(";") if m.strip()) if raw else ()
+                expand_answer(tax, question_id, gate, members)
                 elapsed = float(row["elapsed"])
                 iteration = int(row["iteration"])
                 gold = _parse_bool(row.get("gold") or "0", line, "gold")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{source}: line {line}: {exc}") from exc
-            if known is not None and row["video"] not in known:
-                raise ValueError(f"{source}: line {line}: unknown video {row['video']!r}")
+            worker, video = row["worker"], row["video"]
+            if known is not None and video not in known:
+                raise ValueError(f"{source}: line {line}: unknown video {video!r}")
             if elapsed <= 0:
                 raise ValueError(f"{source}: line {line}: elapsed must be positive")
-            stray = set(members) - set(question.members)
-            if stray:
-                raise ValueError(
-                    f"{source}: line {line}: labels {sorted(stray)} are not members "
-                    f"of question {question_id}"
-                )
-            if gate and not members:
-                raise ValueError(
-                    f"{source}: line {line}: affirmative gate on question "
-                    f"{question_id} selects no members"
-                )
-            if not gate and members:
-                raise ValueError(
-                    f"{source}: line {line}: members selected on a negative gate"
-                )
             event = AnnotationEvent(
-                worker=row["worker"],
-                video=row["video"],
-                question=question_id,
-                gate=gate,
-                members=members,
-                elapsed=elapsed,
-                iteration=iteration,
-                gold=gold,
+                worker, video, question_id, gate, members, elapsed, iteration, gold
             )
-            (gold_events if gold else events).append(event)
+            if gold:
+                gold_events.append(event)
+                continue
+            task = (worker, video, iteration)
+            bit = question_bit[question_id]
+            mask = answered.get(task, 0)
+            if mask & bit:
+                first = next(
+                    event_lines[i] for i, e in enumerate(events)
+                    if (e.worker, e.video, e.iteration, e.question) == (*task, question_id)
+                )
+                raise ValueError(
+                    f"{source}: line {line}: duplicates line {first} (same worker, "
+                    f"video, question {question_id} and iteration)"
+                )
+            answered[task] = mask | bit
+            events.append(event)
+            event_lines.append(line)
     stats = worker_stats_from_events(events, gold_events)
     return IngestResult(events=events, gold_events=gold_events, stats=stats)
 
@@ -534,23 +521,6 @@ EXPERIMENTS = (
 _SWEEP_KS = (1, 2, 3, 5, 7, 10, 15, 26, 52)
 
 
-def _atomic_write_csv(path, header, rows) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -559,7 +529,7 @@ def _fitted_behavior() -> WorkerBehavior:
     return fit_hard_mixture(default_behavior())
 
 
-def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed, threads):
+def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed):
     """Cumulative (n, minutes, recall, precision) rows for one interface size."""
     truth = truth_matrix(truths, tax.label_count)
     video_ids = tuple(sorted(t.video_id for t in truths))
@@ -574,7 +544,6 @@ def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed, threa
         behavior,
         seed,
         modifiers=modifiers,
-        threads=threads,
     )
     for n, events in enumerate(batches, start=1):
         matrix = aggregate(events, tax, video_ids=video_ids)
@@ -586,7 +555,7 @@ def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed, threa
     return rows
 
 
-def _experiment_question_count_sweep(seed: int, threads: int, videos: int = 160):
+def _experiment_question_count_sweep(seed: int, videos: int = 160):
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
     truths = make_random_truth(videos, tax.label_count, behavior.prevalence, seed)
@@ -594,9 +563,7 @@ def _experiment_question_count_sweep(seed: int, threads: int, videos: int = 160)
     header = ["k", "recall", "precision", "minutes_per_video", "affirmative_per_iteration"]
     rows = []
     for k in _SWEEP_KS:
-        events = run_campaign(
-            tax, truths, k, 1, behavior, seed, threads=threads
-        )
+        events = run_campaign(tax, truths, k, 1, behavior, seed)
         matrix = aggregate(events, tax)
         scored = metrics(matrix.binary(1), truth)
         minutes, affirmative = event_stats(events)
@@ -606,26 +573,18 @@ def _experiment_question_count_sweep(seed: int, threads: int, videos: int = 160)
     return header, rows
 
 
-def _experiment_expected_recall_budget(
-    seed: int, threads: int, budget_minutes: float = 8.61
-):
+def _experiment_expected_recall_budget(seed: int, budget_minutes: float = 8.61):
     behavior = default_behavior()
-    model = DEFAULT_TIME_MODEL
     header = ["k", "iteration_minutes", "budget_minutes", "expected_recall"]
     rows = []
     for k in _SWEEP_KS:
-        observed = behavior.observed_iteration_minutes(k)
-        minutes = (
-            observed if observed is not None else iteration_time(model, k, behavior.qtop) / 60.0
-        )
+        minutes = plan_iteration_minutes(behavior, DEFAULT_TIME_MODEL, k)
         value = expected_recall(behavior.recall(k), minutes, budget_minutes)
         rows.append([k, _fmt(minutes), _fmt(budget_minutes), _fmt(value)])
     return header, rows
 
 
-def _experiment_multi_iteration(
-    seed: int, threads: int, videos: int = 150, budget_minutes: float = 7.1
-):
+def _experiment_multi_iteration(seed: int, videos: int = 150, budget_minutes: float = 7.1):
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
     # Every video needs one known positive so gold duplicates have a donor.
@@ -639,7 +598,7 @@ def _experiment_multi_iteration(
         per_pass = plan_iteration_minutes(behavior, DEFAULT_TIME_MODEL, k, modifiers)
         iterations = max(1, int(budget_minutes / per_pass + 1e-9))
         for n, minutes, recall, precision in _simulated_rows(
-            tax, truths, behavior, k, iterations, modifiers, seed, threads
+            tax, truths, behavior, k, iterations, modifiers, seed
         ):
             rows.append(
                 [k, modifiers.label(), n, _fmt(minutes), _fmt(recall), _fmt(precision)]
@@ -651,10 +610,13 @@ _LENGTH_BINS = (("0-20s", 10.0), ("20-40s", 30.1), ("40-60s", 50.0))
 
 
 def _experiment_length_breakdown(
-    seed: int, threads: int, videos_per_bin: int = 120, budget_minutes: float = 4.4
+    seed: int, videos_per_bin: int = 120, budget_minutes: float = 4.4
 ):
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
+    # Pass times come from the duration-scaled model, never the observed
+    # reference-length minutes.
+    unobserved = replace(behavior, observed_minutes=())
     header = [
         "length_bin",
         "k",
@@ -677,15 +639,12 @@ def _experiment_length_breakdown(
         scaled = scale_base_for_duration(DEFAULT_TIME_MODEL, duration)
         for k in (1, 5, 26, 52):
             modifiers = FEW_QUESTION_BUNDLE if regime(k) == "few" else NO_MODIFIERS
-            minutes = iteration_time(scaled, k, behavior.qtop) / 60.0
-            if modifiers.any:
-                adjusted = apply_modifiers(behavior, modifiers, k)
-                minutes = minutes * adjusted.time_ratio + adjusted.extra_seconds / 60.0
+            minutes = plan_iteration_minutes(unobserved, scaled, k, modifiers)
             n = int(budget_minutes / minutes + 1e-9)
             if n < 1:
                 continue
             sim = _simulated_rows(
-                tax, truths, behavior, k, n, modifiers, seed + bin_index, threads
+                tax, truths, behavior, k, n, modifiers, seed + bin_index
             )
             _, measured_minutes, recall, precision = sim[-1]
             rows.append(
@@ -702,19 +661,14 @@ def _experiment_length_breakdown(
     return header, rows
 
 
-def _experiment_worker_correlations(
-    seed: int, threads: int, videos: int = 80, workers: int = 30
-):
+def _experiment_worker_correlations(seed: int, videos: int = 80, workers: int = 30):
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
     truths = make_random_truth(videos, tax.label_count, behavior.prevalence, seed)
     pool = sample_worker_pool(workers, behavior, 0.0, seed)
-    events = run_campaign(
-        tax, truths, 52, 2, behavior, seed, pool=pool, threads=threads
-    )
+    events = run_campaign(tax, truths, 52, 2, behavior, seed, pool=pool)
     truth_by_video = {t.video_id: t.labels for t in truths}
     per_worker: dict[str, dict[str, float]] = {}
-    task_seconds: dict[str, dict[tuple, float]] = {}
     for event in events:
         acc = per_worker.setdefault(
             event.worker, {"tp": 0, "fp": 0, "positives": 0}
@@ -726,22 +680,18 @@ def _experiment_worker_correlations(
             acc["tp"] += int(event.gate)
         elif event.gate:
             acc["fp"] += 1
-        per_task = task_seconds.setdefault(event.worker, {})
-        key = (event.video, event.iteration)
-        per_task[key] = per_task.get(key, 0.0) + event.elapsed
     header = ["worker", "tasks", "median_seconds", "recall", "precision"]
     rows = []
-    for worker_id in sorted(per_worker):
-        acc = per_worker[worker_id]
-        durations = list(task_seconds[worker_id].values())
+    for stats in worker_stats_from_events(events):
+        acc = per_worker[stats.worker_id]
         recall = acc["tp"] / acc["positives"] if acc["positives"] else 0.0
         marked = acc["tp"] + acc["fp"]
         precision = acc["tp"] / marked if marked else 1.0
         rows.append(
             [
-                worker_id,
-                len(durations),
-                _fmt(statistics.median(durations)),
+                stats.worker_id,
+                stats.tasks_completed,
+                _fmt(stats.median_seconds_per_task),
                 _fmt(recall),
                 _fmt(precision),
             ]
@@ -758,11 +708,11 @@ _EXPERIMENT_RUNNERS = {
 }
 
 
-def reproduce(name: str, seed: int, out_path, threads: int = 1, **overrides) -> Path:
+def reproduce(name: str, seed: int, out_path, **overrides) -> Path:
     """Run a bundled experiment and write its figure-shaped CSV.
 
     Output is byte-identical for identical (name, seed, overrides) across
-    runs and thread counts.
+    runs.
     """
     try:
         runner = _EXPERIMENT_RUNNERS[name]
@@ -770,5 +720,5 @@ def reproduce(name: str, seed: int, out_path, threads: int = 1, **overrides) -> 
         raise ValueError(
             f"unknown experiment {name!r}; choose one of {', '.join(EXPERIMENTS)}"
         ) from None
-    header, rows = runner(seed, threads, **overrides)
-    return _atomic_write_csv(out_path, header, rows)
+    header, rows = runner(seed, **overrides)
+    return write_csv(out_path, header, rows)

@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import campaign, costmodel, evaluate, planner, taxonomy, workersim
+from .output import atomic_open, write_csv
 
 
 def sample_taxonomy_path() -> Path:
@@ -25,8 +26,17 @@ def sample_taxonomy_path() -> Path:
 class Config:
     """Resolved defaults: taxonomy, time model, calibration, budget."""
 
+    KEYS = ("taxonomy", "time_model", "budget", "anchors", "correlation_targets",
+            "prevalence", "qtop", "modifiers")
+
     def __init__(self, doc: dict | None = None):
         self.doc = doc or {}
+        for key in self.doc:
+            if key not in self.KEYS:
+                raise ValueError(f"config: unknown key {key!r}")
+        for key in self.doc.get("modifiers", {}):
+            if key not in dict(workersim.MODIFIERS):
+                raise ValueError(f"config: unknown modifiers key {key!r}")
 
     @classmethod
     def load(cls, path: str | None) -> "Config":
@@ -90,34 +100,27 @@ class Config:
     def modifiers(self) -> workersim.ModifierSet:
         doc = self.doc.get("modifiers", {})
         return workersim.ModifierSet(
-            positive_bias=bool(doc.get("positive_bias", False)),
-            grouping=bool(doc.get("grouping", False)),
-            summary_prompt=bool(doc.get("summary_prompt", False)),
-            forced_response=bool(doc.get("forced_response", False)),
+            **{name: bool(doc.get(name, False)) for name, _ in workersim.MODIFIERS}
         )
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _emit_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        with atomic_open(out) as fh:
+            fh.write(text)
 
 
-def _write_csv(header, rows, out: str | None) -> None:
+def _emit_csv(header, rows, out: str | None) -> None:
     if out is None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_csv(out, header, rows)
 
 
 def _fmt_opt(value) -> str:
@@ -126,10 +129,7 @@ def _fmt_opt(value) -> str:
 
 def _modifiers_from_args(args, config: Config) -> workersim.ModifierSet:
     from_args = workersim.ModifierSet(
-        positive_bias=args.positive_bias,
-        grouping=args.grouping,
-        summary_prompt=args.summary_prompt,
-        forced_response=args.forced_response,
+        **{name: getattr(args, name) for name, _ in workersim.MODIFIERS}
     )
     return from_args if from_args.any else config.modifiers()
 
@@ -137,13 +137,13 @@ def _modifiers_from_args(args, config: Config) -> workersim.ModifierSet:
 def cmd_fit_time(args, config: Config) -> int:
     observations = costmodel.read_timings_csv(args.timings)
     model = costmodel.fit_time_model(observations)
-    _write_text(model.to_json(), args.out)
+    _emit_text(model.to_json(), args.out)
     return 0
 
 
 def cmd_calibrate(args, config: Config) -> int:
     behavior = config.behavior(fit_correlation=not args.independence)
-    _write_text(json.dumps(workersim.behavior_to_dict(behavior), indent=2), args.out)
+    _emit_text(json.dumps(workersim.behavior_to_dict(behavior), indent=2), args.out)
     return 0
 
 
@@ -180,11 +180,13 @@ def cmd_pack_hits(args, config: Config) -> int:
         }
         for h in hits
     ]
-    _write_text(json.dumps(doc, indent=2), args.out)
+    _emit_text(json.dumps(doc, indent=2), args.out)
     return 0
 
 
 def cmd_simulate(args, config: Config) -> int:
+    if args.out is None:
+        raise SystemExit("simulate requires --out (event CSV path)")
     tax = config.taxonomy(args.taxonomy)
     truths = workersim.load_truths(args.videos)
     behavior = config.behavior()
@@ -204,10 +206,7 @@ def cmd_simulate(args, config: Config) -> int:
         model=config.time_model(),
         budget=config.budget(),
         pool=pool,
-        threads=args.threads,
     )
-    if args.out is None:
-        raise SystemExit("simulate requires --out (event CSV path)")
     campaign.write_events_csv(events, args.out)
     return 0
 
@@ -226,7 +225,7 @@ def cmd_ingest(args, config: Config) -> int:
         ]
         for s in result.stats
     ]
-    _write_csv(header, rows, args.out)
+    _emit_csv(header, rows, args.out)
     return 0
 
 
@@ -242,7 +241,7 @@ def cmd_aggregate(args, config: Config) -> int:
             votes = int(matrix.votes[row, label])
             if votes:
                 rows.append([video_id, label, votes, int(binary[row, label])])
-    _write_csv(header, rows, args.out)
+    _emit_csv(header, rows, args.out)
     return 0
 
 
@@ -274,7 +273,7 @@ def cmd_metrics(args, config: Config) -> int:
             f"{minutes:.6f}",
         ]
     ]
-    _write_csv(header, rows, args.out)
+    _emit_csv(header, rows, args.out)
     return 0
 
 
@@ -304,7 +303,7 @@ def cmd_plan(args, config: Config) -> int:
     )
     doc = dataclasses.asdict(plan)
     doc["modifiers"] = plan.modifiers.label()
-    _write_text(json.dumps(doc, indent=2), args.out)
+    _emit_text(json.dumps(doc, indent=2), args.out)
     return 0
 
 
@@ -330,7 +329,7 @@ def cmd_qc(args, config: Config) -> int:
         for flag in flags
         for signal in flag.signals
     ]
-    _write_csv(header, rows, args.out)
+    _emit_csv(header, rows, args.out)
     return 0
 
 
@@ -346,14 +345,14 @@ def cmd_verify_queue(args, config: Config) -> int:
     queue = campaign.build_verification_queue(
         matrix, threshold=args.threshold, already_verified=done
     )
-    _write_csv(["video", "label"], [[t.video, t.label] for t in queue], args.out)
+    _emit_csv(["video", "label"], [[t.video, t.label] for t in queue], args.out)
     return 0
 
 
 def cmd_reproduce(args, config: Config) -> int:
     if args.out is None:
         raise SystemExit("reproduce requires --out (CSV path)")
-    campaign.reproduce(args.name, args.seed, args.out, threads=args.threads)
+    campaign.reproduce(args.name, args.seed, args.out)
     return 0
 
 
@@ -396,11 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument("--workers", type=int, default=0, help="worker pool size (0: one worker)")
     p.add_argument("--spammer-fraction", type=float, default=0.0)
-    p.add_argument("--positive-bias", action="store_true")
-    p.add_argument("--grouping", action="store_true")
-    p.add_argument("--summary-prompt", action="store_true")
-    p.add_argument("--forced-response", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    for name, _ in workersim.MODIFIERS:
+        p.add_argument("--" + name.replace("_", "-"), action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ingest", parents=[common], help="validate events, emit worker stats")
@@ -452,16 +448,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common], help="run a bundled experiment")
     p.add_argument("name", choices=campaign.EXPERIMENTS)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input exits with a one-line message."""
     args = build_parser().parse_args(argv)
-    config = Config.load(args.config)
-    return args.func(args, config)
+    try:
+        return args.func(args, Config.load(args.config))
+    except ValueError as exc:
+        raise SystemExit(f"annocamp {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -60,16 +60,11 @@ class LabelMatrix:
             raise ValueError("threshold must be >= 1")
         return self.votes >= threshold
 
-    def video_index(self, video_id: str) -> int:
-        return self.video_ids.index(video_id)
-
 
 @dataclass(frozen=True)
 class Metrics:
     recall: float | None
     precision: float | None
-    minutes_per_video: float | None = None
-    affirmative_per_iteration: float | None = None
 
 
 def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
@@ -77,7 +72,8 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
 
     Every (video, iteration) present in the stream must cover all top-level
     questions, otherwise IncompleteIterationError lists the gaps. Gold
-    duplicate events never contribute.
+    duplicate events never contribute. Given `video_ids`, every event's
+    video must be among them.
     """
     question_bit = {q.id: 1 << idx for idx, q in enumerate(taxonomy.questions)}
     full_mask = (1 << taxonomy.question_count) - 1
@@ -118,6 +114,9 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     else:
         video_ids = tuple(video_ids)
     video_index = {v: i for i, v in enumerate(video_ids)}
+    for video in seen_videos:
+        if video not in video_index:
+            raise ValueError(f"events name video {video!r}, which is not among the video ids")
     iterations = len({i for _, i in coverage})
 
     votes = np.zeros((len(video_ids), taxonomy.label_count), dtype=np.int16)
@@ -150,10 +149,18 @@ def analytic_union(
     if n < 1:
         raise ValueError("n must be >= 1")
     recall = 1.0 - (1.0 - r) ** n
+    return recall, union_precision(recall, f, g, qtop, n)
+
+
+def union_precision(recall: float, f: float, g: float, qtop: int, n: int) -> float:
+    """Precision of n union-merged passes reaching `recall`.
+
+    Each pass marks each of the qtop - g negative questions with rate f; g is
+    the expected number of positive questions per video.
+    """
     tp = g * recall
     fp = (qtop - g) * (1.0 - (1.0 - f) ** n)
-    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-    return recall, precision
+    return tp / (tp + fp) if tp + fp > 0 else 1.0
 
 
 def truth_matrix(truths, label_count: int, video_ids=None) -> np.ndarray:
@@ -164,7 +171,10 @@ def truth_matrix(truths, label_count: int, video_ids=None) -> np.ndarray:
     by_id = {t.video_id: t for t in truths}
     out = np.zeros((len(video_ids), label_count), dtype=bool)
     for row, video_id in enumerate(video_ids):
-        for label in by_id[video_id].labels:
+        truth = by_id.get(video_id)
+        if truth is None:
+            raise ValueError(f"video {video_id!r} has no ground truth")
+        for label in truth.labels:
             out[row, label] = True
     return out
 

@@ -1,0 +1,39 @@
+"""Atomic output files: the one place the package opens a file for writing.
+
+A file appears at its path complete or not at all: contents go to a
+temporary file in the same directory, which then replaces the path.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+import secrets
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path):
+    """Text handle whose contents replace `path` when the block exits cleanly."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    # Mode 0666 lets the umask decide, as open() would; O_EXCL never clobbers.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write `header` then every row of the iterable `rows`, LF-terminated."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return Path(path)

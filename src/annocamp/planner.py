@@ -7,11 +7,12 @@ recall-maximizing plan subject to an optional precision floor.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 from .costmodel import TimeModel, iteration_time
+from .evaluate import union_precision
+from .output import write_csv
 from .workersim import (
     ModifierSet,
     WorkerBehavior,
@@ -95,9 +96,7 @@ def _predict(behavior: WorkerBehavior, k: int, n: int, modifiers: ModifierSet):
     recall = mixture_union_recall(
         r, n, behavior.hard_fraction, behavior.hard_recall_multiplier
     )
-    tp = behavior.prevalence * recall
-    fp = (behavior.qtop - behavior.prevalence) * (1.0 - (1.0 - f) ** n)
-    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+    precision = union_precision(recall, f, behavior.prevalence, behavior.qtop, n)
     return recall, precision, r, f
 
 
@@ -207,20 +206,21 @@ def optimize(
 
 def write_plans_csv(plans, path) -> None:
     """Export enumerated plans as `k,n,modifiers,recall,precision,minutes`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "n", "modifiers", "recall", "precision", "minutes"])
-        for p in plans:
-            writer.writerow(
-                [
-                    p.k,
-                    p.iterations,
-                    p.modifiers.label(),
-                    f"{p.predicted_recall:.6f}",
-                    f"{p.predicted_precision:.6f}",
-                    f"{p.minutes_per_video:.6f}",
-                ]
-            )
+    write_csv(
+        path,
+        ["k", "n", "modifiers", "recall", "precision", "minutes"],
+        (
+            [
+                p.k,
+                p.iterations,
+                p.modifiers.label(),
+                f"{p.predicted_recall:.6f}",
+                f"{p.predicted_precision:.6f}",
+                f"{p.minutes_per_video:.6f}",
+            ]
+            for p in plans
+        ),
+    )
 
 
 def marginal_value(plan: Plan, at_n: int | None = None) -> float:

@@ -2,7 +2,7 @@
 
 Every stochastic component hashes (master seed, stream components) into an
 independent numpy generator, so simulation results do not depend on the
-order in which tasks are executed or on the number of worker threads.
+order in which tasks are executed.
 """
 
 from __future__ import annotations

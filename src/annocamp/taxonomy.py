@@ -64,12 +64,6 @@ class Taxonomy:
         except KeyError:
             raise TaxonomyError(f"unknown question id {question_id}") from None
 
-    def question_of_label(self, label_id: int) -> QuestionGroup:
-        for q in self.questions:
-            if label_id in q.members:
-                return q
-        raise TaxonomyError(f"label {label_id} not covered by any question")
-
 
 @dataclass(frozen=True)
 class SubsetPlan:
@@ -174,7 +168,11 @@ def partition_questions(tax: Taxonomy, k: int, seed: int) -> SubsetPlan:
 def expand_answer(
     tax: Taxonomy, question_id: int, gate: bool, selected_members
 ) -> frozenset[int]:
-    """Positive label set implied by one answered question."""
+    """Positive label set implied by one answered question.
+
+    An affirmative gate selects at least one member and only members; a
+    negative gate selects none.
+    """
     question = tax.question(question_id)
     selected = frozenset(selected_members)
     if not gate:
@@ -183,6 +181,8 @@ def expand_answer(
                 f"question {question_id}: members selected on a negative gate"
             )
         return frozenset()
+    if not selected:
+        raise ValueError(f"affirmative gate on question {question_id} selects no members")
     stray = selected - set(question.members)
     if stray:
         raise ValueError(

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
+from .output import atomic_open
 from .seeding import substream, unit_fraction
 from .taxonomy import QuestionGroup
 
@@ -61,29 +62,32 @@ DEFAULT_ANCHORS = (
 
 @dataclass(frozen=True)
 class ModifierSet:
-    positive_bias: bool = False
-    grouping: bool = False
-    summary_prompt: bool = False
-    forced_response: bool = False
+    """Interface modifiers switched on for a task.
+
+    Field order is the order effects multiply in and labels join in; each
+    field's metadata holds its short label.
+    """
+
+    positive_bias: bool = field(default=False, metadata={"label": "bias"})
+    grouping: bool = field(default=False, metadata={"label": "group"})
+    summary_prompt: bool = field(default=False, metadata={"label": "summary"})
+    forced_response: bool = field(default=False, metadata={"label": "forced"})
+
+    def __post_init__(self):
+        # `any` is read once per simulated task, so it is computed once here.
+        object.__setattr__(self, "_any", any(getattr(self, name) for name, _ in MODIFIERS))
 
     @property
     def any(self) -> bool:
-        return any(
-            (self.positive_bias, self.grouping, self.summary_prompt, self.forced_response)
-        )
+        return self._any
 
     def label(self) -> str:
-        names = [
-            name
-            for name, on in (
-                ("bias", self.positive_bias),
-                ("group", self.grouping),
-                ("summary", self.summary_prompt),
-                ("forced", self.forced_response),
-            )
-            if on
-        ]
+        names = [short for name, short in MODIFIERS if getattr(self, name)]
         return "+".join(names) if names else "none"
+
+
+# The modifier registry: (ModifierSet field, short label), in field order.
+MODIFIERS = tuple((f.name, f.metadata["label"]) for f in fields(ModifierSet))
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,12 @@ def fp_rate_from_precision(recall: float, precision: float, prevalence: float, q
     return min(1.0, f)
 
 
+def easy_recall(r: float, hard_fraction: float, hard_multiplier: float) -> float:
+    """Inflate r so the hard/easy mixture has marginal single-pass recall r."""
+    denom = (1.0 - hard_fraction) + hard_fraction * hard_multiplier
+    return min(1.0, r / denom) if denom > 0 else 0.0
+
+
 def mixture_union_recall(r: float, n: int, hard_fraction: float, hard_multiplier: float) -> float:
     """Expected recall after n union-aggregated passes at single-pass recall r.
 
@@ -128,8 +138,7 @@ def mixture_union_recall(r: float, n: int, hard_fraction: float, hard_multiplier
     """
     h = hard_fraction
     m = hard_multiplier
-    denom = (1.0 - h) + h * m
-    r_easy = min(1.0, r / denom) if denom > 0 else 0.0
+    r_easy = easy_recall(r, h, m)
     easy_term = (1.0 - h) * (1.0 - (1.0 - r_easy) ** n)
     hard_term = h * (1.0 - (1.0 - m * r_easy) ** n)
     return easy_term + hard_term
@@ -176,15 +185,6 @@ class WorkerBehavior:
     @property
     def correlated(self) -> bool:
         return self.hard_fraction > 0.0
-
-    def easy_recall(self, r: float) -> float:
-        """Inflate r so the hard/easy mixture has marginal single-pass recall r."""
-        denom = (1.0 - self.hard_fraction) + self.hard_fraction * self.hard_recall_multiplier
-        return min(1.0, r / denom) if denom > 0 else 0.0
-
-    def union_recall(self, k: int, n: int, recall_override: float | None = None) -> float:
-        r = self.recall(k) if recall_override is None else recall_override
-        return mixture_union_recall(r, n, self.hard_fraction, self.hard_recall_multiplier)
 
 
 def behavior_to_dict(behavior: WorkerBehavior) -> dict:
@@ -243,12 +243,14 @@ def default_behavior() -> WorkerBehavior:
     return calibrate(DEFAULT_ANCHORS)
 
 
+HARD_FRACTION_GRID = np.arange(0.0, 0.3001, 0.0025)
+HARD_MULTIPLIER_GRID = np.arange(0.0, 0.5001, 0.02)
+
+
 def fit_hard_mixture(
     behavior: WorkerBehavior,
     k: int = DEFAULT_QTOP,
     targets=DEFAULT_MULTI_PASS_RECALL,
-    hard_grid=None,
-    multiplier_grid=None,
 ) -> WorkerBehavior:
     """Grid-search the difficulty mixture against measured multi-pass recall.
 
@@ -257,13 +259,9 @@ def fit_hard_mixture(
     the single-pass recall anchored at recall(k).
     """
     r = behavior.recall(k)
-    if hard_grid is None:
-        hard_grid = np.arange(0.0, 0.3001, 0.0025)
-    if multiplier_grid is None:
-        multiplier_grid = np.arange(0.0, 0.5001, 0.02)
     best = (math.inf, 0.0, 0.0)
-    for h in hard_grid:
-        for m in multiplier_grid:
+    for h in HARD_FRACTION_GRID:
+        for m in HARD_MULTIPLIER_GRID:
             sse = sum(
                 (mixture_union_recall(r, n, h, m) - target) ** 2 for n, target in targets
             )
@@ -292,17 +290,9 @@ def apply_modifiers(
     p = behavior.precision(k)
     time_ratio = 1.0
     extra_seconds = 0.0
-    active = [
-        name
-        for name, on in (
-            ("positive_bias", modifiers.positive_bias),
-            ("grouping", modifiers.grouping),
-            ("summary_prompt", modifiers.summary_prompt),
-            ("forced_response", modifiers.forced_response),
-        )
-        if on
-    ]
-    for name in active:
+    for name, _ in MODIFIERS:
+        if not getattr(modifiers, name):
+            continue
         effect = MODIFIER_EFFECTS.get((name, reg))
         if effect is None:
             raise ValueError(
@@ -457,14 +447,14 @@ def simulate_task(
     iteration: int = 0,
     subset_index: int = 0,
     gold_questions=(),
-    scale_to_duration: bool = True,
 ) -> list[AnnotationEvent]:
     """Simulate one worker answering one question subset about one video.
 
     Returns one event per question (affirmative or not) plus one flagged
     event per injected gold duplicate. The RNG stream is a pure function of
     (seed, worker, video, iteration, subset index), making results identical
-    under any execution order or thread count.
+    under any execution order. The time model's base is rescaled to the
+    video's duration.
     """
     questions = list(questions)
     k = len(questions)
@@ -474,17 +464,14 @@ def simulate_task(
     r = adjusted.recall if adjusted else behavior.recall(k)
     f = adjusted.fp_rate if adjusted else behavior.fp_rate(k)
     r = min(1.0, r * worker.recall_scale)
-    r_easy = behavior.easy_recall(r)
     hard_mult = behavior.hard_recall_multiplier
+    r_easy = easy_recall(r, behavior.hard_fraction, hard_mult)
 
     rng = substream(seed, "task", worker.worker_id, video.video_id, iteration, subset_index)
     order = rng.permutation(k)
 
-    effective_model = (
-        _scaled_model(model, video.duration_seconds) if scale_to_duration else model
-    )
     total_seconds = (
-        task_time(effective_model, k)
+        task_time(_scaled_model(model, video.duration_seconds), k)
         * behavior.speed_multiplier
         * worker.time_scale
         * math.exp(rng.normal(0.0, ELAPSED_SIGMA))
@@ -621,7 +608,7 @@ def load_truths(source) -> list[VideoTruth]:
 
 
 def write_truths(truths, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for truth in truths:
             doc = {
                 "video": truth.video_id,

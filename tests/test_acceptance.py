@@ -278,10 +278,8 @@ def test_criterion_9_quality_control():
 )
 def test_criterion_10_reproduction_determinism(name, tmp_path):
     with criterion(10, f"byte-identical reproduction: {name}"):
-        first = reproduce(name, seed=42, out_path=tmp_path / "a.csv", threads=1)
-        second = reproduce(name, seed=42, out_path=tmp_path / "b.csv", threads=1)
-        threaded = reproduce(name, seed=42, out_path=tmp_path / "c.csv", threads=8)
+        first = reproduce(name, seed=42, out_path=tmp_path / "a.csv")
+        second = reproduce(name, seed=42, out_path=tmp_path / "b.csv")
         blob = first.read_bytes()
         assert blob == second.read_bytes()
-        assert blob == threaded.read_bytes()
         assert blob.count(b"\r") == 0  # LF line endings

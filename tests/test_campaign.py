@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from annocamp.campaign import (
     Blacklist,
@@ -178,15 +181,32 @@ def test_pack_errors(tax):
 # ---------------------------------------------------------------------------
 
 
-def test_campaign_deterministic_across_threads(tax, behavior):
-    truths = make_random_truth(24, 52, 3.7, seed=6)
-    one = run_campaign(tax, truths, 13, 2, behavior, seed=9, threads=1)
-    two = run_campaign(tax, truths, 13, 2, behavior, seed=9, threads=4)
-    again = run_campaign(tax, truths, 13, 2, behavior, seed=9, threads=1)
-    assert one == two
-    assert one == again
-    other = run_campaign(tax, truths, 13, 2, behavior, seed=10, threads=1)
-    assert one != other
+def _rows(events):
+    return sorted(
+        (e.worker, e.video, e.question, e.gate, e.members, e.elapsed, e.iteration, e.gold)
+        for e in events
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@example(seed=9, k=13, shard=[0, 5, 6, 11])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 5, 13, 52]),
+    shard=st.lists(st.integers(0, 11), min_size=1, max_size=11, unique=True),
+)
+def test_campaign_deterministic_and_shard_invariant(tax, behavior, seed, k, shard):
+    truths = make_random_truth(12, 52, 3.7, seed=6)
+    one = run_campaign(tax, truths, k, 2, behavior, seed=seed)
+    assert run_campaign(tax, truths, k, 2, behavior, seed=seed) == one
+    assert run_campaign(tax, truths, k, 2, behavior, seed=seed + 1) != one
+    # Each task's stream depends only on (seed, worker, video, iteration,
+    # subset), so with the one-worker pool a shard of the videos yields
+    # exactly the full run's rows for those videos.
+    part = [truths[i] for i in shard]
+    wanted = {t.video_id for t in part}
+    sharded = run_campaign(tax, part, k, 2, behavior, seed=seed)
+    assert _rows(sharded) == _rows(e for e in one if e.video in wanted)
 
 
 def test_campaign_covers_every_pair_each_iteration(tax, behavior):
@@ -216,6 +236,19 @@ def test_event_csv_round_trip(tax, behavior, tmp_path):
         events, key=lambda e: (e.iteration, e.video, e.question, e.gold, e.worker)
     )
     assert recovered == original
+
+
+def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path):
+    truths = make_random_truth(4, 52, 3.7, seed=8)
+    events = run_campaign(tax, truths, 52, 1, behavior, seed=2)
+    path = tmp_path / "events.csv"
+    write_events_csv(events, path)
+    before = path.read_bytes()
+    broken = dataclasses.replace(events[10], gate=None)  # int(None) fails mid-file
+    with pytest.raises(TypeError):
+        write_events_csv(events[:10] + [broken], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
 
 def test_blacklisted_worker_gets_no_assignments(tax, behavior):
@@ -300,6 +333,31 @@ def test_ingest_rejects_missing_columns(tax, tmp_path):
     path.write_text("worker,video\nw0,v0\n")
     with pytest.raises(ValueError, match="missing columns"):
         ingest(path, tax)
+
+
+def test_ingest_rejects_duplicate_rows(tax, behavior, tmp_path):
+    truths = make_random_truth(3, 52, 3.7, seed=8, min_labels=1)
+    events = run_campaign(tax, truths, 5, 1, behavior, seed=2, modifiers=BIAS)
+    path = tmp_path / "events.csv"
+    write_events_csv(events, path)
+    assert ingest(path, tax).events
+    header, *rows = path.read_text().splitlines()
+    assert rows[0].endswith(",0")  # a non-gold row
+    path.write_text("\n".join([header, *rows, *rows]) + "\n")
+    first, second = 2, 2 + len(rows)
+    with pytest.raises(ValueError, match=f"line {second}: duplicates line {first}"):
+        ingest(path, tax)
+
+
+def test_ingest_allows_repeated_gold_rows(tax, tmp_path):
+    rows = [f"w0,v0,{q},0,,1.0,0,0" for q in range(52)]
+    rows += ["w0,v0,3,1,3,1.0,0,1", "w0,v0,3,0,,1.0,0,1"]
+    path = write_rows(
+        tmp_path, rows, header="worker,video,question,gate,members,elapsed,iteration,gold"
+    )
+    result = ingest(path, tax)
+    assert len(result.events) == 52
+    assert len(result.gold_events) == 2
 
 
 def test_ingest_rejects_unknown_video(tax, tmp_path):

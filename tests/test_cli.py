@@ -161,3 +161,41 @@ def test_unknown_taxonomy_path_fails(tmp_path, sample_videos):
     with pytest.raises(FileNotFoundError):
         main(["pack-hits", "--videos", sample_videos, "--k", "1",
               "--taxonomy", str(tmp_path / "missing.json")])
+
+
+def test_metrics_on_video_without_truth_exits_with_message(tmp_path, sample_videos):
+    events = tmp_path / "events.csv"
+    run(["simulate", "--videos", sample_videos, "--k", "52", "--seed", "4",
+         "--out", str(events)])
+    lines = open(sample_videos, encoding="utf-8").read().splitlines()
+    missing = json.loads(lines[-1])["video"]
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(SystemExit, match=f"annocamp metrics: video '{missing}' has no ground truth"):
+        main(["metrics", "--events", str(events), "--videos", str(short)])
+
+
+def test_simulate_checks_out_before_simulating(monkeypatch, sample_videos):
+    from annocamp import campaign
+
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(campaign, "run_campaign", fail)
+    with pytest.raises(SystemExit, match="simulate requires --out"):
+        main(["simulate", "--videos", sample_videos, "--k", "52"])
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"time_modle": {"a": 1.0, "b": 1.0}}, "key 'time_modle'"),
+        ({"modifiers": {"positive_bias": True, "grouped": True}}, "modifiers key 'grouped'"),
+    ],
+    ids=["top-level", "modifiers"],
+)
+def test_config_rejects_unknown_keys(tmp_path, doc, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=f"annocamp calibrate: config: unknown {key}"):
+        main(["calibrate", "--config", str(config)])

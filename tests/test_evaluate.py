@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annocamp.evaluate import (
     IncompleteIterationError,
@@ -84,6 +86,33 @@ def test_aggregate_ignores_gold():
     events.append(make_event("v0", 1, True, 0, gold=True))
     matrix = aggregate(events, tax)
     assert not matrix.binary(1).any()
+
+
+def test_aggregate_rejects_video_outside_ids():
+    tax = singleton_taxonomy(3)
+    events = full_pass(tax, "v0", 0, set()) + full_pass(tax, "v9", 0, set())
+    with pytest.raises(ValueError, match="'v9'"):
+        aggregate(events, tax, video_ids=("v0",))
+
+
+_SHUFFLE_TAX = singleton_taxonomy(6)
+_SHUFFLE_EVENTS = [
+    make_event(f"v{v}", q, (v * 7 + q * 3 + i) % 4 == 0, i)
+    for v in range(4)
+    for i in range(3)
+    for q in range(6)
+] + [make_event(f"v{v}", 5, True, i, gold=True) for v in (0, 2) for i in range(3)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(order=st.permutations(range(len(_SHUFFLE_EVENTS))))
+def test_aggregate_invariant_to_event_order(order):
+    # Gold rows (some at every position) never vote, whatever the order.
+    base = aggregate(_SHUFFLE_EVENTS, _SHUFFLE_TAX)
+    shuffled = aggregate([_SHUFFLE_EVENTS[i] for i in order], _SHUFFLE_TAX)
+    assert shuffled.video_ids == base.video_ids
+    assert shuffled.iterations == base.iterations
+    assert np.array_equal(shuffled.votes, base.votes)
 
 
 def test_aggregate_unknown_question():
@@ -228,6 +257,8 @@ def test_truth_matrix_alignment():
     out = truth_matrix(truths, 3, video_ids=("a", "b"))
     assert out[0].tolist() == [False, False, True]
     assert out[1].tolist() == [True, False, False]
+    with pytest.raises(ValueError, match="'c' has no ground truth"):
+        truth_matrix(truths, 3, video_ids=("a", "c"))
 
 
 def test_event_stats():

@@ -167,6 +167,12 @@ def test_expand_rejects_members_on_negative_gate(sample_tax):
         expand_answer(sample_tax, group.id, False, {group.members[0]})
 
 
+def test_expand_rejects_affirmative_without_members(sample_tax):
+    group = sample_tax.questions[0]
+    with pytest.raises(ValueError, match="selects no members"):
+        expand_answer(sample_tax, group.id, True, set())
+
+
 def test_expand_full_coverage(sample_tax):
     covered = set()
     for q in sample_tax.questions:
