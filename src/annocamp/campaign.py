@@ -14,7 +14,9 @@ import statistics
 from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .costmodel import (
 from .evaluate import LabelMatrix, aggregate, event_stats, expected_recall, metrics, truth_matrix
 from .output import write_csv
 from .planner import FEW_QUESTION_BUNDLE, NO_MODIFIERS, plan_iteration_minutes
-from .seeding import substream
+from .seeding import draw_key, fold, id_key, substream, uniforms
 from .taxonomy import (
     SubsetPlan,
     Taxonomy,
@@ -46,17 +48,21 @@ from .workersim import (
     WorkerBehavior,
     default_behavior,
     fit_hard_mixture,
+    hard_pairs,
     make_random_truth,
     regime,
     sample_worker_pool,
-    simulate_task,
+    simulate_block,
 )
+
+# The HITs of a subset are simulated this many at a time, which bounds a
+# block's arrays (at k=52, 128 HITs hold 256 videos).
+BLOCK_HITS = 128
 
 EVENT_COLUMNS = ("worker", "video", "question", "gate", "members", "elapsed", "iteration")
 
 
-@dataclass(frozen=True, slots=True)
-class QuestionSlot:
+class QuestionSlot(NamedTuple):
     question_id: int
     gold: bool = False
 
@@ -100,17 +106,19 @@ class Blacklist:
 
     def __init__(self, entries=()):
         self.entries: list[BlacklistEntry] = list(entries)
+        self._listed = {e.worker_id for e in self.entries}
 
     def add(self, worker_id: str, reason: str, timestamp: str | None = None) -> None:
         if timestamp is None:
             timestamp = datetime.now(timezone.utc).isoformat()
         self.entries.append(BlacklistEntry(worker_id, reason, timestamp))
+        self._listed.add(worker_id)
 
     def listed(self) -> frozenset[str]:
-        return frozenset(e.worker_id for e in self.entries)
+        return frozenset(self._listed)
 
     def __contains__(self, worker_id: str) -> bool:
-        return worker_id in self.listed()
+        return worker_id in self._listed
 
 
 @dataclass(frozen=True)
@@ -159,10 +167,12 @@ def pack_hits(
         per_hit = videos_per_hit(model, size, budget)
         order = substream(seed, "pack", subset_index).permutation(len(video_ids))
         shuffled = [video_ids[i] for i in order]
-        for chunk_start in range(0, len(shuffled), per_hit):
+        subset_key = draw_key(seed, subset_index)
+        in_order = tuple(QuestionSlot(qid) for qid in subset)
+        for chunk_index, chunk_start in enumerate(range(0, len(shuffled), per_hit)):
             chunk = shuffled[chunk_start : chunk_start + per_hit]
-            hit_id = f"hit-{subset_index:03d}-{chunk_start // per_hit:05d}"
-            gold_by_video = {v: [] for v in chunk}
+            hit_id = f"hit-{subset_index:03d}-{chunk_index:05d}"
+            gold_by_video = {v: () for v in chunk}
             if positive_bias:
                 base_slots = len(chunk) * size
                 expected_pos = len(chunk) * prevalence * size / qtop
@@ -172,29 +182,32 @@ def pack_hits(
                     raise ValueError(
                         f"{hit_id}: no video has a known positive to duplicate"
                     )
-                cursor = {v: 0 for v in donors}
                 for i in range(duplicates):
                     video = donors[i % len(donors)]
                     pool = known_positives[video]
-                    gold_by_video[video].append(pool[cursor[video] % len(pool)])
-                    cursor[video] += 1
-            slots = []
-            shared_order = None
-            if grouping:
-                perm = substream(seed, "order", subset_index, chunk_start).permutation(size)
-                shared_order = [subset[i] for i in perm]
-            for video in chunk:
-                rng = substream(seed, "slots", subset_index, chunk_start, video)
-                if grouping:
-                    base = shared_order
-                else:
-                    base = [subset[i] for i in rng.permutation(size)]
-                entries = [QuestionSlot(qid) for qid in base] + [
-                    QuestionSlot(qid, gold=True) for qid in gold_by_video[video]
+                    slot = QuestionSlot(pool[len(gold_by_video[video]) % len(pool)], True)
+                    gold_by_video[video] += (slot,)
+            base = in_order
+            if grouping and size > 1:
+                # One question order shared by every video of the HIT.
+                u = uniforms(fold(subset_key, id_key(chunk_index), id_key("order")), range(size))
+                base = tuple(in_order[i] for i in np.argsort(u))
+            slots = [base + gold_by_video[v] for v in chunk]
+            # Slots are shuffled unless they are one question or a shared
+            # order without gold: all rows of the chunk at once, by argsort of
+            # counter uniforms keyed by (seed, subset, video), the padding
+            # past a row's end sorting last.
+            shuffle = [len(e) > 1 and (len(e) > size or not grouping) for e in slots]
+            if any(shuffle):
+                width = np.arange(max(map(len, slots)))
+                keys = np.array([id_key(v) for v in chunk], dtype=np.uint64)
+                u = uniforms(fold(subset_key, keys, id_key("slots"))[:, None], width)
+                u[width >= np.array([len(e) for e in slots])[:, None]] = 2.0
+                orders = np.argsort(u, axis=1).tolist()
+                slots = [
+                    tuple(e[i] for i in orders[row][: len(e)]) if shuffle[row] else e
+                    for row, e in enumerate(slots)
                 ]
-                if gold_by_video[video]:
-                    entries = [entries[i] for i in rng.permutation(len(entries))]
-                slots.append(tuple(entries))
             hits.append(
                 HitSpec(
                     hit_id=hit_id,
@@ -236,8 +249,9 @@ def simulate_campaign(
 ):
     """Simulate `iterations` complete passes; yields one event list per pass.
 
-    Event streams are a pure function of the seed: per-task RNG streams are
-    derived by hashing, so the output does not depend on execution order.
+    Each pass lists the HITs' events in slot order. Every draw is a counter
+    draw keyed by the ids of the task's worker and video, so the events are
+    a pure function of the seed and do not depend on execution order.
     """
     truths = list(truths)
     by_id = {t.video_id: t for t in truths}
@@ -253,38 +267,37 @@ def simulate_campaign(
         positive_bias=modifiers.positive_bias,
         grouping=modifiers.grouping,
         known_positives=known_positives,
+        prevalence=behavior.prevalence,
     )
     if pool is None:
         pool = [Worker("w0")]
     questions_by_subset = [
         [tax.question(qid) for qid in subset] for subset in plan.subsets
     ]
-
-    def run_hit(hit: HitSpec, worker: Worker, iteration: int) -> list[AnnotationEvent]:
-        events = []
-        for video_index, video_id in enumerate(hit.video_ids):
-            truth = by_id[video_id]
-            gold = [tax.question(qid) for qid in hit.gold_questions(video_index)]
-            events.extend(
-                simulate_task(
-                    behavior,
-                    truth,
-                    questions_by_subset[hit.subset_index],
-                    modifiers,
-                    seed,
-                    model=model,
-                    worker=worker,
-                    iteration=iteration,
-                    subset_index=hit.subset_index,
-                    gold_questions=gold,
-                )
-            )
-        return events
-
+    row_of = {t.video_id: i for i, t in enumerate(truths)}
+    hard = hard_pairs(seed, list(row_of), range(tax.label_count), behavior.hard_fraction)
     for iteration in range(iterations):
         workers = assign_workers(hits, pool, seed, iteration, blacklist)
-        chunks = [run_hit(h, w, iteration) for h, w in zip(hits, workers)]
-        yield [event for chunk in chunks for event in chunk]
+        events: list[AnnotationEvent] = []
+        for subset_index, group in groupby(zip(hits, workers), lambda hw: hw[0].subset_index):
+            group = list(group)
+            for block in (group[i : i + BLOCK_HITS] for i in range(0, len(group), BLOCK_HITS)):
+                video_ids = [v for hit, _ in block for v in hit.video_ids]
+                events += simulate_block(
+                    behavior,
+                    [by_id[v] for v in video_ids],
+                    questions_by_subset[subset_index],
+                    modifiers,
+                    seed,
+                    workers=[w for hit, w in block for _ in hit.video_ids],
+                    slots=[s for hit, _ in block for s in hit.slots],
+                    question_of=tax.question,
+                    model=model,
+                    iteration=iteration,
+                    subset_index=subset_index,
+                    hard=hard[[row_of[v] for v in video_ids]],
+                )
+        yield events
 
 
 def run_campaign(*args, **kwargs) -> list[AnnotationEvent]:

@@ -87,10 +87,12 @@ class Config:
             return tuple((int(n), float(r)) for n, r in self.doc["correlation_targets"])
         return workersim.DEFAULT_MULTI_PASS_RECALL
 
+    def prevalence(self) -> float:
+        return float(self.doc.get("prevalence", workersim.DEFAULT_PREVALENCE))
+
     def behavior(self, fit_correlation: bool = True) -> workersim.WorkerBehavior:
-        prevalence = float(self.doc.get("prevalence", workersim.DEFAULT_PREVALENCE))
         qtop = int(self.doc.get("qtop", workersim.DEFAULT_QTOP))
-        behavior = workersim.calibrate(self.anchors(), prevalence=prevalence, qtop=qtop)
+        behavior = workersim.calibrate(self.anchors(), prevalence=self.prevalence(), qtop=qtop)
         if fit_correlation:
             behavior = workersim.fit_hard_mixture(
                 behavior, k=qtop, targets=self.correlation_targets()
@@ -165,6 +167,7 @@ def cmd_pack_hits(args, config: Config) -> int:
         positive_bias=args.positive_bias,
         grouping=args.grouping,
         known_positives=known,
+        prevalence=config.prevalence(),
     )
     doc = [
         {

@@ -75,15 +75,33 @@ class CampaignCost:
 
 
 def fit_time_model(observations) -> TimeModel:
-    """Ordinary least squares of task seconds on question count."""
+    """Least squares of task seconds on the model's own prediction.
+
+    Q questions on a d-second video take task_time(scale_base_for_duration(
+    TimeModel(a, b), d), Q) seconds: a*d/ref + b*Q for a <= ref/2 and
+    a + (d - ref)/2 + b*Q above, linear in (a, b) on each side. The best of
+    the consistent side fits and the fit on the kink a = ref/2 is kept.
+    """
     obs = list(observations)
     if len(obs) < 2:
         raise ValueError("need at least 2 timing observations")
     q = np.array([o.questions for o in obs], dtype=float)
     y = np.array([o.seconds for o in obs], dtype=float)
+    d = np.array([o.video_seconds for o in obs], dtype=float) / REFERENCE_VIDEO_SECONDS
     if np.unique(q).size < 2:
         raise ValueError("need at least 2 distinct question counts to fit a line")
-    slope, intercept = np.polyfit(q, y, 1)
+    half = REFERENCE_VIDEO_SECONDS / 2.0
+    kink = float(np.dot(q, y - half * d) / np.dot(q, q))
+    fits = [(float(np.sum((half * d + kink * q - y) ** 2)), half, kink)]
+    for below, x, target in ((True, d, y), (False, np.ones_like(d), y - (d - 1.0) * half)):
+        # Columns scaled as np.polyfit scales them, so that reference-length
+        # timings fit to the same bits as a plain line.
+        lhs = np.column_stack([q, x])
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        b, a = np.linalg.lstsq(lhs / scale, target, rcond=len(q) * np.finfo(float).eps)[0] / scale
+        if (a <= half) == below:
+            fits.append((float(np.sum((x * a + q * b - target) ** 2)), a, b))
+    _, intercept, slope = min(fits)
     if intercept < 0 or slope < 0:
         raise ValueError(
             f"fitted model has negative coefficients (a={intercept:.3f}, "

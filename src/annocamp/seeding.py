@@ -1,13 +1,19 @@
-"""Deterministic RNG streams derived from a single master seed.
+"""Deterministic random draws derived from a single master seed.
 
-Every stochastic component hashes (master seed, stream components) into an
-independent numpy generator, so simulation results do not depend on the
-order in which tasks are executed.
+Per-task and per-entity draws are counter draws: a uniform is a pure hash
+(a splitmix64 mix in numpy uint64) of a 64-bit key and a counter, so draws
+are made in bulk as array operations, in any order. A key folds the seed
+with the entities drawn about, then a stream tag; workers and videos enter
+by the blake2b hash of their id, never by a list position. The counter is a
+question id, a member label id or a gold ordinal. `substream` generators
+remain for the streams drawn once per campaign: ground truth, worker pool,
+question partition, per-subset packing order and per-pass assignment.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,16 +30,48 @@ def _digest(master_seed: int, parts: tuple) -> bytes:
 
 
 def substream(master_seed: int, *parts) -> np.random.Generator:
-    """Independent generator for the stream identified by `parts`."""
+    """Independent generator for the per-campaign stream identified by `parts`."""
     seed = int.from_bytes(_digest(master_seed, parts), "little")
     return np.random.default_rng(seed)
 
 
-def unit_fraction(master_seed: int, *parts) -> float:
-    """A single uniform [0, 1) draw tied to (master_seed, parts).
+@lru_cache(maxsize=1 << 16)
+def id_key(ident) -> int:
+    """64-bit blake2b key of an id: a seed, a worker or video id, a stream tag."""
+    return int.from_bytes(hashlib.blake2b(str(ident).encode(), digest_size=8).digest(), "little")
 
-    Used for per-entity coin flips (e.g. marking a (video, label) pair as
-    hard) that must agree across all workers and iterations.
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer: a bijection of uint64 with full avalanche."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def fold(key, *fields) -> np.ndarray:
+    """Chain 64-bit fields (ints or uint64 arrays) into a key, elementwise.
+
+    Scalars become 1-element arrays: numpy checks overflow on scalars only.
     """
-    raw = int.from_bytes(_digest(master_seed, parts)[:8], "little")
-    return raw / 2.0**64
+    key = np.atleast_1d(np.asarray(key, dtype=np.uint64))
+    for value in fields:
+        value = np.atleast_1d(np.asarray(value, dtype=np.uint64))
+        key = _mix(key ^ _mix(value + 0x9E3779B97F4A7C15))
+    return key
+
+
+def draw_key(master_seed: int, *ids) -> np.ndarray:
+    """The seed's key with `ids` folded in: strings or ints, hashed by
+    `id_key`, or uint64 arrays of keys `id_key` made, one per entity."""
+    keys = (i if isinstance(i, np.ndarray) else id_key(i) for i in ids)
+    return fold(id_key(int(master_seed)), *keys)
+
+
+def uniforms(keys, counters) -> np.ndarray:
+    """Uniform floats in [0, 1) with 53 random bits, one per (key, counter)."""
+    return (fold(keys, counters) >> 11) * 2.0**-53
+
+
+def unit_fraction(master_seed: int, *ids, counter: int = 0) -> float:
+    """The scalar case of `uniforms`: one draw about `ids`."""
+    return float(uniforms(draw_key(master_seed, *ids), counter)[0])

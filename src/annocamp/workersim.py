@@ -25,8 +25,7 @@ import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
 from .output import atomic_open
-from .seeding import substream, unit_fraction
-from .taxonomy import QuestionGroup
+from .seeding import draw_key, fold, id_key, substream, uniforms
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -381,58 +380,157 @@ def sample_worker_pool(
     return pool
 
 
-def is_hard_pair(master_seed: int, video_id: str, label_id: int, hard_fraction: float) -> bool:
-    """Whether a (video, label) pair belongs to the shared hard set.
+def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.ndarray:
+    """The shared hard set as a (videos x labels) boolean mask.
 
-    The draw depends only on the campaign seed and the pair, so every worker
-    and every iteration sees the same difficulty (the correlation lives in
-    the data, not the workers).
+    A pair's draw depends only on the campaign seed and the pair, so every
+    worker and every iteration sees the same difficulty (the correlation
+    lives in the data, not the workers).
     """
+    labels = np.asarray(labels, dtype=np.uint64)
     if hard_fraction <= 0.0:
-        return False
-    return unit_fraction(master_seed, "hard-pair", video_id, label_id) < hard_fraction
+        return np.zeros((len(video_ids), len(labels)), dtype=bool)
+    keys = np.array([id_key(v) for v in video_ids], dtype=np.uint64)
+    return uniforms(draw_key(master_seed, keys, "hard-pair")[:, None], labels) < hard_fraction
 
 
-def _select_members(
-    rng: np.random.Generator,
-    question: QuestionGroup,
-    positive_members: list[int],
-    hard_members: set[int],
-    r_easy: float,
-    hard_multiplier: float,
-    fp_rate: float,
-) -> tuple[int, ...]:
+def is_hard_pair(master_seed: int, video_id: str, label_id: int, hard_fraction: float) -> bool:
+    """Whether one (video, label) pair is hard: the scalar case of `hard_pairs`."""
+    return bool(hard_pairs(master_seed, [video_id], [label_id], hard_fraction)[0, 0])
+
+
+def _select_members(members, probs, draws) -> tuple[int, ...]:
     """Members picked on an affirmative gate; at least one is always selected.
 
     Samples independent per-member Bernoullis conditioned on a non-empty
     outcome (exact sequential scheme, no rejection loop).
     """
-    members = question.members
-    if len(members) == 1:
-        return members
-    probs = []
-    for member in members:
-        if member in positive_members:
-            probs.append(r_easy * hard_multiplier if member in hard_members else r_easy)
-        else:
-            probs.append(fp_rate)
-    n = len(probs)
+    n = len(members)
     tail = [1.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] * (1.0 - probs[i])
-    draws = rng.random(n)
     chosen = []
-    got = False
     for i in range(n):
-        if got:
+        if chosen:
             take = draws[i] < probs[i]
         else:
             none_later = 1.0 - tail[i]
             take = draws[i] < probs[i] / none_later if none_later > 0 else i == n - 1
         if take:
-            got = True
             chosen.append(members[i])
     return tuple(chosen)
+
+
+def simulate_block(
+    behavior: WorkerBehavior,
+    videos,
+    questions,
+    modifiers: ModifierSet,
+    seed: int,
+    *,
+    workers,
+    slots,
+    question_of,
+    model: TimeModel = DEFAULT_TIME_MODEL,
+    iteration: int = 0,
+    subset_index: int = 0,
+    hard: np.ndarray | None = None,
+) -> list[AnnotationEvent]:
+    """Simulate workers[i] answering one question subset about videos[i].
+
+    Video i's events follow slots[i], (question id, gold) pairs naming each
+    of `questions` once plus gold duplicates (looked up with `question_of`).
+    `hard` may hold the videos' rows of the campaign's hard-pair mask. Draws
+    are keyed by (seed, worker, video, iteration, subset index, stream) and
+    count question ids, member label ids or gold ordinals, so a task's
+    events depend neither on the rest of the block nor on its slot order.
+    """
+    questions = list(questions)
+    k = len(questions)
+    if k == 0:
+        raise ValueError("a task needs at least one question")
+    adjusted = _cached_adjust(behavior, modifiers, k) if modifiers.any else None
+    r = adjusted.recall if adjusted else behavior.recall(k)
+    f = adjusted.fp_rate if adjusted else behavior.fp_rate(k)
+    h, hard_mult = behavior.hard_fraction, behavior.hard_recall_multiplier
+    scales = [w.recall_scale for w in workers]
+    inflated = {s: easy_recall(min(1.0, r * s), h, hard_mult) for s in set(scales)}
+    r_easy = np.array([inflated[s] for s in scales])[:, None]
+    spammer = np.array([w.spammer for w in workers])
+
+    # Question j owns the member columns from starts[j] on.
+    members = [m for q in questions for m in q.members]
+    starts = np.cumsum([0] + [len(q.members) for q in questions[:-1]])
+    column = {m: c for c, m in enumerate(members)}
+    truth = np.zeros((len(videos), len(members)), dtype=bool)
+    rows = [i for i, v in enumerate(videos) for m in v.labels if m in column]
+    truth[rows, [column[m] for v in videos for m in v.labels if m in column]] = True
+    video_ids = [v.video_id for v in videos]
+    hard = hard_pairs(seed, video_ids, members, h) if hard is None else hard[:, members]
+    worker_keys = np.array([id_key(w.worker_id) for w in workers], dtype=np.uint64)
+    video_keys = np.array([id_key(v) for v in video_ids], dtype=np.uint64)
+    task = draw_key(seed, worker_keys, video_keys, iteration, subset_index)[:, None]
+
+    def draws(stream: str, counters) -> np.ndarray:
+        return uniforms(fold(task, id_key(stream)), np.asarray(counters, dtype=np.uint64))
+
+    # A positive question is hard when all of its positive members are.
+    positive = np.logical_or.reduceat(truth, starts, axis=1)
+    easy = np.logical_or.reduceat(truth & ~hard, starts, axis=1)
+    p_yes = np.where(easy, r_easy, np.where(positive, r_easy * hard_mult, f))
+    p_yes[spammer] = SPAMMER_YES_RATE
+    qids = [q.id for q in questions]
+    gates = draws("gate", qids) < p_yes
+
+    # Members behind an affirmative multi-member gate: a spammer picks one
+    # at random, an honest worker runs the exact sequential selection.
+    picked = {}
+    multi = gates & np.array([len(q.members) > 1 for q in questions])
+    if multi.any():
+        spam_draws = draws("spam-pick", qids)
+        member_draws = draws("members", members)
+        probs = np.where(truth, np.where(hard, r_easy * hard_mult, r_easy), f)
+        for i, j in zip(*np.nonzero(multi)):
+            options = questions[j].members
+            span = slice(starts[j], starts[j] + len(options))
+            picked[i, j] = (
+                (options[int(spam_draws[i, j] * len(options))],)
+                if spammer[i]
+                else _select_members(options, probs[i, span].tolist(), member_draws[i, span])
+            )
+
+    # Log-normal elapsed-time noise from a Box-Muller pair of uniforms.
+    u = draws("elapsed", [0, 1])
+    noise = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+    durations = [v.duration_seconds for v in videos]
+    seconds = {d: task_time(_scaled_model(model, d), k) for d in set(durations)}
+    total = np.array([seconds[d] for d in durations]) * np.exp(ELAPSED_SIGMA * noise)
+    total *= behavior.speed_multiplier * np.array([w.time_scale for w in workers])
+    if adjusted:
+        total = total * adjusted.time_ratio + adjusted.extra_seconds
+    per_question = (total / k).tolist()
+
+    # Gold duplicates repeat a question known positive for the video.
+    p_gold = np.where(spammer[:, None], SPAMMER_YES_RATE, r_easy)
+    gold_gates = (draws("gold", range(max(map(len, slots)) - k)) < p_gold).tolist()
+
+    column_of = {qid: j for j, qid in enumerate(qids)}
+    events = []
+    for i, (gate_row, video_id) in enumerate(zip(gates.tolist(), video_ids)):
+        worker_id, elapsed, ordinal = workers[i].worker_id, per_question[i], 0
+        for qid, gold in slots[i]:
+            if gold:
+                gate = gold_gates[i][ordinal]
+                ordinal += 1
+                answer = (question_of(qid).members[0],) if gate else ()
+            else:
+                j = column_of[qid]
+                gate = gate_row[j]
+                answer = picked.get((i, j), questions[j].members) if gate else ()
+            events.append(
+                AnnotationEvent(worker_id, video_id, qid, gate, answer, elapsed, iteration, gold)
+            )
+    return events
 
 
 def simulate_task(
@@ -442,110 +540,16 @@ def simulate_task(
     modifiers: ModifierSet,
     seed: int,
     *,
-    model: TimeModel = DEFAULT_TIME_MODEL,
     worker: Worker = DEFAULT_WORKER,
-    iteration: int = 0,
-    subset_index: int = 0,
     gold_questions=(),
+    **block_options,
 ) -> list[AnnotationEvent]:
-    """Simulate one worker answering one question subset about one video.
-
-    Returns one event per question (affirmative or not) plus one flagged
-    event per injected gold duplicate. The RNG stream is a pure function of
-    (seed, worker, video, iteration, subset index), making results identical
-    under any execution order. The time model's base is rescaled to the
-    video's duration.
-    """
-    questions = list(questions)
-    k = len(questions)
-    if k == 0:
-        raise ValueError("a task needs at least one question")
-    adjusted = _cached_adjust(behavior, modifiers, k) if modifiers.any else None
-    r = adjusted.recall if adjusted else behavior.recall(k)
-    f = adjusted.fp_rate if adjusted else behavior.fp_rate(k)
-    r = min(1.0, r * worker.recall_scale)
-    hard_mult = behavior.hard_recall_multiplier
-    r_easy = easy_recall(r, behavior.hard_fraction, hard_mult)
-
-    rng = substream(seed, "task", worker.worker_id, video.video_id, iteration, subset_index)
-    order = rng.permutation(k)
-
-    total_seconds = (
-        task_time(_scaled_model(model, video.duration_seconds), k)
-        * behavior.speed_multiplier
-        * worker.time_scale
-        * math.exp(rng.normal(0.0, ELAPSED_SIGMA))
-    )
-    if adjusted:
-        total_seconds = total_seconds * adjusted.time_ratio + adjusted.extra_seconds
-    per_question = total_seconds / k
-
-    events = []
-    gate_draws = rng.random(k)
-    truth_labels = video.labels
-    hard_fraction = behavior.hard_fraction
-    worker_id = worker.worker_id
-    video_id = video.video_id
-    spammer = worker.spammer
-    for slot, qidx in enumerate(order):
-        question = questions[qidx]
-        positive_members = [m for m in question.members if m in truth_labels]
-        hard_members = ()
-        if spammer:
-            p_yes = SPAMMER_YES_RATE
-        elif positive_members:
-            p_yes = r_easy
-            if hard_fraction > 0.0:
-                hard_members = {
-                    m
-                    for m in positive_members
-                    if is_hard_pair(seed, video_id, m, hard_fraction)
-                }
-                if len(hard_members) == len(positive_members):
-                    p_yes = r_easy * hard_mult
-        else:
-            p_yes = f
-        gate = bool(gate_draws[slot] < p_yes)
-        if gate:
-            if spammer:
-                pick = int(rng.integers(len(question.members)))
-                members = (question.members[pick],)
-            else:
-                members = _select_members(
-                    rng, question, positive_members, hard_members, r_easy, hard_mult, f
-                )
-        else:
-            members = ()
-        events.append(
-            AnnotationEvent(
-                worker_id,
-                video_id,
-                question.id,
-                gate,
-                members,
-                per_question,
-                iteration,
-            )
-        )
-
-    for question in gold_questions:
-        # Gold duplicates repeat a question known positive for this video.
-        p_yes = SPAMMER_YES_RATE if worker.spammer else r_easy
-        gate = bool(rng.random() < p_yes)
-        members = (question.members[0],) if gate else ()
-        events.append(
-            AnnotationEvent(
-                worker=worker.worker_id,
-                video=video.video_id,
-                question=question.id,
-                gate=gate,
-                members=members,
-                elapsed=per_question,
-                iteration=iteration,
-                gold=True,
-            )
-        )
-    return events
+    """The one-task case of `simulate_block`: one event per question in the
+    given order, then one flagged event per gold duplicate."""
+    questions, gold = list(questions), {q.id: q for q in gold_questions}
+    slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
+    return simulate_block(behavior, [video], questions, modifiers, seed, workers=[worker],
+                          slots=[slots], question_of=gold.__getitem__, **block_options)
 
 
 def make_random_truth(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from annocamp.campaign import (
     Blacklist,
+    BlacklistEntry,
     QcThresholds,
     WorkerStats,
     assign_workers,
@@ -176,6 +177,52 @@ def test_pack_errors(tax):
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 52),
+    grouping=st.booleans(),
+    positive_bias=st.booleans(),
+    known_lists=st.lists(
+        st.lists(st.integers(0, 51), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
+    videos = [f"v{i}" for i in range(len(known_lists))]
+    known = dict(zip(videos, known_lists))
+    plan = partition_questions(tax, k, seed)
+    hits = pack_hits(
+        videos,
+        plan,
+        HitBudget(),
+        DEFAULT_TIME_MODEL,
+        seed,
+        positive_bias=positive_bias,
+        grouping=grouping,
+        known_positives=known if positive_bias else None,
+    )
+    packed = [(v, h.subset_index) for h in hits for v in h.video_ids]
+    # Each (video, subset) is packed exactly once.
+    assert len(packed) == len(set(packed)) == len(videos) * len(plan.subsets)
+    asked = {v: [] for v in videos}
+    for hit in hits:
+        subset = plan.subsets[hit.subset_index]
+        for i, video in enumerate(hit.video_ids):
+            assert sorted(hit.base_questions(i)) == sorted(subset)
+            asked[video].extend(hit.base_questions(i))
+            # Gold slots come only from the video's known positives.
+            assert set(hit.gold_questions(i)) <= set(known[video])
+            if not positive_bias:
+                assert hit.gold_questions(i) == ()
+        if grouping and not positive_bias:
+            orders = {hit.base_questions(i) for i in range(len(hit.video_ids))}
+            assert len(orders) == 1
+    # Each base question once per video.
+    assert all(sorted(q) == list(range(52)) for q in asked.values())
+
+
 # ---------------------------------------------------------------------------
 # Simulation driver
 # ---------------------------------------------------------------------------
@@ -267,6 +314,18 @@ def test_blacklisted_worker_gets_no_assignments(tax, behavior):
     for iteration in range(3):
         assigned = assign_workers(hits, pool, seed=4, iteration=iteration, blacklist=blacklist)
         assert pool[0].worker_id not in {w.worker_id for w in assigned}
+
+
+def test_blacklist_added_after_construction_is_excluded(tax):
+    pool = [Worker(f"w{i}") for i in range(5)]
+    blacklist = Blacklist([BlacklistEntry("w1", "spam", "t0")])
+    blacklist.add("w3", "positive-rate outlier")
+    assert "w1" in blacklist and "w3" in blacklist and "w0" not in blacklist
+    assert blacklist.listed() == {"w1", "w3"}
+    plan = partition_questions(tax, 1, seed=0)
+    hits = pack_hits([f"v{i}" for i in range(40)], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
+    assigned = {w.worker_id for w in assign_workers(hits, pool, 0, 0, blacklist)}
+    assert assigned == {"w0", "w2", "w4"}
 
 
 def test_assign_workers_requires_eligible_pool(tax):

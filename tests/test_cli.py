@@ -53,6 +53,21 @@ def test_pack_hits(tmp_path, sample_videos):
     assert any(s["gold"] for h in hits for per_video in h["slots"] for s in per_video)
 
 
+def test_pack_hits_sizes_gold_with_configured_prevalence(tmp_path, sample_videos):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"prevalence": 10.0}))
+
+    def gold_slots(*extra):
+        out = tmp_path / "hits.json"
+        run(["pack-hits", "--videos", sample_videos, "--k", "5", "--seed", "3",
+             "--positive-bias", "--out", str(out), *extra])
+        hits = json.loads(out.read_text())
+        return sum(s["gold"] for h in hits for per_video in h["slots"] for s in per_video)
+
+    # More expected positives leave fewer duplicates to reach one third.
+    assert 0 < gold_slots("--config", str(config)) < gold_slots()
+
+
 def test_simulate_ingest_aggregate_metrics_chain(tmp_path, sample_videos):
     events = tmp_path / "events.csv"
     run(["simulate", "--videos", sample_videos, "--k", "52", "--iterations", "2",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import (
@@ -77,6 +79,73 @@ def test_fit_rejects_negative_coefficients():
     obs = [TimingObservation(1, 100.0), TimingObservation(50, 5.0)]
     with pytest.raises(ValueError, match="negative"):
         fit_time_model(obs)
+
+
+def scaled_obs(model, durations, qs=(1, 5, 13, 26, 52)):
+    return [
+        TimingObservation(q, task_time(scale_base_for_duration(model, d), q), d)
+        for d in durations
+        for q in qs
+    ]
+
+
+@pytest.mark.parametrize("a", [14.1, 20.0])
+@pytest.mark.parametrize("durations", [(30.1,), (90.0,), (30.1, 90.0)])
+def test_fit_uses_video_seconds(a, durations):
+    model = fit_time_model(scaled_obs(TimeModel(a, 1.15), durations))
+    assert model.base_seconds == pytest.approx(a, abs=1e-9)
+    assert model.per_question_seconds == pytest.approx(1.15, abs=1e-9)
+
+
+def test_fit_reference_length_matches_plain_ols():
+    obs = read_timings_csv(sample_taxonomy_path().parent / "sample_timings.csv")
+    assert {o.video_seconds for o in obs} == {30.1}
+    b, a = np.polyfit([o.questions for o in obs], [o.seconds for o in obs], 1)
+    model = fit_time_model(obs)
+    assert (model.base_seconds, model.per_question_seconds) == (a, b)
+
+
+def _profile_sse(obs, a):
+    """Squared error at base a with the best per-question cost for it."""
+    q = np.array([o.questions for o in obs], dtype=float)
+    y = np.array([o.seconds for o in obs])
+    base = np.array([scale_base_for_duration(TimeModel(a, 0.0), o.video_seconds).base_seconds
+                     for o in obs])
+    b = max(0.0, float(np.dot(q, y - base) / np.dot(q, q)))
+    return float(np.sum((base + b * q - y) ** 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(1.0, 40.0),
+    b=st.floats(0.1, 3.0),
+    noise=st.lists(st.floats(-0.2, 0.2), min_size=15, max_size=15),
+)
+def test_fit_is_the_least_squares_optimum(a, b, noise):
+    exact = scaled_obs(TimeModel(a, b), (10.0, 30.1, 90.0))
+    obs = [
+        TimingObservation(o.questions, o.seconds * (1.0 + e), o.video_seconds)
+        for o, e in zip(exact, noise)
+    ]
+    try:
+        model = fit_time_model(obs)
+    except ValueError:  # the noise can pull the optimum below zero
+        assume(False)
+    fitted = _profile_sse(obs, model.base_seconds)
+    assert fitted <= min(_profile_sse(obs, g) for g in np.linspace(0.0, 60.0, 601)) + 1e-9
+
+
+def test_fit_on_the_kink():
+    # The below-kink fit wants a=15.41 and the above-kink fit a=14.11, each
+    # on the other's side, so the optimum is a = 30.1 / 2.
+    obs = [
+        TimingObservation(q, y, d)
+        for q, y, d in ((1, 19.0, 10.0), (10, 8.0, 10.0), (1, 33.0, 90.0), (10, 79.0, 90.0))
+    ]
+    model = fit_time_model(obs)
+    assert model.base_seconds == 15.05
+    best = min(_profile_sse(obs, g) for g in np.linspace(0.0, 60.0, 6001))
+    assert _profile_sse(obs, model.base_seconds) <= best + 1e-9
 
 
 def test_task_time_values():

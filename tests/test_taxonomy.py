@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annocamp.cli import sample_taxonomy_path
 from annocamp.taxonomy import (
@@ -121,6 +123,17 @@ def test_partition_is_exact_partition(sample_tax, k):
         plan = partition_questions(sample_tax, k, seed)
         flat = [qid for subset in plan.subsets for qid in subset]
         assert sorted(flat) == [q.id for q in sample_tax.questions]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 52), seed=st.integers(0, 2**32 - 1))
+def test_partition_property_exact(sample_tax, k, seed):
+    plan = partition_questions(sample_tax, k, seed)
+    flat = [qid for subset in plan.subsets for qid in subset]
+    assert sorted(flat) == sorted(q.id for q in sample_tax.questions)
+    assert len(flat) == len(set(flat))
+    assert [len(s) for s in plan.subsets[:-1]] == [k] * (len(plan.subsets) - 1)
+    assert 1 <= len(plan.subsets[-1]) <= k
 
 
 def test_partition_determinism(sample_tax):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from annocamp import workersim
+from annocamp.costmodel import DEFAULT_TIME_MODEL, scale_base_for_duration, task_time
 from annocamp.evaluate import aggregate, metrics, truth_matrix
 from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.cli import sample_taxonomy_path
@@ -124,6 +128,21 @@ def test_behavior_dict_round_trip():
 def test_mixture_preserves_single_pass_recall():
     for h, m in [(0.0, 0.0), (0.1, 0.0), (0.2, 0.3), (0.05, 0.9)]:
         assert mixture_union_recall(0.45, 1, h, m) == pytest.approx(0.45, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    h=st.floats(0.0, 0.5),
+    m=st.floats(0.0, 1.0),
+)
+def test_mixture_union_recall_monotone_and_anchored(r, h, m):
+    # The easy-pair rate is not clipped at 1, so one pass recovers r exactly.
+    assume(r <= (1.0 - h) + h * m)
+    assert mixture_union_recall(r, 1, h, m) == pytest.approx(r, abs=1e-12)
+    values = [mixture_union_recall(r, n, h, m) for n in range(1, 30)]
+    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    assert values[-1] <= 1.0 + 1e-12
 
 
 def test_mixture_reduces_to_independence_when_h_zero():
@@ -271,7 +290,11 @@ def test_simulated_recall_monotone_in_r():
     assert recalls[1] > recalls[0]
 
 
-def test_event_timing_scales_with_duration():
+def test_event_timing_scales_with_duration(monkeypatch):
+    # One task per video: under the log-normal noise (sigma 0.25) the 55-s
+    # task comes out shorter than the 10-s one for about a fifth of all
+    # streams, so the noise is switched off and the scaled model checked.
+    monkeypatch.setattr(workersim, "ELAPSED_SIGMA", 0.0)
     tax = singleton_taxonomy(52)
     b = default_behavior()
     short = VideoTruth(video_id="s", duration_seconds=10.0, labels=frozenset({1}))
@@ -280,6 +303,9 @@ def test_event_timing_scales_with_duration():
         e.elapsed for e in simulate_task(b, short, tax.questions, NONE, seed=3)
     )
     slow = sum(e.elapsed for e in simulate_task(b, long, tax.questions, NONE, seed=3))
+    for seconds, duration in ((quick, 10.0), (slow, 55.0)):
+        model = scale_base_for_duration(DEFAULT_TIME_MODEL, duration)
+        assert seconds == pytest.approx(task_time(model, 52), rel=1e-12)
     assert slow > quick
 
 
