@@ -40,7 +40,7 @@ from .taxonomy import (
 from .workersim import (
     DEFAULT_ANCHORS,
     AccuracyAnchor,
-    AnnotationEvent,
+    EventTable,
     ModifierSet,
     VideoTruth,
     Worker,

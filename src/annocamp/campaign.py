@@ -14,7 +14,9 @@ import statistics
 from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +30,15 @@ from .costmodel import (
     task_time,
     videos_per_hit,
 )
-from .evaluate import LabelMatrix, aggregate, event_stats, expected_recall, metrics, truth_matrix
+from .evaluate import (
+    LabelMatrix,
+    aggregate,
+    event_stats,
+    expected_recall,
+    group_ids,
+    metrics,
+    truth_matrix,
+)
 from .output import write_csv
 from .planner import FEW_QUESTION_BUNDLE, NO_MODIFIERS, plan_iteration_minutes
 from .seeding import draw_key, fold, id_key, substream, uniforms
@@ -36,12 +46,16 @@ from .taxonomy import (
     SubsetPlan,
     Taxonomy,
     expand_answer,
+    member_table,
+    members_mask,
     partition_questions,
+    question_positions,
     singleton_taxonomy,
 )
 from .workersim import (
     DEFAULT_PREVALENCE,
-    AnnotationEvent,
+    EVENT_FIELDS,
+    EventTable,
     ModifierSet,
     VideoTruth,
     Worker,
@@ -59,7 +73,8 @@ from .workersim import (
 # block's arrays (at k=52, 128 HITs hold 256 videos).
 BLOCK_HITS = 128
 
-EVENT_COLUMNS = ("worker", "video", "question", "gate", "members", "elapsed", "iteration")
+# The events CSV columns; `gold` follows when a row is gold.
+EVENT_COLUMNS = tuple(f.name for f in EVENT_FIELDS if f.name != "gold")
 
 
 class QuestionSlot(NamedTuple):
@@ -196,7 +211,9 @@ def pack_hits(
             # Slots are shuffled unless they are one question or a shared
             # order without gold: all rows of the chunk at once, by argsort of
             # counter uniforms keyed by (seed, subset, video), the padding
-            # past a row's end sorting last.
+            # past a row's end sorting last. Under grouping the shuffle only
+            # places the gold slots, in their drawn order, and the base slots
+            # keep the shared order.
             shuffle = [len(e) > 1 and (len(e) > size or not grouping) for e in slots]
             if any(shuffle):
                 width = np.arange(max(map(len, slots)))
@@ -204,10 +221,13 @@ def pack_hits(
                 u = uniforms(fold(subset_key, keys, id_key("slots"))[:, None], width)
                 u[width >= np.array([len(e) for e in slots])[:, None]] = 2.0
                 orders = np.argsort(u, axis=1).tolist()
-                slots = [
-                    tuple(e[i] for i in orders[row][: len(e)]) if shuffle[row] else e
-                    for row, e in enumerate(slots)
-                ]
+                for row, e in enumerate(slots):
+                    if shuffle[row]:
+                        placed = [e[i] for i in orders[row][: len(e)]]
+                        if grouping:
+                            shared = iter(base)
+                            placed = [s if s.gold else next(shared) for s in placed]
+                        slots[row] = tuple(placed)
             hits.append(
                 HitSpec(
                     hit_id=hit_id,
@@ -247,12 +267,15 @@ def simulate_campaign(
     known_positives: dict | None = None,
     blacklist: Blacklist | None = None,
 ):
-    """Simulate `iterations` complete passes; yields one event list per pass.
+    """Simulate `iterations` complete passes; yields one event table per pass.
 
-    Each pass lists the HITs' events in slot order. Every draw is a counter
+    Each pass lists the HITs' events in slot order, on the vocabularies of
+    the pool's worker ids and the truths' video ids. Every draw is a counter
     draw keyed by the ids of the task's worker and video, so the events are
     a pure function of the seed and do not depend on execution order.
     """
+    if iterations < 1:
+        raise ValueError("a campaign needs at least one iteration")
     truths = list(truths)
     by_id = {t.video_id: t for t in truths}
     plan = partition_questions(tax, k, seed)
@@ -275,15 +298,19 @@ def simulate_campaign(
         [tax.question(qid) for qid in subset] for subset in plan.subsets
     ]
     row_of = {t.video_id: i for i, t in enumerate(truths)}
+    vocabularies = {
+        "worker_ids": tuple(dict.fromkeys(w.worker_id for w in pool)),
+        "video_ids": tuple(row_of),
+    }
     hard = hard_pairs(seed, list(row_of), range(tax.label_count), behavior.hard_fraction)
     for iteration in range(iterations):
         workers = assign_workers(hits, pool, seed, iteration, blacklist)
-        events: list[AnnotationEvent] = []
+        blocks = []
         for subset_index, group in groupby(zip(hits, workers), lambda hw: hw[0].subset_index):
             group = list(group)
             for block in (group[i : i + BLOCK_HITS] for i in range(0, len(group), BLOCK_HITS)):
                 video_ids = [v for hit, _ in block for v in hit.video_ids]
-                events += simulate_block(
+                blocks.append(simulate_block(
                     behavior,
                     [by_id[v] for v in video_ids],
                     questions_by_subset[subset_index],
@@ -291,18 +318,18 @@ def simulate_campaign(
                     seed,
                     workers=[w for hit, w in block for _ in hit.video_ids],
                     slots=[s for hit, _ in block for s in hit.slots],
-                    question_of=tax.question,
                     model=model,
                     iteration=iteration,
                     subset_index=subset_index,
                     hard=hard[[row_of[v] for v in video_ids]],
-                )
-        yield events
+                    **vocabularies,
+                ))
+        yield EventTable.concat(blocks)
 
 
-def run_campaign(*args, **kwargs) -> list[AnnotationEvent]:
-    """Flattened event list across all iterations of simulate_campaign."""
-    return [e for batch in simulate_campaign(*args, **kwargs) for e in batch]
+def run_campaign(*args, **kwargs) -> EventTable:
+    """All iterations of simulate_campaign in one table."""
+    return EventTable.concat(simulate_campaign(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,131 +337,144 @@ def run_campaign(*args, **kwargs) -> list[AnnotationEvent]:
 # ---------------------------------------------------------------------------
 
 
-def _format_event(event: AnnotationEvent, include_gold: bool) -> list:
-    row = [
-        event.worker,
-        event.video,
-        event.question,
-        int(event.gate),
-        ";".join(str(m) for m in event.members),
-        repr(event.elapsed),
-        event.iteration,
-    ]
-    if include_gold:
-        row.append(int(event.gold))
-    return row
+# The rows of one task share its elapsed time, so a cache formats each value
+# about once; zeros are formatted apart, as 0.0 == -0.0.
+_float_text = lru_cache(maxsize=1024)(repr)
 
 
-def write_events_csv(events, path) -> None:
-    """Write an event list as CSV; the `gold` column appears iff an event is gold."""
-    include_gold = any(e.gold for e in events)
-    header = EVENT_COLUMNS + (("gold",) if include_gold else ())
-    write_csv(path, header, (_format_event(e, include_gold) for e in events))
+def _csv_row(row) -> tuple:
+    """One event row as CSV fields."""
+    worker, video, question, gate, members, elapsed, iteration, gold = row
+    text = _float_text(elapsed) if elapsed else repr(elapsed)
+    return (worker, video, question, int(gate), ";".join(map(str, members)), text,
+            iteration, int(gold))
 
 
-@dataclass
-class IngestResult:
-    events: list[AnnotationEvent]
-    gold_events: list[AnnotationEvent]
-    stats: list[WorkerStats]
+def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
+    """Write an event table as CSV; the `gold` column appears iff a row is gold."""
+    header = EVENT_COLUMNS + (("gold",) if table.gold.any() else ())
+    fields = itemgetter(slice(len(header)))
+    write_csv(path, header, map(fields, map(_csv_row, table.rows(tax))))
 
 
-def _parse_bool(raw: str, line: int, column: str) -> bool:
+def _parse_bool(raw: str, column: str) -> bool:
     if raw in ("0", "1"):
         return raw == "1"
     if raw.lower() in ("true", "false"):
         return raw.lower() == "true"
-    raise ValueError(f"line {line}: {column} must be 0/1 or true/false, got {raw!r}")
+    raise ValueError(f"{column} must be 0/1 or true/false, got {raw!r}")
 
 
-def ingest(source, tax: Taxonomy, known_videos=None) -> IngestResult:
-    """Validated events plus per-worker statistics from an event CSV.
+def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
+    """Index in `answers` of a raw (question, gate, members) answer, appended
+    as (question id, gate, members mask); or the reason it is invalid."""
+    try:
+        question_id, gate = int(raw[0]), _parse_bool(raw[1], "gate")
+        labels = [int(m) for m in raw[2].split(";") if m.strip()]
+        selected = expand_answer(tax, question_id, gate, labels)
+    except ValueError as exc:
+        return str(exc)
+    answers.append((question_id, gate, members_mask(tax.question(question_id), selected)))
+    return len(answers) - 1
 
-    Malformed rows are reported with their line number, and so is a second
-    non-gold answer to the same (worker, video, question, iteration); gold
-    duplicate answers are split out of the evaluation stream.
+
+def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
+    """The event table of an event CSV, validated, with its gold column.
+
+    One ValueError names every bad row by line, the first 20 of them: a row
+    with too few fields, a value that does not parse, an answer
+    `expand_answer` rejects, an unknown video, a non-positive elapsed time,
+    or a second non-gold answer to one (worker, video, question, iteration).
     """
-    known = set(known_videos) if known_videos is not None else None
-    events: list[AnnotationEvent] = []
-    gold_events: list[AnnotationEvent] = []
-    # Duplicate check: one bitmask of answered questions per (worker, video,
-    # iteration) task, plus each evaluation event's line. A dict keyed per
-    # row would hold about 2 MB more on a 22k-row file.
-    question_bit = {q.id: 1 << i for i, q in enumerate(tax.questions)}
-    answered: dict[tuple[str, str, int], int] = {}
-    event_lines = array("q")
+    workers: dict[str, int] = {}
+    videos: dict[str, int] = {}
+    codes: dict[tuple[str, str, str], int | str] = {}  # raw answer -> _answer_code
+    answers: list[tuple[int, bool, int]] = []
+    fields = array("q")  # worker, video, answer code, iteration and gold of each row
+    elapsed, lines, problems = array("d"), array("q"), []
     with open(source, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in EVENT_COLUMNS if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in EVENT_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{source}: missing columns {missing}")
+        at = [header.index(c) for c in EVENT_COLUMNS + ("gold",) if c in header]
+        width = max(at) + 1
+        answer_of = itemgetter(*at[2:5])
         for row in reader:
-            line = reader.line_num
-            try:
-                question_id = int(row["question"])
-                gate = _parse_bool(row["gate"], line, "gate")
-                raw = row["members"]
-                members = tuple(int(m) for m in raw.split(";") if m.strip()) if raw else ()
-                expand_answer(tax, question_id, gate, members)
-                elapsed = float(row["elapsed"])
-                iteration = int(row["iteration"])
-                gold = _parse_bool(row.get("gold") or "0", line, "gold")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{source}: line {line}: {exc}") from exc
-            worker, video = row["worker"], row["video"]
-            if known is not None and video not in known:
-                raise ValueError(f"{source}: line {line}: unknown video {video!r}")
-            if elapsed <= 0:
-                raise ValueError(f"{source}: line {line}: elapsed must be positive")
-            event = AnnotationEvent(
-                worker, video, question_id, gate, members, elapsed, iteration, gold
-            )
-            if gold:
-                gold_events.append(event)
+            if len(row) < width:
+                if row:  # a blank line reads as []
+                    problems.append((reader.line_num, f"too few fields ({len(row)} of {width})"))
                 continue
-            task = (worker, video, iteration)
-            bit = question_bit[question_id]
-            mask = answered.get(task, 0)
-            if mask & bit:
-                first = next(
-                    event_lines[i] for i, e in enumerate(events)
-                    if (e.worker, e.video, e.iteration, e.question) == (*task, question_id)
-                )
-                raise ValueError(
-                    f"{source}: line {line}: duplicates line {first} (same worker, "
-                    f"video, question {question_id} and iteration)"
-                )
-            answered[task] = mask | bit
-            events.append(event)
-            event_lines.append(line)
-    stats = worker_stats_from_events(events, gold_events)
-    return IngestResult(events=events, gold_events=gold_events, stats=stats)
+            code = codes.get(raw := answer_of(row))
+            if code is None:
+                code = codes[raw] = _answer_code(tax, raw, answers)
+            try:
+                if isinstance(code, str):
+                    raise ValueError(code)
+                seconds, iteration = float(row[at[5]]), int(row[at[6]])
+                gold = len(at) > 7 and row[at[7]] != "" and _parse_bool(row[at[7]], "gold")
+            except ValueError as exc:
+                problems.append((reader.line_num, str(exc)))
+                continue
+            worker = workers.setdefault(row[at[0]], len(workers))
+            video = videos.setdefault(row[at[1]], len(videos))
+            fields.extend((worker, video, code, iteration, gold))
+            elapsed.append(seconds)
+            lines.append(reader.line_num)
+
+    worker, video, code, iteration, gold = np.frombuffer(fields, np.int64).reshape(-1, 5).T
+    question, gate, members = (
+        np.array([a[i] for a in answers], dtype)[code]
+        for i, dtype in enumerate((np.int64, bool, np.uint64))
+    )
+    elapsed, gold, names = np.frombuffer(elapsed), gold.astype(bool), tuple(videos)
+    unknown = np.zeros(len(elapsed), dtype=bool)
+    if known_videos is not None:
+        known = set(known_videos)
+        unknown = np.isin(video, [i for i, v in enumerate(names) if v not in known])
+    bad = unknown | ~(elapsed > 0)
+    problems += [(lines[r], f"unknown video {names[video[r]]!r}") for r in np.flatnonzero(unknown)]
+    problems += [(lines[r], "elapsed must be positive") for r in np.flatnonzero(bad & ~unknown)]
+    kept = np.flatnonzero(~bad & ~gold)
+    task, first = group_ids(*(c[kept] for c in (worker, video, iteration, question)))
+    original = kept[first[task]]
+    for row, first_row in zip(kept[original != kept], original[original != kept]):
+        problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
+                         f"video, question {question[row]} and iteration)"))
+    if problems:
+        problems.sort()
+        shown = "; ".join(f"line {line}: {reason}" for line, reason in problems[:20])
+        more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
+        raise ValueError(f"{source}: {shown}{more}")
+    return EventTable(tuple(workers), names, worker, video, question, gate, members,
+                      elapsed, iteration, gold)
 
 
-def worker_stats_from_events(events, gold_events=()) -> list[WorkerStats]:
-    """Per-worker task counts, median task seconds, gold recall, positive rate."""
-    task_seconds: dict[str, dict[tuple, float]] = {}
-    gates: dict[str, list[bool]] = {}
-    gold_hits: dict[str, list[bool]] = {}
-    for event in events:
-        per_task = task_seconds.setdefault(event.worker, {})
-        key = (event.video, event.iteration)
-        per_task[key] = per_task.get(key, 0.0) + event.elapsed
-        gates.setdefault(event.worker, []).append(event.gate)
-    for event in gold_events:
-        gold_hits.setdefault(event.worker, []).append(event.gate)
+def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
+    """Per-worker task counts, median task seconds, gold recall, positive rate.
+
+    Gold rows count only towards gold recall. A task is one (worker, video,
+    iteration); its seconds are summed in row order.
+    """
+    n, gold = len(table.worker_ids), table.gold
+    worker = table.worker[~gold]
+    task, first = group_ids(worker, table.video[~gold], table.iteration[~gold])
+    seconds = np.bincount(task, weights=table.elapsed[~gold])
+    answered = np.bincount(worker, minlength=n)
+    yes = np.bincount(worker[table.gate[~gold]], minlength=n)
+    gold_asked = np.bincount(table.worker[gold], minlength=n)
+    gold_yes = np.bincount(table.worker[gold & table.gate], minlength=n)
     stats = []
-    for worker_id in sorted(task_seconds):
-        durations = list(task_seconds[worker_id].values())
-        answered = gates[worker_id]
-        gold = gold_hits.get(worker_id)
+    for w in sorted(np.flatnonzero(answered).tolist(), key=table.worker_ids.__getitem__):
+        durations = seconds[worker[first] == w].tolist()
         stats.append(
             WorkerStats(
-                worker_id=worker_id,
+                worker_id=table.worker_ids[w],
                 tasks_completed=len(durations),
                 median_seconds_per_task=statistics.median(durations),
-                gold_recall=(sum(gold) / len(gold)) if gold else None,
-                positive_rate=sum(answered) / len(answered),
+                gold_recall=int(gold_yes[w]) / int(gold_asked[w]) if gold_asked[w] else None,
+                positive_rate=int(yes[w]) / int(answered[w]),
             )
         )
     return stats
@@ -509,14 +549,9 @@ def build_verification_queue(
 ) -> list[VerificationTask]:
     """One verification task per unverified predicted-positive pair."""
     done = set(already_verified)
-    binary = matrix.binary(threshold)
-    queue = []
-    for row, video_id in enumerate(matrix.video_ids):
-        for label in np.flatnonzero(binary[row]):
-            pair = (video_id, int(label))
-            if pair not in done:
-                queue.append(VerificationTask(video=video_id, label=int(label)))
-    return queue
+    pairs = zip(*(a.tolist() for a in matrix.binary(threshold).nonzero()))
+    positives = ((matrix.video_ids[row], label) for row, label in pairs)
+    return [VerificationTask(*pair) for pair in positives if pair not in done]
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +596,7 @@ def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed):
     for n, events in enumerate(batches, start=1):
         matrix = aggregate(events, tax, video_ids=video_ids)
         votes += matrix.votes
-        total_seconds += sum(e.elapsed for e in events if not e.gold)
+        total_seconds += sum(events.elapsed[~events.gold].tolist())
         scored = metrics(votes >= 1, truth)
         minutes = total_seconds / 60.0 / len(video_ids)
         rows.append((n, minutes, scored.recall, scored.precision))
@@ -680,26 +715,22 @@ def _experiment_worker_correlations(seed: int, videos: int = 80, workers: int = 
     truths = make_random_truth(videos, tax.label_count, behavior.prevalence, seed)
     pool = sample_worker_pool(workers, behavior, 0.0, seed)
     events = run_campaign(tax, truths, 52, 2, behavior, seed, pool=pool)
-    truth_by_video = {t.video_id: t.labels for t in truths}
-    per_worker: dict[str, dict[str, float]] = {}
-    for event in events:
-        acc = per_worker.setdefault(
-            event.worker, {"tp": 0, "fp": 0, "positives": 0}
-        )
-        members = tax.question(event.question).members
-        positive = any(m in truth_by_video[event.video] for m in members)
-        if positive:
-            acc["positives"] += 1
-            acc["tp"] += int(event.gate)
-        elif event.gate:
-            acc["fp"] += 1
+    # An event is positive when its question has a member the video shows.
+    members = member_table(tax)[question_positions(tax, events.question)]
+    truth = truth_matrix(truths, tax.label_count, video_ids=events.video_ids)
+    positive = (truth[events.video[:, None], members] & (members >= 0)).any(axis=1)
+    n = len(events.worker_ids)
+    positives = np.bincount(events.worker[positive], minlength=n).tolist()
+    tp = np.bincount(events.worker[positive & events.gate], minlength=n).tolist()
+    fp = np.bincount(events.worker[~positive & events.gate], minlength=n).tolist()
+    row_of = {w: i for i, w in enumerate(events.worker_ids)}
     header = ["worker", "tasks", "median_seconds", "recall", "precision"]
     rows = []
     for stats in worker_stats_from_events(events):
-        acc = per_worker[stats.worker_id]
-        recall = acc["tp"] / acc["positives"] if acc["positives"] else 0.0
-        marked = acc["tp"] + acc["fp"]
-        precision = acc["tp"] / marked if marked else 1.0
+        w = row_of[stats.worker_id]
+        recall = tp[w] / positives[w] if positives[w] else 0.0
+        marked = tp[w] + fp[w]
+        precision = tp[w] / marked if marked else 1.0
         rows.append(
             [
                 stats.worker_id,

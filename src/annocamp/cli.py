@@ -210,13 +210,13 @@ def cmd_simulate(args, config: Config) -> int:
         budget=config.budget(),
         pool=pool,
     )
-    campaign.write_events_csv(events, args.out)
+    campaign.write_events_csv(events, tax, args.out)
     return 0
 
 
 def cmd_ingest(args, config: Config) -> int:
     tax = config.taxonomy(args.taxonomy)
-    result = campaign.ingest(args.events, tax)
+    stats = campaign.worker_stats_from_events(campaign.ingest(args.events, tax))
     header = ["worker", "tasks", "median_seconds", "gold_recall", "positive_rate"]
     rows = [
         [
@@ -226,7 +226,7 @@ def cmd_ingest(args, config: Config) -> int:
             _fmt_opt(s.gold_recall),
             f"{s.positive_rate:.6f}",
         ]
-        for s in result.stats
+        for s in stats
     ]
     _emit_csv(header, rows, args.out)
     return 0
@@ -234,16 +234,14 @@ def cmd_ingest(args, config: Config) -> int:
 
 def cmd_aggregate(args, config: Config) -> int:
     tax = config.taxonomy(args.taxonomy)
-    result = campaign.ingest(args.events, tax)
-    matrix = evaluate.aggregate(result.events, tax)
+    events = campaign.ingest(args.events, tax)
+    matrix = evaluate.aggregate(events, tax)
     binary = matrix.binary(args.threshold)
     header = ["video", "label", "votes", "positive"]
-    rows = []
-    for row, video_id in enumerate(matrix.video_ids):
-        for label in range(tax.label_count):
-            votes = int(matrix.votes[row, label])
-            if votes:
-                rows.append([video_id, label, votes, int(binary[row, label])])
+    rows = [
+        [matrix.video_ids[row], label, int(matrix.votes[row, label]), int(binary[row, label])]
+        for row, label in zip(*(a.tolist() for a in matrix.votes.nonzero()))
+    ]
     _emit_csv(header, rows, args.out)
     return 0
 
@@ -251,11 +249,11 @@ def cmd_aggregate(args, config: Config) -> int:
 def cmd_metrics(args, config: Config) -> int:
     tax = config.taxonomy(args.taxonomy)
     truths = workersim.load_truths(args.videos)
-    result = campaign.ingest(args.events, tax)
-    matrix = evaluate.aggregate(result.events, tax)
+    events = campaign.ingest(args.events, tax)
+    matrix = evaluate.aggregate(events, tax)
     truth = evaluate.truth_matrix(truths, tax.label_count, matrix.video_ids)
     scored = evaluate.metrics(matrix.binary(args.threshold), truth)
-    minutes, affirmative = evaluate.event_stats(result.events)
+    minutes, affirmative = evaluate.event_stats(events)
     header = [
         "experiment",
         "k",
@@ -310,19 +308,35 @@ def cmd_plan(args, config: Config) -> int:
     return 0
 
 
+def _read_records(path, columns, parse) -> list:
+    """parse(row) for each row of a CSV that has `columns`; a missing column
+    or a bad value is a one-line ValueError naming the file (and line)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        records = []
+        for row in reader:
+            try:
+                records.append(parse(row))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
+
+
 def cmd_qc(args, config: Config) -> int:
-    stats = []
-    with open(args.stats, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            stats.append(
-                campaign.WorkerStats(
-                    worker_id=row["worker"],
-                    tasks_completed=int(row["tasks"]),
-                    median_seconds_per_task=float(row["median_seconds"]),
-                    gold_recall=float(row["gold_recall"]) if row["gold_recall"] else None,
-                    positive_rate=float(row["positive_rate"]),
-                )
-            )
+    stats = _read_records(
+        args.stats,
+        ("worker", "tasks", "median_seconds", "gold_recall", "positive_rate"),
+        lambda row: campaign.WorkerStats(
+            worker_id=row["worker"],
+            tasks_completed=int(row["tasks"]),
+            median_seconds_per_task=float(row["median_seconds"]),
+            gold_recall=float(row["gold_recall"]) if row["gold_recall"] else None,
+            positive_rate=float(row["positive_rate"]),
+        ),
+    )
     flags = campaign.qc_flag(
         stats, campaign.QcThresholds(mad_z=args.mad_z, min_workers=args.min_workers)
     )
@@ -338,13 +352,13 @@ def cmd_qc(args, config: Config) -> int:
 
 def cmd_verify_queue(args, config: Config) -> int:
     tax = config.taxonomy(args.taxonomy)
-    result = campaign.ingest(args.events, tax)
-    matrix = evaluate.aggregate(result.events, tax)
+    events = campaign.ingest(args.events, tax)
+    matrix = evaluate.aggregate(events, tax)
     done = set()
     if args.done:
-        with open(args.done, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["video"], int(row["label"])))
+        done = set(_read_records(
+            args.done, ("video", "label"), lambda row: (row["video"], int(row["label"]))
+        ))
     queue = campaign.build_verification_queue(
         matrix, threshold=args.threshold, already_verified=done
     )

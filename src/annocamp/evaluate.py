@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, member_table, question_positions
 
 
 class IncompleteIterationError(ValueError):
@@ -68,67 +68,60 @@ class Metrics:
 
 
 def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
-    """Fold annotation events into a LabelMatrix of per-iteration votes.
+    """Fold an event table into a LabelMatrix of per-iteration votes.
 
-    Every (video, iteration) present in the stream must cover all top-level
+    Every (video, iteration) present in the table must cover all top-level
     questions, otherwise IncompleteIterationError lists the gaps. Gold
-    duplicate events never contribute. Given `video_ids`, every event's
+    duplicate events never contribute, and a label marked by two answers in
+    one (video, iteration) gets one vote. Given `video_ids`, every event's
     video must be among them.
     """
-    question_bit = {q.id: 1 << idx for idx, q in enumerate(taxonomy.questions)}
-    full_mask = (1 << taxonomy.question_count) - 1
-    coverage: dict[tuple[str, int], int] = {}
-    positives: dict[tuple[str, int], int] = {}
-    seen_videos: dict[str, None] = {}
-
-    for event in events:
-        if event.gold:
-            continue
-        bit = question_bit.get(event.question)
-        if bit is None:
-            raise ValueError(f"event references unknown question {event.question}")
-        key = (event.video, event.iteration)
-        coverage[key] = coverage.get(key, 0) | bit
-        if event.gate:
-            label_bits = positives.get(key, 0)
-            for label in event.members:
-                label_bits |= 1 << label
-            positives[key] = label_bits
-        seen_videos.setdefault(event.video, None)
-
-    if not coverage:
+    evaluated = ~events.gold
+    if not evaluated.any():
         raise ValueError("no events to aggregate")
-
-    gaps = []
-    for (video, iteration), mask in sorted(coverage.items()):
-        if mask != full_mask:
-            missing = [
-                q.id for q in taxonomy.questions if not mask & question_bit[q.id]
-            ]
-            gaps.append((video, iteration, missing))
+    video = events.video[evaluated]
+    slot = question_positions(taxonomy, events.question[evaluated])
+    passes, iteration = np.unique(events.iteration[evaluated], return_inverse=True)
+    # Every (video, iteration) pair present must answer every question.
+    pair = video * len(passes) + iteration
+    asked = np.zeros((len(events.video_ids) * len(passes), taxonomy.question_count), dtype=bool)
+    asked[pair, slot] = True
+    gaps = [
+        (events.video_ids[p // len(passes)], int(passes[p % len(passes)]),
+         [q.id for q, answered in zip(taxonomy.questions, asked[p]) if not answered])
+        for p in np.flatnonzero(asked.any(axis=1) & ~asked.all(axis=1)).tolist()
+    ]
     if gaps:
-        raise IncompleteIterationError(gaps)
+        raise IncompleteIterationError(sorted(gaps))
 
     if video_ids is None:
-        video_ids = tuple(sorted(seen_videos))
+        seen = np.flatnonzero(np.bincount(video, minlength=len(events.video_ids)))
+        video_ids = tuple(sorted(events.video_ids[v] for v in seen.tolist()))
     else:
         video_ids = tuple(video_ids)
-    video_index = {v: i for i, v in enumerate(video_ids)}
-    for video in seen_videos:
-        if video not in video_index:
-            raise ValueError(f"events name video {video!r}, which is not among the video ids")
-    iterations = len({i for _, i in coverage})
+    index = {v: i for i, v in enumerate(video_ids)}
+    row_of = np.array([index.get(v, -1) for v in events.video_ids], dtype=np.int64)
+    outside = row_of[video] < 0
+    if outside.any():
+        name = events.video_ids[video[outside][0]]
+        raise ValueError(f"events name video {name!r}, which is not among the video ids")
 
-    votes = np.zeros((len(video_ids), taxonomy.label_count), dtype=np.int16)
-    for (video, _), label_bits in positives.items():
-        row = votes[video_index[video]]
-        label = 0
-        while label_bits:
-            if label_bits & 1:
-                row[label] += 1
-            label_bits >>= 1
-            label += 1
-    return LabelMatrix(video_ids=video_ids, votes=votes, iterations=iterations)
+    # Decode each affirmative answer's members bits to labels, keep each
+    # (video, iteration, label) once and count its iterations per video.
+    labels = taxonomy.label_count
+    yes = events.gate[evaluated]
+    table = member_table(taxonomy)
+    bits = np.arange(table.shape[1], dtype=np.uint64)
+    answer, bit = np.nonzero(events.members[evaluated][yes, None] >> bits & np.uint64(1))
+    label = table[slot[yes][answer], bit]
+    marked = group_ids(pair[yes][answer], label)[1]
+    rows = row_of[video[yes][answer][marked]]
+    votes = np.bincount(rows * labels + label[marked], minlength=len(video_ids) * labels)
+    return LabelMatrix(
+        video_ids=video_ids,
+        votes=votes.reshape(len(video_ids), labels).astype(np.int16),
+        iterations=len(passes),
+    )
 
 
 def expected_recall(r: float, t_minutes: float, budget_minutes: float) -> float:
@@ -196,23 +189,26 @@ def event_stats(events) -> tuple[float, float]:
 
     Gold duplicates are excluded from both figures.
     """
-    seconds = 0.0
-    affirmative = 0
-    passes: set[tuple[str, int]] = set()
-    videos: set[str] = set()
-    for event in events:
-        if event.gold:
-            continue
-        seconds += event.elapsed
-        if event.gate:
-            affirmative += 1
-        passes.add((event.video, event.iteration))
-        videos.add(event.video)
-    if not videos:
+    evaluated = ~events.gold
+    if not evaluated.any():
         raise ValueError("no events")
-    minutes_per_video = seconds / 60.0 / len(videos)
-    affirmative_per_iteration = affirmative / len(passes)
+    video = events.video[evaluated]
+    seconds = sum(events.elapsed[evaluated].tolist())
+    passes = len(group_ids(video, events.iteration[evaluated])[1])
+    minutes_per_video = seconds / 60.0 / int(np.count_nonzero(np.bincount(video)))
+    affirmative_per_iteration = int(events.gate[evaluated].sum()) / passes
     return minutes_per_video, affirmative_per_iteration
+
+
+def group_ids(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """A dense id for each row's combination of the integer columns, and the
+    first row having each id."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        values, dense = np.unique(column, return_inverse=True)
+        key = key * len(values) + dense.ravel()
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    return ids.ravel(), first
 
 
 def _as_segment(value) -> TemporalSegment:

@@ -13,7 +13,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .seeding import substream
+
+# An answer's selected labels are stored as a bitmask over its question's
+# members, bit i standing for question.members[i]; a uint64 holds 64.
+MAX_MEMBERS = 64
 
 
 class TaxonomyError(ValueError):
@@ -93,6 +99,11 @@ def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
         seen_question_ids.add(q.id)
         if not q.members:
             raise TaxonomyError(f"question {q.id} has no members")
+        if len(q.members) > MAX_MEMBERS:
+            raise TaxonomyError(
+                f"question {q.id} has {len(q.members)} members, more than the "
+                f"{MAX_MEMBERS} a members bitmask holds"
+            )
         for member in q.members:
             if member not in seen_label_ids:
                 raise TaxonomyError(
@@ -189,3 +200,33 @@ def expand_answer(
             f"question {question_id}: selected labels {sorted(stray)} are not members"
         )
     return selected
+
+
+def members_mask(question: QuestionGroup, labels) -> int:
+    """Bitmask of the given member labels: bit i is question.members[i]."""
+    return sum(1 << question.members.index(label) for label in set(labels))
+
+
+def mask_members(question: QuestionGroup, mask: int) -> tuple[int, ...]:
+    """The member labels a bitmask selects, in the question's member order."""
+    return tuple(m for i, m in enumerate(question.members) if mask >> i & 1)
+
+
+def member_table(tax: Taxonomy) -> np.ndarray:
+    """Label ids by (question position, member bit); -1 past a question's members."""
+    width = max((len(q.members) for q in tax.questions), default=0)
+    table = np.full((tax.question_count, width), -1)
+    for row, q in enumerate(tax.questions):
+        table[row, : len(q.members)] = q.members
+    return table
+
+
+def question_positions(tax: Taxonomy, question_ids: np.ndarray) -> np.ndarray:
+    """Positions in tax.questions of an array of question ids."""
+    ids = np.array([q.id for q in tax.questions])
+    order = np.argsort(ids)
+    found = np.minimum(np.searchsorted(ids[order], question_ids), len(ids) - 1)
+    unknown = ids[order][found] != question_ids
+    if unknown.any():
+        raise TaxonomyError(f"unknown question id {question_ids[unknown][0]}")
+    return order[found]

@@ -20,12 +20,14 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
 from .output import atomic_open
 from .seeding import draw_key, fold, id_key, substream, uniforms
+from .taxonomy import mask_members, members_mask
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -326,16 +328,76 @@ class VideoTruth:
                     )
 
 
-@dataclass(slots=True)
-class AnnotationEvent:
-    worker: str
-    video: str
-    question: int
-    gate: bool
-    members: tuple[int, ...]
-    elapsed: float
-    iteration: int
-    gold: bool = False
+def _column(dtype):
+    return field(metadata={"dtype": dtype})
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Annotation events as columns: one numpy array per field, one row per answer.
+
+    `worker` and `video` index the `worker_ids` and `video_ids` vocabularies;
+    `members` is the bitmask of the selected labels (`taxonomy.members_mask`);
+    `gold` rows are positive-bias duplicates, which never vote. The columns
+    are declared in row-view and CSV order.
+    """
+
+    worker_ids: tuple[str, ...]
+    video_ids: tuple[str, ...]
+    worker: np.ndarray = _column(np.int64)
+    video: np.ndarray = _column(np.int64)
+    question: np.ndarray = _column(np.int64)
+    gate: np.ndarray = _column(bool)
+    members: np.ndarray = _column(np.uint64)
+    elapsed: np.ndarray = _column(np.float64)
+    iteration: np.ndarray = _column(np.int64)
+    gold: np.ndarray = _column(bool)
+
+    def __post_init__(self):
+        for f in EVENT_FIELDS:
+            column = np.asarray(getattr(self, f.name), f.metadata["dtype"])
+            object.__setattr__(self, f.name, column)
+        if len({getattr(self, f.name).shape for f in EVENT_FIELDS}) > 1 or self.worker.ndim != 1:
+            raise ValueError("event columns must be 1-D and of one length")
+
+    def __len__(self) -> int:
+        return len(self.worker)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return (self.worker_ids, self.video_ids) == (other.worker_ids, other.video_ids) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in EVENT_FIELDS
+        )
+
+    @classmethod
+    def concat(cls, tables) -> "EventTable":
+        """The rows of tables that share their vocabularies, in order."""
+        first, *rest = tables
+        if any((t.worker_ids, t.video_ids) != (first.worker_ids, first.video_ids) for t in rest):
+            raise ValueError("event tables with different vocabularies cannot be concatenated")
+        tables = (first, *rest)
+        columns = (np.concatenate([getattr(t, f.name) for t in tables]) for f in EVENT_FIELDS)
+        return cls(first.worker_ids, first.video_ids, *columns)
+
+    def rows(self, tax):
+        """The row view: one (worker id, video id, question, gate, member labels,
+        elapsed, iteration, gold) tuple of Python values per event."""
+        decoded = {}
+        for start in range(0, len(self), ROW_CHUNK):
+            chunk = slice(start, start + ROW_CHUNK)
+            columns = {f.name: getattr(self, f.name)[chunk].tolist() for f in EVENT_FIELDS}
+            answers = list(zip(columns["question"], columns["members"]))
+            for q, mask in set(answers).difference(decoded):
+                decoded[q, mask] = mask_members(tax.question(q), mask)
+            columns["worker"] = map(self.worker_ids.__getitem__, columns["worker"])
+            columns["video"] = map(self.video_ids.__getitem__, columns["video"])
+            columns["members"] = map(decoded.__getitem__, answers)
+            yield from zip(*columns.values())
+
+
+EVENT_FIELDS = fields(EventTable)[2:]
+ROW_CHUNK = 4096  # rows the row view converts to Python values at a time
 
 
 @dataclass(frozen=True)
@@ -430,20 +492,22 @@ def simulate_block(
     *,
     workers,
     slots,
-    question_of,
     model: TimeModel = DEFAULT_TIME_MODEL,
     iteration: int = 0,
     subset_index: int = 0,
     hard: np.ndarray | None = None,
-) -> list[AnnotationEvent]:
+    worker_ids=None,
+    video_ids=None,
+) -> EventTable:
     """Simulate workers[i] answering one question subset about videos[i].
 
     Video i's events follow slots[i], (question id, gold) pairs naming each
-    of `questions` once plus gold duplicates (looked up with `question_of`).
-    `hard` may hold the videos' rows of the campaign's hard-pair mask. Draws
-    are keyed by (seed, worker, video, iteration, subset index, stream) and
-    count question ids, member label ids or gold ordinals, so a task's
-    events depend neither on the rest of the block nor on its slot order.
+    of `questions` once plus gold duplicates. `hard` may hold the videos'
+    rows of the campaign's hard-pair mask. Draws are keyed by (seed, worker,
+    video, iteration, subset index, stream) and count question ids, member
+    label ids or gold ordinals, so a task's events depend neither on the
+    rest of the block nor on its slot order. The table is built on the
+    `worker_ids` and `video_ids` vocabularies, by default the block's own.
     """
     questions = list(questions)
     k = len(questions)
@@ -465,10 +529,10 @@ def simulate_block(
     truth = np.zeros((len(videos), len(members)), dtype=bool)
     rows = [i for i, v in enumerate(videos) for m in v.labels if m in column]
     truth[rows, [column[m] for v in videos for m in v.labels if m in column]] = True
-    video_ids = [v.video_id for v in videos]
-    hard = hard_pairs(seed, video_ids, members, h) if hard is None else hard[:, members]
+    ids = [v.video_id for v in videos]
+    hard = hard_pairs(seed, ids, members, h) if hard is None else hard[:, members]
     worker_keys = np.array([id_key(w.worker_id) for w in workers], dtype=np.uint64)
-    video_keys = np.array([id_key(v) for v in video_ids], dtype=np.uint64)
+    video_keys = np.array([id_key(v) for v in ids], dtype=np.uint64)
     task = draw_key(seed, worker_keys, video_keys, iteration, subset_index)[:, None]
 
     def draws(stream: str, counters) -> np.ndarray:
@@ -482,9 +546,11 @@ def simulate_block(
     qids = [q.id for q in questions]
     gates = draws("gate", qids) < p_yes
 
-    # Members behind an affirmative multi-member gate: a spammer picks one
-    # at random, an honest worker runs the exact sequential selection.
-    picked = {}
+    # The members mask behind each gate: all members of a one-member
+    # question; for an affirmative multi-member gate a spammer picks one at
+    # random and an honest worker runs the exact sequential selection.
+    answers = np.array([members_mask(q, q.members) for q in questions], dtype=np.uint64)
+    answers = np.repeat(answers[None, :], len(videos), axis=0)
     multi = gates & np.array([len(q.members) > 1 for q in questions])
     if multi.any():
         spam_draws = draws("spam-pick", qids)
@@ -493,11 +559,12 @@ def simulate_block(
         for i, j in zip(*np.nonzero(multi)):
             options = questions[j].members
             span = slice(starts[j], starts[j] + len(options))
-            picked[i, j] = (
+            picked = (
                 (options[int(spam_draws[i, j] * len(options))],)
                 if spammer[i]
                 else _select_members(options, probs[i, span].tolist(), member_draws[i, span])
             )
+            answers[i, j] = members_mask(questions[j], picked)
 
     # Log-normal elapsed-time noise from a Box-Muller pair of uniforms.
     u = draws("elapsed", [0, 1])
@@ -508,29 +575,33 @@ def simulate_block(
     total *= behavior.speed_multiplier * np.array([w.time_scale for w in workers])
     if adjusted:
         total = total * adjusted.time_ratio + adjusted.extra_seconds
-    per_question = (total / k).tolist()
 
-    # Gold duplicates repeat a question known positive for the video.
+    # One row per slot. A gold duplicate repeats a question known positive
+    # for the video; its gate is drawn by its ordinal among the task's gold
+    # slots, and a yes selects the first member (bit 0).
+    lengths = np.array([len(row) for row in slots])
+    owner = np.repeat(np.arange(len(videos)), lengths)
+    pairs = chain.from_iterable(chain.from_iterable(slots))
+    slot = np.fromiter(pairs, dtype=np.int64, count=2 * len(owner)).reshape(-1, 2)
+    question, gold = slot[:, 0], slot[:, 1].astype(bool)
+    order = np.argsort(qids)
+    j = order[np.minimum(np.searchsorted(np.array(qids)[order], question), k - 1)]
+    golds = np.cumsum(gold)
+    ordinal = golds - 1 - (golds - gold)[np.cumsum(lengths) - lengths][owner]
     p_gold = np.where(spammer[:, None], SPAMMER_YES_RATE, r_easy)
-    gold_gates = (draws("gold", range(max(map(len, slots)) - k)) < p_gold).tolist()
+    gold_gates = draws("gold", range(lengths.max() - k)) < p_gold
+    gate = gates[owner, j]
+    gate[gold] = gold_gates[owner[gold], ordinal[gold]]
+    mask = np.where(gate, np.where(gold, np.uint64(1), answers[owner, j]), 0)
 
-    column_of = {qid: j for j, qid in enumerate(qids)}
-    events = []
-    for i, (gate_row, video_id) in enumerate(zip(gates.tolist(), video_ids)):
-        worker_id, elapsed, ordinal = workers[i].worker_id, per_question[i], 0
-        for qid, gold in slots[i]:
-            if gold:
-                gate = gold_gates[i][ordinal]
-                ordinal += 1
-                answer = (question_of(qid).members[0],) if gate else ()
-            else:
-                j = column_of[qid]
-                gate = gate_row[j]
-                answer = picked.get((i, j), questions[j].members) if gate else ()
-            events.append(
-                AnnotationEvent(worker_id, video_id, qid, gate, answer, elapsed, iteration, gold)
-            )
-    return events
+    worker_ids = worker_ids or tuple(dict.fromkeys(w.worker_id for w in workers))
+    video_ids = video_ids or tuple(dict.fromkeys(ids))
+    worker_row = {w: i for i, w in enumerate(worker_ids)}
+    video_row = {v: i for i, v in enumerate(video_ids)}
+    worker = np.array([worker_row[w.worker_id] for w in workers])[owner]
+    video = np.array([video_row[v] for v in ids])[owner]
+    return EventTable(worker_ids, video_ids, worker, video, question, gate, mask,
+                      (total / k)[owner], np.full(len(owner), iteration), gold)
 
 
 def simulate_task(
@@ -543,13 +614,13 @@ def simulate_task(
     worker: Worker = DEFAULT_WORKER,
     gold_questions=(),
     **block_options,
-) -> list[AnnotationEvent]:
+) -> EventTable:
     """The one-task case of `simulate_block`: one event per question in the
     given order, then one flagged event per gold duplicate."""
-    questions, gold = list(questions), {q.id: q for q in gold_questions}
+    questions = list(questions)
     slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
     return simulate_block(behavior, [video], questions, modifiers, seed, workers=[worker],
-                          slots=[slots], question_of=gold.__getitem__, **block_options)
+                          slots=[slots], **block_options)
 
 
 def make_random_truth(

@@ -1,0 +1,68 @@
+"""Micro-benchmarks of the event table's layers: CSV writing, ingest and
+aggregate, on the events of a k=5, two-pass campaign over 150 videos of the
+bundled taxonomy (about 22k rows). Each reports its rows per second.
+
+Not collected by a plain `pytest` run (the file name does not start with
+`test_`); run them explicitly:
+
+    python -m pytest tests/bench_events.py --benchmark-only
+"""
+
+import pytest
+
+from annocamp.campaign import ingest, run_campaign, write_events_csv
+from annocamp.cli import sample_taxonomy_path
+from annocamp.evaluate import aggregate
+from annocamp.taxonomy import load_taxonomy
+from annocamp.workersim import (
+    ModifierSet,
+    default_behavior,
+    fit_hard_mixture,
+    make_random_truth,
+    sample_worker_pool,
+)
+
+SEED = 1
+
+
+@pytest.fixture(scope="module")
+def tax():
+    return load_taxonomy(sample_taxonomy_path())
+
+
+@pytest.fixture(scope="module")
+def events(tax):
+    behavior = fit_hard_mixture(default_behavior())
+    truths = make_random_truth(150, tax.label_count, 3.7, SEED, min_labels=1)
+    pool = sample_worker_pool(50, behavior, 0.1, SEED)
+    return run_campaign(tax, truths, 5, 2, behavior, SEED, pool=pool,
+                        modifiers=ModifierSet(positive_bias=True, grouping=True))
+
+
+@pytest.fixture(scope="module")
+def events_csv(tax, events, tmp_path_factory):
+    path = tmp_path_factory.mktemp("events") / "events.csv"
+    write_events_csv(events, tax, path)
+    return path
+
+
+def report_rows(benchmark, rows):
+    benchmark.extra_info["rows"] = rows
+    benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
+
+
+def test_write_events_csv(benchmark, tax, events, tmp_path):
+    benchmark(write_events_csv, events, tax, tmp_path / "events.csv")
+    report_rows(benchmark, len(events))
+
+
+def test_ingest(benchmark, tax, events, events_csv):
+    table = benchmark(ingest, events_csv, tax)
+    assert len(table) == len(events)
+    report_rows(benchmark, len(events))
+
+
+def test_aggregate(benchmark, tax, events):
+    matrix = benchmark(aggregate, events, tax)
+    assert matrix.iterations == 2
+    report_rows(benchmark, len(events))

@@ -242,9 +242,7 @@ def qc_trial(seed, plant_spammer):
         modifiers=ModifierSet(positive_bias=True),
         pool=pool,
     )
-    gold = [e for e in events if e.gold]
-    normal = [e for e in events if not e.gold]
-    stats = worker_stats_from_events(normal, gold)
+    stats = worker_stats_from_events(events)
     return stats, qc_flag(stats)
 
 

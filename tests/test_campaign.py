@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from annocamp import campaign
 from annocamp.campaign import (
     Blacklist,
     BlacklistEntry,
@@ -27,7 +28,8 @@ from annocamp.campaign import (
 )
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, task_time
 from annocamp.evaluate import LabelMatrix, aggregate, truth_matrix, metrics
-from annocamp.taxonomy import partition_questions, singleton_taxonomy
+from annocamp.cli import sample_taxonomy_path
+from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
 from annocamp.workersim import (
     ModifierSet,
     VideoTruth,
@@ -44,6 +46,11 @@ BIAS = ModifierSet(positive_bias=True)
 @pytest.fixture(scope="module")
 def tax():
     return singleton_taxonomy(52)
+
+
+@pytest.fixture(scope="module")
+def sample_tax():
+    return load_taxonomy(sample_taxonomy_path())
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +185,7 @@ def test_pack_errors(tax):
 
 
 @settings(max_examples=40, deadline=None)
+@example(seed=0, k=5, grouping=True, positive_bias=True, known_lists=[[0, 3]] * 25)
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 52),
@@ -216,7 +224,8 @@ def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
             assert set(hit.gold_questions(i)) <= set(known[video])
             if not positive_bias:
                 assert hit.gold_questions(i) == ()
-        if grouping and not positive_bias:
+        if grouping:
+            # One shared base order per HIT, gold slots or not.
             orders = {hit.base_questions(i) for i in range(len(hit.video_ids))}
             assert len(orders) == 1
     # Each base question once per video.
@@ -228,11 +237,8 @@ def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
 # ---------------------------------------------------------------------------
 
 
-def _rows(events):
-    return sorted(
-        (e.worker, e.video, e.question, e.gate, e.members, e.elapsed, e.iteration, e.gold)
-        for e in events
-    )
+def _rows(events, tax):
+    return sorted(events.rows(tax))
 
 
 @settings(max_examples=12, deadline=None)
@@ -253,7 +259,7 @@ def test_campaign_deterministic_and_shard_invariant(tax, behavior, seed, k, shar
     part = [truths[i] for i in shard]
     wanted = {t.video_id for t in part}
     sharded = run_campaign(tax, part, k, 2, behavior, seed=seed)
-    assert _rows(sharded) == _rows(e for e in one if e.video in wanted)
+    assert _rows(sharded, tax) == sorted(r for r in one.rows(tax) if r[1] in wanted)
 
 
 def test_campaign_covers_every_pair_each_iteration(tax, behavior):
@@ -261,9 +267,9 @@ def test_campaign_covers_every_pair_each_iteration(tax, behavior):
     batches = list(simulate_campaign(tax, truths, 5, 2, behavior, seed=1))
     assert len(batches) == 2
     for iteration, events in enumerate(batches):
-        seen = {(e.video, e.question) for e in events if not e.gold}
+        seen = {(r[1], r[2]) for r in events.rows(tax) if not r[7]}
         assert len(seen) == 10 * 52
-        assert all(e.iteration == iteration for e in events)
+        assert (events.iteration == iteration).all()
 
 
 def test_event_csv_round_trip(tax, behavior, tmp_path):
@@ -272,28 +278,66 @@ def test_event_csv_round_trip(tax, behavior, tmp_path):
         tax, truths, 5, 1, behavior, seed=2, modifiers=BIAS
     )
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
+    write_events_csv(events, tax, path)
     result = ingest(path, tax)
-    assert result.events + result.gold_events != []
-    recovered = sorted(
-        result.events + result.gold_events,
-        key=lambda e: (e.iteration, e.video, e.question, e.gold, e.worker),
-    )
-    original = sorted(
-        events, key=lambda e: (e.iteration, e.video, e.question, e.gold, e.worker)
-    )
+    assert len(result) != 0
+    key = lambda r: (r[6], r[1], r[2], r[7], r[0])  # iteration, video, question, gold, worker
+    recovered = sorted(result.rows(tax), key=key)
+    original = sorted(events.rows(tax), key=key)
     assert recovered == original
 
 
-def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path):
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 2, 3, 5, 7]),
+    grouping=st.booleans(),
+    workers=st.integers(1, 6),
+)
+def test_ingest_inverts_write_events_csv(sample_tax, behavior, tmp_path_factory, seed, k,
+                                         grouping, workers):
+    # Simulated tables with gold rows and multi-member answers come back
+    # equal, up to the order of the vocabularies.
+    truths = make_random_truth(9, sample_tax.label_count, 3.7, seed=seed, min_labels=1)
+    pool = sample_worker_pool(workers, behavior, 0.2, seed)
+    modifiers = ModifierSet(positive_bias=True, grouping=grouping)
+    table = run_campaign(sample_tax, truths, k, 2, behavior, seed, pool=pool,
+                         modifiers=modifiers)
+    assert table.gold.any()
+    path = tmp_path_factory.mktemp("round-trip") / "events.csv"
+    write_events_csv(table, sample_tax, path)
+    back = ingest(path, sample_tax)
+    worker_row = {w: i for i, w in enumerate(back.worker_ids)}
+    video_row = {v: i for i, v in enumerate(back.video_ids)}
+    relabelled = dataclasses.replace(
+        table,
+        worker_ids=back.worker_ids,
+        video_ids=back.video_ids,
+        worker=[worker_row[table.worker_ids[w]] for w in table.worker],
+        video=[video_row[table.video_ids[v]] for v in table.video],
+    )
+    assert back == relabelled
+
+
+def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monkeypatch):
     truths = make_random_truth(4, 52, 3.7, seed=8)
     events = run_campaign(tax, truths, 52, 1, behavior, seed=2)
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
+    write_events_csv(events, tax, path)
     before = path.read_bytes()
-    broken = dataclasses.replace(events[10], gate=None)  # int(None) fails mid-file
+    formatted = []
+
+    def gate_none_on_row_11(row):
+        formatted.append(row)
+        if len(formatted) == 11:
+            row = row[:3] + (None,) + row[4:]  # int(None) fails mid-file
+        return csv_row(row)
+
+    csv_row = campaign._csv_row
+    monkeypatch.setattr(campaign, "_csv_row", gate_none_on_row_11)
     with pytest.raises(TypeError):
-        write_events_csv(events[:10] + [broken], path)
+        write_events_csv(events, tax, path)
+    assert len(formatted) == 11
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
@@ -306,7 +350,7 @@ def test_blacklisted_worker_gets_no_assignments(tax, behavior):
     events = run_campaign(
         tax, truths, 26, 3, behavior, seed=4, pool=pool, blacklist=blacklist
     )
-    assert pool[0].worker_id not in {e.worker for e in events}
+    assert pool[0].worker_id not in {r[0] for r in events.rows(tax)}
     plan = partition_questions(tax, 26, seed=0)
     hits = pack_hits(
         [t.video_id for t in truths], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0
@@ -387,6 +431,27 @@ def test_ingest_rejects_bad_elapsed(tax, tmp_path):
         ingest(path, tax)
 
 
+def test_ingest_reports_every_bad_row(tax, tmp_path):
+    rows = ["w0,v0,0,0,,abc,0", "w0,v0,1,0,,-3.0,0", "w0,v0,2,0,,,0", "w0,v0,3,0,,1.0,0"]
+    with pytest.raises(ValueError) as err:
+        ingest(write_rows(tmp_path, rows), tax)
+    message = str(err.value)
+    assert [f"line {n}:" in message for n in (2, 3, 4, 5)] == [True, True, True, False]
+    assert "elapsed must be positive" in message
+
+
+def test_ingest_names_a_short_row(tax, tmp_path):
+    path = write_rows(tmp_path, ["w0,v0,0,0,,1.0,0", "w0,v0,1,0"])
+    with pytest.raises(ValueError, match=r"line 3: too few fields \(4 of 7\)$"):
+        ingest(path, tax)
+
+
+def test_ingest_shows_20_bad_rows_and_counts_the_rest(tax, tmp_path):
+    path = write_rows(tmp_path, [f"w0,v0,{q},0,,0,0" for q in range(25)])
+    with pytest.raises(ValueError, match=r"line 21: elapsed must be positive \(\+5 more\)$"):
+        ingest(path, tax)
+
+
 def test_ingest_rejects_missing_columns(tax, tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("worker,video\nw0,v0\n")
@@ -398,8 +463,8 @@ def test_ingest_rejects_duplicate_rows(tax, behavior, tmp_path):
     truths = make_random_truth(3, 52, 3.7, seed=8, min_labels=1)
     events = run_campaign(tax, truths, 5, 1, behavior, seed=2, modifiers=BIAS)
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
-    assert ingest(path, tax).events
+    write_events_csv(events, tax, path)
+    assert len(ingest(path, tax))
     header, *rows = path.read_text().splitlines()
     assert rows[0].endswith(",0")  # a non-gold row
     path.write_text("\n".join([header, *rows, *rows]) + "\n")
@@ -415,8 +480,8 @@ def test_ingest_allows_repeated_gold_rows(tax, tmp_path):
         tmp_path, rows, header="worker,video,question,gate,members,elapsed,iteration,gold"
     )
     result = ingest(path, tax)
-    assert len(result.events) == 52
-    assert len(result.gold_events) == 2
+    assert (~result.gold).sum() == 52
+    assert result.gold.sum() == 2
 
 
 def test_ingest_rejects_unknown_video(tax, tmp_path):
@@ -437,11 +502,9 @@ def test_worker_stats_median_against_sort_oracle(tax, behavior):
     stats = worker_stats_from_events(events)
     assert len(stats) == 10
     per_worker_tasks = {}
-    for e in events:
-        per_worker_tasks.setdefault(e.worker, {}).setdefault(
-            (e.video, e.iteration), 0.0
-        )
-        per_worker_tasks[e.worker][(e.video, e.iteration)] += e.elapsed
+    for worker, video, _, _, _, elapsed, iteration, _ in events.rows(tax):
+        per_worker_tasks.setdefault(worker, {}).setdefault((video, iteration), 0.0)
+        per_worker_tasks[worker][(video, iteration)] += elapsed
     for s in stats:
         durations = sorted(per_worker_tasks[s.worker_id].values())
         n = len(durations)
@@ -456,18 +519,17 @@ def test_worker_stats_median_against_sort_oracle(tax, behavior):
 def test_gold_events_split_from_evaluation(tax, behavior, tmp_path):
     truths = make_random_truth(12, 52, 3.7, seed=11, min_labels=1)
     events = run_campaign(tax, truths, 3, 1, behavior, seed=7, modifiers=BIAS)
-    gold = [e for e in events if e.gold]
-    assert gold, "bias campaign must inject gold duplicates"
+    assert events.gold.any(), "bias campaign must inject gold duplicates"
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
+    write_events_csv(events, tax, path)
     result = ingest(path, tax)
-    assert all(not e.gold for e in result.events)
-    assert all(e.gold for e in result.gold_events)
+    # The gold flags survive the file, row for row.
+    assert np.array_equal(result.gold, events.gold)
     # Aggregation sees only the evaluation stream: votes never exceed iterations.
-    matrix = aggregate(result.events + result.gold_events, tax)
+    matrix = aggregate(result, tax)
     assert matrix.iterations == 1
     assert matrix.votes.max() <= 1
-    with_gold = {s.worker_id: s.gold_recall for s in result.stats}
+    with_gold = {s.worker_id: s.gold_recall for s in worker_stats_from_events(result)}
     assert any(v is not None for v in with_gold.values())
 
 

@@ -150,6 +150,31 @@ def test_verify_queue_cli(tmp_path, sample_videos):
     assert read_csv(queue2) == []
 
 
+def test_qc_stats_errors_name_column_or_line(tmp_path):
+    stats = tmp_path / "stats.csv"
+    stats.write_text("worker,tasks,median_seconds,positive_rate\nw0,3,40.0,0.1\n")
+    with pytest.raises(SystemExit, match=r"qc: .*stats.csv: missing columns \['gold_recall'\]"):
+        main(["qc", "--stats", str(stats)])
+    stats.write_text("worker,tasks,median_seconds,gold_recall,positive_rate\n"
+                     "w0,3,40.0,0.5,0.1\nw1,3,,0.5,0.1\n")
+    with pytest.raises(SystemExit, match=r"annocamp qc: .*stats.csv: line 3: could not convert"):
+        main(["qc", "--stats", str(stats)])
+
+
+def test_verify_queue_done_errors_name_column_or_line(tmp_path, sample_videos):
+    events = tmp_path / "events.csv"
+    run(["simulate", "--videos", sample_videos, "--k", "52", "--seed", "4",
+         "--out", str(events)])
+    done = tmp_path / "done.csv"
+    done.write_text("video\nsample000\n")
+    argv = ["verify-queue", "--events", str(events), "--done", str(done)]
+    with pytest.raises(SystemExit, match=r"verify-queue: .*done.csv: missing columns \['label'\]"):
+        main(argv)
+    done.write_text("video,label\nsample000,3\nsample001,three\n")
+    with pytest.raises(SystemExit, match=r"verify-queue: .*done.csv: line 3: invalid literal"):
+        main(argv)
+
+
 def test_reproduce_cli(tmp_path):
     out = tmp_path / "erb.csv"
     run(["reproduce", "expected-recall-budget", "--seed", "1", "--out", str(out)])

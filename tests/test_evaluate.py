@@ -17,22 +17,36 @@ from annocamp.evaluate import (
     temporal_iou,
     truth_matrix,
 )
-from annocamp.taxonomy import singleton_taxonomy
-from annocamp.workersim import AnnotationEvent, fp_rate_from_precision
+from annocamp.taxonomy import members_mask, singleton_taxonomy, taxonomy_from_mapping
+from annocamp.workersim import EventTable, fp_rate_from_precision
 
 
-def make_event(video, question, gate, iteration, members=None, elapsed=1.0, gold=False):
+def make_event(video, question, gate, iteration, members=None, elapsed=1.0, gold=False,
+               worker="w0"):
+    """One event in the table's row view."""
     if members is None:
         members = (question,) if gate else ()
-    return AnnotationEvent(
-        worker="w0",
-        video=video,
-        question=question,
-        gate=gate,
-        members=tuple(members),
-        elapsed=elapsed,
-        iteration=iteration,
-        gold=gold,
+    return (worker, video, question, gate, tuple(members), elapsed, iteration, gold)
+
+
+def table(rows, tax) -> EventTable:
+    """The EventTable of row-view tuples, vocabularies in order of appearance."""
+    rows = list(rows)
+    workers = {r[0]: None for r in rows}
+    videos = {r[1]: None for r in rows}
+    worker_row = {w: i for i, w in enumerate(workers)}
+    video_row = {v: i for i, v in enumerate(videos)}
+    return EventTable(
+        tuple(workers),
+        tuple(videos),
+        worker=[worker_row[r[0]] for r in rows],
+        video=[video_row[r[1]] for r in rows],
+        question=[r[2] for r in rows],
+        gate=[r[3] for r in rows],
+        members=[members_mask(tax.question(r[2]), r[4]) if r[4] else 0 for r in rows],
+        elapsed=[r[5] for r in rows],
+        iteration=[r[6] for r in rows],
+        gold=[r[7] for r in rows],
     )
 
 
@@ -51,7 +65,7 @@ def full_pass(tax, video, iteration, positives):
 def test_aggregate_single_iteration_identity():
     tax = singleton_taxonomy(5)
     events = full_pass(tax, "v0", 0, {1, 3})
-    matrix = aggregate(events, tax)
+    matrix = aggregate(table(events, tax), tax)
     assert matrix.iterations == 1
     assert matrix.binary(1)[0].tolist() == [False, True, False, True, False]
 
@@ -63,7 +77,7 @@ def test_aggregate_union_and_threshold():
         + full_pass(tax, "v0", 1, {2})
         + full_pass(tax, "v0", 2, set())
     )
-    matrix = aggregate(events, tax)
+    matrix = aggregate(table(events, tax), tax)
     assert matrix.iterations == 3
     assert matrix.binary(1)[0, 2]  # marked in one iteration is enough
     assert not matrix.binary(2)[0, 2]  # vote count 1 < 2
@@ -74,7 +88,7 @@ def test_aggregate_incomplete_iteration_lists_gaps():
     tax = singleton_taxonomy(4)
     events = full_pass(tax, "v0", 0, set())[:-1]  # drop question 3
     with pytest.raises(IncompleteIterationError) as err:
-        aggregate(events, tax)
+        aggregate(table(events, tax), tax)
     assert "v0" in str(err.value)
     assert "3" in str(err.value)
     assert err.value.gaps == [("v0", 0, [3])]
@@ -84,7 +98,7 @@ def test_aggregate_ignores_gold():
     tax = singleton_taxonomy(3)
     events = full_pass(tax, "v0", 0, set())
     events.append(make_event("v0", 1, True, 0, gold=True))
-    matrix = aggregate(events, tax)
+    matrix = aggregate(table(events, tax), tax)
     assert not matrix.binary(1).any()
 
 
@@ -92,7 +106,7 @@ def test_aggregate_rejects_video_outside_ids():
     tax = singleton_taxonomy(3)
     events = full_pass(tax, "v0", 0, set()) + full_pass(tax, "v9", 0, set())
     with pytest.raises(ValueError, match="'v9'"):
-        aggregate(events, tax, video_ids=("v0",))
+        aggregate(table(events, tax), tax, video_ids=("v0",))
 
 
 _SHUFFLE_TAX = singleton_taxonomy(6)
@@ -108,17 +122,76 @@ _SHUFFLE_EVENTS = [
 @given(order=st.permutations(range(len(_SHUFFLE_EVENTS))))
 def test_aggregate_invariant_to_event_order(order):
     # Gold rows (some at every position) never vote, whatever the order.
-    base = aggregate(_SHUFFLE_EVENTS, _SHUFFLE_TAX)
-    shuffled = aggregate([_SHUFFLE_EVENTS[i] for i in order], _SHUFFLE_TAX)
+    base = aggregate(table(_SHUFFLE_EVENTS, _SHUFFLE_TAX), _SHUFFLE_TAX)
+    shuffled = aggregate(table([_SHUFFLE_EVENTS[i] for i in order], _SHUFFLE_TAX), _SHUFFLE_TAX)
     assert shuffled.video_ids == base.video_ids
     assert shuffled.iterations == base.iterations
     assert np.array_equal(shuffled.votes, base.votes)
 
 
+# Question ids apart from positions, and answers of one to three members.
+_ORACLE_TAX = taxonomy_from_mapping({
+    "labels": [{"id": i, "name": f"l{i}"} for i in range(7)],
+    "questions": [
+        {"id": 10, "prompt": "a", "members": [4, 0, 2]},
+        {"id": 11, "prompt": "b", "members": [1]},
+        {"id": 12, "prompt": "c", "members": [6, 3, 5]},
+    ],
+})
+
+
+@st.composite
+def oracle_events(draw):
+    """Complete passes answered by one or two workers, plus gold rows."""
+    def answer(question):
+        members = draw(st.sets(st.sampled_from(question.members)))
+        return bool(members), tuple(m for m in question.members if m in members)
+
+    rows = []
+    for video in range(draw(st.integers(1, 4))):
+        for iteration in draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)):
+            for q in _ORACLE_TAX.questions:
+                for worker in draw(st.sampled_from([["w0"], ["w1"], ["w0", "w1"]])):
+                    gate, members = answer(q)
+                    rows.append(make_event(f"v{video}", q.id, gate, iteration, members,
+                                           worker=worker))
+                if draw(st.booleans()):
+                    gate, members = answer(q)
+                    rows.append(make_event(f"v{video}", q.id, gate, iteration, members,
+                                           gold=True))
+    return draw(st.permutations(rows))
+
+
+def union_oracle(rows):
+    """Row-by-row union: a label votes once per (video, iteration) marking it."""
+    marked = {}
+    for _, video, _, gate, members, _, iteration, gold in rows:
+        if not gold:
+            labels = marked.setdefault((video, iteration), set())
+            if gate:
+                labels.update(members)
+    video_ids = tuple(sorted({video for video, _ in marked}))
+    votes = np.zeros((len(video_ids), _ORACLE_TAX.label_count), dtype=np.int16)
+    for (video, _), labels in marked.items():
+        for label in labels:
+            votes[video_ids.index(video), label] += 1
+    return video_ids, len({iteration for _, iteration in marked}), votes
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=oracle_events())
+def test_aggregate_matches_row_by_row_union(rows):
+    matrix = aggregate(table(rows, _ORACLE_TAX), _ORACLE_TAX)
+    video_ids, iterations, votes = union_oracle(rows)
+    assert matrix.video_ids == video_ids
+    assert matrix.iterations == iterations
+    assert np.array_equal(matrix.votes, votes)
+
+
 def test_aggregate_unknown_question():
     tax = singleton_taxonomy(3)
     with pytest.raises(ValueError, match="unknown question"):
-        aggregate([make_event("v0", 9, False, 0)], tax)
+        aggregate(table([make_event("v0", 9, False, 0)], tax), tax)
 
 
 def test_label_matrix_vote_bound():
@@ -273,7 +346,7 @@ def test_event_stats():
         make_event("v1", 0, False, 1, elapsed=30.0),
         make_event("v1", 1, False, 1, elapsed=30.0),
     ]
-    minutes, affirmative = event_stats(events)
+    minutes, affirmative = event_stats(table(events, tax))
     assert minutes == pytest.approx((120 + 180) / 60 / 2)
     assert affirmative == pytest.approx(3 / 4)
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from annocamp.taxonomy import (
     TaxonomyError,
     expand_answer,
     load_taxonomy,
+    mask_members,
+    members_mask,
     partition_questions,
     singleton_taxonomy,
     taxonomy_from_mapping,
@@ -80,6 +83,23 @@ def test_validation_errors(mutate, message):
     mutate(doc)
     with pytest.raises(TaxonomyError, match=message):
         taxonomy_from_mapping(doc)
+
+
+def test_members_bitmask_holds_64_members(tmp_path):
+    doc = {
+        "labels": [{"id": i, "name": f"l{i}"} for i in range(65)],
+        "questions": [
+            {"id": 0, "prompt": "wide", "members": list(range(64))},
+            {"id": 1, "prompt": "last", "members": [64]},
+        ],
+    }
+    wide = load_taxonomy(write_tax(tmp_path, doc)).question(0)
+    mask = members_mask(wide, [63, 0])
+    assert mask == 1 | 1 << 63
+    assert mask_members(wide, int(np.uint64(mask))) == (0, 63)
+    doc["questions"] = [{"id": 0, "prompt": "too wide", "members": list(range(65))}]
+    with pytest.raises(TaxonomyError, match="question 0 has 65 members, more than the 64"):
+        load_taxonomy(write_tax(tmp_path, doc))
 
 
 def test_uncovered_label_is_rejected():

@@ -10,6 +10,7 @@ from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.cli import sample_taxonomy_path
 from annocamp.workersim import (
     DEFAULT_ANCHORS,
+    DEFAULT_WORKER,
     AccuracyAnchor,
     ModifierSet,
     VideoTruth,
@@ -27,6 +28,7 @@ from annocamp.workersim import (
     make_random_truth,
     mixture_union_recall,
     sample_worker_pool,
+    simulate_block,
     simulate_task,
     write_truths,
 )
@@ -246,10 +248,10 @@ def test_perfect_worker_reproduces_truth():
     truth = VideoTruth(video_id="v0", labels=frozenset({0, 1, 57, 140}))
     events = simulate_task(perfect_behavior(), truth, tax.questions, NONE, seed=5)
     found = set()
-    for e in events:
-        gate_should_fire = any(m in truth.labels for m in tax.question(e.question).members)
-        assert e.gate == gate_should_fire
-        found |= set(e.members)
+    for _, _, question, gate, members, _, _, _ in events.rows(tax):
+        gate_should_fire = any(m in truth.labels for m in tax.question(question).members)
+        assert gate == gate_should_fire
+        found |= set(members)
     assert found == set(truth.labels)
 
 
@@ -258,7 +260,7 @@ def test_blind_worker_marks_nothing():
     truth = VideoTruth(video_id="v0", labels=frozenset({1, 2, 3}))
     blind = flat_behavior(0.0, 0.0, qtop=20)
     events = simulate_task(blind, truth, tax.questions, NONE, seed=5)
-    assert all(not e.gate and not e.members for e in events)
+    assert not events.gate.any() and not events.members.any()
     assert len(events) == 20
 
 
@@ -282,9 +284,11 @@ def test_simulated_recall_monotone_in_r():
     recalls = []
     for r in (0.3, 0.5):
         b = flat_behavior(r, 0.005)
-        events = []
-        for t in truths:
-            events.extend(simulate_task(b, t, tax.questions, NONE, seed=77))
+        # Every task is simulate_task's one-video case of this block.
+        events = simulate_block(
+            b, truths, tax.questions, NONE, seed=77, workers=[DEFAULT_WORKER] * len(truths),
+            slots=[[(q.id, False) for q in tax.questions]] * len(truths),
+        )
         scored = metrics(aggregate(events, tax).binary(1), truth)
         recalls.append(scored.recall)
     assert recalls[1] > recalls[0]
@@ -299,10 +303,8 @@ def test_event_timing_scales_with_duration(monkeypatch):
     b = default_behavior()
     short = VideoTruth(video_id="s", duration_seconds=10.0, labels=frozenset({1}))
     long = VideoTruth(video_id="l", duration_seconds=55.0, labels=frozenset({1}))
-    quick = sum(
-        e.elapsed for e in simulate_task(b, short, tax.questions, NONE, seed=3)
-    )
-    slow = sum(e.elapsed for e in simulate_task(b, long, tax.questions, NONE, seed=3))
+    quick = sum(simulate_task(b, short, tax.questions, NONE, seed=3).elapsed.tolist())
+    slow = sum(simulate_task(b, long, tax.questions, NONE, seed=3).elapsed.tolist())
     for seconds, duration in ((quick, 10.0), (slow, 55.0)):
         model = scale_base_for_duration(DEFAULT_TIME_MODEL, duration)
         assert seconds == pytest.approx(task_time(model, 52), rel=1e-12)
@@ -317,10 +319,9 @@ def test_gold_questions_emitted_and_flagged():
     events = simulate_task(
         b, truth, tax.questions, NONE, seed=1, gold_questions=gold
     )
-    gold_events = [e for e in events if e.gold]
-    assert len(gold_events) == 2
-    assert all(e.gate for e in gold_events)
-    assert len([e for e in events if not e.gold]) == 52
+    assert events.gold.sum() == 2
+    assert events.gate[events.gold].all()
+    assert (~events.gold).sum() == 52
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +366,8 @@ def test_spammer_gold_recall_is_half():
             worker=spammer,
             gold_questions=[tax.question(j) for j in range(5)],
         )
-        for e in events:
-            if e.gold:
-                trials += 1
-                hits += e.gate
+        trials += int(events.gold.sum())
+        hits += int(events.gate[events.gold].sum())
     se = (0.25 / trials) ** 0.5
     assert hits / trials == pytest.approx(0.5, abs=4 * se)
 
