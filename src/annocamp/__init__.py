@@ -6,7 +6,6 @@ from .costmodel import (
     HitBudget,
     TimeModel,
     TimingObservation,
-    campaign_cost,
     fit_time_model,
     iteration_time,
     scale_base_for_duration,
@@ -22,11 +21,10 @@ from .evaluate import (
     analytic_union,
     expected_recall,
     metrics,
-    recall_vs_duration,
     temporal_iou,
     truth_matrix,
 )
-from .planner import BudgetConstraint, Plan, enumerate_plans, marginal_value, optimize
+from .planner import BudgetConstraint, Plan, enumerate_plans, optimize
 from .taxonomy import (
     Label,
     QuestionGroup,
@@ -51,7 +49,6 @@ from .workersim import (
     fit_hard_mixture,
     make_random_truth,
     sample_worker_pool,
-    simulate_task,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import math
 import statistics
 from array import array
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
@@ -107,33 +106,6 @@ class WorkerStats:
     median_seconds_per_task: float
     gold_recall: float | None
     positive_rate: float
-
-
-@dataclass(frozen=True)
-class BlacklistEntry:
-    worker_id: str
-    reason: str
-    timestamp: str
-
-
-class Blacklist:
-    """Append-only record of workers barred from further assignments."""
-
-    def __init__(self, entries=()):
-        self.entries: list[BlacklistEntry] = list(entries)
-        self._listed = {e.worker_id for e in self.entries}
-
-    def add(self, worker_id: str, reason: str, timestamp: str | None = None) -> None:
-        if timestamp is None:
-            timestamp = datetime.now(timezone.utc).isoformat()
-        self.entries.append(BlacklistEntry(worker_id, reason, timestamp))
-        self._listed.add(worker_id)
-
-    def listed(self) -> frozenset[str]:
-        return frozenset(self._listed)
-
-    def __contains__(self, worker_id: str) -> bool:
-        return worker_id in self._listed
 
 
 @dataclass(frozen=True)
@@ -241,11 +213,10 @@ def pack_hits(
     return hits
 
 
-def assign_workers(
-    hits, pool, seed: int, iteration: int, blacklist: Blacklist | None = None
-) -> list[Worker]:
-    """One worker per HIT: a seeded permutation of the pool, cycled."""
-    eligible = [w for w in pool if blacklist is None or w.worker_id not in blacklist]
+def assign_workers(hits, pool, seed: int, iteration: int, blacklist=()) -> list[Worker]:
+    """One worker per HIT: a seeded permutation of the pool, cycled, without
+    the workers whose ids are in `blacklist`."""
+    eligible = [w for w in pool if w.worker_id not in blacklist]
     if not eligible:
         raise ValueError("no eligible workers (all blacklisted?)")
     perm = substream(seed, "assign", iteration).permutation(len(eligible))
@@ -265,7 +236,7 @@ def simulate_campaign(
     budget: HitBudget = HitBudget(),
     pool=None,
     known_positives: dict | None = None,
-    blacklist: Blacklist | None = None,
+    blacklist=(),
 ):
     """Simulate `iterations` complete passes; yields one event table per pass.
 
@@ -302,6 +273,7 @@ def simulate_campaign(
         "worker_ids": tuple(dict.fromkeys(w.worker_id for w in pool)),
         "video_ids": tuple(row_of),
     }
+    truth = truth_matrix(truths, tax.label_count, video_ids=list(row_of))
     hard = hard_pairs(seed, list(row_of), range(tax.label_count), behavior.hard_fraction)
     for iteration in range(iterations):
         workers = assign_workers(hits, pool, seed, iteration, blacklist)
@@ -310,6 +282,7 @@ def simulate_campaign(
             group = list(group)
             for block in (group[i : i + BLOCK_HITS] for i in range(0, len(group), BLOCK_HITS)):
                 video_ids = [v for hit, _ in block for v in hit.video_ids]
+                rows = [row_of[v] for v in video_ids]
                 blocks.append(simulate_block(
                     behavior,
                     [by_id[v] for v in video_ids],
@@ -318,10 +291,11 @@ def simulate_campaign(
                     seed,
                     workers=[w for hit, w in block for _ in hit.video_ids],
                     slots=[s for hit, _ in block for s in hit.slots],
+                    truth=truth[rows],
+                    hard=hard[rows],
                     model=model,
                     iteration=iteration,
                     subset_index=subset_index,
-                    hard=hard[[row_of[v] for v in video_ids]],
                     **vocabularies,
                 ))
         yield EventTable.concat(blocks)
@@ -383,8 +357,9 @@ def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
 
     One ValueError names every bad row by line, the first 20 of them: a row
     with too few fields, a value that does not parse, an answer
-    `expand_answer` rejects, an unknown video, a non-positive elapsed time,
-    or a second non-gold answer to one (worker, video, question, iteration).
+    `expand_answer` rejects, an unknown video, a non-positive or non-finite
+    elapsed time, or a second non-gold answer to one (worker, video,
+    question, iteration).
     """
     workers: dict[str, int] = {}
     videos: dict[str, int] = {}
@@ -433,9 +408,10 @@ def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
     if known_videos is not None:
         known = set(known_videos)
         unknown = np.isin(video, [i for i, v in enumerate(names) if v not in known])
-    bad = unknown | ~(elapsed > 0)
+    bad = unknown | ~((elapsed > 0) & (elapsed < np.inf))
     problems += [(lines[r], f"unknown video {names[video[r]]!r}") for r in np.flatnonzero(unknown)]
-    problems += [(lines[r], "elapsed must be positive") for r in np.flatnonzero(bad & ~unknown)]
+    problems += [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
+                 for r in np.flatnonzero(bad & ~unknown)]
     kept = np.flatnonzero(~bad & ~gold)
     task, first = group_ids(*(c[kept] for c in (worker, video, iteration, question)))
     original = kept[first[task]]

@@ -145,7 +145,7 @@ def cmd_fit_time(args, config: Config) -> int:
 
 def cmd_calibrate(args, config: Config) -> int:
     behavior = config.behavior(fit_correlation=not args.independence)
-    _emit_text(json.dumps(workersim.behavior_to_dict(behavior), indent=2), args.out)
+    _emit_text(json.dumps(dataclasses.asdict(behavior), indent=2), args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Linear task-time model, HIT packing arithmetic, and campaign costing.
+"""Linear task-time model and HIT packing arithmetic.
 
 Annotating one video with Q questions takes a + b*Q seconds: a fixed
 video-watching overhead plus a per-question reading/answering cost. The
@@ -35,11 +35,6 @@ class TimeModel:
     def to_json(self) -> str:
         return json.dumps({"a": self.base_seconds, "b": self.per_question_seconds})
 
-    @classmethod
-    def from_json(cls, text: str) -> "TimeModel":
-        doc = json.loads(text)
-        return cls(float(doc["a"]), float(doc["b"]))
-
 
 DEFAULT_TIME_MODEL = TimeModel(14.1, 1.15)
 
@@ -65,13 +60,6 @@ class HitBudget:
     def __post_init__(self):
         if self.target_seconds <= 0:
             raise ValueError("target_seconds must be positive")
-
-
-@dataclass(frozen=True)
-class CampaignCost:
-    hits: int
-    dollars: float
-    worker_hours: float
 
 
 def fit_time_model(observations) -> TimeModel:
@@ -136,25 +124,6 @@ def videos_per_hit(model: TimeModel, k: int, budget: HitBudget) -> int:
     """How many k-question videos fit into one HIT's effort target."""
     per_video = task_time(model, k)
     return max(1, int(budget.target_seconds // per_video))
-
-
-def campaign_cost(
-    videos: int,
-    k: int,
-    iterations: int,
-    model: TimeModel,
-    budget: HitBudget,
-    qtop: int = 52,
-) -> CampaignCost:
-    """Total HITs, dollars and worker hours for an exhaustive campaign."""
-    if videos < 1 or iterations < 1:
-        raise ValueError("videos and iterations must be >= 1")
-    per_hit = videos_per_hit(model, k, budget)
-    n_subsets = len(subset_sizes(qtop, k))
-    hits = iterations * n_subsets * math.ceil(videos / per_hit)
-    dollars = hits * budget.pay_per_hit
-    worker_hours = iterations * videos * iteration_time(model, k, qtop) / 3600.0
-    return CampaignCost(hits=hits, dollars=round(dollars, 2), worker_hours=worker_hours)
 
 
 def scale_base_for_duration(

@@ -7,7 +7,6 @@ precision/recall, and temporal-extent agreement scoring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +166,9 @@ def truth_matrix(truths, label_count: int, video_ids=None) -> np.ndarray:
         truth = by_id.get(video_id)
         if truth is None:
             raise ValueError(f"video {video_id!r} has no ground truth")
+        outside = sorted(label for label in truth.labels if not 0 <= label < label_count)
+        if outside:
+            raise ValueError(f"video {video_id!r}: labels {outside} outside [0, {label_count})")
         for label in truth.labels:
             out[row, label] = True
     return out
@@ -284,16 +286,3 @@ def segments_by_key(truths) -> dict:
         for label, spans in truth.segments.items():
             out[(truth.video_id, label)] = [_as_segment(s) for s in spans]
     return out
-
-
-def recall_vs_duration(recalls, durations) -> float:
-    """Pearson correlation between per-label recall and median extent length."""
-    r = np.asarray(recalls, dtype=float)
-    d = np.asarray(durations, dtype=float)
-    if r.shape != d.shape or r.size < 3:
-        raise ValueError("need >= 3 aligned (recall, duration) pairs")
-    if not (np.isfinite(r).all() and np.isfinite(d).all()):
-        raise ValueError("inputs must be finite")
-    if r.std() == 0 or d.std() == 0:
-        raise ValueError("zero-variance input: correlation undefined")
-    return float(np.corrcoef(r, d)[0, 1])

@@ -221,20 +221,3 @@ def write_plans_csv(plans, path) -> None:
             for p in plans
         ),
     )
-
-
-def marginal_value(plan: Plan, at_n: int | None = None) -> float:
-    """Recall gained per extra minute by adding one more iteration."""
-    n = plan.iterations if at_n is None else at_n
-    if n < 0:
-        raise ValueError("iteration count must be non-negative")
-
-    def recall_at(count: int) -> float:
-        if count == 0:
-            return 0.0
-        return mixture_union_recall(
-            plan.r_eff, count, plan.hard_fraction, plan.hard_recall_multiplier
-        )
-
-    gain = recall_at(n + 1) - recall_at(n)
-    return gain / plan.iteration_minutes

@@ -70,8 +70,3 @@ def draw_key(master_seed: int, *ids) -> np.ndarray:
 def uniforms(keys, counters) -> np.ndarray:
     """Uniform floats in [0, 1) with 53 random bits, one per (key, counter)."""
     return (fold(keys, counters) >> 11) * 2.0**-53
-
-
-def unit_fraction(master_seed: int, *ids, counter: int = 0) -> float:
-    """The scalar case of `uniforms`: one draw about `ids`."""
-    return float(uniforms(draw_key(master_seed, *ids), counter)[0])

@@ -25,7 +25,6 @@ from itertools import chain
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
-from .output import atomic_open
 from .seeding import draw_key, fold, id_key, substream, uniforms
 from .taxonomy import mask_members, members_mask
 
@@ -186,34 +185,6 @@ class WorkerBehavior:
     @property
     def correlated(self) -> bool:
         return self.hard_fraction > 0.0
-
-
-def behavior_to_dict(behavior: WorkerBehavior) -> dict:
-    return {
-        "recall_points": [list(p) for p in behavior.recall_points],
-        "fp_points": [list(p) for p in behavior.fp_points],
-        "prevalence": behavior.prevalence,
-        "qtop": behavior.qtop,
-        "speed_multiplier": behavior.speed_multiplier,
-        "hard_fraction": behavior.hard_fraction,
-        "hard_recall_multiplier": behavior.hard_recall_multiplier,
-        "observed_minutes": [list(p) for p in behavior.observed_minutes],
-    }
-
-
-def behavior_from_dict(doc: dict) -> WorkerBehavior:
-    return WorkerBehavior(
-        recall_points=tuple((int(k), float(v)) for k, v in doc["recall_points"]),
-        fp_points=tuple((int(k), float(v)) for k, v in doc["fp_points"]),
-        prevalence=float(doc.get("prevalence", DEFAULT_PREVALENCE)),
-        qtop=int(doc.get("qtop", DEFAULT_QTOP)),
-        speed_multiplier=float(doc.get("speed_multiplier", 1.0)),
-        hard_fraction=float(doc.get("hard_fraction", 0.0)),
-        hard_recall_multiplier=float(doc.get("hard_recall_multiplier", 0.0)),
-        observed_minutes=tuple(
-            (int(k), float(v)) for k, v in doc.get("observed_minutes", ())
-        ),
-    )
 
 
 def calibrate(
@@ -408,8 +379,6 @@ class Worker:
     spammer: bool = False
 
 
-DEFAULT_WORKER = Worker("w0")
-
 SPAMMER_YES_RATE = 0.5
 SPAMMER_TIME_SCALE = 0.2
 
@@ -456,11 +425,6 @@ def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.
     return uniforms(draw_key(master_seed, keys, "hard-pair")[:, None], labels) < hard_fraction
 
 
-def is_hard_pair(master_seed: int, video_id: str, label_id: int, hard_fraction: float) -> bool:
-    """Whether one (video, label) pair is hard: the scalar case of `hard_pairs`."""
-    return bool(hard_pairs(master_seed, [video_id], [label_id], hard_fraction)[0, 0])
-
-
 def _select_members(members, probs, draws) -> tuple[int, ...]:
     """Members picked on an affirmative gate; at least one is always selected.
 
@@ -492,22 +456,24 @@ def simulate_block(
     *,
     workers,
     slots,
+    truth: np.ndarray,
+    hard: np.ndarray,
+    worker_ids,
+    video_ids,
     model: TimeModel = DEFAULT_TIME_MODEL,
     iteration: int = 0,
     subset_index: int = 0,
-    hard: np.ndarray | None = None,
-    worker_ids=None,
-    video_ids=None,
 ) -> EventTable:
     """Simulate workers[i] answering one question subset about videos[i].
 
     Video i's events follow slots[i], (question id, gold) pairs naming each
-    of `questions` once plus gold duplicates. `hard` may hold the videos'
-    rows of the campaign's hard-pair mask. Draws are keyed by (seed, worker,
-    video, iteration, subset index, stream) and count question ids, member
-    label ids or gold ordinals, so a task's events depend neither on the
-    rest of the block nor on its slot order. The table is built on the
-    `worker_ids` and `video_ids` vocabularies, by default the block's own.
+    of `questions` once plus gold duplicates. Row i of `truth` and `hard`
+    is video i's row of the campaign's (videos x labels) truth matrix and
+    hard-pair mask. Draws are keyed by (seed, worker, video, iteration,
+    subset index, stream) and count question ids, member label ids or gold
+    ordinals, so a task's events depend neither on the rest of the block
+    nor on its slot order. The table is built on the `worker_ids` and
+    `video_ids` vocabularies, which hold the block's workers and videos.
     """
     questions = list(questions)
     k = len(questions)
@@ -525,12 +491,8 @@ def simulate_block(
     # Question j owns the member columns from starts[j] on.
     members = [m for q in questions for m in q.members]
     starts = np.cumsum([0] + [len(q.members) for q in questions[:-1]])
-    column = {m: c for c, m in enumerate(members)}
-    truth = np.zeros((len(videos), len(members)), dtype=bool)
-    rows = [i for i, v in enumerate(videos) for m in v.labels if m in column]
-    truth[rows, [column[m] for v in videos for m in v.labels if m in column]] = True
+    truth, hard = truth[:, members], hard[:, members]
     ids = [v.video_id for v in videos]
-    hard = hard_pairs(seed, ids, members, h) if hard is None else hard[:, members]
     worker_keys = np.array([id_key(w.worker_id) for w in workers], dtype=np.uint64)
     video_keys = np.array([id_key(v) for v in ids], dtype=np.uint64)
     task = draw_key(seed, worker_keys, video_keys, iteration, subset_index)[:, None]
@@ -594,33 +556,12 @@ def simulate_block(
     gate[gold] = gold_gates[owner[gold], ordinal[gold]]
     mask = np.where(gate, np.where(gold, np.uint64(1), answers[owner, j]), 0)
 
-    worker_ids = worker_ids or tuple(dict.fromkeys(w.worker_id for w in workers))
-    video_ids = video_ids or tuple(dict.fromkeys(ids))
     worker_row = {w: i for i, w in enumerate(worker_ids)}
     video_row = {v: i for i, v in enumerate(video_ids)}
     worker = np.array([worker_row[w.worker_id] for w in workers])[owner]
     video = np.array([video_row[v] for v in ids])[owner]
     return EventTable(worker_ids, video_ids, worker, video, question, gate, mask,
                       (total / k)[owner], np.full(len(owner), iteration), gold)
-
-
-def simulate_task(
-    behavior: WorkerBehavior,
-    video: VideoTruth,
-    questions,
-    modifiers: ModifierSet,
-    seed: int,
-    *,
-    worker: Worker = DEFAULT_WORKER,
-    gold_questions=(),
-    **block_options,
-) -> EventTable:
-    """The one-task case of `simulate_block`: one event per question in the
-    given order, then one flagged event per gold duplicate."""
-    questions = list(questions)
-    slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
-    return simulate_block(behavior, [video], questions, modifiers, seed, workers=[worker],
-                          slots=[slots], **block_options)
 
 
 def make_random_truth(
@@ -680,19 +621,3 @@ def load_truths(source) -> list[VideoTruth]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{source}: line {line_num}: {exc}") from exc
     return truths
-
-
-def write_truths(truths, path) -> None:
-    with atomic_open(path) as fh:
-        for truth in truths:
-            doc = {
-                "video": truth.video_id,
-                "duration": truth.duration_seconds,
-                "labels": sorted(truth.labels),
-            }
-            if truth.segments:
-                doc["segments"] = {
-                    str(label): [list(span) for span in spans]
-                    for label, spans in sorted(truth.segments.items())
-                }
-            fh.write(json.dumps(doc) + "\n")

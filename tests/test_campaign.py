@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from annocamp import campaign
 from annocamp.campaign import (
-    Blacklist,
-    BlacklistEntry,
     QcThresholds,
     WorkerStats,
     assign_workers,
@@ -345,8 +343,7 @@ def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monke
 def test_blacklisted_worker_gets_no_assignments(tax, behavior):
     truths = make_random_truth(30, 52, 3.7, seed=9)
     pool = sample_worker_pool(6, behavior, 0.0, seed=3)
-    blacklist = Blacklist()
-    blacklist.add(pool[0].worker_id, "positive-rate outlier")
+    blacklist = {pool[0].worker_id}
     events = run_campaign(
         tax, truths, 26, 3, behavior, seed=4, pool=pool, blacklist=blacklist
     )
@@ -362,10 +359,8 @@ def test_blacklisted_worker_gets_no_assignments(tax, behavior):
 
 def test_blacklist_added_after_construction_is_excluded(tax):
     pool = [Worker(f"w{i}") for i in range(5)]
-    blacklist = Blacklist([BlacklistEntry("w1", "spam", "t0")])
-    blacklist.add("w3", "positive-rate outlier")
-    assert "w1" in blacklist and "w3" in blacklist and "w0" not in blacklist
-    assert blacklist.listed() == {"w1", "w3"}
+    blacklist = {"w1"}
+    blacklist.add("w3")
     plan = partition_questions(tax, 1, seed=0)
     hits = pack_hits([f"v{i}" for i in range(40)], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
     assigned = {w.worker_id for w in assign_workers(hits, pool, 0, 0, blacklist)}
@@ -373,8 +368,7 @@ def test_blacklist_added_after_construction_is_excluded(tax):
 
 
 def test_assign_workers_requires_eligible_pool(tax):
-    blacklist = Blacklist()
-    blacklist.add("w0", "spam")
+    blacklist = {"w0"}
     with pytest.raises(ValueError, match="eligible"):
         assign_workers([], [Worker("w0")], seed=0, iteration=0, blacklist=blacklist)
 
@@ -429,6 +423,16 @@ def test_ingest_rejects_bad_elapsed(tax, tmp_path):
     path = write_rows(tmp_path, ["w0,v0,0,0,,-3.0,0"])
     with pytest.raises(ValueError, match="elapsed"):
         ingest(path, tax)
+
+
+def test_ingest_rejects_infinite_elapsed(tax, tmp_path):
+    rows = ["w0,v0,0,0,,1.0,0", "w0,v0,1,0,,inf,0", "w0,v0,2,0,,2.0,0", "w0,v0,3,0,,-inf,0"]
+    with pytest.raises(ValueError) as err:
+        ingest(write_rows(tmp_path, rows), tax)
+    message = str(err.value)
+    assert "line 3: elapsed must be finite" in message
+    assert "line 5: elapsed must be positive" in message
+    assert "line 2:" not in message and "line 4:" not in message
 
 
 def test_ingest_reports_every_bad_row(tax, tmp_path):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +9,6 @@ from annocamp.costmodel import (
     HitBudget,
     TimeModel,
     TimingObservation,
-    campaign_cost,
     fit_time_model,
     iteration_time,
     read_timings_csv,
@@ -200,27 +197,6 @@ def test_packing_respects_target(k):
         assert v * per_video > budget.target_seconds - per_video
 
 
-def test_campaign_cost_reference_scale():
-    cost = campaign_cost(1815, 52, 1, DEFAULT_TIME_MODEL, HitBudget())
-    assert cost.hits == 908  # ceil(1815 / 2) videos-per-hit packing
-    assert cost.dollars == pytest.approx(363.20)
-    assert cost.worker_hours == pytest.approx(1815 * 73.9 / 3600)
-
-
-@pytest.mark.parametrize("k", [1, 5, 26, 52])
-def test_campaign_cost_single_video(k):
-    cost = campaign_cost(1, k, 1, DEFAULT_TIME_MODEL, HitBudget())
-    assert cost.hits == math.ceil(52 / k)
-
-
-def test_campaign_cost_linear_in_iterations():
-    one = campaign_cost(500, 5, 1, DEFAULT_TIME_MODEL, HitBudget())
-    two = campaign_cost(500, 5, 2, DEFAULT_TIME_MODEL, HitBudget())
-    assert two.hits == 2 * one.hits
-    assert two.dollars == pytest.approx(2 * one.dollars)
-    assert two.worker_hours == pytest.approx(2 * one.worker_hours)
-
-
 def test_scale_base_for_duration():
     # The reference base is below half the reference duration, so scaling
     # is purely proportional and exact at the reference point.
@@ -247,12 +223,6 @@ def test_model_validation():
         TimingObservation(0, 10.0)
     with pytest.raises(ValueError):
         TimingObservation(1, -1.0)
-
-
-def test_model_json_round_trip():
-    model = TimeModel(14.1, 1.15)
-    again = TimeModel.from_json(model.to_json())
-    assert again == model
 
 
 def test_bundled_timings_fit_near_reference():

@@ -13,7 +13,6 @@ from annocamp.evaluate import (
     event_stats,
     expected_recall,
     metrics,
-    recall_vs_duration,
     temporal_iou,
     truth_matrix,
 )
@@ -332,6 +331,8 @@ def test_truth_matrix_alignment():
     assert out[1].tolist() == [True, False, False]
     with pytest.raises(ValueError, match="'c' has no ground truth"):
         truth_matrix(truths, 3, video_ids=("a", "c"))
+    with pytest.raises(ValueError, match=r"video 'a': labels \[2\] outside \[0, 2\)"):
+        truth_matrix(truths, 2)
 
 
 def test_event_stats():
@@ -441,22 +442,3 @@ def test_segments_by_key_bridges_truth_files():
     assert [s.start for s in keyed[("a", 1)]] == [2.0, 10.0]
     assert agreement_rate(keyed, keyed) == 1.0
 
-
-def test_correlation_proportional_is_one():
-    durations = np.linspace(1, 30, 20)
-    assert recall_vs_duration(durations * 0.02, durations) == pytest.approx(1.0)
-
-
-def test_correlation_zero_variance_errors():
-    with pytest.raises(ValueError, match="zero-variance"):
-        recall_vs_duration([0.5] * 10, np.linspace(1, 5, 10))
-
-
-def test_correlation_recovers_weak_effect():
-    # Bivariate normal with rho = 0.2 at the label-set size used in practice.
-    rng = np.random.default_rng(21)
-    n, rho = 157, 0.2
-    x = rng.standard_normal(n)
-    y = rho * x + np.sqrt(1 - rho**2) * rng.standard_normal(n)
-    estimate = recall_vs_duration(0.5 + 0.1 * y, 10 + 3 * x)
-    assert estimate == pytest.approx(rho, abs=0.15)

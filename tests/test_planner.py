@@ -10,7 +10,6 @@ from annocamp.planner import (
     BudgetConstraint,
     InfeasiblePlanError,
     enumerate_plans,
-    marginal_value,
     modifier_options,
     optimize,
     plan_iteration_minutes,
@@ -151,30 +150,6 @@ def test_optimize_time_scale_invariance(behavior):
             base.iterations,
             base.modifiers,
         )
-
-
-def test_marginal_value_first_iteration(independent):
-    constraint = BudgetConstraint(max_minutes_per_video=8.61)
-    plan = optimize(independent, DEFAULT_TIME_MODEL, constraint, k_values=[52])
-    assert marginal_value(plan, at_n=0) == pytest.approx(0.45 / 1.10)
-
-
-def test_marginal_value_reference_point(independent):
-    # Geometric series arithmetic: [R(4) - R(3)] / t.
-    plan = optimize(
-        independent, DEFAULT_TIME_MODEL, BudgetConstraint(3.5), k_values=[52]
-    )
-    oracle = ((1 - 0.55**4) - (1 - 0.55**3)) / 1.10
-    assert marginal_value(plan, at_n=3) == pytest.approx(oracle, abs=1e-12)
-    assert marginal_value(plan, at_n=3) == pytest.approx(0.0681, abs=1e-4)
-
-
-def test_marginal_value_strictly_decreasing(independent):
-    plan = optimize(
-        independent, DEFAULT_TIME_MODEL, BudgetConstraint(5.0), k_values=[52]
-    )
-    gains = [marginal_value(plan, at_n=n) for n in range(0, 8)]
-    assert all(later < earlier for earlier, later in zip(gains, gains[1:]))
 
 
 def test_chosen_plan_agrees_with_simulation(behavior):

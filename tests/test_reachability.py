@@ -1,0 +1,150 @@
+"""Every top-level function and class of annocamp is reached from a root.
+
+The roots are the command line (`cli.main`), the bundled experiments
+(`campaign.reproduce`) and the library calls bench/workload.py makes. The
+walk follows name references through the parsed source: a name bound by a
+relative import resolves to its definition in the imported module, and a
+module's attribute (`campaign.ingest`) to that module's definition.
+Module-level statements always run, class bodies, decorators and default
+values included; a function body runs once its function is reached, and
+every method of a reached class counts as reached. Annotations are never
+evaluated (every module imports `annotations` from `__future__`).
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "annocamp"
+
+ROOTS = (
+    "cli.main",
+    "campaign.reproduce",
+    # The library calls of bench/workload.py.
+    "campaign.simulate_campaign",
+    "evaluate.aggregate",
+    "evaluate.metrics",
+    "planner.BudgetConstraint",
+    "planner.enumerate_plans",
+    "planner.optimize",
+    "taxonomy.singleton_taxonomy",
+    "workersim.VideoTruth",
+    "workersim.Worker",
+    "workersim.default_behavior",
+    "workersim.fit_hard_mixture",
+)
+
+# Definitions no root reaches that stay, each with its reason.
+_TEMPORAL = "the temporal suite: acceptance criterion 8, and the only reader of the truth files' segments"
+KEEP = {
+    "evaluate.analytic_union": "the closed form acceptance criterion 4 checks the simulator against",
+    "evaluate.TemporalSegment": _TEMPORAL,
+    "evaluate.temporal_iou": _TEMPORAL,
+    "evaluate.agreement_rate": _TEMPORAL,
+    "evaluate.segments_by_key": _TEMPORAL,
+}
+
+
+def _references(node):
+    """(name, attribute) for each name a node loads; attribute is the one
+    taken of the name, or None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        yield node.value.id, node.attr
+    elif isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load):
+            yield node.id, None
+    else:
+        for name, value in ast.iter_fields(node):
+            if name in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _references(child)
+
+
+def _parts(function):
+    """(what runs at definition time, the body) of a function definition."""
+    args = function.args
+    now = [*function.decorator_list, *args.defaults, *filter(None, args.kw_defaults)]
+    return now, function.body
+
+
+def _graph():
+    """(definitions: "module.name" -> the references its body makes once it is
+    reached, references made at import time, import bindings per module)."""
+    definitions, at_import, bindings = {}, [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        bound = bindings[module] = {}
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            deferred = []
+            if isinstance(statement, ast.ImportFrom) and statement.level == 1:
+                for alias in statement.names:
+                    target = f"{statement.module}.{alias.name}" if statement.module else alias.name
+                    bound[alias.asname or alias.name] = target
+                continue
+            if isinstance(statement, ast.FunctionDef):
+                now, deferred = _parts(statement)
+            elif isinstance(statement, ast.ClassDef):
+                now = [*statement.decorator_list, *statement.bases, *statement.keywords]
+                for item in statement.body:
+                    if isinstance(item, ast.FunctionDef):
+                        before, body = _parts(item)
+                        now += before
+                        deferred += body
+                    else:
+                        now.append(item)
+            else:
+                now = [statement]
+            at_import += [(module, ref) for node in now for ref in _references(node)]
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                definitions[f"{module}.{statement.name}"] = [
+                    (module, ref) for node in deferred for ref in _references(node)
+                ]
+    return definitions, at_import, bindings
+
+
+def _resolve(definitions, bindings, module, reference):
+    name, attribute = reference
+    target = bindings[module].get(name, f"{module}.{name}")
+    if target in bindings:  # a module: its attribute is the definition
+        target = f"{target}.{attribute}"
+    while target not in definitions:  # follow re-exports
+        owner, _, name = target.partition(".")
+        if name not in bindings.get(owner, {}):
+            return None
+        target = bindings[owner][name]
+    return target
+
+
+def _reached(roots) -> set:
+    definitions, at_import, bindings = _graph()
+    missing = [r for r in roots if r not in definitions]
+    assert not missing, f"roots that are not top-level definitions: {missing}"
+    reached, todo = set(), list(roots)
+    todo += [_resolve(definitions, bindings, m, ref) for m, ref in at_import]
+    while todo:
+        name = todo.pop()
+        if name is None or name in reached:
+            continue
+        reached.add(name)
+        todo += [_resolve(definitions, bindings, m, ref) for m, ref in definitions[name]]
+    return reached
+
+
+def test_every_definition_is_reached_or_kept():
+    definitions = _graph()[0]
+    unreached = sorted(set(definitions) - _reached(ROOTS + tuple(KEEP)))
+    assert not unreached, f"no command, experiment or benchmark call reaches {unreached}"
+
+
+def test_kept_definitions_are_unreached():
+    reached = _reached(ROOTS)
+    assert not [name for name in KEEP if name in reached], "a reached definition needs no KEEP entry"
+
+
+def test_walk_follows_module_attributes_and_imports():
+    reached = _reached(("cli.main",))
+    # cli calls campaign.ingest as a module attribute; ingest calls
+    # expand_answer through `from .taxonomy import`.
+    assert {"campaign.ingest", "taxonomy.expand_answer", "output.atomic_open"} <= reached
+    assert "evaluate.analytic_union" not in reached

@@ -9,9 +9,9 @@ import pytest
 from annocamp.campaign import pack_hits, run_campaign
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, metrics, truth_matrix
-from annocamp.seeding import draw_key, id_key, uniforms, unit_fraction
+from annocamp.seeding import draw_key, id_key, uniforms
 from annocamp.taxonomy import partition_questions, singleton_taxonomy
-from annocamp.workersim import default_behavior, hard_pairs, is_hard_pair, make_random_truth
+from annocamp.workersim import default_behavior, hard_pairs, make_random_truth
 
 CHI2_19_P001 = 43.82  # upper 0.1% point of chi-square with 19 degrees of freedom
 
@@ -43,12 +43,12 @@ def test_uniforms_have_53_bits():
     assert len(np.unique(u)) == 1000
 
 
-def test_unit_fraction_is_the_scalar_case():
+def test_uniforms_scalar_draws_match_the_grid():
     keys = draw_key(5, np.array([id_key("v1"), id_key("v2")], dtype=np.uint64), "tag")
     draws = uniforms(keys[:, None], np.arange(4)[None, :])
     for row, video in enumerate(("v1", "v2")):
         for counter in range(4):
-            assert unit_fraction(5, video, "tag", counter=counter) == draws[row, counter]
+            assert uniforms(draw_key(5, video, "tag"), counter)[0] == draws[row, counter]
 
 
 def test_hard_mask_matches_scalar_and_fraction():
@@ -57,8 +57,9 @@ def test_hard_mask_matches_scalar_and_fraction():
     mask = hard_pairs(11, videos, range(52), h)
     assert mask.shape == (400, 52)
     for i in (0, 17, 399):
-        assert [is_hard_pair(11, videos[i], label, h) for label in range(52)] == mask[i].tolist()
-        scalar = [unit_fraction(11, videos[i], "hard-pair", counter=m) < h for m in range(52)]
+        pairs = [hard_pairs(11, [videos[i]], [label], h)[0, 0] for label in range(52)]
+        assert pairs == mask[i].tolist()
+        scalar = [uniforms(draw_key(11, videos[i], "hard-pair"), m)[0] < h for m in range(52)]
         assert scalar == mask[i].tolist()
     se = np.sqrt(h * (1 - h) / mask.size)
     assert abs(mask.mean() - h) < 4 * se

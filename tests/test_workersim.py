@@ -10,30 +10,39 @@ from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.cli import sample_taxonomy_path
 from annocamp.workersim import (
     DEFAULT_ANCHORS,
-    DEFAULT_WORKER,
     AccuracyAnchor,
     ModifierSet,
     VideoTruth,
     Worker,
     WorkerBehavior,
     apply_modifiers,
-    behavior_from_dict,
-    behavior_to_dict,
     calibrate,
     default_behavior,
     fit_hard_mixture,
     fp_rate_from_precision,
-    is_hard_pair,
+    hard_pairs,
     load_truths,
     make_random_truth,
     mixture_union_recall,
     sample_worker_pool,
     simulate_block,
-    simulate_task,
-    write_truths,
 )
 
 NONE = ModifierSet()
+
+
+def simulate_one(behavior, tax, video, seed, *, questions=None, worker=Worker("w0"),
+                 gold_questions=(), subset_index=0):
+    """One worker's task on one video, the questions in order and then one
+    flagged event per gold duplicate: the one-row case of simulate_block."""
+    questions = list(tax.questions if questions is None else questions)
+    slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
+    return simulate_block(
+        behavior, [video], questions, NONE, seed, workers=[worker], slots=[slots],
+        truth=truth_matrix([video], tax.label_count),
+        hard=hard_pairs(seed, [video.video_id], range(tax.label_count), behavior.hard_fraction),
+        worker_ids=(worker.worker_id,), video_ids=(video.video_id,), subset_index=subset_index,
+    )
 
 
 def perfect_behavior(qtop=52):
@@ -116,12 +125,6 @@ def test_calibrated_curves_interpolate_anchors():
     assert b.observed_iteration_minutes(26) is None
 
 
-def test_behavior_dict_round_trip():
-    b = fit_hard_mixture(default_behavior())
-    again = behavior_from_dict(behavior_to_dict(b))
-    assert again == b
-
-
 # ---------------------------------------------------------------------------
 # Difficulty mixture
 # ---------------------------------------------------------------------------
@@ -175,11 +178,12 @@ def test_mixture_union_converges_to_reachable_mass():
 
 
 def test_hard_pairs_shared_across_workers():
-    flags = [is_hard_pair(9, "v1", 3, 0.3) for _ in range(5)]
+    flags = [hard_pairs(9, ["v1"], [3], 0.3)[0, 0] for _ in range(5)]
     assert len(set(flags)) == 1
-    froze = [is_hard_pair(9, f"v{i}", i % 7, 0.3) for i in range(2000)]
-    assert sum(froze) / 2000 == pytest.approx(0.3, abs=0.05)
-    assert not is_hard_pair(9, "v1", 3, 0.0)
+    mask = hard_pairs(9, [f"v{i}" for i in range(2000)], range(7), 0.3)
+    froze = mask[np.arange(2000), np.arange(2000) % 7]
+    assert froze.mean() == pytest.approx(0.3, abs=0.05)
+    assert not hard_pairs(9, ["v1"], [3], 0.0)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,7 @@ def test_modifier_label():
 def test_perfect_worker_reproduces_truth():
     tax = load_taxonomy(sample_taxonomy_path())
     truth = VideoTruth(video_id="v0", labels=frozenset({0, 1, 57, 140}))
-    events = simulate_task(perfect_behavior(), truth, tax.questions, NONE, seed=5)
+    events = simulate_one(perfect_behavior(), tax, truth, seed=5)
     found = set()
     for _, _, question, gate, members, _, _, _ in events.rows(tax):
         gate_should_fire = any(m in truth.labels for m in tax.question(question).members)
@@ -259,7 +263,7 @@ def test_blind_worker_marks_nothing():
     tax = singleton_taxonomy(20)
     truth = VideoTruth(video_id="v0", labels=frozenset({1, 2, 3}))
     blind = flat_behavior(0.0, 0.0, qtop=20)
-    events = simulate_task(blind, truth, tax.questions, NONE, seed=5)
+    events = simulate_one(blind, tax, truth, seed=5)
     assert not events.gate.any() and not events.members.any()
     assert len(events) == 20
 
@@ -268,12 +272,12 @@ def test_simulate_task_determinism():
     tax = singleton_taxonomy(52)
     truth = VideoTruth(video_id="v9", labels=frozenset({4, 9, 31}))
     b = default_behavior()
-    a = simulate_task(b, truth, tax.questions, NONE, seed=123)
-    c = simulate_task(b, truth, tax.questions, NONE, seed=123)
-    d = simulate_task(b, truth, tax.questions, NONE, seed=124)
+    a = simulate_one(b, tax, truth, seed=123)
+    c = simulate_one(b, tax, truth, seed=123)
+    d = simulate_one(b, tax, truth, seed=124)
     assert a == c
     assert a != d
-    e = simulate_task(b, truth, tax.questions, NONE, seed=123, subset_index=1)
+    e = simulate_one(b, tax, truth, seed=123, subset_index=1)
     assert a != e
 
 
@@ -281,13 +285,16 @@ def test_simulated_recall_monotone_in_r():
     tax = singleton_taxonomy(52)
     truths = make_random_truth(3000, 52, 3.7, seed=1)
     truth = truth_matrix(truths, 52)
+    ids = [t.video_id for t in truths]
     recalls = []
     for r in (0.3, 0.5):
         b = flat_behavior(r, 0.005)
-        # Every task is simulate_task's one-video case of this block.
+        # Every task is simulate_one's one-video case of this block.
         events = simulate_block(
-            b, truths, tax.questions, NONE, seed=77, workers=[DEFAULT_WORKER] * len(truths),
+            b, truths, tax.questions, NONE, seed=77, workers=[Worker("w0")] * len(truths),
             slots=[[(q.id, False) for q in tax.questions]] * len(truths),
+            truth=truth_matrix(truths, 52, video_ids=ids), hard=hard_pairs(77, ids, range(52), 0.0),
+            worker_ids=("w0",), video_ids=tuple(ids),
         )
         scored = metrics(aggregate(events, tax).binary(1), truth)
         recalls.append(scored.recall)
@@ -303,8 +310,8 @@ def test_event_timing_scales_with_duration(monkeypatch):
     b = default_behavior()
     short = VideoTruth(video_id="s", duration_seconds=10.0, labels=frozenset({1}))
     long = VideoTruth(video_id="l", duration_seconds=55.0, labels=frozenset({1}))
-    quick = sum(simulate_task(b, short, tax.questions, NONE, seed=3).elapsed.tolist())
-    slow = sum(simulate_task(b, long, tax.questions, NONE, seed=3).elapsed.tolist())
+    quick = sum(simulate_one(b, tax, short, seed=3).elapsed.tolist())
+    slow = sum(simulate_one(b, tax, long, seed=3).elapsed.tolist())
     for seconds, duration in ((quick, 10.0), (slow, 55.0)):
         model = scale_base_for_duration(DEFAULT_TIME_MODEL, duration)
         assert seconds == pytest.approx(task_time(model, 52), rel=1e-12)
@@ -316,9 +323,7 @@ def test_gold_questions_emitted_and_flagged():
     truth = VideoTruth(video_id="v1", labels=frozenset({2}))
     b = perfect_behavior()
     gold = [tax.question(2), tax.question(2)]
-    events = simulate_task(
-        b, truth, tax.questions, NONE, seed=1, gold_questions=gold
-    )
+    events = simulate_one(b, tax, truth, seed=1, gold_questions=gold)
     assert events.gold.sum() == 2
     assert events.gate[events.gold].all()
     assert (~events.gold).sum() == 52
@@ -357,12 +362,12 @@ def test_spammer_gold_recall_is_half():
     hits = trials = 0
     for i in range(80):
         truth = VideoTruth(video_id=f"v{i}", labels=frozenset(range(10)))
-        events = simulate_task(
+        events = simulate_one(
             b,
+            tax,
             truth,
-            tax.questions[:10],
-            NONE,
             seed=50,
+            questions=tax.questions[:10],
             worker=spammer,
             gold_questions=[tax.question(j) for j in range(5)],
         )
@@ -392,18 +397,21 @@ def test_make_random_truth_prevalence():
     assert all(len(t.labels) >= 1 for t in forced)
 
 
-def test_truth_jsonl_round_trip(tmp_path):
+def test_load_truths_reads_every_field(tmp_path):
     truths = [
         VideoTruth(
             video_id="a", duration_seconds=20.0, labels=frozenset({1, 5}),
             segments={1: ((2.0, 8.5),)},
         ),
         VideoTruth(video_id="b", duration_seconds=42.0, labels=frozenset()),
+        VideoTruth(video_id="7"),
     ]
     path = tmp_path / "truths.jsonl"
-    write_truths(truths, path)
-    again = load_truths(path)
-    assert again == truths
+    path.write_text(
+        '{"video": "a", "duration": 20, "labels": [5, 1], "segments": {"1": [[2, 8.5]]}}\n'
+        '\n{"video": "b", "duration": 42.0, "labels": []}\n{"video": 7}\n'
+    )
+    assert load_truths(path) == truths
 
 
 def test_load_truths_reports_line(tmp_path):
