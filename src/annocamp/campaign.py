@@ -40,7 +40,7 @@ from .evaluate import (
 )
 from .output import write_csv
 from .planner import FEW_QUESTION_BUNDLE, NO_MODIFIERS, plan_iteration_minutes
-from .seeding import draw_key, fold, id_key, substream, uniforms
+from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
 from .taxonomy import (
     SubsetPlan,
     Taxonomy,
@@ -152,8 +152,7 @@ def pack_hits(
     for subset_index, subset in enumerate(subset_plan.subsets):
         size = len(subset)
         per_hit = videos_per_hit(model, size, budget)
-        order = substream(seed, "pack", subset_index).permutation(len(video_ids))
-        shuffled = [video_ids[i] for i in order]
+        shuffled = [video_ids[i] for i in order(seed, video_ids, "pack", subset_index)]
         subset_key = draw_key(seed, subset_index)
         in_order = tuple(QuestionSlot(qid) for qid in subset)
         for chunk_index, chunk_start in enumerate(range(0, len(shuffled), per_hit)):
@@ -177,8 +176,8 @@ def pack_hits(
             base = in_order
             if grouping and size > 1:
                 # One question order shared by every video of the HIT.
-                u = uniforms(fold(subset_key, id_key(chunk_index), id_key("order")), range(size))
-                base = tuple(in_order[i] for i in np.argsort(u))
+                shared = order(seed, subset, subset_index, chunk_index, "order")
+                base = tuple(in_order[i] for i in shared)
             slots = [base + gold_by_video[v] for v in chunk]
             # Slots are shuffled unless they are one question or a shared
             # order without gold: all rows of the chunk at once, by argsort of
@@ -189,8 +188,7 @@ def pack_hits(
             shuffle = [len(e) > 1 and (len(e) > size or not grouping) for e in slots]
             if any(shuffle):
                 width = np.arange(max(map(len, slots)))
-                keys = np.array([id_key(v) for v in chunk], dtype=np.uint64)
-                u = uniforms(fold(subset_key, keys, id_key("slots"))[:, None], width)
+                u = uniforms(fold(subset_key, id_keys(chunk), id_key("slots"))[:, None], width)
                 u[width >= np.array([len(e) for e in slots])[:, None]] = 2.0
                 orders = np.argsort(u, axis=1).tolist()
                 for row, e in enumerate(slots):
@@ -214,12 +212,12 @@ def pack_hits(
 
 
 def assign_workers(hits, pool, seed: int, iteration: int, blacklist=()) -> list[Worker]:
-    """One worker per HIT: a seeded permutation of the pool, cycled, without
-    the workers whose ids are in `blacklist`."""
+    """One worker per HIT: a seeded shuffle of the pool's worker ids, cycled,
+    without the workers whose ids are in `blacklist`."""
     eligible = [w for w in pool if w.worker_id not in blacklist]
     if not eligible:
         raise ValueError("no eligible workers (all blacklisted?)")
-    perm = substream(seed, "assign", iteration).permutation(len(eligible))
+    perm = order(seed, [w.worker_id for w in eligible], "assign", iteration)
     return [eligible[perm[i % len(eligible)]] for i in range(len(hits))]
 
 

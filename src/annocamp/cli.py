@@ -24,17 +24,48 @@ def sample_taxonomy_path() -> Path:
 
 
 class Config:
-    """Resolved defaults: taxonomy, time model, calibration, budget."""
+    """Resolved defaults: taxonomy, time model, calibration, budget.
 
-    KEYS = ("taxonomy", "time_model", "budget", "anchors", "correlation_targets",
-            "prevalence", "qtop", "modifiers")
+    Each section of a JSON config document replaces one default; a section
+    that does not parse is a one-line ValueError that names it.
+    """
+
+    SECTIONS = {
+        "taxonomy": Path,
+        "time_model": lambda tm: costmodel.TimeModel(float(tm["a"]), float(tm["b"])),
+        "budget": lambda b: costmodel.HitBudget(
+            float(b.get("target_seconds", 150.0)), float(b.get("pay_per_hit", 0.40))
+        ),
+        "anchors": lambda anchors: tuple(
+            workersim.AccuracyAnchor(
+                int(a["k"]), float(a["recall"]), float(a["precision"]),
+                float(a["iteration_minutes"]),
+            )
+            for a in anchors
+        ),
+        "correlation_targets": lambda targets: tuple((int(n), float(r)) for n, r in targets),
+        "prevalence": float,
+        "qtop": int,
+        "modifiers": lambda doc: workersim.ModifierSet(
+            **{name: bool(doc.get(name, False)) for name, _ in workersim.MODIFIERS}
+        ),
+    }
 
     def __init__(self, doc: dict | None = None):
-        self.doc = doc or {}
-        for key in self.doc:
-            if key not in self.KEYS:
+        doc = doc or {}
+        if not isinstance(doc, dict):
+            raise ValueError("config: must be a JSON object")
+        self.values = {}
+        for key, value in doc.items():
+            if key not in self.SECTIONS:
                 raise ValueError(f"config: unknown key {key!r}")
-        for key in self.doc.get("modifiers", {}):
+            try:
+                self.values[key] = self.SECTIONS[key](value)
+            except KeyError as exc:
+                raise ValueError(f"config: {key}: missing key {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"config: {key}: {exc}") from None
+        for key in doc.get("modifiers", {}):
             if key not in dict(workersim.MODIFIERS):
                 raise ValueError(f"config: unknown modifiers key {key!r}")
 
@@ -44,66 +75,30 @@ class Config:
             return cls()
         return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
-    def taxonomy_path(self, override: str | None = None) -> Path:
-        if override:
-            return Path(override)
-        if "taxonomy" in self.doc:
-            return Path(self.doc["taxonomy"])
-        return sample_taxonomy_path()
-
     def taxonomy(self, override: str | None = None) -> taxonomy.Taxonomy:
-        return taxonomy.load_taxonomy(self.taxonomy_path(override))
+        path = override or self.values.get("taxonomy", sample_taxonomy_path())
+        return taxonomy.load_taxonomy(path)
 
     def time_model(self) -> costmodel.TimeModel:
-        if "time_model" in self.doc:
-            tm = self.doc["time_model"]
-            return costmodel.TimeModel(float(tm["a"]), float(tm["b"]))
-        return costmodel.DEFAULT_TIME_MODEL
+        return self.values.get("time_model", costmodel.DEFAULT_TIME_MODEL)
 
     def budget(self) -> costmodel.HitBudget:
-        if "budget" in self.doc:
-            b = self.doc["budget"]
-            return costmodel.HitBudget(
-                target_seconds=float(b.get("target_seconds", 150.0)),
-                pay_per_hit=float(b.get("pay_per_hit", 0.40)),
-            )
-        return costmodel.HitBudget()
-
-    def anchors(self) -> tuple[workersim.AccuracyAnchor, ...]:
-        if "anchors" in self.doc:
-            return tuple(
-                workersim.AccuracyAnchor(
-                    k=int(a["k"]),
-                    recall=float(a["recall"]),
-                    precision=float(a["precision"]),
-                    iteration_minutes=float(a["iteration_minutes"]),
-                )
-                for a in self.doc["anchors"]
-            )
-        return workersim.DEFAULT_ANCHORS
-
-    def correlation_targets(self):
-        if "correlation_targets" in self.doc:
-            return tuple((int(n), float(r)) for n, r in self.doc["correlation_targets"])
-        return workersim.DEFAULT_MULTI_PASS_RECALL
+        return self.values.get("budget", costmodel.HitBudget())
 
     def prevalence(self) -> float:
-        return float(self.doc.get("prevalence", workersim.DEFAULT_PREVALENCE))
+        return self.values.get("prevalence", workersim.DEFAULT_PREVALENCE)
 
     def behavior(self, fit_correlation: bool = True) -> workersim.WorkerBehavior:
-        qtop = int(self.doc.get("qtop", workersim.DEFAULT_QTOP))
-        behavior = workersim.calibrate(self.anchors(), prevalence=self.prevalence(), qtop=qtop)
+        qtop = self.values.get("qtop", workersim.DEFAULT_QTOP)
+        anchors = self.values.get("anchors", workersim.DEFAULT_ANCHORS)
+        behavior = workersim.calibrate(anchors, prevalence=self.prevalence(), qtop=qtop)
         if fit_correlation:
-            behavior = workersim.fit_hard_mixture(
-                behavior, k=qtop, targets=self.correlation_targets()
-            )
+            targets = self.values.get("correlation_targets", workersim.DEFAULT_MULTI_PASS_RECALL)
+            behavior = workersim.fit_hard_mixture(behavior, k=qtop, targets=targets)
         return behavior
 
     def modifiers(self) -> workersim.ModifierSet:
-        doc = self.doc.get("modifiers", {})
-        return workersim.ModifierSet(
-            **{name: bool(doc.get(name, False)) for name, _ in workersim.MODIFIERS}
-        )
+        return self.values.get("modifiers", workersim.ModifierSet())
 
 
 def _emit_text(text: str, out: str | None) -> None:

@@ -1,13 +1,13 @@
 """Deterministic random draws derived from a single master seed.
 
-Per-task and per-entity draws are counter draws: a uniform is a pure hash
-(a splitmix64 mix in numpy uint64) of a 64-bit key and a counter, so draws
-are made in bulk as array operations, in any order. A key folds the seed
-with the entities drawn about, then a stream tag; workers and videos enter
-by the blake2b hash of their id, never by a list position. The counter is a
-question id, a member label id or a gold ordinal. `substream` generators
-remain for the streams drawn once per campaign: ground truth, worker pool,
-question partition, per-subset packing order and per-pass assignment.
+Every draw is a counter draw: a uniform is a pure hash (a splitmix64 mix in
+numpy uint64) of a 64-bit key and a counter, so draws are made in bulk as
+array operations, in any order. A key folds the seed with stream tags and
+the entities drawn about; workers, videos, questions and labels enter by
+the blake2b hash of their id, never by a list position. The counter is a
+question id, a member label id, a gold ordinal or 0. A shuffle is `order`:
+the argsort of one such uniform per id. What a campaign draws thus depends
+on which ids it holds, not on the order they are listed in.
 """
 
 from __future__ import annotations
@@ -17,28 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-_SEP = b"\x1f"
-
-
-def _digest(master_seed: int, parts: tuple) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(int(master_seed)).encode())
-    for part in parts:
-        h.update(_SEP)
-        h.update(str(part).encode())
-    return h.digest()
-
-
-def substream(master_seed: int, *parts) -> np.random.Generator:
-    """Independent generator for the per-campaign stream identified by `parts`."""
-    seed = int.from_bytes(_digest(master_seed, parts), "little")
-    return np.random.default_rng(seed)
-
 
 @lru_cache(maxsize=1 << 16)
 def id_key(ident) -> int:
     """64-bit blake2b key of an id: a seed, a worker or video id, a stream tag."""
     return int.from_bytes(hashlib.blake2b(str(ident).encode(), digest_size=8).digest(), "little")
+
+
+def id_keys(ids) -> np.ndarray:
+    """The uint64 array of `id_key` over ids."""
+    return np.array([id_key(i) for i in ids], dtype=np.uint64)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -70,3 +58,9 @@ def draw_key(master_seed: int, *ids) -> np.ndarray:
 def uniforms(keys, counters) -> np.ndarray:
     """Uniform floats in [0, 1) with 53 random bits, one per (key, counter)."""
     return (fold(keys, counters) >> 11) * 2.0**-53
+
+
+def order(master_seed: int, ids, *tags) -> np.ndarray:
+    """A seeded shuffle of ids: positions sorted by one counter uniform per
+    id, keyed by (seed, tags, id)."""
+    return np.argsort(uniforms(draw_key(master_seed, *tags, id_keys(ids)), 0), kind="stable")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeding import substream
+from .seeding import order
 
 # An answer's selected labels are stored as a bitmask over its question's
 # members, bit i standing for question.members[i]; a uint64 holds 64.
@@ -168,8 +168,7 @@ def partition_questions(tax: Taxonomy, k: int, seed: int) -> SubsetPlan:
     if not 1 <= k <= qtop:
         raise ValueError(f"k must be in [1, {qtop}], got {k}")
     ids = [q.id for q in tax.questions]
-    order = substream(seed, "partition", qtop, k).permutation(len(ids))
-    shuffled = [ids[i] for i in order]
+    shuffled = [ids[i] for i in order(seed, ids, "partition", k)]
     subsets = tuple(
         tuple(shuffled[i : i + k]) for i in range(0, len(shuffled), k)
     )

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
-from .seeding import draw_key, fold, id_key, substream, uniforms
+from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
 from .taxonomy import mask_members, members_mask
 
 ELAPSED_SIGMA = 0.25
@@ -387,28 +387,36 @@ _scaled_model = lru_cache(maxsize=512)(scale_base_for_duration)
 _cached_adjust = lru_cache(maxsize=512)(apply_modifiers)
 
 
+@lru_cache(maxsize=4)
+def _vocabulary(ids: tuple) -> tuple[dict, np.ndarray]:
+    """Each id's row and the ids' keys, built once per campaign vocabulary."""
+    return {x: i for i, x in enumerate(ids)}, id_keys(ids)
+
+
 def sample_worker_pool(
     n: int, behavior: WorkerBehavior, spammer_fraction: float, seed: int
 ) -> list[Worker]:
-    """Honest workers with +/-10% recall jitter plus fast random-guess spammers.
+    """Honest workers w0000, w0001, ... with +/-10% recall jitter plus fast
+    random-guess spammers.
 
     The spammer count is floor(n * fraction) or ceil(n * fraction), decided
-    deterministically by the seed; spammer positions are a seeded draw.
+    deterministically by the seed; the spammers are the first of a seeded
+    shuffle of the ids, and each id draws its own jitter.
     """
+    if n < 1:
+        raise ValueError(f"a worker pool needs at least one worker, got {n}")
     if not 0.0 <= spammer_fraction <= 1.0:
         raise ValueError("spammer_fraction must lie in [0, 1]")
-    rng = substream(seed, "worker-pool", n)
+    ids = [f"w{i:04d}" for i in range(n)]
     quota = n * spammer_fraction
-    n_spam = int(quota) + (1 if rng.random() < quota - int(quota) else 0)
-    spam_slots = set(rng.choice(n, size=n_spam, replace=False).tolist()) if n_spam else set()
-    pool = []
-    for i in range(n):
-        if i in spam_slots:
-            pool.append(Worker(f"w{i:04d}", spammer=True, time_scale=SPAMMER_TIME_SCALE))
-        else:
-            jitter = 1.0 + (rng.random() * 0.2 - 0.1)
-            pool.append(Worker(f"w{i:04d}", recall_scale=jitter))
-    return pool
+    n_spam = int(quota) + int(uniforms(draw_key(seed, "spam-quota"), 0)[0] < quota - int(quota))
+    spammers = set(order(seed, ids, "spammers")[:n_spam].tolist())
+    jitter = 1.0 + (uniforms(draw_key(seed, "jitter", id_keys(ids)), 0) * 0.2 - 0.1)
+    return [
+        Worker(w, spammer=True, time_scale=SPAMMER_TIME_SCALE) if i in spammers
+        else Worker(w, recall_scale=float(jitter[i]))
+        for i, w in enumerate(ids)
+    ]
 
 
 def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.ndarray:
@@ -421,8 +429,8 @@ def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.
     labels = np.asarray(labels, dtype=np.uint64)
     if hard_fraction <= 0.0:
         return np.zeros((len(video_ids), len(labels)), dtype=bool)
-    keys = np.array([id_key(v) for v in video_ids], dtype=np.uint64)
-    return uniforms(draw_key(master_seed, keys, "hard-pair")[:, None], labels) < hard_fraction
+    keys = draw_key(master_seed, id_keys(video_ids), "hard-pair")
+    return uniforms(keys[:, None], labels) < hard_fraction
 
 
 def _select_members(members, probs, draws) -> tuple[int, ...]:
@@ -473,7 +481,8 @@ def simulate_block(
     subset index, stream) and count question ids, member label ids or gold
     ordinals, so a task's events depend neither on the rest of the block
     nor on its slot order. The table is built on the `worker_ids` and
-    `video_ids` vocabularies, which hold the block's workers and videos.
+    `video_ids` vocabularies, which hold the block's workers and videos;
+    each vocabulary's row map and keys are built once and cached.
     """
     questions = list(questions)
     k = len(questions)
@@ -492,10 +501,11 @@ def simulate_block(
     members = [m for q in questions for m in q.members]
     starts = np.cumsum([0] + [len(q.members) for q in questions[:-1]])
     truth, hard = truth[:, members], hard[:, members]
-    ids = [v.video_id for v in videos]
-    worker_keys = np.array([id_key(w.worker_id) for w in workers], dtype=np.uint64)
-    video_keys = np.array([id_key(v) for v in ids], dtype=np.uint64)
-    task = draw_key(seed, worker_keys, video_keys, iteration, subset_index)[:, None]
+    worker_row, worker_keys = _vocabulary(tuple(worker_ids))
+    video_row, video_keys = _vocabulary(tuple(video_ids))
+    worker = np.array([worker_row[w.worker_id] for w in workers])
+    video = np.array([video_row[v.video_id] for v in videos])
+    task = draw_key(seed, worker_keys[worker], video_keys[video], iteration, subset_index)[:, None]
 
     def draws(stream: str, counters) -> np.ndarray:
         return uniforms(fold(task, id_key(stream)), np.asarray(counters, dtype=np.uint64))
@@ -556,11 +566,7 @@ def simulate_block(
     gate[gold] = gold_gates[owner[gold], ordinal[gold]]
     mask = np.where(gate, np.where(gold, np.uint64(1), answers[owner, j]), 0)
 
-    worker_row = {w: i for i, w in enumerate(worker_ids)}
-    video_row = {v: i for i, v in enumerate(video_ids)}
-    worker = np.array([worker_row[w.worker_id] for w in workers])[owner]
-    video = np.array([video_row[v] for v in ids])[owner]
-    return EventTable(worker_ids, video_ids, worker, video, question, gate, mask,
+    return EventTable(worker_ids, video_ids, worker[owner], video[owner], question, gate, mask,
                       (total / k)[owner], np.full(len(owner), iteration), gold)
 
 
@@ -572,24 +578,26 @@ def make_random_truth(
     duration_seconds: float = 30.1,
     min_labels: int = 0,
 ) -> list[VideoTruth]:
-    """Synthetic ground truth: each label positive independently at rate g/N."""
+    """Synthetic ground truth for videos v00000, v00001, ...: each label
+    positive independently at rate g/N, by a uniform keyed by (seed, video,
+    label).
+
+    A video with fewer than `min_labels` positives takes the first
+    `min_labels` labels of `order` over those same uniforms: its positives,
+    then the labels that came closest to positive.
+    """
     if not 0 < prevalence < label_count:
         raise ValueError("prevalence must lie in (0, label_count)")
-    rng = substream(seed, "truth", n_videos, label_count)
-    p = prevalence / label_count
+    if min_labels > label_count:
+        raise ValueError(f"min_labels {min_labels} exceeds label_count {label_count}")
+    ids = [f"v{i:05d}" for i in range(n_videos)]
+    keys = draw_key(seed, "truth", id_keys(ids)[:, None], id_keys(range(label_count)))
     truths = []
-    for i in range(n_videos):
-        mask = rng.random(label_count) < p
-        labels = set(np.flatnonzero(mask).tolist())
-        while len(labels) < min_labels:
-            labels.add(int(rng.integers(label_count)))
-        truths.append(
-            VideoTruth(
-                video_id=f"v{i:05d}",
-                duration_seconds=duration_seconds,
-                labels=frozenset(labels),
-            )
-        )
+    for video_id, positive in zip(ids, uniforms(keys, 0) < prevalence / label_count):
+        labels = np.flatnonzero(positive)
+        if len(labels) < min_labels:
+            labels = order(seed, range(label_count), "truth", video_id)[:min_labels]
+        truths.append(VideoTruth(video_id, duration_seconds, frozenset(labels.tolist())))
     return truths
 
 

@@ -239,3 +239,24 @@ def test_config_rejects_unknown_keys(tmp_path, doc, key):
     config.write_text(json.dumps(doc))
     with pytest.raises(SystemExit, match=f"annocamp calibrate: config: unknown {key}"):
         main(["calibrate", "--config", str(config)])
+
+
+@pytest.mark.parametrize(
+    "doc, section",
+    [
+        ({"time_model": {"b": 1}}, "time_model: missing key 'a'"),
+        ({"anchors": [{"k": 1}]}, "anchors: missing key 'recall'"),
+        ({"budget": 5}, "budget: "),
+        ({"modifiers": 5}, "modifiers: "),
+    ],
+    ids=["time_model", "anchors", "budget", "modifiers"],
+)
+def test_config_malformed_section_is_one_line(tmp_path, sample_videos, doc, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config), "--videos", sample_videos, "--k", "5",
+              "--out", str(tmp_path / "events.csv")])
+    message = str(exc.value)
+    assert message.startswith(f"annocamp simulate: config: {section}")
+    assert "\n" not in message

@@ -9,7 +9,7 @@ import pytest
 from annocamp.campaign import pack_hits, run_campaign
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, metrics, truth_matrix
-from annocamp.seeding import draw_key, id_key, uniforms
+from annocamp.seeding import draw_key, id_key, order, uniforms
 from annocamp.taxonomy import partition_questions, singleton_taxonomy
 from annocamp.workersim import default_behavior, hard_pairs, make_random_truth
 
@@ -64,6 +64,16 @@ def test_hard_mask_matches_scalar_and_fraction():
     se = np.sqrt(h * (1 - h) / mask.size)
     assert abs(mask.mean() - h) < 4 * se
     assert not hard_pairs(11, ["v0"], range(52), 0.0).any()
+
+
+def test_order_hits_every_permutation_uniformly():
+    seeds = 6000
+    seen = Counter(tuple(order(seed, ["a", "b", "c"], "tag").tolist()) for seed in range(seeds))
+    assert set(seen) == set(itertools.permutations(range(3)))
+    p = 1 / 6
+    se = np.sqrt(p * (1 - p) / seeds)
+    for count in seen.values():
+        assert abs(count / seeds - p) < 4 * se
 
 
 def test_k3_slot_orders_are_uniform_permutations():

@@ -355,6 +355,12 @@ def test_worker_pool_fraction_validation():
         sample_worker_pool(10, default_behavior(), 1.5, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_worker_pool_needs_a_worker(n):
+    with pytest.raises(ValueError, match="at least one worker"):
+        sample_worker_pool(n, default_behavior(), 0.0, seed=0)
+
+
 def test_spammer_gold_recall_is_half():
     tax = singleton_taxonomy(52)
     spammer = Worker("spam", spammer=True, time_scale=0.2)
@@ -395,6 +401,23 @@ def test_make_random_truth_prevalence():
     assert mean == pytest.approx(3.7, abs=0.15)
     forced = make_random_truth(500, 52, 3.7, seed=2, min_labels=1)
     assert all(len(t.labels) >= 1 for t in forced)
+
+
+def test_make_random_truth_rejects_unreachable_min_labels():
+    with pytest.raises(ValueError, match="min_labels 6 exceeds label_count 5"):
+        make_random_truth(3, 5, 1.0, seed=0, min_labels=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(0, 20),
+    m=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+    min_labels=st.integers(0, 4),
+)
+def test_make_random_truth_is_a_prefix_of_a_longer_draw(n, m, seed, min_labels):
+    longer = make_random_truth(n + m, 52, 3.7, seed, min_labels=min_labels)
+    assert make_random_truth(n, 52, 3.7, seed, min_labels=min_labels) == longer[:n]
 
 
 def test_load_truths_reads_every_field(tmp_path):
