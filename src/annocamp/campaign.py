@@ -233,7 +233,6 @@ def simulate_campaign(
     model: TimeModel = DEFAULT_TIME_MODEL,
     budget: HitBudget = HitBudget(),
     pool=None,
-    known_positives: dict | None = None,
     blacklist=(),
 ):
     """Simulate `iterations` complete passes; yields one event table per pass.
@@ -248,8 +247,9 @@ def simulate_campaign(
     truths = list(truths)
     by_id = {t.video_id: t for t in truths}
     plan = partition_questions(tax, k, seed)
-    if modifiers.positive_bias and known_positives is None:
-        known_positives = {t.video_id: gate_positives(tax, t) for t in truths}
+    known_positives = (
+        {t.video_id: gate_positives(tax, t) for t in truths} if modifiers.positive_bias else None
+    )
     hits = pack_hits(
         [t.video_id for t in truths],
         plan,
@@ -532,14 +532,6 @@ def build_verification_queue(
 # Bundled experiments
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS = (
-    "question-count-sweep",
-    "expected-recall-budget",
-    "multi-iteration",
-    "length-breakdown",
-    "worker-correlations",
-)
-
 _SWEEP_KS = (1, 2, 3, 5, 7, 10, 15, 26, 52)
 
 
@@ -724,6 +716,7 @@ _EXPERIMENT_RUNNERS = {
     "length-breakdown": _experiment_length_breakdown,
     "worker-correlations": _experiment_worker_correlations,
 }
+EXPERIMENTS = tuple(_EXPERIMENT_RUNNERS)
 
 
 def reproduce(name: str, seed: int, out_path, **overrides) -> Path:

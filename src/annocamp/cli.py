@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import campaign, costmodel, evaluate, planner, taxonomy, workersim
-from .output import atomic_open, write_csv
+from .output import atomic_open, read_records, write_csv
 
 
 def sample_taxonomy_path() -> Path:
@@ -303,25 +303,8 @@ def cmd_plan(args, config: Config) -> int:
     return 0
 
 
-def _read_records(path, columns, parse) -> list:
-    """parse(row) for each row of a CSV that has `columns`; a missing column
-    or a bad value is a one-line ValueError naming the file (and line)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        records = []
-        for row in reader:
-            try:
-                records.append(parse(row))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records
-
-
 def cmd_qc(args, config: Config) -> int:
-    stats = _read_records(
+    stats = read_records(
         args.stats,
         ("worker", "tasks", "median_seconds", "gold_recall", "positive_rate"),
         lambda row: campaign.WorkerStats(
@@ -351,7 +334,7 @@ def cmd_verify_queue(args, config: Config) -> int:
     matrix = evaluate.aggregate(events, tax)
     done = set()
     if args.done:
-        done = set(_read_records(
+        done = set(read_records(
             args.done, ("video", "label"), lambda row: (row["video"], int(row["label"]))
         ))
     queue = campaign.build_verification_queue(

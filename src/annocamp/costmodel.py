@@ -8,13 +8,14 @@ bundled default (a=14.1, b=1.15) was fitted on measured worker timings for
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .output import read_records
 
 REFERENCE_VIDEO_SECONDS = 30.1
 
@@ -148,19 +149,12 @@ def scale_base_for_duration(
 
 def read_timings_csv(source: str | Path) -> list[TimingObservation]:
     """Read observations from a `questions,seconds[,video_seconds]` CSV."""
-    rows = []
-    with open(source, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for i, row in enumerate(reader, start=2):
-            try:
-                video_seconds = row.get("video_seconds") or REFERENCE_VIDEO_SECONDS
-                rows.append(
-                    TimingObservation(
-                        questions=int(row["questions"]),
-                        seconds=float(row["seconds"]),
-                        video_seconds=float(video_seconds),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{source}: bad timing row at line {i}: {exc}") from exc
-    return rows
+    return read_records(
+        source,
+        ("questions", "seconds"),
+        lambda row: TimingObservation(
+            questions=int(row["questions"]),
+            seconds=float(row["seconds"]),
+            video_seconds=float(row.get("video_seconds") or REFERENCE_VIDEO_SECONDS),
+        ),
+    )

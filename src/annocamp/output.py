@@ -1,7 +1,10 @@
-"""Atomic output files: the one place the package opens a file for writing.
+"""CSV files in and out: atomic writes and the one record reader.
 
-A file appears at its path complete or not at all: contents go to a
-temporary file in the same directory, which then replaces the path.
+This is the one place the package opens a file for writing. A file appears
+at its path complete or not at all: contents go to a temporary file in the
+same directory, which then replaces the path. `read_records` reads the
+small CSV inputs (timings, worker stats, verified pairs); bad input is a
+one-line error that names the file and the physical line.
 """
 
 from __future__ import annotations
@@ -37,3 +40,20 @@ def write_csv(path, header, rows) -> Path:
         writer.writerow(header)
         writer.writerows(rows)
     return Path(path)
+
+
+def read_records(path, columns, parse) -> list:
+    """parse(row) for each row of a CSV that has `columns`; a missing column
+    or a bad value is a one-line ValueError naming the file (and line)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        records = []
+        for row in reader:
+            try:
+                records.append(parse(row))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records

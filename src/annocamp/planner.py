@@ -81,18 +81,13 @@ def plan_iteration_minutes(
         if observed is not None
         else iteration_time(model, k, behavior.qtop) / 60.0
     )
-    if modifiers.any:
-        adjusted = apply_modifiers(behavior, modifiers, k)
-        minutes = minutes * adjusted.time_ratio + adjusted.extra_seconds / 60.0
-    return minutes
+    adjusted = apply_modifiers(behavior, modifiers, k)
+    return minutes * adjusted.time_ratio + adjusted.extra_seconds / 60.0
 
 
 def _predict(behavior: WorkerBehavior, k: int, n: int, modifiers: ModifierSet):
-    if modifiers.any:
-        adjusted = apply_modifiers(behavior, modifiers, k)
-        r, f = adjusted.recall, adjusted.fp_rate
-    else:
-        r, f = behavior.recall(k), behavior.fp_rate(k)
+    adjusted = apply_modifiers(behavior, modifiers, k)
+    r, f = adjusted.recall, adjusted.fp_rate
     recall = mixture_union_recall(
         r, n, behavior.hard_fraction, behavior.hard_recall_multiplier
     )
@@ -133,19 +128,22 @@ def enumerate_plans(
     model: TimeModel,
     constraint: BudgetConstraint,
     k_values,
-    max_n: int,
+    max_n: int | None = None,
     beneficial_only: bool = False,
 ) -> list[Plan]:
-    """All (k, n, modifiers) combinations whose time fits the budget."""
+    """All (k, n, modifiers) combinations whose time fits the budget, with at
+    most `max_n` passes (None: as many as the budget buys)."""
     k_values = list(k_values)
-    if not k_values or max_n < 1:
+    if not k_values or (max_n is not None and max_n < 1):
         raise ValueError("need at least one k value and max_n >= 1")
     budget = constraint.max_minutes_per_video
     plans = []
     for k in k_values:
         for modifiers in modifier_options(k, beneficial_only):
             minutes = plan_iteration_minutes(behavior, model, k, modifiers)
-            top = min(max_n, int(budget / minutes + 1e-9))
+            top = int(budget / minutes + 1e-9)
+            if max_n is not None:
+                top = min(max_n, top)
             for n in range(1, top + 1):
                 plans.append(_build_plan(behavior, model, k, n, modifiers))
     if not plans:
@@ -172,13 +170,6 @@ def optimize(
     """
     if k_values is None:
         k_values = [k for k, _ in behavior.recall_points]
-    if max_n is None:
-        least = min(
-            plan_iteration_minutes(behavior, model, k, mods)
-            for k in k_values
-            for mods in modifier_options(k, beneficial_only=True)
-        )
-        max_n = max(1, int(constraint.max_minutes_per_video / least + 1e-9))
     plans = enumerate_plans(
         behavior, model, constraint, k_values, max_n, beneficial_only=True
     )

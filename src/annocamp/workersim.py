@@ -17,7 +17,6 @@ reconciles single-pass anchors with measured multi-pass recall.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import chain
@@ -73,13 +72,9 @@ class ModifierSet:
     summary_prompt: bool = field(default=False, metadata={"label": "summary"})
     forced_response: bool = field(default=False, metadata={"label": "forced"})
 
-    def __post_init__(self):
-        # `any` is read once per simulated task, so it is computed once here.
-        object.__setattr__(self, "_any", any(getattr(self, name) for name, _ in MODIFIERS))
-
     @property
     def any(self) -> bool:
-        return self._any
+        return any(getattr(self, name) for name, _ in MODIFIERS)
 
     def label(self) -> str:
         names = [short for name, short in MODIFIERS if getattr(self, name)]
@@ -124,17 +119,22 @@ def fp_rate_from_precision(recall: float, precision: float, prevalence: float, q
     return min(1.0, f)
 
 
-def easy_recall(r: float, hard_fraction: float, hard_multiplier: float) -> float:
-    """Inflate r so the hard/easy mixture has marginal single-pass recall r."""
+def easy_recall(r, hard_fraction, hard_multiplier):
+    """Inflate r so the hard/easy mixture has marginal single-pass recall r.
+
+    The arguments broadcast as numpy arrays; a mixture with no easy mass
+    left (denominator <= 0) has easy recall 0.
+    """
     denom = (1.0 - hard_fraction) + hard_fraction * hard_multiplier
-    return min(1.0, r / denom) if denom > 0 else 0.0
+    return np.minimum(1.0, r / np.where(denom > 0, denom, np.inf))
 
 
-def mixture_union_recall(r: float, n: int, hard_fraction: float, hard_multiplier: float) -> float:
+def mixture_union_recall(r, n: int, hard_fraction, hard_multiplier):
     """Expected recall after n union-aggregated passes at single-pass recall r.
 
     A fraction `hard_fraction` of positive pairs is found at a reduced rate;
-    the easy-pair rate is inflated so the single-pass marginal stays r.
+    the easy-pair rate is inflated so the single-pass marginal stays r. r,
+    `hard_fraction` and `hard_multiplier` broadcast as numpy arrays.
     """
     h = hard_fraction
     m = hard_multiplier
@@ -144,10 +144,8 @@ def mixture_union_recall(r: float, n: int, hard_fraction: float, hard_multiplier
     return easy_term + hard_term
 
 
-@lru_cache(maxsize=4096)
 def _interp(points: tuple[tuple[int, float], ...], k: int) -> float:
-    ks = [p[0] for p in points]
-    vs = [p[1] for p in points]
+    ks, vs = zip(*points)
     return float(np.interp(k, ks, vs))
 
 
@@ -228,19 +226,22 @@ def fit_hard_mixture(
 
     Finds (hard_fraction, hard_recall_multiplier) minimizing squared error
     against the observed union recall at the given iteration counts, keeping
-    the single-pass recall anchored at recall(k).
+    the single-pass recall anchored at recall(k). The whole grid is scored
+    at once; the fit is its first point, in (h, m) order, within 1e-15 of
+    the least error.
     """
     r = behavior.recall(k)
-    best = (math.inf, 0.0, 0.0)
-    for h in HARD_FRACTION_GRID:
-        for m in HARD_MULTIPLIER_GRID:
-            sse = sum(
-                (mixture_union_recall(r, n, h, m) - target) ** 2 for n, target in targets
-            )
-            if sse < best[0] - 1e-15:
-                best = (sse, float(h), float(m))
-    _, h, m = best
-    return replace(behavior, hard_fraction=h, hard_recall_multiplier=m)
+    h, m = HARD_FRACTION_GRID[:, None], HARD_MULTIPLIER_GRID[None, :]
+    sse = sum(
+        ((mixture_union_recall(r, n, h, m) - target) ** 2 for n, target in targets),
+        np.zeros((len(HARD_FRACTION_GRID), len(HARD_MULTIPLIER_GRID))),
+    )
+    i, j = np.unravel_index(np.argmax(sse <= sse.min() + 1e-15), sse.shape)
+    return replace(
+        behavior,
+        hard_fraction=float(HARD_FRACTION_GRID[i]),
+        hard_recall_multiplier=float(HARD_MULTIPLIER_GRID[j]),
+    )
 
 
 @dataclass(frozen=True)
@@ -256,12 +257,18 @@ class AdjustedBehavior:
 def apply_modifiers(
     behavior: WorkerBehavior, modifiers: ModifierSet, k: int
 ) -> AdjustedBehavior:
-    """Fold A/B-measured modifier effects into the k-question operating point."""
+    """Fold A/B-measured modifier effects into the k-question operating point.
+
+    With no modifier on, this is the calibrated point itself: recall(k),
+    fp_rate(k), time ratio 1 and no extra seconds.
+    """
     reg = regime(k)
-    r = behavior.recall(k)
-    p = behavior.precision(k)
+    r, f = behavior.recall(k), behavior.fp_rate(k)
     time_ratio = 1.0
     extra_seconds = 0.0
+    if not modifiers.any:
+        return AdjustedBehavior(r, f, time_ratio, extra_seconds)
+    p = behavior.precision(k)
     for name, _ in MODIFIERS:
         if not getattr(modifiers, name):
             continue
@@ -382,10 +389,6 @@ class Worker:
 SPAMMER_YES_RATE = 0.5
 SPAMMER_TIME_SCALE = 0.2
 
-# Pure-function caches for the per-task hot path.
-_scaled_model = lru_cache(maxsize=512)(scale_base_for_duration)
-_cached_adjust = lru_cache(maxsize=512)(apply_modifiers)
-
 
 @lru_cache(maxsize=4)
 def _vocabulary(ids: tuple) -> tuple[dict, np.ndarray]:
@@ -488,13 +491,12 @@ def simulate_block(
     k = len(questions)
     if k == 0:
         raise ValueError("a task needs at least one question")
-    adjusted = _cached_adjust(behavior, modifiers, k) if modifiers.any else None
-    r = adjusted.recall if adjusted else behavior.recall(k)
-    f = adjusted.fp_rate if adjusted else behavior.fp_rate(k)
-    h, hard_mult = behavior.hard_fraction, behavior.hard_recall_multiplier
-    scales = [w.recall_scale for w in workers]
-    inflated = {s: easy_recall(min(1.0, r * s), h, hard_mult) for s in set(scales)}
-    r_easy = np.array([inflated[s] for s in scales])[:, None]
+    adjusted = apply_modifiers(behavior, modifiers, k)
+    f, hard_mult = adjusted.fp_rate, behavior.hard_recall_multiplier
+    scales = np.array([w.recall_scale for w in workers])
+    r_easy = easy_recall(
+        np.minimum(1.0, adjusted.recall * scales), behavior.hard_fraction, hard_mult
+    )[:, None]
     spammer = np.array([w.spammer for w in workers])
 
     # Question j owns the member columns from starts[j] on.
@@ -542,11 +544,10 @@ def simulate_block(
     u = draws("elapsed", [0, 1])
     noise = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
     durations = [v.duration_seconds for v in videos]
-    seconds = {d: task_time(_scaled_model(model, d), k) for d in set(durations)}
+    seconds = {d: task_time(scale_base_for_duration(model, d), k) for d in set(durations)}
     total = np.array([seconds[d] for d in durations]) * np.exp(ELAPSED_SIGMA * noise)
     total *= behavior.speed_multiplier * np.array([w.time_scale for w in workers])
-    if adjusted:
-        total = total * adjusted.time_ratio + adjusted.extra_seconds
+    total = total * adjusted.time_ratio + adjusted.extra_seconds
 
     # One row per slot. A gold duplicate repeats a question known positive
     # for the video; its gate is drawn by its ordinal among the task's gold

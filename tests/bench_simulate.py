@@ -45,3 +45,8 @@ def test_simulate_one_pass(benchmark, tax, pool, k, videos):
 
     events = benchmark(one_pass)
     assert len(events) == videos * 52
+
+
+def test_fit_hard_mixture(benchmark):
+    behavior = benchmark(fit_hard_mixture, default_behavior())
+    assert behavior.correlated

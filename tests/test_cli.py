@@ -33,6 +33,20 @@ def test_fit_time(tmp_path, sample_timings):
     assert abs(doc["b"] - 1.15) / 1.15 < 0.10
 
 
+def test_fit_time_bad_row_names_its_physical_line(tmp_path):
+    timings = tmp_path / "timings.csv"
+    timings.write_text("questions,seconds\n1,15\n\n\n52,abc\n")
+    with pytest.raises(SystemExit, match=r"annocamp fit-time: .*timings.csv: line 5: could not convert"):
+        main(["fit-time", "--timings", str(timings)])
+
+
+def test_fit_time_missing_column_is_named(tmp_path):
+    timings = tmp_path / "timings.csv"
+    timings.write_text("questions,video_seconds\n1,30.1\n52,30.1\n")
+    with pytest.raises(SystemExit, match=r"annocamp fit-time: .*timings.csv: missing columns \['seconds'\]"):
+        main(["fit-time", "--timings", str(timings)])
+
+
 def test_calibrate_fits_mixture(tmp_path):
     out = tmp_path / "behavior.json"
     run(["calibrate", "--out", str(out)])

@@ -46,6 +46,8 @@ def test_enumerate_reference_budget(behavior):
     plans = enumerate_plans(behavior, DEFAULT_TIME_MODEL, constraint, [1, 52], max_n=10)
     max_n_52 = max(p.iterations for p in plans if p.k == 52 and not p.modifiers.any)
     assert max_n_52 == 7  # floor(8.61 / 1.10)
+    # Below the cap, max_n=None (as many passes as the budget buys) agrees.
+    assert enumerate_plans(behavior, DEFAULT_TIME_MODEL, constraint, [1, 52]) == plans
     k1 = [p for p in plans if p.k == 1]
     assert {p.iterations for p in k1} == {1}
 

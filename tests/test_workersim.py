@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,8 @@ from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.cli import sample_taxonomy_path
 from annocamp.workersim import (
     DEFAULT_ANCHORS,
+    HARD_FRACTION_GRID,
+    HARD_MULTIPLIER_GRID,
     AccuracyAnchor,
     ModifierSet,
     VideoTruth,
@@ -18,6 +22,7 @@ from annocamp.workersim import (
     apply_modifiers,
     calibrate,
     default_behavior,
+    easy_recall,
     fit_hard_mixture,
     fp_rate_from_precision,
     hard_pairs,
@@ -169,6 +174,42 @@ def test_fit_hard_mixture_hits_reference_points():
     assert 1 - 0.55**5 > 0.853 + 0.02
 
 
+def test_mixture_without_easy_mass_finds_nothing():
+    # h = 1, m = 0 leaves no detectable pair: the easy-recall denominator is 0.
+    assert easy_recall(0.5, 1.0, 0.0) == 0.0
+    assert mixture_union_recall(0.5, 3, 1.0, 0.0) == 0.0
+    assert easy_recall(0.5, np.array([0.0, 1.0]), 0.0).tolist() == [0.5, 0.0]
+
+
+def _fit_by_loop(r, targets):
+    """The grid search as a loop over scalars, first strict improvement by
+    more than 1e-15 kept: the reference for the vectorized fit."""
+    best = (math.inf, 0.0, 0.0)
+    for h in HARD_FRACTION_GRID.tolist():
+        for m in HARD_MULTIPLIER_GRID.tolist():
+            denom = (1.0 - h) + h * m
+            r_easy = min(1.0, r / denom) if denom > 0 else 0.0
+            sse = sum(
+                ((1.0 - h) * (1.0 - (1.0 - r_easy) ** n)
+                 + h * (1.0 - (1.0 - m * r_easy) ** n) - target) ** 2
+                for n, target in targets
+            )
+            if sse < best[0] - 1e-15:
+                best = (sse, h, m)
+    return best[1:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    targets=st.lists(st.tuples(st.integers(1, 10), st.floats(0.0, 1.0)), max_size=3),
+)
+def test_fit_hard_mixture_matches_grid_loop(r, targets):
+    behavior = WorkerBehavior(recall_points=((52, r),), fp_points=((52, 0.01),))
+    fitted = fit_hard_mixture(behavior, targets=targets)
+    assert (fitted.hard_fraction, fitted.hard_recall_multiplier) == _fit_by_loop(r, targets)
+
+
 def test_mixture_union_converges_to_reachable_mass():
     # With undetectable hard pairs the union saturates at 1 - h.
     h = 0.2
@@ -192,12 +233,15 @@ def test_hard_pairs_shared_across_workers():
 
 
 def test_apply_modifiers_identity():
+    # Exact: the planner and the simulator read the unmodified operating
+    # point through apply_modifiers.
     b = default_behavior()
-    adj = apply_modifiers(b, NONE, 52)
-    assert adj.recall == pytest.approx(b.recall(52))
-    assert adj.fp_rate == pytest.approx(b.fp_rate(52))
-    assert adj.time_ratio == 1.0
-    assert adj.extra_seconds == 0.0
+    for k in (1, 3, 26, 52):
+        adj = apply_modifiers(b, NONE, k)
+        assert adj.recall == b.recall(k)
+        assert adj.fp_rate == b.fp_rate(k)
+        assert adj.time_ratio == 1.0
+        assert adj.extra_seconds == 0.0
 
 
 def test_positive_bias_recall_ratio_few_questions():
