@@ -9,12 +9,14 @@ for outlier flagging, and drives the bundled desk-scale experiments.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import logging
 import math
 import statistics
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -38,13 +40,14 @@ from .evaluate import (
     metrics,
     truth_matrix,
 )
-from .output import write_csv
+from .output import atomic_open, write_csv
 from .planner import FEW_QUESTION_BUNDLE, NO_MODIFIERS, plan_iteration_minutes
-from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
+from .seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from .taxonomy import (
     SubsetPlan,
     Taxonomy,
     expand_answer,
+    mask_members,
     member_table,
     members_mask,
     partition_questions,
@@ -54,6 +57,7 @@ from .taxonomy import (
 from .workersim import (
     DEFAULT_PREVALENCE,
     EVENT_FIELDS,
+    ROW_CHUNK,
     EventTable,
     ModifierSet,
     VideoTruth,
@@ -148,14 +152,24 @@ def pack_hits(
     if positive_bias and not known_positives:
         raise ValueError("positive bias requires known positive questions per video")
     qtop = sum(len(s) for s in subset_plan.subsets)
+    video_keys = id_keys(video_ids)
     hits = []
     for subset_index, subset in enumerate(subset_plan.subsets):
         size = len(subset)
         per_hit = videos_per_hit(model, size, budget)
-        shuffled = [video_ids[i] for i in order(seed, video_ids, "pack", subset_index)]
+        # The shuffle order(seed, video_ids, "pack", subset_index) draws.
+        packed = key_order(draw_key(seed, "pack", subset_index, video_keys))
+        shuffled, shuffled_keys = [video_ids[i] for i in packed], video_keys[packed]
         subset_key = draw_key(seed, subset_index)
         in_order = tuple(QuestionSlot(qid) for qid in subset)
-        for chunk_index, chunk_start in enumerate(range(0, len(shuffled), per_hit)):
+        starts = range(0, len(shuffled), per_hit)
+        if grouping and size > 1:
+            # One question order shared by every video of a HIT: chunk c's is
+            # order(seed, subset, subset_index, c, "order"), all drawn at once.
+            chunk_keys = id_keys(range(len(starts)))[:, None]
+            shared_orders = key_order(draw_key(seed, subset_index, chunk_keys, "order",
+                                             id_keys(subset))).tolist()
+        for chunk_index, chunk_start in enumerate(starts):
             chunk = shuffled[chunk_start : chunk_start + per_hit]
             hit_id = f"hit-{subset_index:03d}-{chunk_index:05d}"
             gold_by_video = {v: () for v in chunk}
@@ -175,9 +189,7 @@ def pack_hits(
                     gold_by_video[video] += (slot,)
             base = in_order
             if grouping and size > 1:
-                # One question order shared by every video of the HIT.
-                shared = order(seed, subset, subset_index, chunk_index, "order")
-                base = tuple(in_order[i] for i in shared)
+                base = tuple(in_order[i] for i in shared_orders[chunk_index])
             slots = [base + gold_by_video[v] for v in chunk]
             # Slots are shuffled unless they are one question or a shared
             # order without gold: all rows of the chunk at once, by argsort of
@@ -188,7 +200,8 @@ def pack_hits(
             shuffle = [len(e) > 1 and (len(e) > size or not grouping) for e in slots]
             if any(shuffle):
                 width = np.arange(max(map(len, slots)))
-                u = uniforms(fold(subset_key, id_keys(chunk), id_key("slots"))[:, None], width)
+                keys = shuffled_keys[chunk_start : chunk_start + per_hit]
+                u = uniforms(fold(subset_key, keys, id_key("slots"))[:, None], width)
                 u[width >= np.array([len(e) for e in slots])[:, None]] = 2.0
                 orders = np.argsort(u, axis=1).tolist()
                 for row, e in enumerate(slots):
@@ -309,24 +322,151 @@ def run_campaign(*args, **kwargs) -> EventTable:
 # ---------------------------------------------------------------------------
 
 
-# The rows of one task share its elapsed time, so a cache formats each value
-# about once; zeros are formatted apart, as 0.0 == -0.0.
-_float_text = lru_cache(maxsize=1024)(repr)
+logger = logging.getLogger(__name__)
+
+# Folded into every sidecar key, so a sidecar of another layout never matches.
+SIDECAR_FORMAT = b"annocamp events table 1"
 
 
-def _csv_row(row) -> tuple:
-    """One event row as CSV fields."""
-    worker, video, question, gate, members, elapsed, iteration, gold = row
-    text = _float_text(elapsed) if elapsed else repr(elapsed)
-    return (worker, video, question, int(gate), ";".join(map(str, members)), text,
-            iteration, int(gold))
+def sidecar_path(events) -> Path:
+    """The table sidecar of an events CSV: `<events>.npz`, beside it."""
+    events = Path(events)
+    return events.with_name(events.name + ".npz")
+
+
+def _sidecar_key(csv_digest: bytes, tax: Taxonomy) -> np.ndarray:
+    """The CSV's digest, then a digest of the question table ingest reads it by."""
+    questions = repr([(q.id, q.members) for q in tax.questions]).encode()
+    tax_digest = hashlib.blake2b(SIDECAR_FORMAT + questions, digest_size=16).digest()
+    return np.frombuffer(csv_digest + tax_digest, np.uint8)
+
+
+def _csv_digest(data: bytes = b""):
+    """The blake2b hash of CSV bytes that a sidecar key starts with."""
+    return hashlib.blake2b(data, digest_size=32)
+
+
+def _save_sidecar(events, key: np.ndarray, table: EventTable) -> None:
+    """Save `table` under `key` as the CSV's sidecar; where no file can be
+    written, there is no sidecar."""
+    arrays = {f.name: getattr(table, f.name) for f in EVENT_FIELDS}
+    for name in ("worker_ids", "video_ids"):
+        encoded = [i.encode() for i in getattr(table, name)]
+        arrays[name] = np.frombuffer(b"".join(encoded), np.uint8)
+        arrays[name + "_lengths"] = np.array(list(map(len, encoded)), np.int64)
+    try:
+        with atomic_open(sidecar_path(events), binary=True) as fh:
+            np.savez(fh, allow_pickle=False, key=key, **arrays)
+    except OSError as exc:
+        logger.debug("no table sidecar for %s: %s", events, exc)
+
+
+def _load_sidecar(events, key: np.ndarray) -> EventTable | None:
+    """The table of the CSV's sidecar if it holds `key`; None if it is
+    missing, stale or unreadable (with a warning)."""
+    path = sidecar_path(events)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if not np.array_equal(npz["key"], key):
+                return None
+            vocabularies = []
+            for name in ("worker_ids", "video_ids"):
+                data, ends = npz[name].tobytes(), np.cumsum(npz[name + "_lengths"]).tolist()
+                vocabularies.append(tuple(data[a:b].decode() for a, b in zip([0, *ends], ends)))
+            return EventTable(*vocabularies, *(npz[f.name] for f in EVENT_FIELDS))
+    except FileNotFoundError:
+        return None
+    except Exception as exc:  # whatever is wrong with the file, the CSV stands in
+        logger.warning("ignoring table sidecar %s: %s", path, exc)
+        return None
+
+
+def _csv_fields(ids) -> tuple[list[str], bool]:
+    """Each id as csv.writer writes it inside a row, and whether all of them
+    read back unchanged (csv.writer leaves a lone carriage return unquoted)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for i in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((i, ""))  # the empty second field keeps an empty id unquoted
+        fields.append(buf.getvalue()[:-2])
+    try:
+        back = csv.reader(io.StringIO("".join(f + ",\n" for f in fields), newline=""))
+        return fields, list(back) == [[i, ""] for i in ids]
+    except csv.Error:
+        return fields, False
+
+
+def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The ids that `codes` use, numbered by first use as `ingest` numbers
+    them, and the codes on that vocabulary."""
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    names = [ids[u] for u in used.tolist()]
+    index: dict = {}
+    for rank in np.argsort(first).tolist():
+        index.setdefault(names[rank], len(index))
+    return tuple(index), np.array([index[n] for n in names], np.int64)[inverse]
+
+
+def _answer_columns(answers: list, code) -> tuple:
+    """The question, gate and members columns of answer codes into `answers`."""
+    return tuple(
+        np.array([a[i] for a in answers], dtype)[code]
+        for i, dtype in enumerate((np.int64, bool, np.uint64))
+    )
 
 
 def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
-    """Write an event table as CSV; the `gold` column appears iff a row is gold."""
-    header = EVENT_COLUMNS + (("gold",) if table.gold.any() else ())
-    fields = itemgetter(slice(len(header)))
-    write_csv(path, header, map(fields, map(_csv_row, table.rows(tax))))
+    """Write an event table as CSV; the `gold` column appears iff a row is gold.
+
+    Each column's distinct values are formatted once: ids as csv.writer
+    quotes them, answers (question, gate, members), elapsed times by `repr`
+    (0.0 apart from -0.0) and iterations; the rows are joined ROW_CHUNK at
+    a time. When every id and answer reads back unchanged, the table as
+    `ingest` returns it goes to the CSV's sidecar.
+    """
+    answer, first = group_ids(table.question, table.gate, table.members)
+    answers, texts, valid = [], [], True
+    for q, gate, mask in zip(*(c[first].tolist() for c in (table.question, table.gate, table.members))):
+        raw = (str(q), str(int(gate)), ";".join(map(str, mask_members(tax.question(q), mask))))
+        texts.append(",".join(raw))
+        valid &= not isinstance(_answer_code(tax, raw, answers), str)
+    bits, elapsed = np.unique(table.elapsed.view(np.uint64), return_inverse=True)
+    iterations, iteration = np.unique(table.iteration, return_inverse=True)
+    (workers, workers_ok), (videos, videos_ok) = map(_csv_fields, (table.worker_ids, table.video_ids))
+    columns = [
+        (workers, table.worker),
+        (videos, table.video),
+        (texts, answer),
+        (list(map(repr, bits.view(np.float64).tolist())), elapsed),
+        (list(map(str, iterations.tolist())), iteration),
+    ]
+    gold = table.gold.any()
+    if gold:
+        columns.append((["0", "1"], table.gold.view(np.uint8)))
+    columns = [(np.array(values, object), codes) for values, codes in columns]
+    header = ",".join(EVENT_COLUMNS + (("gold",) if gold else ())) + "\n"
+    digest = _csv_digest()
+    with atomic_open(path, binary=True) as fh:
+        chunks = (
+            "".join([",".join(row) + "\n" for row in zip(*(
+                values[codes[start : start + ROW_CHUNK]].tolist() for values, codes in columns
+            ))])
+            for start in range(0, len(table), ROW_CHUNK)
+        )
+        for text in chain([header], chunks):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    if valid and workers_ok and videos_ok:
+        worker_ids, worker = _first_seen(table.worker_ids, table.worker)
+        video_ids, video = _first_seen(table.video_ids, table.video)
+        parsed = EventTable(worker_ids, video_ids, worker, video,
+                            *_answer_columns(answers, answer), table.elapsed,
+                            table.iteration, table.gold)
+        _save_sidecar(path, _sidecar_key(digest.digest(), tax), parsed)
 
 
 def _parse_bool(raw: str, column: str) -> bool:
@@ -350,6 +490,32 @@ def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
     return len(answers) - 1
 
 
+def _row_problems(table: EventTable, known_videos, lines) -> list[tuple[int, str]]:
+    """(line, reason) for each row the table-wide checks reject: an unknown
+    video, a non-positive or non-finite elapsed time, or a second non-gold
+    answer to one (worker, video, question, iteration). Row r is on line
+    lines[r]."""
+    problems = []
+    unknown = np.zeros(len(table), dtype=bool)
+    if known_videos is not None:
+        known = set(known_videos)
+        unknown = np.isin(table.video, [i for i, v in enumerate(table.video_ids) if v not in known])
+    elapsed = table.elapsed
+    bad = unknown | ~((elapsed > 0) & (elapsed < np.inf))
+    problems += [(lines[r], f"unknown video {table.video_ids[table.video[r]]!r}")
+                 for r in np.flatnonzero(unknown)]
+    problems += [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
+                 for r in np.flatnonzero(bad & ~unknown)]
+    kept = np.flatnonzero(~bad & ~table.gold)
+    columns = (table.worker, table.video, table.iteration, table.question)
+    task, first = group_ids(*(c[kept] for c in columns))
+    original = kept[first[task]]
+    for row, first_row in zip(kept[original != kept], original[original != kept]):
+        problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
+                         f"video, question {table.question[row]} and iteration)"))
+    return problems
+
+
 def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
     """The event table of an event CSV, validated, with its gold column.
 
@@ -358,14 +524,32 @@ def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
     `expand_answer` rejects, an unknown video, a non-positive or non-finite
     elapsed time, or a second non-gold answer to one (worker, video,
     question, iteration).
+
+    The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
+    keyed by the digests of the CSV's bytes and of the taxonomy's questions.
+    A call whose key matches reads the table from there and runs the same
+    row checks on it; any problem sends it to the parse, so an error always
+    names its lines.
     """
+    data = Path(source).read_bytes()
+    key = _sidecar_key(_csv_digest(data).digest(), tax)
+    table = _load_sidecar(source, key)
+    if table is not None and not _row_problems(table, known_videos, range(len(table))):
+        return table
+    table = _parse_events(source, data, tax, known_videos)
+    _save_sidecar(source, key, table)
+    return table
+
+
+def _parse_events(source, data: bytes, tax: Taxonomy, known_videos) -> EventTable:
+    """The validated event table of the CSV bytes `data`, read from `source`."""
     workers: dict[str, int] = {}
     videos: dict[str, int] = {}
     codes: dict[tuple[str, str, str], int | str] = {}  # raw answer -> _answer_code
     answers: list[tuple[int, bool, int]] = []
     fields = array("q")  # worker, video, answer code, iteration and gold of each row
     elapsed, lines, problems = array("d"), array("q"), []
-    with open(source, newline="", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in EVENT_COLUMNS if c not in header]
@@ -397,32 +581,15 @@ def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
             lines.append(reader.line_num)
 
     worker, video, code, iteration, gold = np.frombuffer(fields, np.int64).reshape(-1, 5).T
-    question, gate, members = (
-        np.array([a[i] for a in answers], dtype)[code]
-        for i, dtype in enumerate((np.int64, bool, np.uint64))
-    )
-    elapsed, gold, names = np.frombuffer(elapsed), gold.astype(bool), tuple(videos)
-    unknown = np.zeros(len(elapsed), dtype=bool)
-    if known_videos is not None:
-        known = set(known_videos)
-        unknown = np.isin(video, [i for i, v in enumerate(names) if v not in known])
-    bad = unknown | ~((elapsed > 0) & (elapsed < np.inf))
-    problems += [(lines[r], f"unknown video {names[video[r]]!r}") for r in np.flatnonzero(unknown)]
-    problems += [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
-                 for r in np.flatnonzero(bad & ~unknown)]
-    kept = np.flatnonzero(~bad & ~gold)
-    task, first = group_ids(*(c[kept] for c in (worker, video, iteration, question)))
-    original = kept[first[task]]
-    for row, first_row in zip(kept[original != kept], original[original != kept]):
-        problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
-                         f"video, question {question[row]} and iteration)"))
+    table = EventTable(tuple(workers), tuple(videos), worker, video,
+                       *_answer_columns(answers, code), np.frombuffer(elapsed), iteration, gold)
+    problems += _row_problems(table, known_videos, lines)
     if problems:
         problems.sort()
         shown = "; ".join(f"line {line}: {reason}" for line, reason in problems[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{source}: {shown}{more}")
-    return EventTable(tuple(workers), names, worker, video, question, gate, members,
-                      elapsed, iteration, gold)
+    return table
 
 
 def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:

@@ -23,6 +23,20 @@ def sample_taxonomy_path() -> Path:
     return Path(resources.files("annocamp").joinpath("data/sample_taxonomy.json"))
 
 
+def _correlation_targets(targets) -> tuple[tuple[int, float], ...]:
+    """(passes, union recall) pairs: at least one, each of at least 2 passes
+    and a recall strictly between 0 and 1."""
+    parsed = tuple((int(n), float(r)) for n, r in targets)
+    if not parsed:
+        raise ValueError("need at least one (passes, recall) pair")
+    for n, r in parsed:
+        if n < 2:
+            raise ValueError(f"pass count {n} is below 2")
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"recall {r} at {n} passes is not inside (0, 1)")
+    return parsed
+
+
 class Config:
     """Resolved defaults: taxonomy, time model, calibration, budget.
 
@@ -43,7 +57,7 @@ class Config:
             )
             for a in anchors
         ),
-        "correlation_targets": lambda targets: tuple((int(n), float(r)) for n, r in targets),
+        "correlation_targets": _correlation_targets,
         "prevalence": float,
         "qtop": int,
         "modifiers": lambda doc: workersim.ModifierSet(
@@ -290,7 +304,7 @@ def cmd_plan(args, config: Config) -> int:
             config.time_model(),
             constraint,
             k_values or [k for k, _ in behavior.recall_points],
-            max_n=args.max_n or 10,
+            max_n=args.max_n,
         )
         planner.write_plans_csv(plans, args.out)
         return 0

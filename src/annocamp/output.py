@@ -1,8 +1,8 @@
 """CSV files in and out: atomic writes and the one record reader.
 
-This is the one place the package opens a file for writing. A file appears
-at its path complete or not at all: contents go to a temporary file in the
-same directory, which then replaces the path. `read_records` reads the
+This is the one place the package opens a file for writing, as UTF-8 text
+or as bytes. A file appears at its path complete or not at all: contents go
+to a temporary file in the same directory, which then replaces the path. `read_records` reads the
 small CSV inputs (timings, worker stats, verified pairs); bad input is a
 one-line error that names the file and the physical line.
 """
@@ -17,15 +17,17 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path):
-    """Text handle whose contents replace `path` when the block exits cleanly."""
+def atomic_open(path, binary: bool = False):
+    """Handle whose contents replace `path` when the block exits cleanly: UTF-8
+    text without newline translation, or bytes when `binary`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
     # Mode 0666 lets the umask decide, as open() would; O_EXCL never clobbers.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+        text = {} if binary else {"newline": "", "encoding": "utf-8"}
+        with os.fdopen(fd, "wb" if binary else "w", **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -60,7 +60,11 @@ def uniforms(keys, counters) -> np.ndarray:
     return (fold(keys, counters) >> 11) * 2.0**-53
 
 
+def key_order(keys) -> np.ndarray:
+    """Positions sorted by one counter uniform per key, along the last axis."""
+    return np.argsort(uniforms(keys, 0), axis=-1, kind="stable")
+
+
 def order(master_seed: int, ids, *tags) -> np.ndarray:
-    """A seeded shuffle of ids: positions sorted by one counter uniform per
-    id, keyed by (seed, tags, id)."""
-    return np.argsort(uniforms(draw_key(master_seed, *tags, id_keys(ids)), 0), kind="stable")
+    """A seeded shuffle of ids: `key_order` of the keys (seed, tags, id)."""
+    return key_order(draw_key(master_seed, *tags, id_keys(ids)))

@@ -1,6 +1,8 @@
-"""Micro-benchmarks of the event table's layers: CSV writing, ingest and
-aggregate, on the events of a k=5, two-pass campaign over 150 videos of the
-bundled taxonomy (about 22k rows). Each reports its rows per second.
+"""Micro-benchmarks of the event table's layers: CSV writing, ingest (a CSV
+parse, and a read of the table sidecar `write_events_csv` leaves beside the
+CSV) and aggregate, on the events of a k=5, two-pass campaign over 150
+videos of the bundled taxonomy (about 22k rows). Each reports its rows per
+second.
 
 Not collected by a plain `pytest` run (the file name does not start with
 `test_`); run them explicitly:
@@ -10,7 +12,7 @@ Not collected by a plain `pytest` run (the file name does not start with
 
 import pytest
 
-from annocamp.campaign import ingest, run_campaign, write_events_csv
+from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
 from annocamp.cli import sample_taxonomy_path
 from annocamp.evaluate import aggregate
 from annocamp.taxonomy import load_taxonomy
@@ -57,6 +59,15 @@ def test_write_events_csv(benchmark, tax, events, tmp_path):
 
 
 def test_ingest(benchmark, tax, events, events_csv):
+    # Each call parses: the sidecar is deleted before it.
+    drop_sidecar = lambda: sidecar_path(events_csv).unlink(missing_ok=True)  # noqa: E731
+    table = benchmark.pedantic(ingest, (events_csv, tax), setup=drop_sidecar, rounds=20)
+    assert len(table) == len(events)
+    report_rows(benchmark, len(events))
+
+
+def test_ingest_sidecar(benchmark, tax, events, events_csv):
+    write_events_csv(events, tax, events_csv)
     table = benchmark(ingest, events_csv, tax)
     assert len(table) == len(events)
     report_rows(benchmark, len(events))

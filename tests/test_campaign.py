@@ -1,7 +1,12 @@
+import contextlib
 import csv
 import dataclasses
+import errno
+import io
+import logging
 import math
 import statistics
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from annocamp.campaign import (
     qc_flag,
     reproduce,
     run_campaign,
+    sidecar_path,
     simulate_campaign,
     worker_stats_from_events,
     write_events_csv,
@@ -28,8 +34,10 @@ from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, task_time
 from annocamp.evaluate import LabelMatrix, aggregate, truth_matrix, metrics
 from annocamp.planner import FEW_QUESTION_BUNDLE
 from annocamp.cli import sample_taxonomy_path
-from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
+from annocamp.seeding import order
+from annocamp.taxonomy import Taxonomy, load_taxonomy, partition_questions, singleton_taxonomy
 from annocamp.workersim import (
+    EventTable,
     ModifierSet,
     VideoTruth,
     Worker,
@@ -228,6 +236,11 @@ def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
             # One shared base order per HIT, gold slots or not.
             orders = {hit.base_questions(i) for i in range(len(hit.video_ids))}
             assert len(orders) == 1
+        if grouping and len(subset) > 1:
+            # The HIT's order is the draw keyed by its subset and chunk.
+            chunk_index = int(hit.hit_id.rsplit("-", 1)[1])
+            drawn = order(seed, subset, hit.subset_index, chunk_index, "order")
+            assert hit.base_questions(0) == tuple(subset[i] for i in drawn)
     # Each base question once per video.
     assert all(sorted(q) == list(range(52)) for q in asked.values())
 
@@ -342,26 +355,206 @@ def test_ingest_inverts_write_events_csv(sample_tax, behavior, tmp_path_factory,
 
 
 def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monkeypatch):
+    # A write that fails mid-file leaves the CSV and its sidecar as they were.
     truths = make_random_truth(4, 52, 3.7, seed=8)
-    events = run_campaign(tax, truths, 52, 1, behavior, seed=2)
     path = tmp_path / "events.csv"
-    write_events_csv(events, tax, path)
-    before = path.read_bytes()
-    formatted = []
+    write_events_csv(run_campaign(tax, truths, 52, 1, behavior, seed=2), tax, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["events.csv", "events.csv.npz"]
+    writes = []
+    atomic_open = campaign.atomic_open
 
-    def gate_none_on_row_11(row):
-        formatted.append(row)
-        if len(formatted) == 11:
-            row = row[:3] + (None,) + row[4:]  # int(None) fails mid-file
-        return csv_row(row)
+    @contextlib.contextmanager
+    def disk_full_on_third_write(target, binary=False):
+        with atomic_open(target, binary) as fh:
+            def write(data):
+                writes.append(data)
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return fh.write(data)
+            yield types.SimpleNamespace(write=write)
 
-    csv_row = campaign._csv_row
-    monkeypatch.setattr(campaign, "_csv_row", gate_none_on_row_11)
-    with pytest.raises(TypeError):
-        write_events_csv(events, tax, path)
-    assert len(formatted) == 11
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+    monkeypatch.setattr(campaign, "ROW_CHUNK", 50)
+    monkeypatch.setattr(campaign, "atomic_open", disk_full_on_third_write)
+    with pytest.raises(OSError, match="No space left"):
+        write_events_csv(run_campaign(tax, truths, 52, 1, behavior, seed=3), tax, path)
+    assert len(writes) == 3  # the header, 50 rows, then the failure
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# Ids that csv.writer must quote, and a lone carriage return it leaves bare.
+ID_TEXT = st.text(st.sampled_from('ab ,"\n\r;'), max_size=3)
+ELAPSED = st.one_of(
+    st.floats(1e-3, 1e4),
+    st.sampled_from([0.0, -0.0, -1.5, math.inf, math.nan, 5e-324, 1e300]),
+)
+
+
+@st.composite
+def event_tables(draw, tax):
+    """Event tables over `tax`: vocabularies that may repeat an id, mostly
+    valid answers, and repeats of a (worker, video, question, iteration)."""
+    worker_ids = draw(st.lists(ID_TEXT, min_size=1, max_size=3))
+    video_ids = draw(st.lists(ID_TEXT, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        q = draw(st.sampled_from(tax.questions[:4]))
+        gate, valid = draw(st.booleans()), draw(st.sampled_from([True] * 7 + [False]))
+        mask = draw(st.integers(1, 2 ** len(q.members) - 1)) if gate == valid else 0
+        rows.append((
+            draw(st.integers(0, len(worker_ids) - 1)),
+            draw(st.integers(0, len(video_ids) - 1)),
+            q.id, gate, mask, draw(ELAPSED), draw(st.integers(-1, 2)), draw(st.booleans()),
+        ))
+    columns = zip(*rows) if rows else [[]] * 8
+    return EventTable(tuple(worker_ids), tuple(video_ids), *columns)
+
+
+def csv_writer_bytes(table, tax) -> bytes:
+    """The events CSV as csv.writer writes the row view."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    gold = table.gold.any()
+    writer.writerow(campaign.EVENT_COLUMNS + (("gold",) if gold else ()))
+    for worker, video, q, gate, members, elapsed, iteration, is_gold in table.rows(tax):
+        row = (worker, video, q, int(gate), ";".join(map(str, members)), repr(elapsed),
+               iteration, int(is_gold))
+        writer.writerow(row if gold else row[:-1])
+    return buf.getvalue().encode()
+
+
+def ingest_outcome(path, tax):
+    try:
+        return ingest(path, tax)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_write_events_csv_bytes_are_csv_writers(sample_tax, tmp_path_factory, data):
+    table = data.draw(event_tables(sample_tax))
+    path = tmp_path_factory.mktemp("writer") / "events.csv"
+    write_events_csv(table, sample_tax, path)
+    assert path.read_bytes() == csv_writer_bytes(table, sample_tax)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ingest_of_the_sidecar_equals_the_csv_parse(sample_tax, tmp_path_factory, data):
+    # Whatever the table, reading it back through the sidecar gives what the
+    # CSV alone gives: the same table or the same error.
+    table = data.draw(event_tables(sample_tax))
+    path = tmp_path_factory.mktemp("sidecar") / "events.csv"
+    write_events_csv(table, sample_tax, path)
+    with_sidecar = ingest_outcome(path, sample_tax)
+    sidecar_path(path).unlink(missing_ok=True)
+    assert with_sidecar == ingest_outcome(path, sample_tax)
+
+
+@pytest.fixture
+def small_events(sample_tax, behavior):
+    truths = make_random_truth(6, sample_tax.label_count, 3.7, seed=5, min_labels=1)
+    pool = sample_worker_pool(4, behavior, 0.25, seed=5)
+    return run_campaign(sample_tax, truths, 5, 2, behavior, seed=5, pool=pool,
+                        modifiers=ModifierSet(positive_bias=True, grouping=True))
+
+
+def csv_only(path, tax):
+    """`ingest` of a copy of the CSV that has no sidecar."""
+    copy = path.parent / "csv-only" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(path.read_bytes())
+    sidecar_path(copy).unlink(missing_ok=True)
+    return ingest(copy, tax)
+
+
+def test_ingest_reads_the_sidecar_without_parsing(sample_tax, small_events, tmp_path,
+                                                  monkeypatch):
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    expected = csv_only(path, sample_tax)
+
+    def parse(*args):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(campaign, "_parse_events", parse)
+    assert ingest(path, sample_tax) == expected
+
+
+def test_stale_sidecar_is_ignored(sample_tax, small_events, tmp_path):
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    assert len(ingest(path, sample_tax)) == len(small_events) - 1
+    # An edit that adds a bad row, after the sidecar above was written.
+    bad = lines[1].split(",")
+    bad[5] = "-1.0"
+    path.write_text("\n".join([*lines[:-1], ",".join(bad)]) + "\n")
+    with pytest.raises(ValueError, match=f"line {len(lines)}: elapsed must be positive$"):
+        ingest(path, sample_tax)
+
+
+def test_sidecar_of_another_taxonomy_is_ignored(sample_tax, small_events, tmp_path):
+    # Reversed member lists give every multi-member answer another mask.
+    reversed_members = Taxonomy(sample_tax.labels, tuple(
+        dataclasses.replace(q, members=q.members[::-1]) for q in sample_tax.questions
+    ))
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    expected = csv_only(path, reversed_members)
+    assert expected != ingest(path, sample_tax)
+    assert ingest(path, reversed_members) == expected
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events, tmp_path,
+                                                        caplog, damage):
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    expected = csv_only(path, sample_tax)
+    sidecar = sidecar_path(path)
+    data = sidecar.read_bytes()
+    sidecar.write_bytes({"truncated": data[: len(data) // 2], "garbage": b"PK\x03\x04 junk",
+                         "empty": b""}[damage])
+    with caplog.at_level(logging.WARNING, logger="annocamp"):
+        assert ingest(path, sample_tax) == expected
+        assert [(r.name, r.levelname) for r in caplog.records] == [
+            ("annocamp.campaign", "WARNING")
+        ]
+        # The parse wrote a good sidecar in its place.
+        assert ingest(path, sample_tax) == expected
+        assert len(caplog.records) == 1
+
+
+UNPICKLED = []
+
+
+def _unpickle():
+    UNPICKLED.append(True)
+    return 0
+
+
+class PickleTrap:
+    def __reduce__(self):
+        return _unpickle, ()
+
+
+def test_sidecar_object_array_is_never_unpickled(sample_tax, small_events, tmp_path, caplog):
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    expected = csv_only(path, sample_tax)
+    sidecar = sidecar_path(path)
+    with np.load(sidecar) as npz:
+        arrays = dict(npz)  # the key still matches the CSV
+    arrays["worker"] = np.array([PickleTrap()] * len(small_events), dtype=object)
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, allow_pickle=True, **arrays)
+    with caplog.at_level(logging.WARNING, logger="annocamp"):
+        assert ingest(path, sample_tax) == expected
+    assert UNPICKLED == []
+    assert len(caplog.records) == 1
 
 
 def test_blacklisted_worker_gets_no_assignments(tax, behavior):

@@ -135,6 +135,17 @@ def test_plan_enumerate_cli(tmp_path):
     assert any(r["k"] == "52" and r["n"] == "7" for r in rows)
 
 
+def test_plan_enumerate_lists_the_optimum(tmp_path):
+    # The optimum buys 18 passes; the listing is not capped below that.
+    plan, plans = tmp_path / "plan.json", tmp_path / "plans.csv"
+    run(["plan", "--budget-minutes", "20", "--out", str(plan)])
+    best = json.loads(plan.read_text())
+    assert (best["k"], best["iterations"], best["modifiers"]) == (52, 18, "none")
+    run(["plan", "--budget-minutes", "20", "--enumerate", "--out", str(plans)])
+    rows = read_csv(plans)
+    assert any((r["k"], r["n"], r["modifiers"]) == ("52", "18", "none") for r in rows)
+
+
 def test_qc_cli(tmp_path, sample_videos):
     events = tmp_path / "events.csv"
     run(["simulate", "--videos", sample_videos, "--k", "5", "--seed", "2",
@@ -253,6 +264,37 @@ def test_config_rejects_unknown_keys(tmp_path, doc, key):
     config.write_text(json.dumps(doc))
     with pytest.raises(SystemExit, match=f"annocamp calibrate: config: unknown {key}"):
         main(["calibrate", "--config", str(config)])
+
+
+@pytest.mark.parametrize(
+    "targets, reason",
+    [
+        ([[3, float("nan")]], "recall nan at 3 passes is not inside (0, 1)"),
+        ([[3, float("inf")]], "recall inf at 3 passes is not inside (0, 1)"),
+        ([[-2, 1.7]], "pass count -2 is below 2"),
+        ([[3, 1.0]], "recall 1.0 at 3 passes is not inside (0, 1)"),
+        ([], "need at least one (passes, recall) pair"),
+    ],
+    ids=["nan", "inf", "passes", "one", "empty"],
+)
+def test_config_rejects_bad_correlation_targets(tmp_path, targets, reason):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"correlation_targets": targets}))
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--config", str(config)])
+    assert str(exc.value) == f"annocamp calibrate: config: correlation_targets: {reason}"
+
+
+def test_unwritable_sidecar_fails_neither_simulate_nor_ingest(tmp_path, sample_videos):
+    events = tmp_path / "events.csv"
+    (tmp_path / "events.csv.npz").mkdir()  # a directory where the sidecar goes
+    run(["simulate", "--videos", sample_videos, "--k", "5", "--workers", "4", "--seed", "3",
+         "--out", str(events)])
+    run(["ingest", "--events", str(events), "--out", str(tmp_path / "stats.csv")])
+    assert read_csv(tmp_path / "stats.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "events.csv.npz",
+                                                           "stats.csv"]
+    assert (tmp_path / "events.csv.npz").is_dir()
 
 
 @pytest.mark.parametrize(
