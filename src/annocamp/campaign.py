@@ -72,10 +72,6 @@ from .workersim import (
     simulate_block,
 )
 
-# The HITs of a subset are simulated this many at a time, which bounds a
-# block's arrays (at k=52, 128 HITs hold 256 videos).
-BLOCK_HITS = 128
-
 # The events CSV columns; `gold` follows when a row is gold.
 EVENT_COLUMNS = tuple(f.name for f in EVENT_FIELDS if f.name != "gold")
 
@@ -251,20 +247,28 @@ def simulate_campaign(
     """Simulate `iterations` complete passes; yields one event table per pass.
 
     Each pass lists the HITs' events in slot order, on the vocabularies of
-    the pool's worker ids and the truths' video ids. Every draw is a counter
-    draw keyed by the ids of the task's worker and video, so the events are
-    a pure function of the seed and do not depend on execution order.
+    the pool's worker ids and the truths' video ids, which must be unique.
+    The HITs are flattened into task and slot arrays once; a pass makes one
+    `simulate_block` call per question subset. Every draw is a counter draw
+    keyed by the ids of the task's worker and video, so the events are a
+    pure function of the seed and do not depend on execution order.
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
     truths = list(truths)
-    by_id = {t.video_id: t for t in truths}
+    if pool is None:
+        pool = [Worker("w0")]
+    row_of = {t.video_id: i for i, t in enumerate(truths)}
+    worker_row = {w.worker_id: i for i, w in enumerate(pool)}
+    if len(row_of) < len(truths) or len(worker_row) < len(pool):
+        raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
     plan = partition_questions(tax, k, seed)
     known_positives = (
         {t.video_id: gate_positives(tax, t) for t in truths} if modifiers.positive_bias else None
     )
+    video_ids = tuple(row_of)
     hits = pack_hits(
-        [t.video_id for t in truths],
+        video_ids,
         plan,
         budget,
         model,
@@ -274,42 +278,38 @@ def simulate_campaign(
         known_positives=known_positives,
         prevalence=behavior.prevalence,
     )
-    if pool is None:
-        pool = [Worker("w0")]
-    questions_by_subset = [
-        [tax.question(qid) for qid in subset] for subset in plan.subsets
-    ]
-    row_of = {t.video_id: i for i, t in enumerate(truths)}
-    vocabularies = {
-        "worker_ids": tuple(dict.fromkeys(w.worker_id for w in pool)),
-        "video_ids": tuple(row_of),
+    rows = {
+        "workers": tuple(pool),
+        "worker_keys": id_keys(worker_row),
+        "video_ids": video_ids,
+        "video_keys": id_keys(video_ids),
+        "truth": truth_matrix(truths, tax.label_count, video_ids=video_ids),
+        "hard": hard_pairs(seed, video_ids, range(tax.label_count), behavior.hard_fraction),
+        "duration": np.array([t.duration_seconds for t in truths]),
     }
-    truth = truth_matrix(truths, tax.label_count, video_ids=list(row_of))
-    hard = hard_pairs(seed, list(row_of), range(tax.label_count), behavior.hard_fraction)
+    # Each subset's tasks, flattened once: each task's HIT and video row,
+    # and its slots' question positions and gold flags.
+    subsets = []
+    for subset_index, group in groupby(enumerate(hits), lambda item: item[1].subset_index):
+        tasks = [(i, row_of[v], s) for i, hit in group for v, s in zip(hit.video_ids, hit.slots)]
+        task_hit, video, slots = zip(*tasks)
+        pairs = chain.from_iterable(chain.from_iterable(slots))
+        flat = np.fromiter(pairs, dtype=np.int64).reshape(-1, 2)
+        subsets.append((subset_index, np.array(task_hit), {
+            "video": np.array(video),
+            "lengths": np.array([len(s) for s in slots]),
+            "question": question_positions(tax, flat[:, 0]),
+            "gold": flat[:, 1].astype(bool),
+        }))
     for iteration in range(iterations):
-        workers = assign_workers(hits, pool, seed, iteration, blacklist)
-        blocks = []
-        for subset_index, group in groupby(zip(hits, workers), lambda hw: hw[0].subset_index):
-            group = list(group)
-            for block in (group[i : i + BLOCK_HITS] for i in range(0, len(group), BLOCK_HITS)):
-                video_ids = [v for hit, _ in block for v in hit.video_ids]
-                rows = [row_of[v] for v in video_ids]
-                blocks.append(simulate_block(
-                    behavior,
-                    [by_id[v] for v in video_ids],
-                    questions_by_subset[subset_index],
-                    modifiers,
-                    seed,
-                    workers=[w for hit, w in block for _ in hit.video_ids],
-                    slots=[s for hit, _ in block for s in hit.slots],
-                    truth=truth[rows],
-                    hard=hard[rows],
-                    model=model,
-                    iteration=iteration,
-                    subset_index=subset_index,
-                    **vocabularies,
-                ))
-        yield EventTable.concat(blocks)
+        picks = assign_workers(hits, pool, seed, iteration, blacklist)
+        hit_worker = np.array([worker_row[w.worker_id] for w in picks])
+        yield EventTable.concat(
+            simulate_block(behavior, tax, len(plan.subsets[subset_index]), modifiers, seed,
+                           worker=hit_worker[task_hit], model=model, iteration=iteration,
+                           subset_index=subset_index, **rows, **tasks)
+            for subset_index, task_hit, tasks in subsets
+        )
 
 
 def run_campaign(*args, **kwargs) -> EventTable:

@@ -467,7 +467,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, Config.load(args.config))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"annocamp {args.command}: {exc}") from exc
 
 

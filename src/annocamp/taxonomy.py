@@ -76,8 +76,6 @@ class SubsetPlan:
     """An exact partition of the top-level question ids into k-sized subsets."""
 
     subsets: tuple[tuple[int, ...], ...]
-    subset_size: int
-    seed: int
 
 
 def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
@@ -172,7 +170,7 @@ def partition_questions(tax: Taxonomy, k: int, seed: int) -> SubsetPlan:
     subsets = tuple(
         tuple(shuffled[i : i + k]) for i in range(0, len(shuffled), k)
     )
-    return SubsetPlan(subsets=subsets, subset_size=k, seed=seed)
+    return SubsetPlan(subsets)
 
 
 def expand_answer(

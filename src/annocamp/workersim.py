@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
 from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
-from .taxonomy import mask_members, members_mask
+from .taxonomy import Taxonomy, mask_members, member_table
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -227,8 +225,8 @@ def fit_hard_mixture(
     Finds (hard_fraction, hard_recall_multiplier) minimizing squared error
     against the observed union recall at the given iteration counts, keeping
     the single-pass recall anchored at recall(k). The whole grid is scored
-    at once; the fit is its first point, in (h, m) order, within 1e-15 of
-    the least error.
+    at once, then walked in (h, m) order: the fit moves to each point whose
+    error is more than 1e-15 below the current fit's.
     """
     r = behavior.recall(k)
     h, m = HARD_FRACTION_GRID[:, None], HARD_MULTIPLIER_GRID[None, :]
@@ -236,7 +234,11 @@ def fit_hard_mixture(
         ((mixture_union_recall(r, n, h, m) - target) ** 2 for n, target in targets),
         np.zeros((len(HARD_FRACTION_GRID), len(HARD_MULTIPLIER_GRID))),
     )
-    i, j = np.unravel_index(np.argmax(sse <= sse.min() + 1e-15), sse.shape)
+    errors, best, level = sse.ravel(), 0, np.inf
+    while (lower := np.flatnonzero(errors[best:] < level - 1e-15)).size:
+        best += lower[0]
+        level = errors[best]
+    i, j = np.unravel_index(best, sse.shape)
     return replace(
         behavior,
         hard_fraction=float(HARD_FRACTION_GRID[i]),
@@ -390,12 +392,6 @@ SPAMMER_YES_RATE = 0.5
 SPAMMER_TIME_SCALE = 0.2
 
 
-@lru_cache(maxsize=4)
-def _vocabulary(ids: tuple) -> tuple[dict, np.ndarray]:
-    """Each id's row and the ids' keys, built once per campaign vocabulary."""
-    return {x: i for i, x in enumerate(ids)}, id_keys(ids)
-
-
 def sample_worker_pool(
     n: int, behavior: WorkerBehavior, spammer_fraction: float, seed: int
 ) -> list[Worker]:
@@ -436,139 +432,125 @@ def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.
     return uniforms(keys[:, None], labels) < hard_fraction
 
 
-def _select_members(members, probs, draws) -> tuple[int, ...]:
-    """Members picked on an affirmative gate; at least one is always selected.
+def _select_members(probs: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Member masks of affirmative multi-member gates, one per row.
 
-    Samples independent per-member Bernoullis conditioned on a non-empty
-    outcome (exact sequential scheme, no rejection loop).
+    Row i's count[i] members are independent Bernoullis with probabilities
+    probs[i] (0 past its members) and uniforms u[i], conditioned on a
+    non-empty outcome by the exact sequential scheme: until the first pick,
+    member j is taken with probability p_j / P(some member from j on), then
+    with p_j.
     """
-    n = len(members)
-    tail = [1.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] * (1.0 - probs[i])
-    chosen = []
-    for i in range(n):
-        if chosen:
-            take = draws[i] < probs[i]
-        else:
-            none_later = 1.0 - tail[i]
-            take = draws[i] < probs[i] / none_later if none_later > 0 else i == n - 1
-        if take:
-            chosen.append(members[i])
-    return tuple(chosen)
+    none_later = 1.0 - np.cumprod(1.0 - probs[:, ::-1], axis=1)[:, ::-1]
+    bit = np.arange(probs.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.where(none_later > 0, u < probs / none_later, bit == count[:, None] - 1)
+    start = np.where(first.any(axis=1), first.argmax(axis=1), len(bit))[:, None]
+    take = (bit == start) | ((bit > start) & (u < probs))
+    return (take.astype(np.uint64) << bit.astype(np.uint64)).sum(axis=1)
 
 
 def simulate_block(
     behavior: WorkerBehavior,
-    videos,
-    questions,
+    tax: Taxonomy,
+    k: int,
     modifiers: ModifierSet,
     seed: int,
     *,
     workers,
-    slots,
+    worker_keys: np.ndarray,
+    video_ids,
+    video_keys: np.ndarray,
     truth: np.ndarray,
     hard: np.ndarray,
-    worker_ids,
-    video_ids,
+    duration: np.ndarray,
+    worker: np.ndarray,
+    video: np.ndarray,
+    lengths: np.ndarray,
+    question: np.ndarray,
+    gold: np.ndarray,
     model: TimeModel = DEFAULT_TIME_MODEL,
     iteration: int = 0,
     subset_index: int = 0,
 ) -> EventTable:
-    """Simulate workers[i] answering one question subset about videos[i].
+    """Simulate task i: workers[worker[i]] answering a k-question subset of
+    `tax` about video row video[i].
 
-    Video i's events follow slots[i], (question id, gold) pairs naming each
-    of `questions` once plus gold duplicates. Row i of `truth` and `hard`
-    is video i's row of the campaign's (videos x labels) truth matrix and
-    hard-pair mask. Draws are keyed by (seed, worker, video, iteration,
-    subset index, stream) and count question ids, member label ids or gold
-    ordinals, so a task's events depend neither on the rest of the block
-    nor on its slot order. The table is built on the `worker_ids` and
-    `video_ids` vocabularies, which hold the block's workers and videos;
-    each vocabulary's row map and keys are built once and cached.
+    `workers` and `worker_keys` are indexed by worker row; `video_ids`,
+    `video_keys`, `truth` and `hard` (the campaign's videos x labels truth
+    matrix and hard-pair mask) and `duration` by video row. Task i's events
+    are its lengths[i] consecutive slots: `question` holds each slot's
+    position in tax.questions and `gold` flags gold duplicates, the other
+    slots naming each question of the subset once. Draws are keyed by
+    (seed, worker, video, iteration, subset index, stream) and count
+    question ids, member label ids or gold ordinals, so a task's events
+    depend neither on the other tasks nor on its slot order.
     """
-    questions = list(questions)
-    k = len(questions)
-    if k == 0:
+    if k < 1:
         raise ValueError("a task needs at least one question")
     adjusted = apply_modifiers(behavior, modifiers, k)
     f, hard_mult = adjusted.fp_rate, behavior.hard_recall_multiplier
-    scales = np.array([w.recall_scale for w in workers])
+    scales = np.array([w.recall_scale for w in workers])[worker]
     r_easy = easy_recall(
         np.minimum(1.0, adjusted.recall * scales), behavior.hard_fraction, hard_mult
-    )[:, None]
-    spammer = np.array([w.spammer for w in workers])
+    )
+    spammer = np.array([w.spammer for w in workers], dtype=bool)[worker]
+    task = draw_key(seed, worker_keys[worker], video_keys[video], iteration, subset_index)
 
-    # Question j owns the member columns from starts[j] on.
-    members = [m for q in questions for m in q.members]
-    starts = np.cumsum([0] + [len(q.members) for q in questions[:-1]])
-    truth, hard = truth[:, members], hard[:, members]
-    worker_row, worker_keys = _vocabulary(tuple(worker_ids))
-    video_row, video_keys = _vocabulary(tuple(video_ids))
-    worker = np.array([worker_row[w.worker_id] for w in workers])
-    video = np.array([video_row[v.video_id] for v in videos])
-    task = draw_key(seed, worker_keys[worker], video_keys[video], iteration, subset_index)[:, None]
+    def stream(name: str) -> np.ndarray:
+        return fold(task, id_key(name))
 
-    def draws(stream: str, counters) -> np.ndarray:
-        return uniforms(fold(task, id_key(stream)), np.asarray(counters, dtype=np.uint64))
+    # One entry per slot: its task, question id and member labels, and the
+    # truth and hard flags of those labels. Past a question's members the
+    # label is -1: it indexes the last label, and `valid` masks it out.
+    owner = np.repeat(np.arange(len(worker)), lengths)
+    qid = np.array([q.id for q in tax.questions])[question]
+    members = member_table(tax)[question]
+    valid = members >= 0
+    is_true = truth[video][owner[:, None], members] & valid
+    is_hard = hard[video][owner[:, None], members]
+    r = r_easy[owner]
 
-    # A positive question is hard when all of its positive members are.
-    positive = np.logical_or.reduceat(truth, starts, axis=1)
-    easy = np.logical_or.reduceat(truth & ~hard, starts, axis=1)
-    p_yes = np.where(easy, r_easy, np.where(positive, r_easy * hard_mult, f))
-    p_yes[spammer] = SPAMMER_YES_RATE
-    qids = [q.id for q in questions]
-    gates = draws("gate", qids) < p_yes
+    # A positive question is hard when all of its positive members are. A
+    # gold duplicate repeats a question known positive for the video; its
+    # gate is drawn by its ordinal among the task's gold slots.
+    p_yes = np.where(
+        (is_true & ~is_hard).any(axis=1), r, np.where(is_true.any(axis=1), r * hard_mult, f)
+    )
+    p_yes[spammer[owner]] = SPAMMER_YES_RATE
+    gate = uniforms(stream("gate")[owner], qid) < p_yes
+    at = owner[gold]
+    ordinal = np.arange(len(at)) - np.searchsorted(at, at)
+    p_gold = np.where(spammer[at], SPAMMER_YES_RATE, r_easy[at])
+    gate[gold] = uniforms(stream("gold")[at], ordinal) < p_gold
 
-    # The members mask behind each gate: all members of a one-member
-    # question; for an affirmative multi-member gate a spammer picks one at
-    # random and an honest worker runs the exact sequential selection.
-    answers = np.array([members_mask(q, q.members) for q in questions], dtype=np.uint64)
-    answers = np.repeat(answers[None, :], len(videos), axis=0)
-    multi = gates & np.array([len(q.members) > 1 for q in questions])
-    if multi.any():
-        spam_draws = draws("spam-pick", qids)
-        member_draws = draws("members", members)
-        probs = np.where(truth, np.where(hard, r_easy * hard_mult, r_easy), f)
-        for i, j in zip(*np.nonzero(multi)):
-            options = questions[j].members
-            span = slice(starts[j], starts[j] + len(options))
-            picked = (
-                (options[int(spam_draws[i, j] * len(options))],)
-                if spammer[i]
-                else _select_members(options, probs[i, span].tolist(), member_draws[i, span])
-            )
-            answers[i, j] = members_mask(questions[j], picked)
+    # A yes selects the first member (bit 0) of a gold duplicate or a
+    # one-member question. On a multi-member question a spammer picks one
+    # member at random and an honest worker runs `_select_members`.
+    mask = gate.astype(np.uint64)
+    multi = np.flatnonzero(gate & ~gold & valid[:, 1:].any(axis=1))
+    if len(multi):
+        at, n = owner[multi], valid[multi].sum(axis=1)
+        spam_pick = (uniforms(stream("spam-pick")[at], qid[multi]) * n).astype(np.uint64)
+        rm = r[multi][:, None]
+        probs = np.where(is_true[multi], np.where(is_hard[multi], rm * hard_mult, rm), f)
+        probs *= valid[multi]
+        u = uniforms(stream("members")[at][:, None], members[multi])
+        picks = _select_members(probs, u, n)
+        mask[multi] = np.where(spammer[at], np.uint64(1) << spam_pick, picks)
 
     # Log-normal elapsed-time noise from a Box-Muller pair of uniforms.
-    u = draws("elapsed", [0, 1])
+    u = uniforms(stream("elapsed")[:, None], np.arange(2))
     noise = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
-    durations = [v.duration_seconds for v in videos]
-    seconds = {d: task_time(scale_base_for_duration(model, d), k) for d in set(durations)}
-    total = np.array([seconds[d] for d in durations]) * np.exp(ELAPSED_SIGMA * noise)
-    total *= behavior.speed_multiplier * np.array([w.time_scale for w in workers])
+    durations, of = np.unique(duration[video], return_inverse=True)
+    seconds = [task_time(scale_base_for_duration(model, d), k) for d in durations.tolist()]
+    total = np.array(seconds)[of] * np.exp(ELAPSED_SIGMA * noise)
+    total *= behavior.speed_multiplier * np.array([w.time_scale for w in workers])[worker]
     total = total * adjusted.time_ratio + adjusted.extra_seconds
 
-    # One row per slot. A gold duplicate repeats a question known positive
-    # for the video; its gate is drawn by its ordinal among the task's gold
-    # slots, and a yes selects the first member (bit 0).
-    lengths = np.array([len(row) for row in slots])
-    owner = np.repeat(np.arange(len(videos)), lengths)
-    pairs = chain.from_iterable(chain.from_iterable(slots))
-    slot = np.fromiter(pairs, dtype=np.int64, count=2 * len(owner)).reshape(-1, 2)
-    question, gold = slot[:, 0], slot[:, 1].astype(bool)
-    order = np.argsort(qids)
-    j = order[np.minimum(np.searchsorted(np.array(qids)[order], question), k - 1)]
-    golds = np.cumsum(gold)
-    ordinal = golds - 1 - (golds - gold)[np.cumsum(lengths) - lengths][owner]
-    p_gold = np.where(spammer[:, None], SPAMMER_YES_RATE, r_easy)
-    gold_gates = draws("gold", range(lengths.max() - k)) < p_gold
-    gate = gates[owner, j]
-    gate[gold] = gold_gates[owner[gold], ordinal[gold]]
-    mask = np.where(gate, np.where(gold, np.uint64(1), answers[owner, j]), 0)
-
-    return EventTable(worker_ids, video_ids, worker[owner], video[owner], question, gate, mask,
-                      (total / k)[owner], np.full(len(owner), iteration), gold)
+    return EventTable(tuple(w.worker_id for w in workers), tuple(video_ids), worker[owner],
+                      video[owner], qid, gate, mask, (total / k)[owner],
+                      np.full(len(owner), iteration), gold)
 
 
 def make_random_truth(
@@ -606,9 +588,11 @@ def load_truths(source) -> list[VideoTruth]:
     """Read ground truth from JSON lines.
 
     Each line: {"video": id, "duration": seconds, "labels": [ids],
-    "segments": {"label": [[start, end], ...]}} (segments optional).
+    "segments": {"label": [[start, end], ...]}} (segments optional). A video
+    id may appear on one line only and may not hold a carriage return, which
+    an events CSV cannot carry unquoted.
     """
-    truths = []
+    truths, lines = [], {}
     with open(source, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             line = line.strip()
@@ -616,9 +600,14 @@ def load_truths(source) -> list[VideoTruth]:
                 continue
             try:
                 doc = json.loads(line)
+                video_id = str(doc["video"])
+                if "\r" in video_id:
+                    raise ValueError(f"video id {video_id!r} holds a carriage return")
+                if lines.setdefault(video_id, line_num) != line_num:
+                    raise ValueError(f"video {video_id!r} repeats line {lines[video_id]}")
                 truths.append(
                     VideoTruth(
-                        video_id=str(doc["video"]),
+                        video_id=video_id,
                         duration_seconds=float(doc.get("duration", 30.1)),
                         labels=frozenset(int(l) for l in doc.get("labels", ())),
                         segments={

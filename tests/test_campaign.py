@@ -307,6 +307,18 @@ def test_campaign_covers_every_pair_each_iteration(tax, behavior):
         assert (events.iteration == iteration).all()
 
 
+@pytest.mark.parametrize("repeat", ["video", "worker"])
+def test_campaign_rejects_repeated_ids(tax, behavior, repeat):
+    truths = make_random_truth(3, 52, 3.7, seed=7)
+    pool = [Worker("w0"), Worker("w1")]
+    if repeat == "video":
+        truths.append(truths[0])
+    else:
+        pool.append(Worker("w0", recall_scale=0.5))
+    with pytest.raises(ValueError, match="ids must be unique"):
+        next(simulate_campaign(tax, truths, 5, 1, behavior, seed=1, pool=pool))
+
+
 def test_event_csv_round_trip(tax, behavior, tmp_path):
     truths = make_random_truth(12, 52, 3.7, seed=8, min_labels=1)
     events = run_campaign(

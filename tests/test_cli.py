@@ -223,9 +223,31 @@ def test_config_overrides(tmp_path, sample_videos):
 
 
 def test_unknown_taxonomy_path_fails(tmp_path, sample_videos):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(SystemExit, match="annocamp pack-hits: .*No such file"):
         main(["pack-hits", "--videos", sample_videos, "--k", "1",
               "--taxonomy", str(tmp_path / "missing.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pack-hits", "--k", "1", "--videos"],
+        ["ingest", "--events"],
+        ["calibrate", "--config"],
+        ["simulate", "--k", "1", "--videos", "VIDEOS", "--taxonomy"],
+        ["qc", "--stats"],
+        ["fit-time", "--timings"],
+    ],
+    ids=["videos", "events", "config", "taxonomy", "stats", "timings"],
+)
+def test_missing_input_file_is_one_line(tmp_path, sample_videos, argv):
+    missing = str(tmp_path / "missing")
+    argv = [sample_videos if a == "VIDEOS" else a for a in argv] + [missing]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert str(exc.value) == (
+        f"annocamp {argv[0]}: [Errno 2] No such file or directory: {missing!r}"
+    )
 
 
 def test_metrics_on_video_without_truth_exits_with_message(tmp_path, sample_videos):

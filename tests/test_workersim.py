@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from annocamp import workersim
 from annocamp.costmodel import DEFAULT_TIME_MODEL, scale_base_for_duration, task_time
 from annocamp.evaluate import aggregate, metrics, truth_matrix
-from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
+from annocamp.seeding import id_keys
+from annocamp.taxonomy import (
+    load_taxonomy,
+    partition_questions,
+    question_positions,
+    singleton_taxonomy,
+)
 from annocamp.cli import sample_taxonomy_path
 from annocamp.workersim import (
     DEFAULT_ANCHORS,
+    EventTable,
     HARD_FRACTION_GRID,
     HARD_MULTIPLIER_GRID,
     AccuracyAnchor,
@@ -42,11 +49,15 @@ def simulate_one(behavior, tax, video, seed, *, questions=None, worker=Worker("w
     flagged event per gold duplicate: the one-row case of simulate_block."""
     questions = list(tax.questions if questions is None else questions)
     slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
+    ids, gold = zip(*slots)
     return simulate_block(
-        behavior, [video], questions, NONE, seed, workers=[worker], slots=[slots],
-        truth=truth_matrix([video], tax.label_count),
+        behavior, tax, len(questions), NONE, seed, workers=[worker],
+        worker_keys=id_keys([worker.worker_id]), video_ids=(video.video_id,),
+        video_keys=id_keys([video.video_id]), truth=truth_matrix([video], tax.label_count),
         hard=hard_pairs(seed, [video.video_id], range(tax.label_count), behavior.hard_fraction),
-        worker_ids=(worker.worker_id,), video_ids=(video.video_id,), subset_index=subset_index,
+        duration=np.array([video.duration_seconds]), worker=np.array([0]), video=np.array([0]),
+        lengths=np.array([len(slots)]), question=question_positions(tax, np.array(ids)),
+        gold=np.array(gold), subset_index=subset_index,
     )
 
 
@@ -204,6 +215,7 @@ def _fit_by_loop(r, targets):
     r=st.floats(0.0, 1.0),
     targets=st.lists(st.tuples(st.integers(1, 10), st.floats(0.0, 1.0)), max_size=3),
 )
+@example(r=1.192092896e-07, targets=[(3, 1.0), (3, 1.0)])  # errors within 1e-15 of the least
 def test_fit_hard_mixture_matches_grid_loop(r, targets):
     behavior = WorkerBehavior(recall_points=((52, r),), fp_points=((52, 0.01),))
     fitted = fit_hard_mixture(behavior, targets=targets)
@@ -334,11 +346,14 @@ def test_simulated_recall_monotone_in_r():
     for r in (0.3, 0.5):
         b = flat_behavior(r, 0.005)
         # Every task is simulate_one's one-video case of this block.
+        n = len(truths)
         events = simulate_block(
-            b, truths, tax.questions, NONE, seed=77, workers=[Worker("w0")] * len(truths),
-            slots=[[(q.id, False) for q in tax.questions]] * len(truths),
+            b, tax, 52, NONE, seed=77, workers=[Worker("w0")], worker_keys=id_keys(["w0"]),
+            video_ids=tuple(ids), video_keys=id_keys(ids),
             truth=truth_matrix(truths, 52, video_ids=ids), hard=hard_pairs(77, ids, range(52), 0.0),
-            worker_ids=("w0",), video_ids=tuple(ids),
+            duration=np.array([t.duration_seconds for t in truths]), worker=np.zeros(n, int),
+            video=np.arange(n), lengths=np.full(n, 52), question=np.tile(np.arange(52), n),
+            gold=np.zeros(52 * n, bool),
         )
         scored = metrics(aggregate(events, tax).binary(1), truth)
         recalls.append(scored.recall)
@@ -371,6 +386,85 @@ def test_gold_questions_emitted_and_flagged():
     assert events.gold.sum() == 2
     assert events.gate[events.gold].all()
     assert (~events.gold).sum() == 52
+
+
+def select_members_loop(probs, draws) -> int:
+    """The sequential scheme one member at a time: the members mask of one gate."""
+    n = len(probs)
+    tail = [1.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tail[i] = tail[i + 1] * (1.0 - probs[i])
+    mask = 0
+    for i in range(n):
+        if mask:
+            take = draws[i] < probs[i]
+        else:
+            none_later = 1.0 - tail[i]
+            take = draws[i] < probs[i] / none_later if none_later > 0 else i == n - 1
+        mask |= int(take) << i
+    return mask
+
+
+probability = st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0]), st.floats(0.0, 1.0))
+member = st.tuples(probability, st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(member, min_size=2, max_size=6), min_size=1, max_size=8))
+def test_select_members_matches_the_loop(rows):
+    width = max(map(len, rows))
+    probs, u = np.zeros((len(rows), width)), np.full((len(rows), width), 0.5)
+    for i, row in enumerate(rows):
+        probs[i, : len(row)], u[i, : len(row)] = zip(*row)
+    count = np.array([len(row) for row in rows])
+    expected = [select_members_loop(*zip(*row)) for row in rows]
+    assert workersim._select_members(probs, u, count).tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), k=st.sampled_from([1, 5, 52]), data=st.data())
+def test_block_equals_its_split_into_runs(seed, k, data):
+    # A subset's tasks, gold duplicates included, answered by a pool with
+    # spammers: one call equals the concatenated calls over any split of the
+    # tasks into consecutive runs (HITs, or the blocks of a bounded loop).
+    tax = load_taxonomy(sample_taxonomy_path())
+    b = fit_hard_mixture(default_behavior())
+    pool = sample_worker_pool(6, b, 0.5, seed)
+    n = data.draw(st.integers(1, 8), label="tasks")
+    truths = make_random_truth(n, tax.label_count, 3.7, seed, min_labels=1)
+    ids = [t.video_id for t in truths]
+    subset = partition_questions(tax, k, seed).subsets[0]
+    tasks = []
+    for truth in truths:
+        positives = [q.id for q in tax.questions if truth.labels & set(q.members)]
+        gold = data.draw(st.lists(st.sampled_from(positives), max_size=3), label="gold")
+        slots = [(q, False) for q in subset] + [(q, True) for q in gold]
+        tasks.append(data.draw(st.permutations(slots), label="slots"))
+    question, gold = map(np.array, zip(*(s for task in tasks for s in task)))
+    rows = dict(
+        workers=pool, worker_keys=id_keys(w.worker_id for w in pool), video_ids=tuple(ids),
+        video_keys=id_keys(ids), truth=truth_matrix(truths, tax.label_count, video_ids=ids),
+        hard=hard_pairs(seed, ids, range(tax.label_count), b.hard_fraction),
+        duration=np.array(data.draw(st.lists(st.sampled_from([10.0, 30.1, 55.0]),
+                                             min_size=n, max_size=n), label="durations")),
+        iteration=data.draw(st.integers(0, 3)), subset_index=data.draw(st.integers(0, 9)),
+    )
+    worker = np.array(data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                                         max_size=n), label="workers"))
+    lengths = np.array([len(task) for task in tasks])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+
+    def run(start, stop):
+        slots = slice(offsets[start], offsets[stop])
+        return simulate_block(
+            b, tax, k, NONE, seed, worker=worker[start:stop], video=np.arange(start, stop),
+            lengths=lengths[start:stop], question=question_positions(tax, question[slots]),
+            gold=gold[slots], **rows,
+        )
+
+    cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()), label="cuts")
+    bounds = [0, *sorted(cuts), n]
+    assert run(0, n) == EventTable.concat(run(a, z) for a, z in zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +580,19 @@ def test_load_truths_reports_line(tmp_path):
     path.write_text('{"video": "a", "labels": [1]}\n{"duration": 5}\n')
     with pytest.raises(ValueError, match="line 2"):
         load_truths(path)
+
+
+def test_load_truths_rejects_a_repeated_video(tmp_path):
+    path = tmp_path / "twice.jsonl"
+    path.write_text('{"video": "a"}\n{"video": "b"}\n\n{"video": "a", "labels": [1]}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    assert str(exc.value) == f"{path}: line 4: video 'a' repeats line 1"
+
+
+def test_load_truths_rejects_a_carriage_return_in_an_id(tmp_path):
+    path = tmp_path / "cr.jsonl"
+    path.write_text('{"video": "a"}\n{"video": "v\\r1"}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    assert str(exc.value) == f"{path}: line 2: video id 'v\\r1' holds a carriage return"
