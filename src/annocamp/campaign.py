@@ -16,10 +16,9 @@ import math
 import statistics
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .taxonomy import (
     Taxonomy,
     expand_answer,
     mask_members,
-    member_table,
     members_mask,
     partition_questions,
     question_positions,
@@ -60,7 +58,6 @@ from .workersim import (
     ROW_CHUNK,
     EventTable,
     ModifierSet,
-    VideoTruth,
     Worker,
     WorkerBehavior,
     default_behavior,
@@ -76,27 +73,37 @@ from .workersim import (
 EVENT_COLUMNS = tuple(f.name for f in EVENT_FIELDS if f.name != "gold")
 
 
-class QuestionSlot(NamedTuple):
-    question_id: int
-    gold: bool = False
+HIT_ID = "hit-{:03d}-{:05d}"  # by subset index and chunk
 
 
-@dataclass(frozen=True)
-class HitSpec:
-    """One paid unit of work: several videos, one question subset each."""
+@dataclass(frozen=True, eq=False)
+class Hits:
+    """Packed HITs as columns, question subset by subset in pack order.
 
-    hit_id: str
-    subset_index: int
+    Per HIT: `subset` (its subset's index), `chunk` (its number in the
+    subset) and `expected_seconds`; each pays `pay`. Per task (one video of
+    one HIT, in HIT order; a subset has one task per video): `hit`, `video`
+    (its row in `video_ids`) and `lengths` (its slot count). Per slot, task
+    by task in the order asked: `question` (its id) and `gold` (a bias duplicate).
+    """
+
     video_ids: tuple[str, ...]
-    slots: tuple[tuple[QuestionSlot, ...], ...]
-    expected_seconds: float
+    subset: np.ndarray
+    chunk: np.ndarray
+    expected_seconds: np.ndarray
     pay: float
+    hit: np.ndarray
+    video: np.ndarray
+    lengths: np.ndarray
+    question: np.ndarray
+    gold: np.ndarray
 
-    def gold_questions(self, video_index: int) -> tuple[int, ...]:
-        return tuple(s.question_id for s in self.slots[video_index] if s.gold)
+    def __len__(self) -> int:
+        return len(self.subset)
 
-    def base_questions(self, video_index: int) -> tuple[int, ...]:
-        return tuple(s.question_id for s in self.slots[video_index] if not s.gold)
+    @property
+    def hit_ids(self) -> list[str]:
+        return list(map(HIT_ID.format, self.subset.tolist(), self.chunk.tolist()))
 
 
 @dataclass
@@ -116,9 +123,11 @@ class VerificationTask:
     label: int
 
 
-def gate_positives(tax: Taxonomy, truth: VideoTruth) -> list[int]:
-    """Question ids whose member set intersects the video's true labels."""
-    return [q.id for q in tax.questions if any(m in truth.labels for m in q.members)]
+def gate_positives(tax: Taxonomy, video_ids, truth: np.ndarray) -> dict[str, list[int]]:
+    """Each video's question ids, in taxonomy order, whose member sets meet
+    its true labels: its row of the (videos x labels) truth matrix."""
+    positive = (truth[:, tax.member_table] & (tax.member_table >= 0)).any(axis=2)
+    return {v: tax.question_ids[row].tolist() for v, row in zip(video_ids, positive)}
 
 
 def pack_hits(
@@ -132,7 +141,7 @@ def pack_hits(
     grouping: bool = False,
     known_positives: dict | None = None,
     prevalence: float = DEFAULT_PREVALENCE,
-) -> list[HitSpec]:
+) -> Hits:
     """Deterministically pack videos into HITs at the effort target.
 
     Each HIT holds one question subset over as many videos as fit the
@@ -140,84 +149,91 @@ def pack_hits(
     question order. With positive bias, duplicates of questions known
     positive for the member videos are injected until the expected
     affirmative fraction reaches one third; duplicates are flagged gold and
-    excluded from the expected-time accounting.
+    excluded from the expected-time accounting. Each subset is packed by
+    one array program over all of its HITs.
     """
-    video_ids = list(video_ids)
+    video_ids = tuple(video_ids)
     if not video_ids:
         raise ValueError("cannot pack an empty video list")
     if positive_bias and not known_positives:
         raise ValueError("positive bias requires known positive questions per video")
     qtop = sum(len(s) for s in subset_plan.subsets)
+    n = len(video_ids)
     video_keys = id_keys(video_ids)
-    hits = []
+    # Each video's known positives, as one flat array with offsets.
+    pools = [known_positives.get(v) or () for v in video_ids] if positive_bias else []
+    pool_len = np.array(list(map(len, pools)), dtype=np.int64)
+    pool_start = np.cumsum(pool_len) - pool_len
+    pooled = np.array([q for pool in pools for q in pool], dtype=np.int64)
+    parts = []
     for subset_index, subset in enumerate(subset_plan.subsets):
         size = len(subset)
         per_hit = videos_per_hit(model, size, budget)
-        # The shuffle order(seed, video_ids, "pack", subset_index) draws.
+        # Task t is the video packed[t] of chunk t // per_hit; the shuffle
+        # order(seed, video_ids, "pack", subset_index) draws the packing.
         packed = key_order(draw_key(seed, "pack", subset_index, video_keys))
-        shuffled, shuffled_keys = [video_ids[i] for i in packed], video_keys[packed]
-        subset_key = draw_key(seed, subset_index)
-        in_order = tuple(QuestionSlot(qid) for qid in subset)
-        starts = range(0, len(shuffled), per_hit)
+        chunk = np.arange(n) // per_hit
+        chunk_len = np.bincount(chunk)
+        chunks = len(chunk_len)
+        # A task's slots are its base questions, then its gold duplicates.
+        subset_ids = np.array(subset, dtype=np.int64)
+        slots = np.broadcast_to(subset_ids, (n, size))
         if grouping and size > 1:
             # One question order shared by every video of a HIT: chunk c's is
-            # order(seed, subset, subset_index, c, "order"), all drawn at once.
-            chunk_keys = id_keys(range(len(starts)))[:, None]
-            shared_orders = key_order(draw_key(seed, subset_index, chunk_keys, "order",
-                                             id_keys(subset))).tolist()
-        for chunk_index, chunk_start in enumerate(starts):
-            chunk = shuffled[chunk_start : chunk_start + per_hit]
-            hit_id = f"hit-{subset_index:03d}-{chunk_index:05d}"
-            gold_by_video = {v: () for v in chunk}
-            if positive_bias:
-                base_slots = len(chunk) * size
-                expected_pos = len(chunk) * prevalence * size / qtop
-                duplicates = max(0, round((base_slots - 3.0 * expected_pos) / 2.0))
-                donors = [v for v in chunk if known_positives.get(v)]
-                if duplicates and not donors:
-                    raise ValueError(
-                        f"{hit_id}: no video has a known positive to duplicate"
-                    )
-                for i in range(duplicates):
-                    video = donors[i % len(donors)]
-                    pool = known_positives[video]
-                    slot = QuestionSlot(pool[len(gold_by_video[video]) % len(pool)], True)
-                    gold_by_video[video] += (slot,)
-            base = in_order
-            if grouping and size > 1:
-                base = tuple(in_order[i] for i in shared_orders[chunk_index])
-            slots = [base + gold_by_video[v] for v in chunk]
-            # Slots are shuffled unless they are one question or a shared
-            # order without gold: all rows of the chunk at once, by argsort of
-            # counter uniforms keyed by (seed, subset, video), the padding
-            # past a row's end sorting last. Under grouping the shuffle only
-            # places the gold slots, in their drawn order, and the base slots
-            # keep the shared order.
-            shuffle = [len(e) > 1 and (len(e) > size or not grouping) for e in slots]
-            if any(shuffle):
-                width = np.arange(max(map(len, slots)))
-                keys = shuffled_keys[chunk_start : chunk_start + per_hit]
-                u = uniforms(fold(subset_key, keys, id_key("slots"))[:, None], width)
-                u[width >= np.array([len(e) for e in slots])[:, None]] = 2.0
-                orders = np.argsort(u, axis=1).tolist()
-                for row, e in enumerate(slots):
-                    if shuffle[row]:
-                        placed = [e[i] for i in orders[row][: len(e)]]
-                        if grouping:
-                            shared = iter(base)
-                            placed = [s if s.gold else next(shared) for s in placed]
-                        slots[row] = tuple(placed)
-            hits.append(
-                HitSpec(
-                    hit_id=hit_id,
-                    subset_index=subset_index,
-                    video_ids=tuple(chunk),
-                    slots=tuple(slots),
-                    expected_seconds=len(chunk) * task_time(model, size),
-                    pay=budget.pay_per_hit,
-                )
-            )
-    return hits
+            # order(seed, subset, subset_index, c, "order").
+            chunk_keys = id_keys(range(chunks))[:, None]
+            shared = key_order(draw_key(seed, subset_index, chunk_keys, "order", id_keys(subset)))
+            slots = subset_ids[shared][chunk]
+        lengths = np.full(n, size)
+        if positive_bias:
+            # A chunk's duplicates go round-robin over its donors (the videos
+            # with known positives, in pack order); a video's j-th gold slot
+            # repeats its known positive j modulo their count.
+            expected_pos = chunk_len * prevalence * size / qtop
+            duplicates = np.maximum(0, np.rint((chunk_len * size - 3.0 * expected_pos) / 2.0))
+            duplicates = duplicates.astype(np.int64)
+            donor = pool_len[packed] > 0
+            donors = np.bincount(chunk[donor], minlength=chunks)
+            empty = np.flatnonzero((duplicates > 0) & (donors == 0))
+            if len(empty):
+                hit_id = HIT_ID.format(subset_index, empty[0])
+                raise ValueError(f"{hit_id}: no video has a known positive to duplicate")
+            nth = np.cumsum(donor) - 1 - (np.cumsum(donors) - donors)[chunk]
+            turns, extra = np.divmod(duplicates, np.maximum(donors, 1))
+            golds = np.where(donor, turns[chunk] + (nth < extra[chunk]), 0)
+            j = np.arange(golds.max())
+            at = pool_start[packed][:, None] + j % np.maximum(pool_len[packed], 1)[:, None]
+            slots = np.concatenate([slots, pooled[np.where(j < golds[:, None], at, 0)]], axis=1)
+            lengths += golds
+        # Slots are shuffled, the rows of all chunks at once, by argsort of
+        # counter uniforms keyed by (seed, subset, video), the padding past a
+        # row's end sorting last. Under grouping the shuffle only places the
+        # gold slots, in their drawn order, and the base slots keep the
+        # shared order; without gold slots it is skipped there.
+        width = np.arange(slots.shape[1])
+        placed, is_gold = slots, np.broadcast_to(width >= size, slots.shape)
+        if len(width) > 1 and (len(width) > size or not grouping):
+            keys = fold(draw_key(seed, subset_index), video_keys[packed], id_key("slots"))
+            u = uniforms(keys[:, None], width)
+            u[width >= lengths[:, None]] = 2.0
+            perm = np.argsort(u, axis=1)
+            placed, is_gold = np.take_along_axis(slots, perm, axis=1), perm >= size
+            if grouping:
+                rank = np.cumsum(~is_gold, axis=1) - 1
+                placed = np.where(is_gold, placed, np.take_along_axis(slots, rank, axis=1))
+        asked = width < lengths[:, None]
+        parts.append({
+            "subset": np.full(chunks, subset_index),
+            "chunk": np.arange(chunks),
+            "expected_seconds": chunk_len * task_time(model, size),
+            "hit": sum(len(part["chunk"]) for part in parts) + chunk,
+            "video": packed,
+            "lengths": lengths,
+            "question": placed[asked],
+            "gold": is_gold[asked],
+        })
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    return Hits(video_ids, pay=budget.pay_per_hit, **columns)
 
 
 def assign_workers(hits, pool, seed: int, iteration: int, blacklist=()) -> list[Worker]:
@@ -248,36 +264,22 @@ def simulate_campaign(
 
     Each pass lists the HITs' events in slot order, on the vocabularies of
     the pool's worker ids and the truths' video ids, which must be unique.
-    The HITs are flattened into task and slot arrays once; a pass makes one
-    `simulate_block` call per question subset. Every draw is a counter draw
-    keyed by the ids of the task's worker and video, so the events are a
-    pure function of the seed and do not depend on execution order.
+    `pack_hits` gives the HITs' task and slot columns once; a pass makes one
+    `simulate_block` call per question subset, on that subset's slice of
+    them. Every draw is a counter draw keyed by the ids of the task's worker
+    and video, so the events are a pure function of the seed and do not
+    depend on execution order.
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
     truths = list(truths)
     if pool is None:
         pool = [Worker("w0")]
-    row_of = {t.video_id: i for i, t in enumerate(truths)}
+    video_ids = tuple(t.video_id for t in truths)
     worker_row = {w.worker_id: i for i, w in enumerate(pool)}
-    if len(row_of) < len(truths) or len(worker_row) < len(pool):
+    if len(set(video_ids)) < len(truths) or len(worker_row) < len(pool):
         raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
     plan = partition_questions(tax, k, seed)
-    known_positives = (
-        {t.video_id: gate_positives(tax, t) for t in truths} if modifiers.positive_bias else None
-    )
-    video_ids = tuple(row_of)
-    hits = pack_hits(
-        video_ids,
-        plan,
-        budget,
-        model,
-        seed,
-        positive_bias=modifiers.positive_bias,
-        grouping=modifiers.grouping,
-        known_positives=known_positives,
-        prevalence=behavior.prevalence,
-    )
     rows = {
         "workers": tuple(pool),
         "worker_keys": id_keys(worker_row),
@@ -287,28 +289,25 @@ def simulate_campaign(
         "hard": hard_pairs(seed, video_ids, range(tax.label_count), behavior.hard_fraction),
         "duration": np.array([t.duration_seconds for t in truths]),
     }
-    # Each subset's tasks, flattened once: each task's HIT and video row,
-    # and its slots' question positions and gold flags.
-    subsets = []
-    for subset_index, group in groupby(enumerate(hits), lambda item: item[1].subset_index):
-        tasks = [(i, row_of[v], s) for i, hit in group for v, s in zip(hit.video_ids, hit.slots)]
-        task_hit, video, slots = zip(*tasks)
-        pairs = chain.from_iterable(chain.from_iterable(slots))
-        flat = np.fromiter(pairs, dtype=np.int64).reshape(-1, 2)
-        subsets.append((subset_index, np.array(task_hit), {
-            "video": np.array(video),
-            "lengths": np.array([len(s) for s in slots]),
-            "question": question_positions(tax, flat[:, 0]),
-            "gold": flat[:, 1].astype(bool),
-        }))
+    known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
+    hits = pack_hits(video_ids, plan, budget, model, seed, positive_bias=modifiers.positive_bias,
+                     grouping=modifiers.grouping, known_positives=known,
+                     prevalence=behavior.prevalence)
+    # Subset s holds one task per video, tasks s*n to s*n+n-1, and their slots.
+    n = len(video_ids)
+    bounds = np.concatenate([[0], np.cumsum(hits.lengths)])[::n].tolist()
+    subsets = [(s, len(subset), slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
+               for s, subset in enumerate(plan.subsets)]
+    question = question_positions(tax, hits.question)
     for iteration in range(iterations):
         picks = assign_workers(hits, pool, seed, iteration, blacklist)
-        hit_worker = np.array([worker_row[w.worker_id] for w in picks])
+        worker = np.array([worker_row[w.worker_id] for w in picks])[hits.hit]
         yield EventTable.concat(
-            simulate_block(behavior, tax, len(plan.subsets[subset_index]), modifiers, seed,
-                           worker=hit_worker[task_hit], model=model, iteration=iteration,
-                           subset_index=subset_index, **rows, **tasks)
-            for subset_index, task_hit, tasks in subsets
+            simulate_block(behavior, tax, size, modifiers, seed, model=model, iteration=iteration,
+                           subset_index=s, worker=worker[tasks], video=hits.video[tasks],
+                           lengths=hits.lengths[tasks], question=question[slots],
+                           gold=hits.gold[slots], **rows)
+            for s, size, tasks, slots in subsets
         )
 
 
@@ -849,7 +848,7 @@ def _experiment_worker_correlations(seed: int, videos: int = 80, workers: int = 
     pool = sample_worker_pool(workers, behavior, 0.0, seed)
     events = run_campaign(tax, truths, 52, 2, behavior, seed, pool=pool)
     # An event is positive when its question has a member the video shows.
-    members = member_table(tax)[question_positions(tax, events.question)]
+    members = tax.member_table[question_positions(tax, events.question)]
     truth = truth_matrix(truths, tax.label_count, video_ids=events.video_ids)
     positive = (truth[events.video[:, None], members] & (members >= 0)).any(axis=1)
     n = len(events.worker_ids)

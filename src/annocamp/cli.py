@@ -13,7 +13,10 @@ import dataclasses
 import json
 import sys
 from importlib import resources
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from . import campaign, costmodel, evaluate, planner, taxonomy, workersim
 from .output import atomic_open, read_records, write_csv
@@ -161,37 +164,28 @@ def cmd_calibrate(args, config: Config) -> int:
 def cmd_pack_hits(args, config: Config) -> int:
     tax = config.taxonomy(args.taxonomy)
     truths = workersim.load_truths(args.videos)
-    plan = taxonomy.partition_questions(tax, args.k, args.seed)
-    known = (
-        {t.video_id: campaign.gate_positives(tax, t) for t in truths}
-        if args.positive_bias
-        else None
-    )
+    video_ids = [t.video_id for t in truths]
+    known = None
+    if args.positive_bias:
+        truth = evaluate.truth_matrix(truths, tax.label_count, video_ids)
+        known = campaign.gate_positives(tax, video_ids, truth)
     hits = campaign.pack_hits(
-        [t.video_id for t in truths],
-        plan,
-        config.budget(),
-        config.time_model(),
-        args.seed,
-        positive_bias=args.positive_bias,
-        grouping=args.grouping,
-        known_positives=known,
-        prevalence=config.prevalence(),
+        video_ids, taxonomy.partition_questions(tax, args.k, args.seed), config.budget(),
+        config.time_model(), args.seed, positive_bias=args.positive_bias, grouping=args.grouping,
+        known_positives=known, prevalence=config.prevalence(),
     )
-    doc = [
-        {
-            "hit_id": h.hit_id,
-            "subset_index": h.subset_index,
-            "videos": list(h.video_ids),
-            "slots": [
-                [{"question": s.question_id, "gold": s.gold} for s in per_video]
-                for per_video in h.slots
-            ],
-            "expected_seconds": h.expected_seconds,
-            "pay": h.pay,
-        }
-        for h in hits
-    ]
+    slots = iter(zip(hits.question.tolist(), hits.gold.tolist()))
+    tasks = iter(zip(hits.video.tolist(), hits.lengths.tolist()))
+    doc = []
+    for hit_id, subset, count, seconds in zip(hits.hit_ids, hits.subset.tolist(),
+                                              np.bincount(hits.hit).tolist(),
+                                              hits.expected_seconds.tolist()):
+        videos = list(islice(tasks, count))
+        doc.append({"hit_id": hit_id, "subset_index": subset,
+                    "videos": [hits.video_ids[v] for v, _ in videos],
+                    "slots": [[{"question": q, "gold": g} for q, g in islice(slots, length)]
+                              for _, length in videos],
+                    "expected_seconds": seconds, "pay": hits.pay})
     _emit_text(json.dumps(doc, indent=2), args.out)
     return 0
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taxonomy import Taxonomy, member_table, question_positions
+from .taxonomy import Taxonomy, question_positions
 
 
 class IncompleteIterationError(ValueError):
@@ -109,7 +109,7 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     # (video, iteration, label) once and count its iterations per video.
     labels = taxonomy.label_count
     yes = events.gate[evaluated]
-    table = member_table(taxonomy)
+    table = taxonomy.member_table
     bits = np.arange(table.shape[1], dtype=np.uint64)
     answer, bit = np.nonzero(events.members[evaluated][yes, None] >> bits & np.uint64(1))
     label = table[slot[yes][answer], bit]

@@ -47,14 +47,28 @@ class QuestionGroup:
 
 @dataclass(frozen=True)
 class Taxonomy:
+    """Labels and top-level questions, with lookup arrays built once, read-only:
+    `member_table` holds label ids by (question position, member bit), -1 past
+    a question's members, and `question_ids` the question ids by position."""
+
     labels: tuple[Label, ...]
     questions: tuple[QuestionGroup, ...]
-    _question_index: dict = field(default=None, repr=False, compare=False)
+    _question_index: dict = field(init=False, repr=False, compare=False)
+    member_table: np.ndarray = field(init=False, repr=False, compare=False)
+    question_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    _id_order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_question_index", {q.id: q for q in self.questions}
-        )
+        width = max((len(q.members) for q in self.questions), default=0)
+        table = np.full((len(self.questions), width), -1)
+        for row, q in enumerate(self.questions):
+            table[row, : len(q.members)] = q.members
+        ids = np.array([q.id for q in self.questions], dtype=np.int64)
+        object.__setattr__(self, "_question_index", {q.id: q for q in self.questions})
+        for name, array in (("member_table", table), ("question_ids", ids),
+                            ("_id_order", np.argsort(ids))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def label_count(self) -> int:
@@ -209,21 +223,11 @@ def mask_members(question: QuestionGroup, mask: int) -> tuple[int, ...]:
     return tuple(m for i, m in enumerate(question.members) if mask >> i & 1)
 
 
-def member_table(tax: Taxonomy) -> np.ndarray:
-    """Label ids by (question position, member bit); -1 past a question's members."""
-    width = max((len(q.members) for q in tax.questions), default=0)
-    table = np.full((tax.question_count, width), -1)
-    for row, q in enumerate(tax.questions):
-        table[row, : len(q.members)] = q.members
-    return table
-
-
 def question_positions(tax: Taxonomy, question_ids: np.ndarray) -> np.ndarray:
     """Positions in tax.questions of an array of question ids."""
-    ids = np.array([q.id for q in tax.questions])
-    order = np.argsort(ids)
-    found = np.minimum(np.searchsorted(ids[order], question_ids), len(ids) - 1)
-    unknown = ids[order][found] != question_ids
+    order, ids = tax._id_order, tax.question_ids[tax._id_order]
+    found = np.minimum(np.searchsorted(ids, question_ids), len(ids) - 1)
+    unknown = ids[found] != question_ids
     if unknown.any():
         raise TaxonomyError(f"unknown question id {question_ids[unknown][0]}")
     return order[found]

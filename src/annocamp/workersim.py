@@ -23,7 +23,7 @@ import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
 from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
-from .taxonomy import Taxonomy, mask_members, member_table
+from .taxonomy import Taxonomy, mask_members
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -352,12 +352,14 @@ class EventTable:
 
     @classmethod
     def concat(cls, tables) -> "EventTable":
-        """The rows of tables that share their vocabularies, in order."""
+        """The rows of tables that share their vocabularies, in order; a lone table itself."""
         first, *rest = tables
+        if not rest:
+            return first
         if any((t.worker_ids, t.video_ids) != (first.worker_ids, first.video_ids) for t in rest):
             raise ValueError("event tables with different vocabularies cannot be concatenated")
-        tables = (first, *rest)
-        columns = (np.concatenate([getattr(t, f.name) for t in tables]) for f in EVENT_FIELDS)
+        columns = (np.concatenate([getattr(t, f.name) for t in (first, *rest)])
+                   for f in EVENT_FIELDS)
         return cls(first.worker_ids, first.video_ids, *columns)
 
     def rows(self, tax):
@@ -504,8 +506,8 @@ def simulate_block(
     # truth and hard flags of those labels. Past a question's members the
     # label is -1: it indexes the last label, and `valid` masks it out.
     owner = np.repeat(np.arange(len(worker)), lengths)
-    qid = np.array([q.id for q in tax.questions])[question]
-    members = member_table(tax)[question]
+    qid = tax.question_ids[question]
+    members = tax.member_table[question]
     valid = members >= 0
     is_true = truth[video][owner[:, None], members] & valid
     is_hard = hard[video][owner[:, None], members]
@@ -550,7 +552,7 @@ def simulate_block(
 
     return EventTable(tuple(w.worker_id for w in workers), tuple(video_ids), worker[owner],
                       video[owner], qid, gate, mask, (total / k)[owner],
-                      np.full(len(owner), iteration), gold)
+                      np.full(len(owner), iteration), gold.copy())
 
 
 def make_random_truth(

@@ -9,9 +9,11 @@ Not collected by a plain `pytest` run (the file name does not start with
 import numpy as np
 import pytest
 
-from annocamp.campaign import pack_hits, simulate_campaign
+from annocamp.campaign import gate_positives, pack_hits, simulate_campaign
+from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
-from annocamp.taxonomy import partition_questions, singleton_taxonomy
+from annocamp.evaluate import truth_matrix
+from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
 from annocamp.workersim import Worker, default_behavior, fit_hard_mixture, make_random_truth
 
 SEED = 1
@@ -28,11 +30,23 @@ def pool():
     return [Worker(f"w{i:04d}", recall_scale=float(s)) for i, s in enumerate(scales)]
 
 
-def test_pack_hits_k1_300_videos(benchmark, tax):
-    plan = partition_questions(tax, 1, SEED)
-    videos = [f"v{i:05d}" for i in range(300)]
+@pytest.mark.parametrize("k, videos", [(1, 300), (52, 1000)])
+def test_pack_hits(benchmark, tax, k, videos):
+    plan = partition_questions(tax, k, SEED)
+    videos = [f"v{i:05d}" for i in range(videos)]
     hits = benchmark(pack_hits, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED)
-    assert sum(len(h.video_ids) for h in hits) == 300 * 52
+    assert len(hits.video) == len(videos) * len(plan.subsets)
+
+
+def test_pack_hits_k5_bias_grouping_150_sample_videos(benchmark):
+    tax = load_taxonomy(sample_taxonomy_path())
+    truths = make_random_truth(150, tax.label_count, 3.7, SEED, min_labels=1)
+    video_ids = [t.video_id for t in truths]
+    known = gate_positives(tax, video_ids, truth_matrix(truths, tax.label_count, video_ids))
+    plan = partition_questions(tax, 5, SEED)
+    hits = benchmark(pack_hits, video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED,
+                     positive_bias=True, grouping=True, known_positives=known)
+    assert hits.gold.any()
 
 
 @pytest.mark.parametrize("k, videos", [(1, 300), (52, 1000)])

@@ -7,6 +7,7 @@ import logging
 import math
 import statistics
 import types
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,13 +31,14 @@ from annocamp.campaign import (
     worker_stats_from_events,
     write_events_csv,
 )
-from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, task_time
+from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, task_time, videos_per_hit
 from annocamp.evaluate import LabelMatrix, aggregate, truth_matrix, metrics
 from annocamp.planner import FEW_QUESTION_BUNDLE
 from annocamp.cli import sample_taxonomy_path
-from annocamp.seeding import order
+from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from annocamp.taxonomy import Taxonomy, load_taxonomy, partition_questions, singleton_taxonomy
 from annocamp.workersim import (
+    DEFAULT_PREVALENCE,
     EventTable,
     ModifierSet,
     VideoTruth,
@@ -71,13 +73,40 @@ def behavior():
 # ---------------------------------------------------------------------------
 
 
+def task_slots(hits):
+    """Per task: (HIT number, video id, base question ids in the order asked,
+    gold question ids in the order asked)."""
+    ends = np.cumsum(hits.lengths).tolist()
+    question, gold = hits.question.tolist(), hits.gold.tolist()
+    for hit, video, start, end in zip(hits.hit.tolist(), hits.video.tolist(), [0, *ends], ends):
+        slots = list(zip(question[start:end], gold[start:end]))
+        base = tuple(q for q, g in slots if not g)
+        yield hit, hits.video_ids[video], base, tuple(q for q, g in slots if g)
+
+
+def base_orders(hits):
+    """Per HIT: the base question orders of its videos, in task order."""
+    orders = [[] for _ in range(len(hits))]
+    for hit, _, base, _ in task_slots(hits):
+        orders[hit].append(base)
+    return orders
+
+
+def slot_counts(hits):
+    """Per HIT: (base slots, gold slots)."""
+    slot_hit = np.repeat(hits.hit, hits.lengths)
+    gold = np.bincount(slot_hit[hits.gold], minlength=len(hits))
+    base = np.bincount(slot_hit, minlength=len(hits)) - gold
+    return list(zip(base.tolist(), gold.tolist()))
+
+
 def test_pack_reference_counts(tax):
     videos = [f"v{i}" for i in range(140)]
     plan = partition_questions(tax, 52, seed=0)
     hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
     assert len(hits) == 70
-    assert all(len(h.video_ids) == 2 for h in hits)
-    assert all(h.pay == 0.40 for h in hits)
+    assert np.bincount(hits.hit).tolist() == [2] * 70
+    assert hits.pay == 0.40
 
 
 def test_pack_conservation(tax):
@@ -85,15 +114,13 @@ def test_pack_conservation(tax):
     plan = partition_questions(tax, 7, seed=1)
     hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=1)
     seen = {}
-    for hit in hits:
-        subset = set(plan.subsets[hit.subset_index])
-        for idx, video in enumerate(hit.video_ids):
-            base = hit.base_questions(idx)
-            assert set(base) == subset
-            for qid in base:
-                key = (video, qid)
-                assert key not in seen, f"{key} packed twice"
-                seen[key] = hit.hit_id
+    for hit, video, base, _ in task_slots(hits):
+        subset = set(plan.subsets[hits.subset[hit]])
+        assert set(base) == subset
+        for qid in base:
+            key = (video, qid)
+            assert key not in seen, f"{key} packed twice"
+            seen[key] = hits.hit_ids[hit]
     assert len(seen) == 30 * 52
 
 
@@ -101,13 +128,10 @@ def test_pack_grouping_shares_question_order(tax):
     videos = [f"v{i}" for i in range(20)]
     plan = partition_questions(tax, 10, seed=2)
     hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2, grouping=True)
-    for hit in hits:
-        orders = {hit.base_questions(i) for i in range(len(hit.video_ids))}
-        assert len(orders) == 1
+    for orders in base_orders(hits):
+        assert len(set(orders)) == 1
     loose = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
-    mixed = [
-        len({h.base_questions(i) for i in range(len(h.video_ids))}) for h in loose
-    ]
+    mixed = [len(set(orders)) for orders in base_orders(loose)]
     assert any(count > 1 for count in mixed)
 
 
@@ -116,13 +140,16 @@ def test_pack_expected_time_bound_on_full_hits(tax):
     videos = [f"v{i}" for i in range(72)]  # divisible by 2, 3, 4, 6, 8, 9
     for k in (1, 4, 9, 18, 52):
         plan = partition_questions(tax, k, seed=3)
-        for hit in pack_hits(videos, plan, budget, DEFAULT_TIME_MODEL, seed=3):
-            size = len(plan.subsets[hit.subset_index])
+        hits = pack_hits(videos, plan, budget, DEFAULT_TIME_MODEL, seed=3)
+        for subset_index, seconds, count in zip(
+            hits.subset.tolist(), hits.expected_seconds.tolist(), np.bincount(hits.hit).tolist()
+        ):
+            size = len(plan.subsets[subset_index])
             per_video = task_time(DEFAULT_TIME_MODEL, size)
-            full = len(hit.video_ids) == int(budget.target_seconds // per_video)
-            assert hit.expected_seconds <= budget.target_seconds + 1e-9
+            full = count == int(budget.target_seconds // per_video)
+            assert seconds <= budget.target_seconds + 1e-9
             if full:
-                assert hit.expected_seconds > budget.target_seconds - per_video
+                assert seconds > budget.target_seconds - per_video
 
 
 def test_pack_positive_bias_fraction(tax):
@@ -140,13 +167,7 @@ def test_pack_positive_bias_fraction(tax):
             positive_bias=True,
             known_positives=known,
         )
-        for hit in hits:
-            base = sum(
-                len(hit.base_questions(i)) for i in range(len(hit.video_ids))
-            )
-            gold = sum(
-                len(hit.gold_questions(i)) for i in range(len(hit.video_ids))
-            )
+        for base, gold in slot_counts(hits):
             assert gold > 0
             expected_true = base * g / 52
             fraction = (expected_true + gold) / (base + gold)
@@ -166,10 +187,9 @@ def test_pack_gold_comes_from_known_positives(tax):
         positive_bias=True,
         known_positives=known,
     )
-    (hit,) = hits
-    for idx, video in enumerate(hit.video_ids):
-        gold = set(hit.gold_questions(idx))
-        assert gold <= set(known[video])
+    assert len(hits) == 1
+    for _, video, _, gold in task_slots(hits):
+        assert set(gold) <= set(known[video])
 
 
 def test_pack_errors(tax):
@@ -219,30 +239,156 @@ def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
         grouping=grouping,
         known_positives=known if positive_bias else None,
     )
-    packed = [(v, h.subset_index) for h in hits for v in h.video_ids]
+    tasks = list(task_slots(hits))
+    subset_of = hits.subset.tolist()
+    packed = [(video, subset_of[hit]) for hit, video, _, _ in tasks]
     # Each (video, subset) is packed exactly once.
     assert len(packed) == len(set(packed)) == len(videos) * len(plan.subsets)
     asked = {v: [] for v in videos}
-    for hit in hits:
-        subset = plan.subsets[hit.subset_index]
-        for i, video in enumerate(hit.video_ids):
-            assert sorted(hit.base_questions(i)) == sorted(subset)
-            asked[video].extend(hit.base_questions(i))
-            # Gold slots come only from the video's known positives.
-            assert set(hit.gold_questions(i)) <= set(known[video])
-            if not positive_bias:
-                assert hit.gold_questions(i) == ()
+    for hit, video, base, gold in tasks:
+        subset = plan.subsets[subset_of[hit]]
+        assert sorted(base) == sorted(subset)
+        asked[video].extend(base)
+        # Gold slots come only from the video's known positives.
+        assert set(gold) <= set(known[video])
+        if not positive_bias:
+            assert gold == ()
+    for hit, orders in enumerate(base_orders(hits)):
+        subset = plan.subsets[subset_of[hit]]
         if grouping:
             # One shared base order per HIT, gold slots or not.
-            orders = {hit.base_questions(i) for i in range(len(hit.video_ids))}
-            assert len(orders) == 1
+            assert len(set(orders)) == 1
         if grouping and len(subset) > 1:
             # The HIT's order is the draw keyed by its subset and chunk.
-            chunk_index = int(hit.hit_id.rsplit("-", 1)[1])
-            drawn = order(seed, subset, hit.subset_index, chunk_index, "order")
-            assert hit.base_questions(0) == tuple(subset[i] for i in drawn)
+            chunk_index = int(hits.hit_ids[hit].rsplit("-", 1)[1])
+            drawn = order(seed, subset, subset_of[hit], chunk_index, "order")
+            assert orders[0] == tuple(subset[i] for i in drawn)
     # Each base question once per video.
     assert all(sorted(q) == list(range(52)) for q in asked.values())
+
+
+class _Slot(NamedTuple):
+    question_id: int
+    gold: bool = False
+
+
+def _pack_hits_loop(video_ids, subset_plan, budget, model, seed, *, positive_bias=False,
+                    grouping=False, known_positives=None, prevalence=DEFAULT_PREVALENCE):
+    """The packer as one loop over HITs, each HIT's slots built as tuples:
+    (HIT id, subset index, video ids, slots per video, expected seconds)."""
+    video_ids = list(video_ids)
+    if not video_ids:
+        raise ValueError("cannot pack an empty video list")
+    if positive_bias and not known_positives:
+        raise ValueError("positive bias requires known positive questions per video")
+    qtop = sum(len(s) for s in subset_plan.subsets)
+    video_keys = id_keys(video_ids)
+    hits = []
+    for subset_index, subset in enumerate(subset_plan.subsets):
+        size = len(subset)
+        per_hit = videos_per_hit(model, size, budget)
+        packed = key_order(draw_key(seed, "pack", subset_index, video_keys))
+        shuffled, shuffled_keys = [video_ids[i] for i in packed], video_keys[packed]
+        subset_key = draw_key(seed, subset_index)
+        in_order = tuple(_Slot(qid) for qid in subset)
+        starts = range(0, len(shuffled), per_hit)
+        if grouping and size > 1:
+            chunk_keys = id_keys(range(len(starts)))[:, None]
+            shared_orders = key_order(draw_key(seed, subset_index, chunk_keys, "order",
+                                               id_keys(subset))).tolist()
+        for chunk_index, chunk_start in enumerate(starts):
+            chunk = shuffled[chunk_start : chunk_start + per_hit]
+            hit_id = f"hit-{subset_index:03d}-{chunk_index:05d}"
+            gold_by_video = {v: () for v in chunk}
+            if positive_bias:
+                base_slots = len(chunk) * size
+                expected_pos = len(chunk) * prevalence * size / qtop
+                duplicates = max(0, round((base_slots - 3.0 * expected_pos) / 2.0))
+                donors = [v for v in chunk if known_positives.get(v)]
+                if duplicates and not donors:
+                    raise ValueError(f"{hit_id}: no video has a known positive to duplicate")
+                for i in range(duplicates):
+                    video = donors[i % len(donors)]
+                    pool = known_positives[video]
+                    slot = _Slot(pool[len(gold_by_video[video]) % len(pool)], True)
+                    gold_by_video[video] += (slot,)
+            base = in_order
+            if grouping and size > 1:
+                base = tuple(in_order[i] for i in shared_orders[chunk_index])
+            slots = [base + gold_by_video[v] for v in chunk]
+            shuffle = [len(e) > 1 and (len(e) > size or not grouping) for e in slots]
+            if any(shuffle):
+                width = np.arange(max(map(len, slots)))
+                keys = shuffled_keys[chunk_start : chunk_start + per_hit]
+                u = uniforms(fold(subset_key, keys, id_key("slots"))[:, None], width)
+                u[width >= np.array([len(e) for e in slots])[:, None]] = 2.0
+                orders = np.argsort(u, axis=1).tolist()
+                for row, e in enumerate(slots):
+                    if shuffle[row]:
+                        placed = [e[i] for i in orders[row][: len(e)]]
+                        if grouping:
+                            shared = iter(base)
+                            placed = [s if s.gold else next(shared) for s in placed]
+                        slots[row] = tuple(placed)
+            hits.append((hit_id, subset_index, tuple(chunk), tuple(slots),
+                         len(chunk) * task_time(model, size)))
+    return hits
+
+
+def _packed_or_error(pack, *args, **kwargs):
+    try:
+        return pack(*args, **kwargs), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, k=5, n=20, grouping=False, positive_bias=True, known_lists=[[3]] * 40,
+         empty=set(range(1, 20)), missing=set()).via("a chunk with no donor")
+@example(seed=0, k=5, n=60, grouping=True, positive_bias=True, known_lists=[[0, 3]] * 60,
+         empty=set(), missing=set()).via("the grouping case of test_pack_properties")
+@example(seed=0, k=52, n=5, grouping=True, positive_bias=True, known_lists=[[7, 9]] * 40,
+         empty=set(), missing=set()).via("more gold slots than known positives")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 5, 7, 52]),
+    n=st.integers(1, 40),
+    grouping=st.booleans(),
+    positive_bias=st.booleans(),
+    known_lists=st.lists(
+        st.lists(st.integers(0, 51), min_size=1, max_size=4, unique=True), min_size=40, max_size=40
+    ),
+    empty=st.sets(st.integers(0, 39), max_size=3),
+    missing=st.sets(st.integers(0, 39), max_size=3),
+)
+def test_pack_columns_equal_the_hit_loop(sample_tax, seed, k, n, grouping, positive_bias,
+                                         known_lists, empty, missing):
+    """The columns are the per-HIT loop's HITs, flattened: the same HITs,
+    tasks and slots in the same order, or the same error."""
+    videos = [f"v{i}" for i in range(n)]
+    # Videos without known positives: an empty list, or no entry at all.
+    known = {v: [] if i in empty else known_lists[i] for i, v in enumerate(videos)
+             if i not in missing}
+    plan = partition_questions(sample_tax, k, seed)
+    args = (videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed)
+    kwargs = {"positive_bias": positive_bias, "grouping": grouping,
+              "known_positives": known if positive_bias else None}
+    loop, loop_error = _packed_or_error(_pack_hits_loop, *args, **kwargs)
+    hits, error = _packed_or_error(pack_hits, *args, **kwargs)
+    assert error == loop_error
+    if error:
+        return
+    assert len(hits) == len(loop)
+    assert hits.hit_ids == [h[0] for h in loop]
+    assert hits.subset.tolist() == [h[1] for h in loop]
+    assert hits.expected_seconds.tolist() == [h[4] for h in loop]
+    assert hits.pay == HitBudget().pay_per_hit
+    tasks = [(i, v, s) for i, h in enumerate(loop) for v, s in zip(h[2], h[3])]
+    assert hits.hit.tolist() == [i for i, _, _ in tasks]
+    assert [hits.video_ids[v] for v in hits.video.tolist()] == [v for _, v, _ in tasks]
+    assert hits.lengths.tolist() == [len(s) for _, _, s in tasks]
+    assert hits.question.tolist() == [q.question_id for _, _, s in tasks for q in s]
+    assert hits.gold.tolist() == [q.gold for _, _, s in tasks for q in s]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +419,18 @@ def test_campaign_deterministic_and_shard_invariant(tax, behavior, seed, k, shar
     wanted = {t.video_id for t in part}
     sharded = run_campaign(tax, part, k, 2, behavior, seed=seed)
     assert _rows(sharded, tax) == sorted(r for r in one.rows(tax) if r[1] in wanted)
+
+
+@pytest.mark.parametrize("k, modifiers", [(5, BIAS), (52, NONE)])
+def test_passes_share_no_column(tax, behavior, k, modifiers):
+    # At k = 52 a pass is one simulator call, which EventTable.concat hands
+    # back as it is: no pass's column may be a view of the packed HITs or of
+    # another pass's column.
+    passes = list(simulate_campaign(tax, make_random_truth(6, 52, 3.7, seed=2), k, 2,
+                                    behavior, seed=1, modifiers=modifiers))
+    columns = [getattr(events, f.name) for events in passes for f in dataclasses.fields(events)
+               if isinstance(getattr(events, f.name), np.ndarray)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(columns) for b in columns[:i])
 
 
 @pytest.mark.parametrize("bundled", [False, True])
@@ -602,9 +760,16 @@ def test_assign_workers_requires_eligible_pool(tax):
         assign_workers([], [Worker("w0")], seed=0, iteration=0, blacklist=blacklist)
 
 
-def test_gate_positives(tax):
+def test_gate_positives(tax, sample_tax):
     truth = VideoTruth(video_id="v", labels=frozenset({3, 17}))
-    assert gate_positives(tax, truth) == [3, 17]
+    assert gate_positives(tax, ["v"], truth_matrix([truth], 52, ["v"])) == {"v": [3, 17]}
+    # Each video's positives in taxonomy order, with none for a video without.
+    truths = [VideoTruth("a", labels=frozenset({m for q in sample_tax.questions[::-5]
+                                                 for m in q.members[-1:]})),
+              VideoTruth("b")]
+    matrix = truth_matrix(truths, sample_tax.label_count, ["a", "b"])
+    expected = [q.id for q in sample_tax.questions if set(q.members) & truths[0].labels]
+    assert gate_positives(sample_tax, ["a", "b"], matrix) == {"a": expected, "b": []}
 
 
 # ---------------------------------------------------------------------------

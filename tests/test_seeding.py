@@ -82,9 +82,8 @@ def test_k3_slot_orders_are_uniform_permutations():
     (subset,) = plan.subsets
     videos = [f"v{i}" for i in range(6000)]
     hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
-    seen = Counter(
-        hit.base_questions(i) for hit in hits for i in range(len(hit.video_ids))
-    )
+    assert hits.lengths.tolist() == [3] * len(videos)
+    seen = Counter(map(tuple, hits.question.reshape(-1, 3).tolist()))
     assert set(seen) == set(itertools.permutations(subset))
     p = 1 / 6
     se = np.sqrt(p * (1 - p) / len(videos))

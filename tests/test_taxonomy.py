@@ -14,6 +14,7 @@ from annocamp.taxonomy import (
     mask_members,
     members_mask,
     partition_questions,
+    question_positions,
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
@@ -218,3 +219,22 @@ def test_singleton_taxonomy_helper():
     assert tax.label_count == 10
     assert all(q.is_singleton for q in tax.questions)
     assert all(q.members == (q.id,) for q in tax.questions)
+
+
+def test_lookup_arrays_are_built_once_and_read_only(sample_tax):
+    questions = sample_tax.questions
+    table = sample_tax.member_table
+    assert table.shape == (52, max(len(q.members) for q in questions))
+    for row, q in zip(table.tolist(), questions):
+        assert row == [*q.members, *[-1] * (table.shape[1] - len(q.members))]
+    assert sample_tax.question_ids.tolist() == [q.id for q in questions]
+    for array in (table, sample_tax.question_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    ids = np.array([q.id for q in questions[::-3]])
+    assert question_positions(sample_tax, ids).tolist() == list(range(51, -1, -3))
+    with pytest.raises(TaxonomyError, match="unknown question id 99"):
+        question_positions(sample_tax, np.array([0, 99]))
+    # The arrays do not enter comparison: equal taxonomies stay equal and hash alike.
+    again = load_taxonomy(sample_taxonomy_path())
+    assert again == sample_tax and hash(again) == hash(sample_tax)

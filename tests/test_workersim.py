@@ -596,3 +596,19 @@ def test_load_truths_rejects_a_carriage_return_in_an_id(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_truths(path)
     assert str(exc.value) == f"{path}: line 2: video id 'v\\r1' holds a carriage return"
+
+
+def test_concat_of_one_table_is_that_table():
+    def table(worker_ids, rows=2):
+        columns = [np.zeros(rows, int)] * 3 + [np.zeros(rows, bool), np.zeros(rows, np.uint64),
+                                               np.ones(rows), np.zeros(rows, int),
+                                               np.zeros(rows, bool)]
+        return EventTable(worker_ids, ("v0",), *columns)
+
+    t = table(("w0",))
+    assert EventTable.concat([t]) is t
+    assert EventTable.concat(iter([t])) is t
+    assert len(EventTable.concat([t, table(("w0",), 3)])) == 5
+    for tables in ([t, table(("w1",))], [t, t, table(("w0", "w1"))]):
+        with pytest.raises(ValueError, match="different vocabularies"):
+            EventTable.concat(tables)
