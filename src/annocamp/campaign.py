@@ -15,6 +15,7 @@ import logging
 import math
 import statistics
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
@@ -155,6 +156,9 @@ def pack_hits(
     video_ids = tuple(video_ids)
     if not video_ids:
         raise ValueError("cannot pack an empty video list")
+    if len(set(video_ids)) < len(video_ids):
+        repeated = next(v for v, count in Counter(video_ids).items() if count > 1)
+        raise ValueError(f"video {repeated!r} is listed more than once")
     if positive_bias and not known_positives:
         raise ValueError("positive bias requires known positive questions per video")
     qtop = sum(len(s) for s in subset_plan.subsets)
@@ -246,6 +250,30 @@ def assign_workers(hits, pool, seed: int, iteration: int, blacklist=()) -> list[
     return [eligible[perm[i % len(eligible)]] for i in range(len(hits))]
 
 
+def campaign_rows(tax: Taxonomy, truths, pool, behavior: WorkerBehavior, seed: int,
+                  model: TimeModel = DEFAULT_TIME_MODEL) -> dict:
+    """The campaign's constants that `simulate_block` reads, built once: the
+    pool's columns by worker row, the truths' by video row (truth matrix,
+    hard-pair mask and the time model's base scaled to each duration), and
+    the per-question seconds."""
+    video_ids = tuple(t.video_id for t in truths)
+    durations, duration = np.unique([t.duration_seconds for t in truths], return_inverse=True)
+    base = [scale_base_for_duration(model, d).base_seconds for d in durations.tolist()]
+    return {
+        "worker_ids": tuple(w.worker_id for w in pool),
+        "worker_keys": id_keys(w.worker_id for w in pool),
+        "recall_scale": np.array([w.recall_scale for w in pool]),
+        "time_scale": np.array([w.time_scale for w in pool]),
+        "spammer": np.array([w.spammer for w in pool], dtype=bool),
+        "video_ids": video_ids,
+        "video_keys": id_keys(video_ids),
+        "truth": truth_matrix(truths, tax.label_count, video_ids=video_ids),
+        "hard": hard_pairs(seed, video_ids, range(tax.label_count), behavior.hard_fraction),
+        "base_seconds": np.array(base)[duration],
+        "per_question_seconds": model.per_question_seconds,
+    }
+
+
 def simulate_campaign(
     tax: Taxonomy,
     truths,
@@ -264,11 +292,11 @@ def simulate_campaign(
 
     Each pass lists the HITs' events in slot order, on the vocabularies of
     the pool's worker ids and the truths' video ids, which must be unique.
-    `pack_hits` gives the HITs' task and slot columns once; a pass makes one
-    `simulate_block` call per question subset, on that subset's slice of
-    them. Every draw is a counter draw keyed by the ids of the task's worker
-    and video, so the events are a pure function of the seed and do not
-    depend on execution order.
+    `pack_hits` gives the HITs' task and slot columns once, and the worker,
+    video and task columns `simulate_block` reads are built once; a pass is
+    one `simulate_block` call over all of its tasks. Every draw is a counter
+    draw keyed by the ids of the task's worker and video, so the events are
+    a pure function of the seed and do not depend on execution order.
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
@@ -280,35 +308,27 @@ def simulate_campaign(
     if len(set(video_ids)) < len(truths) or len(worker_row) < len(pool):
         raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
     plan = partition_questions(tax, k, seed)
-    rows = {
-        "workers": tuple(pool),
-        "worker_keys": id_keys(worker_row),
-        "video_ids": video_ids,
-        "video_keys": id_keys(video_ids),
-        "truth": truth_matrix(truths, tax.label_count, video_ids=video_ids),
-        "hard": hard_pairs(seed, video_ids, range(tax.label_count), behavior.hard_fraction),
-        "duration": np.array([t.duration_seconds for t in truths]),
-    }
+    rows = campaign_rows(tax, truths, pool, behavior, seed, model)
     known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
     hits = pack_hits(video_ids, plan, budget, model, seed, positive_bias=modifiers.positive_bias,
                      grouping=modifiers.grouping, known_positives=known,
                      prevalence=behavior.prevalence)
-    # Subset s holds one task per video, tasks s*n to s*n+n-1, and their slots.
-    n = len(video_ids)
-    bounds = np.concatenate([[0], np.cumsum(hits.lengths)])[::n].tolist()
-    subsets = [(s, len(subset), slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
-               for s, subset in enumerate(plan.subsets)]
-    question = question_positions(tax, hits.question)
+    # Each task's subset, by which its size and draws are keyed.
+    subset = hits.subset[hits.hit]
+    tasks = {
+        "video": hits.video,
+        "size": np.array(list(map(len, plan.subsets)))[subset],
+        "subset_key": id_keys(range(len(plan.subsets)))[subset],
+        "lengths": hits.lengths,
+        "question": question_positions(tax, hits.question),
+        "gold": hits.gold,
+    }
+    del subset
     for iteration in range(iterations):
         picks = assign_workers(hits, pool, seed, iteration, blacklist)
         worker = np.array([worker_row[w.worker_id] for w in picks])[hits.hit]
-        yield EventTable.concat(
-            simulate_block(behavior, tax, size, modifiers, seed, model=model, iteration=iteration,
-                           subset_index=s, worker=worker[tasks], video=hits.video[tasks],
-                           lengths=hits.lengths[tasks], question=question[slots],
-                           gold=hits.gold[slots], **rows)
-            for s, size, tasks, slots in subsets
-        )
+        yield simulate_block(behavior, tax, modifiers, seed, iteration=iteration, worker=worker,
+                             **rows, **tasks)
 
 
 def run_campaign(*args, **kwargs) -> EventTable:
@@ -380,9 +400,10 @@ def _load_sidecar(events, key: np.ndarray) -> EventTable | None:
         return None
 
 
-def _csv_fields(ids) -> tuple[list[str], bool]:
-    """Each id as csv.writer writes it inside a row, and whether all of them
-    read back unchanged (csv.writer leaves a lone carriage return unquoted)."""
+def _csv_fields(ids) -> list[str]:
+    """Each id as csv.writer writes it inside a row. A ValueError names the
+    first id that would not read back unchanged (csv.writer leaves a lone
+    carriage return unquoted)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     fields = []
@@ -391,11 +412,13 @@ def _csv_fields(ids) -> tuple[list[str], bool]:
         buf.truncate()
         writer.writerow((i, ""))  # the empty second field keeps an empty id unquoted
         fields.append(buf.getvalue()[:-2])
-    try:
-        back = csv.reader(io.StringIO("".join(f + ",\n" for f in fields), newline=""))
-        return fields, list(back) == [[i, ""] for i in ids]
-    except csv.Error:
-        return fields, False
+        try:
+            back = list(csv.reader([fields[-1] + ","]))
+        except csv.Error:
+            back = None
+        if back != [[i, ""]]:
+            raise ValueError(f"id {i!r} would not read back from an events CSV")
+    return fields
 
 
 def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -423,7 +446,8 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     Each column's distinct values are formatted once: ids as csv.writer
     quotes them, answers (question, gate, members), elapsed times by `repr`
     (0.0 apart from -0.0) and iterations; the rows are joined ROW_CHUNK at
-    a time. When every id and answer reads back unchanged, the table as
+    a time. An id that would not read back unchanged is a ValueError before
+    the file is opened. When every answer reads back unchanged, the table as
     `ingest` returns it goes to the CSV's sidecar.
     """
     answer, first = group_ids(table.question, table.gate, table.members)
@@ -434,7 +458,7 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
         valid &= not isinstance(_answer_code(tax, raw, answers), str)
     bits, elapsed = np.unique(table.elapsed.view(np.uint64), return_inverse=True)
     iterations, iteration = np.unique(table.iteration, return_inverse=True)
-    (workers, workers_ok), (videos, videos_ok) = map(_csv_fields, (table.worker_ids, table.video_ids))
+    workers, videos = _csv_fields(table.worker_ids), _csv_fields(table.video_ids)
     columns = [
         (workers, table.worker),
         (videos, table.video),
@@ -459,7 +483,7 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
             data = text.encode()
             digest.update(data)
             fh.write(data)
-    if valid and workers_ok and videos_ok:
+    if valid:
         worker_ids, worker = _first_seen(table.worker_ids, table.worker)
         video_ids, video = _first_seen(table.video_ids, table.video)
         parsed = EventTable(worker_ids, video_ids, worker, video,

@@ -30,10 +30,14 @@ def id_keys(ids) -> np.ndarray:
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer: a bijection of uint64 with full avalanche."""
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-    return x ^ (x >> 31)
+    """The splitmix64 finalizer, in place on a fresh array x: a bijection of
+    uint64 with full avalanche."""
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x ^= x >> 31
+    return x
 
 
 def fold(key, *fields) -> np.ndarray:
@@ -57,7 +61,9 @@ def draw_key(master_seed: int, *ids) -> np.ndarray:
 
 def uniforms(keys, counters) -> np.ndarray:
     """Uniform floats in [0, 1) with 53 random bits, one per (key, counter)."""
-    return (fold(keys, counters) >> 11) * 2.0**-53
+    bits = fold(keys, counters)
+    bits >>= 11
+    return bits * 2.0**-53
 
 
 def key_order(keys) -> np.ndarray:

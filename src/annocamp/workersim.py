@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .costmodel import DEFAULT_TIME_MODEL, TimeModel, scale_base_for_duration, task_time
+from .costmodel import DEFAULT_TIME_MODEL  # noqa: F401 (re-exported)
 from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
 from .taxonomy import Taxonomy, mask_members
 
@@ -455,76 +455,94 @@ def _select_members(probs: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.n
 def simulate_block(
     behavior: WorkerBehavior,
     tax: Taxonomy,
-    k: int,
     modifiers: ModifierSet,
     seed: int,
     *,
-    workers,
+    worker_ids,
     worker_keys: np.ndarray,
+    recall_scale: np.ndarray,
+    time_scale: np.ndarray,
+    spammer: np.ndarray,
     video_ids,
     video_keys: np.ndarray,
     truth: np.ndarray,
     hard: np.ndarray,
-    duration: np.ndarray,
+    base_seconds: np.ndarray,
+    per_question_seconds: float,
     worker: np.ndarray,
     video: np.ndarray,
+    size: np.ndarray,
+    subset_key: np.ndarray,
     lengths: np.ndarray,
     question: np.ndarray,
     gold: np.ndarray,
-    model: TimeModel = DEFAULT_TIME_MODEL,
     iteration: int = 0,
-    subset_index: int = 0,
 ) -> EventTable:
-    """Simulate task i: workers[worker[i]] answering a k-question subset of
-    `tax` about video row video[i].
+    """Simulate task i: worker row worker[i] answering a size[i]-question
+    subset of `tax` about video row video[i].
 
-    `workers` and `worker_keys` are indexed by worker row; `video_ids`,
-    `video_keys`, `truth` and `hard` (the campaign's videos x labels truth
-    matrix and hard-pair mask) and `duration` by video row. Task i's events
-    are its lengths[i] consecutive slots: `question` holds each slot's
-    position in tax.questions and `gold` flags gold duplicates, the other
-    slots naming each question of the subset once. Draws are keyed by
-    (seed, worker, video, iteration, subset index, stream) and count
-    question ids, member label ids or gold ordinals, so a task's events
-    depend neither on the other tasks nor on its slot order.
+    `worker_ids`, `worker_keys`, `recall_scale`, `time_scale` and `spammer`
+    are indexed by worker row; `video_ids`, `video_keys`, `truth` and `hard`
+    (the campaign's videos x labels truth matrix and hard-pair mask) and
+    `base_seconds` (the time model's base, scaled to the video's duration) by
+    video row. Task i's events are its lengths[i] consecutive slots:
+    `question` holds each slot's position in tax.questions and `gold` flags
+    gold duplicates, the other slots naming each question of the subset
+    once. Each distinct size resolves its operating point once, in task
+    order. Draws are keyed by (seed, worker, video, iteration, subset key,
+    stream) and count question ids, member label ids or gold ordinals, so a
+    task's events depend neither on the other tasks nor on its slot order.
     """
-    if k < 1:
+    if (size < 1).any():
         raise ValueError("a task needs at least one question")
-    adjusted = apply_modifiers(behavior, modifiers, k)
-    f, hard_mult = adjusted.fp_rate, behavior.hard_recall_multiplier
-    scales = np.array([w.recall_scale for w in workers])[worker]
-    r_easy = easy_recall(
-        np.minimum(1.0, adjusted.recall * scales), behavior.hard_fraction, hard_mult
-    )
-    spammer = np.array([w.spammer for w in workers], dtype=bool)[worker]
-    task = draw_key(seed, worker_keys[worker], video_keys[video], iteration, subset_index)
+    # The operating point of each distinct size, resolved in task order so
+    # that the first subset without a measured effect is the one named.
+    sizes, first = np.unique(size, return_index=True)
+    points = np.zeros((4, size.max(initial=0) + 1))
+    for k in sizes[np.argsort(first)].tolist():
+        point = apply_modifiers(behavior, modifiers, k)
+        points[:, k] = point.recall, point.fp_rate, point.time_ratio, point.extra_seconds
+    recall, fp, time_ratio, extra = points
+    hard_mult = behavior.hard_recall_multiplier
 
-    def stream(name: str) -> np.ndarray:
-        return fold(task, id_key(name))
+    def easy(at: np.ndarray) -> np.ndarray:
+        """The easy-pair recall of tasks `at`, their workers' scales applied."""
+        r = np.minimum(1.0, recall[size[at]] * recall_scale[worker[at]])
+        return easy_recall(r, behavior.hard_fraction, hard_mult)
+
+    spam = spammer[worker]
+    task = draw_key(seed, worker_keys[worker], video_keys[video], iteration, subset_key)
+
+    def stream(name: str, at=slice(None)) -> np.ndarray:
+        return fold(task[at], id_key(name))
 
     # One entry per slot: its task, question id and member labels, and the
     # truth and hard flags of those labels. Past a question's members the
     # label is -1: it indexes the last label, and `valid` masks it out.
     owner = np.repeat(np.arange(len(worker)), lengths)
+    slot_video = video[owner]
     qid = tax.question_ids[question]
     members = tax.member_table[question]
     valid = members >= 0
-    is_true = truth[video][owner[:, None], members] & valid
-    is_hard = hard[video][owner[:, None], members]
-    r = r_easy[owner]
+    is_true = truth[slot_video[:, None], members] & valid
+    is_hard = hard[slot_video[:, None], members]
+    del members
 
     # A positive question is hard when all of its positive members are. A
     # gold duplicate repeats a question known positive for the video; its
     # gate is drawn by its ordinal among the task's gold slots.
-    p_yes = np.where(
-        (is_true & ~is_hard).any(axis=1), r, np.where(is_true.any(axis=1), r * hard_mult, f)
-    )
-    p_yes[spammer[owner]] = SPAMMER_YES_RATE
+    positive = np.flatnonzero(is_true.any(axis=1))
+    p_yes = fp[size][owner]
+    p_yes[positive] = easy(owner[positive])
+    all_hard = ~(is_true[positive] & ~is_hard[positive]).any(axis=1)
+    p_yes[positive[all_hard]] *= hard_mult
+    p_yes[spam[owner]] = SPAMMER_YES_RATE
     gate = uniforms(stream("gate")[owner], qid) < p_yes
+    del p_yes
     at = owner[gold]
     ordinal = np.arange(len(at)) - np.searchsorted(at, at)
-    p_gold = np.where(spammer[at], SPAMMER_YES_RATE, r_easy[at])
-    gate[gold] = uniforms(stream("gold")[at], ordinal) < p_gold
+    p_gold = np.where(spam[at], SPAMMER_YES_RATE, easy(at))
+    gate[gold] = uniforms(stream("gold", at), ordinal) < p_gold
 
     # A yes selects the first member (bit 0) of a gold duplicate or a
     # one-member question. On a multi-member question a spammer picks one
@@ -533,26 +551,34 @@ def simulate_block(
     multi = np.flatnonzero(gate & ~gold & valid[:, 1:].any(axis=1))
     if len(multi):
         at, n = owner[multi], valid[multi].sum(axis=1)
-        spam_pick = (uniforms(stream("spam-pick")[at], qid[multi]) * n).astype(np.uint64)
-        rm = r[multi][:, None]
-        probs = np.where(is_true[multi], np.where(is_hard[multi], rm * hard_mult, rm), f)
+        spam_pick = (uniforms(stream("spam-pick", at), qid[multi]) * n).astype(np.uint64)
+        rm = easy(at)[:, None]
+        probs = np.where(is_true[multi], np.where(is_hard[multi], rm * hard_mult, rm),
+                         fp[size[at]][:, None])
         probs *= valid[multi]
-        u = uniforms(stream("members")[at][:, None], members[multi])
+        u = uniforms(stream("members", at)[:, None], tax.member_table[question[multi]])
         picks = _select_members(probs, u, n)
-        mask[multi] = np.where(spammer[at], np.uint64(1) << spam_pick, picks)
+        mask[multi] = np.where(spam[at], np.uint64(1) << spam_pick, picks)
+    del valid, is_true, is_hard
 
-    # Log-normal elapsed-time noise from a Box-Muller pair of uniforms.
-    u = uniforms(stream("elapsed")[:, None], np.arange(2))
-    noise = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
-    durations, of = np.unique(duration[video], return_inverse=True)
-    seconds = [task_time(scale_base_for_duration(model, d), k) for d in durations.tolist()]
-    total = np.array(seconds)[of] * np.exp(ELAPSED_SIGMA * noise)
-    total *= behavior.speed_multiplier * np.array([w.time_scale for w in workers])[worker]
-    total = total * adjusted.time_ratio + adjusted.extra_seconds
-
-    return EventTable(tuple(w.worker_id for w in workers), tuple(video_ids), worker[owner],
-                      video[owner], qid, gate, mask, (total / k)[owner],
-                      np.full(len(owner), iteration), gold.copy())
+    # Log-normal elapsed-time noise from a Box-Muller pair of uniforms, then
+    # the task's expected seconds, the worker's speed and the modifiers'
+    # time, applied in place in the order of the scalar formula.
+    key = stream("elapsed")
+    total = np.sqrt(-2.0 * np.log1p(-uniforms(key, 0)))
+    total *= np.cos(2.0 * np.pi * uniforms(key, 1))
+    total *= ELAPSED_SIGMA
+    np.exp(total, out=total)
+    total *= per_question_seconds * size + base_seconds[video]
+    total *= behavior.speed_multiplier * time_scale[worker]
+    total *= time_ratio[size]
+    total += extra[size]
+    total /= size
+    elapsed = total[owner]
+    slot_worker = worker[owner]
+    del key, total, task, owner
+    return EventTable(worker_ids, video_ids, slot_worker, slot_video, qid, gate, mask, elapsed,
+                      np.full(len(qid), iteration), gold.copy())
 
 
 def make_random_truth(

@@ -14,7 +14,14 @@ from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import truth_matrix
 from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
-from annocamp.workersim import Worker, default_behavior, fit_hard_mixture, make_random_truth
+from annocamp.workersim import (
+    ModifierSet,
+    Worker,
+    default_behavior,
+    fit_hard_mixture,
+    make_random_truth,
+    sample_worker_pool,
+)
 
 SEED = 1
 
@@ -59,6 +66,21 @@ def test_simulate_one_pass(benchmark, tax, pool, k, videos):
 
     events = benchmark(one_pass)
     assert len(events) == videos * 52
+
+
+def test_simulate_one_pass_k5_bias_grouping_150_sample_videos(benchmark):
+    tax = load_taxonomy(sample_taxonomy_path())
+    behavior = default_behavior()
+    truths = make_random_truth(150, tax.label_count, 3.7, SEED, min_labels=1)
+    pool = sample_worker_pool(50, behavior, 0.1, SEED)
+    modifiers = ModifierSet(positive_bias=True, grouping=True)
+
+    def one_pass():
+        return next(simulate_campaign(tax, truths, 5, 1, behavior, SEED, pool=pool,
+                                      modifiers=modifiers))
+
+    events = benchmark(one_pass)
+    assert events.gold.any() and len(events) > 150 * tax.question_count
 
 
 def test_fit_hard_mixture(benchmark):

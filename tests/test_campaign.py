@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import errno
 import io
+import itertools
 import logging
 import math
 import statistics
@@ -20,6 +21,7 @@ from annocamp.campaign import (
     WorkerStats,
     assign_workers,
     build_verification_queue,
+    campaign_rows,
     gate_positives,
     ingest,
     pack_hits,
@@ -36,7 +38,13 @@ from annocamp.evaluate import LabelMatrix, aggregate, truth_matrix, metrics
 from annocamp.planner import FEW_QUESTION_BUNDLE
 from annocamp.cli import sample_taxonomy_path
 from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
-from annocamp.taxonomy import Taxonomy, load_taxonomy, partition_questions, singleton_taxonomy
+from annocamp.taxonomy import (
+    Taxonomy,
+    load_taxonomy,
+    partition_questions,
+    question_positions,
+    singleton_taxonomy,
+)
 from annocamp.workersim import (
     DEFAULT_PREVALENCE,
     EventTable,
@@ -44,9 +52,11 @@ from annocamp.workersim import (
     VideoTruth,
     Worker,
     default_behavior,
+    fit_hard_mixture,
     make_random_truth,
     regime,
     sample_worker_pool,
+    simulate_block,
 )
 
 NONE = ModifierSet()
@@ -210,6 +220,13 @@ def test_pack_errors(tax):
             positive_bias=True,
             known_positives={"a": []},
         )
+
+
+def test_pack_hits_rejects_a_repeated_video_id(tax):
+    plan = partition_questions(tax, 52, seed=0)
+    with pytest.raises(ValueError) as exc:
+        pack_hits(["a", "b", "a", "b"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
+    assert str(exc.value) == "video 'a' is listed more than once"
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,9 +440,8 @@ def test_campaign_deterministic_and_shard_invariant(tax, behavior, seed, k, shar
 
 @pytest.mark.parametrize("k, modifiers", [(5, BIAS), (52, NONE)])
 def test_passes_share_no_column(tax, behavior, k, modifiers):
-    # At k = 52 a pass is one simulator call, which EventTable.concat hands
-    # back as it is: no pass's column may be a view of the packed HITs or of
-    # another pass's column.
+    # A pass is one simulator call: no pass's column may be a view of the
+    # packed HITs or of another pass's column.
     passes = list(simulate_campaign(tax, make_random_truth(6, 52, 3.7, seed=2), k, 2,
                                     behavior, seed=1, modifiers=modifiers))
     columns = [getattr(events, f.name) for events in passes for f in dataclasses.fields(events)
@@ -475,6 +491,85 @@ def test_campaign_rejects_repeated_ids(tax, behavior, repeat):
         pool.append(Worker("w0", recall_scale=0.5))
     with pytest.raises(ValueError, match="ids must be unique"):
         next(simulate_campaign(tax, truths, 5, 1, behavior, seed=1, pool=pool))
+
+
+def per_subset_passes(tax, truths, k, iterations, behavior, seed, *, modifiers, pool):
+    """The reference: simulate_campaign as one simulate_block call per
+    question subset, its tasks s*n to s*n+n-1, the calls joined by
+    EventTable.concat."""
+    video_ids = tuple(t.video_id for t in truths)
+    worker_row = {w.worker_id: i for i, w in enumerate(pool)}
+    plan = partition_questions(tax, k, seed)
+    rows = campaign_rows(tax, truths, pool, behavior, seed)
+    known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
+    hits = pack_hits(video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, seed,
+                     positive_bias=modifiers.positive_bias, grouping=modifiers.grouping,
+                     known_positives=known, prevalence=behavior.prevalence)
+    n = len(video_ids)
+    bounds = np.concatenate([[0], np.cumsum(hits.lengths)])[::n].tolist()
+    subsets = [(s, len(subset), slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
+               for s, subset in enumerate(plan.subsets)]
+    question = question_positions(tax, hits.question)
+    for iteration in range(iterations):
+        picks = assign_workers(hits, pool, seed, iteration)
+        worker = np.array([worker_row[w.worker_id] for w in picks])[hits.hit]
+        yield EventTable.concat(
+            simulate_block(behavior, tax, modifiers, seed, iteration=iteration,
+                           worker=worker[tasks], video=hits.video[tasks], size=np.full(n, size),
+                           subset_key=id_keys([s] * n), lengths=hits.lengths[tasks],
+                           question=question[slots], gold=hits.gold[slots], **rows)
+            for s, size, tasks, slots in subsets
+        )
+
+
+def passes_or_error(simulate, *args, **kwargs):
+    try:
+        return list(simulate(*args, **kwargs))
+    except ValueError as exc:
+        return str(exc)
+
+
+MODIFIER_SETS = [ModifierSet(*flags) for flags in itertools.product([False, True], repeat=4)]
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, k=10, modifiers=ModifierSet(summary_prompt=True, forced_response=True),
+         durations=[10.0, 30.1, 55.0], spammers=0.5)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 5, 7, 10, 52]),
+    modifiers=st.sampled_from(MODIFIER_SETS),
+    durations=st.lists(st.sampled_from([10.0, 30.1, 47.3, 55.0]), min_size=1, max_size=10),
+    spammers=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_one_call_per_pass_equals_the_per_subset_loop(sample_tax, seed, k, modifiers, durations,
+                                                      spammers):
+    # Mixed subset sizes (k = 5, 7 and 10 leave a last subset of 2, 3 and
+    # 2), every modifier set with its regime errors, spammers, gold
+    # duplicates and videos of different lengths.
+    behavior = fit_hard_mixture(default_behavior())
+    truths = make_random_truth(len(durations), sample_tax.label_count, 3.7, seed, min_labels=1)
+    truths = [dataclasses.replace(t, duration_seconds=d) for t, d in zip(truths, durations)]
+    pool = sample_worker_pool(5, behavior, spammers, seed)
+    args = (sample_tax, truths, k, 2, behavior, seed)
+    expected = passes_or_error(per_subset_passes, *args, modifiers=modifiers, pool=pool)
+    assert passes_or_error(simulate_campaign, *args, modifiers=modifiers, pool=pool) == expected
+
+
+@pytest.mark.parametrize("k", [1, 5, 52])
+def test_one_simulator_call_per_pass(sample_tax, behavior, k, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs["worker"]))
+        return simulate_block(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "simulate_block", counted)
+    truths = make_random_truth(20, sample_tax.label_count, 3.7, seed=1, min_labels=1)
+    passes = list(simulate_campaign(sample_tax, truths, k, 3, behavior, seed=1,
+                                    modifiers=BIAS if k < 52 else NONE))
+    tasks = 20 * len(partition_questions(sample_tax, k, seed=1).subsets)
+    assert calls == [tasks] * 3 and len(passes) == 3
 
 
 def test_event_csv_round_trip(tax, behavior, tmp_path):
@@ -554,6 +649,18 @@ def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monke
 
 # Ids that csv.writer must quote, and a lone carriage return it leaves bare.
 ID_TEXT = st.text(st.sampled_from('ab ,"\n\r;'), max_size=3)
+
+
+def reads_back(ident: str) -> bool:
+    """Whether csv.writer's field for the id reads back as the id."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((ident, ""))
+    try:
+        return list(csv.reader(io.StringIO(buf.getvalue(), newline=""))) == [[ident, ""]]
+    except csv.Error:
+        return False
+
+
 ELAPSED = st.one_of(
     st.floats(1e-3, 1e4),
     st.sampled_from([0.0, -0.0, -1.5, math.inf, math.nan, 5e-324, 1e300]),
@@ -561,11 +668,11 @@ ELAPSED = st.one_of(
 
 
 @st.composite
-def event_tables(draw, tax):
-    """Event tables over `tax`: vocabularies that may repeat an id, mostly
-    valid answers, and repeats of a (worker, video, question, iteration)."""
-    worker_ids = draw(st.lists(ID_TEXT, min_size=1, max_size=3))
-    video_ids = draw(st.lists(ID_TEXT, min_size=1, max_size=3))
+def event_tables(draw, tax, ids=ID_TEXT):
+    """Event tables over `tax`: vocabularies of `ids` that may repeat an id,
+    mostly valid answers, and repeats of a (worker, video, question, iteration)."""
+    worker_ids = draw(st.lists(ids, min_size=1, max_size=3))
+    video_ids = draw(st.lists(ids, min_size=1, max_size=3))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         q = draw(st.sampled_from(tax.questions[:4]))
@@ -603,10 +710,29 @@ def ingest_outcome(path, tax):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_write_events_csv_bytes_are_csv_writers(sample_tax, tmp_path_factory, data):
+    # An id that would not read back is named, and no file is written.
     table = data.draw(event_tables(sample_tax))
     path = tmp_path_factory.mktemp("writer") / "events.csv"
+    unreadable = [i for i in table.worker_ids + table.video_ids if not reads_back(i)]
+    if unreadable:
+        with pytest.raises(ValueError) as exc:
+            write_events_csv(table, sample_tax, path)
+        assert str(exc.value) == f"id {unreadable[0]!r} would not read back from an events CSV"
+        assert not any(path.parent.iterdir())
+        return
     write_events_csv(table, sample_tax, path)
     assert path.read_bytes() == csv_writer_bytes(table, sample_tax)
+
+
+def test_write_events_csv_rejects_an_id_that_would_not_read_back(sample_tax, behavior,
+                                                                 tmp_path):
+    events = run_campaign(sample_tax, [VideoTruth("v\r1", labels=frozenset({1}))], 5, 1,
+                          behavior, seed=0)
+    path = tmp_path / "events.csv"
+    with pytest.raises(ValueError) as exc:
+        write_events_csv(events, sample_tax, path)
+    assert str(exc.value) == "id 'v\\r1' would not read back from an events CSV"
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -614,7 +740,7 @@ def test_write_events_csv_bytes_are_csv_writers(sample_tax, tmp_path_factory, da
 def test_ingest_of_the_sidecar_equals_the_csv_parse(sample_tax, tmp_path_factory, data):
     # Whatever the table, reading it back through the sidecar gives what the
     # CSV alone gives: the same table or the same error.
-    table = data.draw(event_tables(sample_tax))
+    table = data.draw(event_tables(sample_tax, ID_TEXT.filter(reads_back)))
     path = tmp_path_factory.mktemp("sidecar") / "events.csv"
     write_events_csv(table, sample_tax, path)
     with_sidecar = ingest_outcome(path, sample_tax)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from annocamp import workersim
+from annocamp.campaign import campaign_rows
 from annocamp.costmodel import DEFAULT_TIME_MODEL, scale_base_for_duration, task_time
 from annocamp.evaluate import aggregate, metrics, truth_matrix
 from annocamp.seeding import id_keys
@@ -51,13 +53,10 @@ def simulate_one(behavior, tax, video, seed, *, questions=None, worker=Worker("w
     slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
     ids, gold = zip(*slots)
     return simulate_block(
-        behavior, tax, len(questions), NONE, seed, workers=[worker],
-        worker_keys=id_keys([worker.worker_id]), video_ids=(video.video_id,),
-        video_keys=id_keys([video.video_id]), truth=truth_matrix([video], tax.label_count),
-        hard=hard_pairs(seed, [video.video_id], range(tax.label_count), behavior.hard_fraction),
-        duration=np.array([video.duration_seconds]), worker=np.array([0]), video=np.array([0]),
-        lengths=np.array([len(slots)]), question=question_positions(tax, np.array(ids)),
-        gold=np.array(gold), subset_index=subset_index,
+        behavior, tax, NONE, seed, **campaign_rows(tax, [video], [worker], behavior, seed),
+        worker=np.array([0]), video=np.array([0]), size=np.array([len(questions)]),
+        subset_key=id_keys([subset_index]), lengths=np.array([len(slots)]),
+        question=question_positions(tax, np.array(ids)), gold=np.array(gold),
     )
 
 
@@ -341,19 +340,16 @@ def test_simulated_recall_monotone_in_r():
     tax = singleton_taxonomy(52)
     truths = make_random_truth(3000, 52, 3.7, seed=1)
     truth = truth_matrix(truths, 52)
-    ids = [t.video_id for t in truths]
     recalls = []
     for r in (0.3, 0.5):
         b = flat_behavior(r, 0.005)
         # Every task is simulate_one's one-video case of this block.
         n = len(truths)
         events = simulate_block(
-            b, tax, 52, NONE, seed=77, workers=[Worker("w0")], worker_keys=id_keys(["w0"]),
-            video_ids=tuple(ids), video_keys=id_keys(ids),
-            truth=truth_matrix(truths, 52, video_ids=ids), hard=hard_pairs(77, ids, range(52), 0.0),
-            duration=np.array([t.duration_seconds for t in truths]), worker=np.zeros(n, int),
-            video=np.arange(n), lengths=np.full(n, 52), question=np.tile(np.arange(52), n),
-            gold=np.zeros(52 * n, bool),
+            b, tax, NONE, seed=77, **campaign_rows(tax, truths, [Worker("w0")], b, 77),
+            worker=np.zeros(n, int), video=np.arange(n), size=np.full(n, 52),
+            subset_key=id_keys([0] * n), lengths=np.full(n, 52),
+            question=np.tile(np.arange(52), n), gold=np.zeros(52 * n, bool),
         )
         scored = metrics(aggregate(events, tax).binary(1), truth)
         recalls.append(scored.recall)
@@ -422,42 +418,43 @@ def test_select_members_matches_the_loop(rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32), k=st.sampled_from([1, 5, 52]), data=st.data())
+@given(seed=st.integers(0, 2**32), k=st.sampled_from([1, 5, 7, 52]), data=st.data())
 def test_block_equals_its_split_into_runs(seed, k, data):
-    # A subset's tasks, gold duplicates included, answered by a pool with
-    # spammers: one call equals the concatenated calls over any split of the
-    # tasks into consecutive runs (HITs, or the blocks of a bounded loop).
+    # Tasks of the plan's subsets, mixed sizes and gold duplicates included,
+    # answered by a pool with spammers: one call equals the concatenated
+    # calls over any split of the tasks into consecutive runs (HITs,
+    # subsets, or the blocks of a bounded loop).
     tax = load_taxonomy(sample_taxonomy_path())
     b = fit_hard_mixture(default_behavior())
     pool = sample_worker_pool(6, b, 0.5, seed)
     n = data.draw(st.integers(1, 8), label="tasks")
     truths = make_random_truth(n, tax.label_count, 3.7, seed, min_labels=1)
-    ids = [t.video_id for t in truths]
-    subset = partition_questions(tax, k, seed).subsets[0]
+    subsets = partition_questions(tax, k, seed).subsets
+    subset = np.array(data.draw(st.lists(st.integers(0, len(subsets) - 1), min_size=n,
+                                         max_size=n), label="subsets"))
     tasks = []
-    for truth in truths:
+    for truth, s in zip(truths, subset.tolist()):
         positives = [q.id for q in tax.questions if truth.labels & set(q.members)]
         gold = data.draw(st.lists(st.sampled_from(positives), max_size=3), label="gold")
-        slots = [(q, False) for q in subset] + [(q, True) for q in gold]
+        slots = [(q, False) for q in subsets[s]] + [(q, True) for q in gold]
         tasks.append(data.draw(st.permutations(slots), label="slots"))
     question, gold = map(np.array, zip(*(s for task in tasks for s in task)))
-    rows = dict(
-        workers=pool, worker_keys=id_keys(w.worker_id for w in pool), video_ids=tuple(ids),
-        video_keys=id_keys(ids), truth=truth_matrix(truths, tax.label_count, video_ids=ids),
-        hard=hard_pairs(seed, ids, range(tax.label_count), b.hard_fraction),
-        duration=np.array(data.draw(st.lists(st.sampled_from([10.0, 30.1, 55.0]),
-                                             min_size=n, max_size=n), label="durations")),
-        iteration=data.draw(st.integers(0, 3)), subset_index=data.draw(st.integers(0, 9)),
-    )
+    durations = data.draw(st.lists(st.sampled_from([10.0, 30.1, 55.0]), min_size=n,
+                                   max_size=n), label="durations")
+    truths = [replace(t, duration_seconds=d) for t, d in zip(truths, durations)]
+    rows = dict(campaign_rows(tax, truths, pool, b, seed), iteration=data.draw(st.integers(0, 3)))
     worker = np.array(data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
                                          max_size=n), label="workers"))
+    size = np.array([len(subsets[s]) for s in subset.tolist()])
+    subset_key = id_keys(subset.tolist())
     lengths = np.array([len(task) for task in tasks])
     offsets = np.concatenate([[0], np.cumsum(lengths)])
 
     def run(start, stop):
         slots = slice(offsets[start], offsets[stop])
         return simulate_block(
-            b, tax, k, NONE, seed, worker=worker[start:stop], video=np.arange(start, stop),
+            b, tax, NONE, seed, worker=worker[start:stop], video=np.arange(start, stop),
+            size=size[start:stop], subset_key=subset_key[start:stop],
             lengths=lengths[start:stop], question=question_positions(tax, question[slots]),
             gold=gold[slots], **rows,
         )
