@@ -15,13 +15,10 @@ from .costmodel import (
 from .evaluate import (
     LabelMatrix,
     Metrics,
-    TemporalSegment,
-    agreement_rate,
     aggregate,
     analytic_union,
     expected_recall,
     metrics,
-    temporal_iou,
     truth_matrix,
 )
 from .planner import BudgetConstraint, Plan, enumerate_plans, optimize

@@ -56,7 +56,6 @@ from .taxonomy import (
 from .workersim import (
     DEFAULT_PREVALENCE,
     EVENT_FIELDS,
-    ROW_CHUNK,
     EventTable,
     ModifierSet,
     Worker,
@@ -72,6 +71,7 @@ from .workersim import (
 
 # The events CSV columns; `gold` follows when a row is gold.
 EVENT_COLUMNS = tuple(f.name for f in EVENT_FIELDS if f.name != "gold")
+ROW_CHUNK = 4096  # rows the events CSV writer joins into text at a time
 
 
 HIT_ID = "hit-{:03d}-{:05d}"  # by subset index and chunk
@@ -513,22 +513,14 @@ def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
     return len(answers) - 1
 
 
-def _row_problems(table: EventTable, known_videos, lines) -> list[tuple[int, str]]:
-    """(line, reason) for each row the table-wide checks reject: an unknown
-    video, a non-positive or non-finite elapsed time, or a second non-gold
-    answer to one (worker, video, question, iteration). Row r is on line
-    lines[r]."""
-    problems = []
-    unknown = np.zeros(len(table), dtype=bool)
-    if known_videos is not None:
-        known = set(known_videos)
-        unknown = np.isin(table.video, [i for i, v in enumerate(table.video_ids) if v not in known])
+def _row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
+    """(line, reason) for each row the table-wide checks reject: a
+    non-positive or non-finite elapsed time, or a second non-gold answer to
+    one (worker, video, question, iteration). Row r is on line lines[r]."""
     elapsed = table.elapsed
-    bad = unknown | ~((elapsed > 0) & (elapsed < np.inf))
-    problems += [(lines[r], f"unknown video {table.video_ids[table.video[r]]!r}")
-                 for r in np.flatnonzero(unknown)]
-    problems += [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
-                 for r in np.flatnonzero(bad & ~unknown)]
+    bad = ~((elapsed > 0) & (elapsed < np.inf))
+    problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
+                for r in np.flatnonzero(bad)]
     kept = np.flatnonzero(~bad & ~table.gold)
     columns = (table.worker, table.video, table.iteration, table.question)
     task, first = group_ids(*(c[kept] for c in columns))
@@ -539,14 +531,13 @@ def _row_problems(table: EventTable, known_videos, lines) -> list[tuple[int, str
     return problems
 
 
-def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
+def ingest(source, tax: Taxonomy) -> EventTable:
     """The event table of an event CSV, validated, with its gold column.
 
     One ValueError names every bad row by line, the first 20 of them: a row
     with too few fields, a value that does not parse, an answer
-    `expand_answer` rejects, an unknown video, a non-positive or non-finite
-    elapsed time, or a second non-gold answer to one (worker, video,
-    question, iteration).
+    `expand_answer` rejects, a non-positive or non-finite elapsed time, or a
+    second non-gold answer to one (worker, video, question, iteration).
 
     The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
     keyed by the digests of the CSV's bytes and of the taxonomy's questions.
@@ -557,14 +548,14 @@ def ingest(source, tax: Taxonomy, known_videos=None) -> EventTable:
     data = Path(source).read_bytes()
     key = _sidecar_key(_csv_digest(data).digest(), tax)
     table = _load_sidecar(source, key)
-    if table is not None and not _row_problems(table, known_videos, range(len(table))):
+    if table is not None and not _row_problems(table, range(len(table))):
         return table
-    table = _parse_events(source, data, tax, known_videos)
+    table = _parse_events(source, data, tax)
     _save_sidecar(source, key, table)
     return table
 
 
-def _parse_events(source, data: bytes, tax: Taxonomy, known_videos) -> EventTable:
+def _parse_events(source, data: bytes, tax: Taxonomy) -> EventTable:
     """The validated event table of the CSV bytes `data`, read from `source`."""
     workers: dict[str, int] = {}
     videos: dict[str, int] = {}
@@ -606,7 +597,7 @@ def _parse_events(source, data: bytes, tax: Taxonomy, known_videos) -> EventTabl
     worker, video, code, iteration, gold = np.frombuffer(fields, np.int64).reshape(-1, 5).T
     table = EventTable(tuple(workers), tuple(videos), worker, video,
                        *_answer_columns(answers, code), np.frombuffer(elapsed), iteration, gold)
-    problems += _row_problems(table, known_videos, lines)
+    problems += _row_problems(table, lines)
     if problems:
         problems.sort()
         shown = "; ".join(f"line {line}: {reason}" for line, reason in problems[:20])

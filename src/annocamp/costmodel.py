@@ -127,11 +127,7 @@ def videos_per_hit(model: TimeModel, k: int, budget: HitBudget) -> int:
     return max(1, int(budget.target_seconds // per_video))
 
 
-def scale_base_for_duration(
-    model: TimeModel,
-    video_seconds: float,
-    reference_seconds: float = REFERENCE_VIDEO_SECONDS,
-) -> TimeModel:
+def scale_base_for_duration(model: TimeModel, video_seconds: float) -> TimeModel:
     """Rescale the watching overhead for videos of a different length.
 
     The fitted base folds double-speed watching of a reference-length video
@@ -141,9 +137,9 @@ def scale_base_for_duration(
     """
     if video_seconds <= 0:
         raise ValueError("video_seconds must be positive")
-    overhead = max(0.0, model.base_seconds - reference_seconds / 2.0)
+    overhead = max(0.0, model.base_seconds - REFERENCE_VIDEO_SECONDS / 2.0)
     watch = model.base_seconds - overhead
-    scaled = overhead + watch * video_seconds / reference_seconds
+    scaled = overhead + watch * video_seconds / REFERENCE_VIDEO_SECONDS
     return TimeModel(scaled, model.per_question_seconds)
 
 

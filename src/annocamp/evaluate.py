@@ -2,12 +2,13 @@
 
 Covers the union consensus rule (a label is positive once any iteration
 marked it), closed-form expectations for repeated passes, micro-averaged
-precision/recall, and temporal-extent agreement scoring.
+precision/recall and event statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -25,20 +26,6 @@ class IncompleteIterationError(ValueError):
         )
         more = "" if len(self.gaps) <= 20 else f" (+{len(self.gaps) - 20} more)"
         super().__init__(f"incomplete iterations: {shown}{more}")
-
-
-@dataclass(frozen=True)
-class TemporalSegment:
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"need 0 <= start < end, got ({self.start}, {self.end})")
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -156,21 +143,27 @@ def union_precision(recall: float, f: float, g: float, qtop: int, n: int) -> flo
 
 
 def truth_matrix(truths, label_count: int, video_ids=None) -> np.ndarray:
-    """Ground-truth boolean matrix aligned with the given video-id order."""
+    """Ground-truth boolean matrix aligned with the given video-id order.
+
+    The first video in that order with no truth, or with a label outside
+    [0, label_count), is a ValueError naming it.
+    """
     truths = list(truths)
     if video_ids is None:
         video_ids = tuple(sorted(t.video_id for t in truths))
-    by_id = {t.video_id: t for t in truths}
+    by_id = {t.video_id: t.labels for t in truths}
+    found = [by_id.get(video_id) for video_id in video_ids]
+    labels = list(chain.from_iterable(filter(None, found)))
+    if None in found or labels and not 0 <= min(labels) <= max(labels) < label_count:
+        for video_id, truth in zip(video_ids, found):
+            if truth is None:
+                raise ValueError(f"video {video_id!r} has no ground truth")
+            outside = sorted(label for label in truth if not 0 <= label < label_count)
+            if outside:
+                raise ValueError(f"video {video_id!r}: labels {outside} outside [0, {label_count})")
     out = np.zeros((len(video_ids), label_count), dtype=bool)
-    for row, video_id in enumerate(video_ids):
-        truth = by_id.get(video_id)
-        if truth is None:
-            raise ValueError(f"video {video_id!r} has no ground truth")
-        outside = sorted(label for label in truth.labels if not 0 <= label < label_count)
-        if outside:
-            raise ValueError(f"video {video_id!r}: labels {outside} outside [0, {label_count})")
-        for label in truth.labels:
-            out[row, label] = True
+    out[np.repeat(np.arange(len(found)), list(map(len, found))),
+        np.array(labels, dtype=np.int64)] = True
     return out
 
 
@@ -212,77 +205,3 @@ def group_ids(*columns) -> tuple[np.ndarray, np.ndarray]:
     _, first, ids = np.unique(key, return_index=True, return_inverse=True)
     return ids.ravel(), first
 
-
-def _as_segment(value) -> TemporalSegment:
-    if isinstance(value, TemporalSegment):
-        return value
-    start, end = value
-    return TemporalSegment(float(start), float(end))
-
-
-def temporal_iou(s1, s2) -> float:
-    """Intersection-over-union of two time intervals."""
-    a, b = _as_segment(s1), _as_segment(s2)
-    inter = max(0.0, min(a.end, b.end) - max(a.start, b.start))
-    union = (a.length + b.length) - inter
-    return inter / union if union > 0 else 0.0
-
-
-def _match_greedy(segs_a, segs_b, iou_threshold: float) -> int:
-    pairs = []
-    for i, sa in enumerate(segs_a):
-        for j, sb in enumerate(segs_b):
-            iou = temporal_iou(sa, sb)
-            if iou >= iou_threshold:
-                pairs.append((iou, i, j))
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    matched = 0
-    for _, i, j in pairs:
-        if i in used_a or j in used_b:
-            continue
-        used_a.add(i)
-        used_b.add(j)
-        matched += 1
-    return matched
-
-
-def agreement_rate(set_a: dict, set_b: dict, iou_threshold: float = 0.1, normalize: str = "max") -> float:
-    """Fraction of temporal segments two annotation sets agree on.
-
-    Per (video, label) key, segments are matched one-to-one greedily by
-    descending IoU; pairs at or above the threshold count as agreement. The
-    per-key score divides by max(|A|, |B|) by default ("min" and "mean" are
-    the alternative normalizations); scores are averaged over keys.
-    """
-    if set(set_a) != set(set_b):
-        raise ValueError("segment sets must address the same (video, label) keys")
-    if normalize not in ("max", "min", "mean"):
-        raise ValueError(f"unknown normalization {normalize!r}")
-    scores = []
-    for key in sorted(set_a):
-        segs_a = [_as_segment(s) for s in set_a[key]]
-        segs_b = [_as_segment(s) for s in set_b[key]]
-        if not segs_a and not segs_b:
-            continue
-        matched = _match_greedy(segs_a, segs_b, iou_threshold)
-        if normalize == "max":
-            denom = max(len(segs_a), len(segs_b))
-        elif normalize == "min":
-            denom = max(1, min(len(segs_a), len(segs_b)))
-        else:
-            denom = (len(segs_a) + len(segs_b)) / 2.0
-        scores.append(matched / denom)
-    if not scores:
-        raise ValueError("no non-empty keys to score")
-    return float(np.mean(scores))
-
-
-def segments_by_key(truths) -> dict:
-    """Flatten per-video temporal annotations into a (video, label) -> segments map."""
-    out = {}
-    for truth in truths:
-        for label, spans in truth.segments.items():
-            out[(truth.video_id, label)] = [_as_segment(s) for s in spans]
-    return out

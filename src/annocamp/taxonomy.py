@@ -40,10 +40,6 @@ class QuestionGroup:
     prompt: str
     members: tuple[int, ...]
 
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.members) == 1
-
 
 @dataclass(frozen=True)
 class Taxonomy:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL  # noqa: F401 (re-exported)
 from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
-from .taxonomy import Taxonomy, mask_members
+from .taxonomy import Taxonomy
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -291,21 +291,11 @@ def apply_modifiers(
 
 @dataclass(frozen=True)
 class VideoTruth:
-    """Ground truth for one video: positive labels and optional extents."""
+    """Ground truth for one video: its duration and positive labels."""
 
     video_id: str
     duration_seconds: float = 30.1
     labels: frozenset[int] = frozenset()
-    segments: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for label_id, spans in self.segments.items():
-            for start, end in spans:
-                if not 0 <= start < end <= self.duration_seconds + 1e-9:
-                    raise ValueError(
-                        f"video {self.video_id}: segment ({start}, {end}) outside "
-                        f"[0, {self.duration_seconds}] for label {label_id}"
-                    )
 
 
 def _column(dtype):
@@ -319,7 +309,7 @@ class EventTable:
     `worker` and `video` index the `worker_ids` and `video_ids` vocabularies;
     `members` is the bitmask of the selected labels (`taxonomy.members_mask`);
     `gold` rows are positive-bias duplicates, which never vote. The columns
-    are declared in row-view and CSV order.
+    are declared in CSV order.
     """
 
     worker_ids: tuple[str, ...]
@@ -362,24 +352,7 @@ class EventTable:
                    for f in EVENT_FIELDS)
         return cls(first.worker_ids, first.video_ids, *columns)
 
-    def rows(self, tax):
-        """The row view: one (worker id, video id, question, gate, member labels,
-        elapsed, iteration, gold) tuple of Python values per event."""
-        decoded = {}
-        for start in range(0, len(self), ROW_CHUNK):
-            chunk = slice(start, start + ROW_CHUNK)
-            columns = {f.name: getattr(self, f.name)[chunk].tolist() for f in EVENT_FIELDS}
-            answers = list(zip(columns["question"], columns["members"]))
-            for q, mask in set(answers).difference(decoded):
-                decoded[q, mask] = mask_members(tax.question(q), mask)
-            columns["worker"] = map(self.worker_ids.__getitem__, columns["worker"])
-            columns["video"] = map(self.video_ids.__getitem__, columns["video"])
-            columns["members"] = map(decoded.__getitem__, answers)
-            yield from zip(*columns.values())
-
-
 EVENT_FIELDS = fields(EventTable)[2:]
-ROW_CHUNK = 4096  # rows the row view converts to Python values at a time
 
 
 @dataclass(frozen=True)
@@ -615,10 +588,12 @@ def make_random_truth(
 def load_truths(source) -> list[VideoTruth]:
     """Read ground truth from JSON lines.
 
-    Each line: {"video": id, "duration": seconds, "labels": [ids],
-    "segments": {"label": [[start, end], ...]}} (segments optional). A video
-    id may appear on one line only and may not hold a carriage return, which
-    an events CSV cannot carry unquoted.
+    Each line is an object {"video": id, "duration": seconds, "labels":
+    [ids]}; "duration" (default 30.1) and "labels" (default none) may be
+    left out, and any other key is an error. The duration must be finite
+    and positive and the labels integers. A video id may appear on one line
+    only and may not hold a carriage return, which an events CSV cannot
+    carry unquoted.
     """
     truths, lines = [], {}
     with open(source, encoding="utf-8") as fh:
@@ -628,22 +603,24 @@ def load_truths(source) -> list[VideoTruth]:
                 continue
             try:
                 doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError("not a JSON object")
+                unknown = [key for key in doc if key not in ("video", "duration", "labels")]
+                if unknown:
+                    raise ValueError(f"unknown key {unknown[0]!r}")
                 video_id = str(doc["video"])
                 if "\r" in video_id:
                     raise ValueError(f"video id {video_id!r} holds a carriage return")
                 if lines.setdefault(video_id, line_num) != line_num:
                     raise ValueError(f"video {video_id!r} repeats line {lines[video_id]}")
-                truths.append(
-                    VideoTruth(
-                        video_id=video_id,
-                        duration_seconds=float(doc.get("duration", 30.1)),
-                        labels=frozenset(int(l) for l in doc.get("labels", ())),
-                        segments={
-                            int(label): tuple((float(s), float(e)) for s, e in spans)
-                            for label, spans in doc.get("segments", {}).items()
-                        },
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                duration = float(doc.get("duration", 30.1))
+                if not 0 < duration < np.inf:
+                    raise ValueError(f"video {video_id!r}: duration must be finite and "
+                                     f"positive, got {duration}")
+                labels = doc.get("labels", [])
+                if not isinstance(labels, list) or any(type(l) is not int for l in labels):
+                    raise ValueError(f"video {video_id!r}: labels must be an array of integers")
+                truths.append(VideoTruth(video_id, duration, frozenset(labels)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{source}: line {line_num}: {exc}") from exc
     return truths

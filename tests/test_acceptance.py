@@ -28,11 +28,9 @@ from annocamp.costmodel import (
 )
 from annocamp.evaluate import (
     aggregate,
-    agreement_rate,
     analytic_union,
     expected_recall,
     metrics,
-    temporal_iou,
     truth_matrix,
 )
 from annocamp.planner import BudgetConstraint, enumerate_plans, optimize
@@ -200,30 +198,6 @@ def test_criterion_7_hit_packing():
                 base = slots - gold
                 fraction = (base * g / 52 + gold) / (base + gold)
                 assert abs(fraction - 1 / 3) <= 0.05, f"k={k}: fraction {fraction:.3f}"
-
-
-def test_criterion_8_temporal_suite():
-    with criterion(8, "temporal IoU and agreement behave"):
-        assert temporal_iou((0.0, 10.0), (5.0, 15.0)) == 1.0 / 3.0
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            a0, b0 = rng.uniform(0, 60, 2)
-            a = (a0, a0 + rng.uniform(0.05, 40))
-            b = (b0, b0 + rng.uniform(0.05, 40))
-            iou = temporal_iou(a, b)
-            assert 0.0 <= iou <= 1.0
-            assert iou == pytest.approx(temporal_iou(b, a), abs=1e-12)
-            c = rng.uniform(0.05, 20)
-            assert temporal_iou(
-                (a[0] * c, a[1] * c), (b[0] * c, b[1] * c)
-            ) == pytest.approx(iou, abs=1e-9)
-        segs = {("v", 3): [(0.0, 5.0), (9.0, 14.0)], ("w", 1): [(2.0, 3.5)]}
-        assert agreement_rate(segs, segs) == 1.0
-        far = {
-            ("v", 3): [(100.0, 105.0), (109.0, 114.0)],
-            ("w", 1): [(50.0, 51.5)],
-        }
-        assert agreement_rate(segs, far) == 0.0
 
 
 def qc_trial(seed, plant_spammer):

@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from annocamp.evaluate import (
     IncompleteIterationError,
     LabelMatrix,
-    TemporalSegment,
-    agreement_rate,
     aggregate,
     analytic_union,
     event_stats,
     expected_recall,
     metrics,
-    temporal_iou,
     truth_matrix,
 )
 from annocamp.taxonomy import members_mask, singleton_taxonomy, taxonomy_from_mapping
@@ -335,6 +332,52 @@ def test_truth_matrix_alignment():
         truth_matrix(truths, 2)
 
 
+def truth_matrix_loop(truths, label_count, video_ids):
+    """The per-video loop: the first video in `video_ids` order with no
+    truth or with labels out of range is the error."""
+    by_id = {t.video_id: t for t in truths}
+    out = np.zeros((len(video_ids), label_count), dtype=bool)
+    for row, video_id in enumerate(video_ids):
+        truth = by_id.get(video_id)
+        if truth is None:
+            raise ValueError(f"video {video_id!r} has no ground truth")
+        outside = sorted(label for label in truth.labels if not 0 <= label < label_count)
+        if outside:
+            raise ValueError(f"video {video_id!r}: labels {outside} outside [0, {label_count})")
+        for label in truth.labels:
+            out[row, label] = True
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.dictionaries(
+        st.sampled_from("abcdef"), st.frozensets(st.integers(0, 99), max_size=4), max_size=6
+    ),
+    label_count=st.integers(0, 12),
+    outside=st.lists(
+        st.tuples(st.sampled_from("abcdef"), st.sampled_from([-1, 12, 2**70])), max_size=2
+    ),
+    video_ids=st.none() | st.lists(st.sampled_from("abcdefg"), max_size=7),
+)
+def test_truth_matrix_matches_the_per_video_loop(labels, label_count, outside, video_ids):
+    from annocamp.workersim import VideoTruth
+
+    labels = {v: frozenset(l % max(label_count, 1) for l in ls) for v, ls in labels.items()}
+    for video, label in outside:
+        labels[video] = labels.get(video, frozenset()) | {label}
+    truths = [VideoTruth(v, labels=ls) for v, ls in labels.items()]
+    order = tuple(sorted(labels)) if video_ids is None else tuple(video_ids)
+    try:
+        expected = truth_matrix_loop(truths, label_count, order)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            truth_matrix(truths, label_count, video_ids=video_ids)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(truth_matrix(truths, label_count, video_ids=video_ids), expected)
+
+
 def test_event_stats():
     tax = singleton_taxonomy(2)
     events = [
@@ -350,95 +393,3 @@ def test_event_stats():
     minutes, affirmative = event_stats(table(events, tax))
     assert minutes == pytest.approx((120 + 180) / 60 / 2)
     assert affirmative == pytest.approx(3 / 4)
-
-
-# ---------------------------------------------------------------------------
-# Temporal agreement
-# ---------------------------------------------------------------------------
-
-
-def test_iou_identical_and_disjoint():
-    assert temporal_iou((2.0, 5.0), (2.0, 5.0)) == 1.0
-    assert temporal_iou((0.0, 1.0), (5.0, 6.0)) == 0.0
-
-
-def test_iou_reference_interval():
-    assert temporal_iou((0.0, 10.0), (5.0, 15.0)) == 1.0 / 3.0
-
-
-def test_iou_properties_random_pairs():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        a0, b0 = rng.uniform(0, 100, 2)
-        a = (a0, a0 + rng.uniform(0.1, 50))
-        b = (b0, b0 + rng.uniform(0.1, 50))
-        iou = temporal_iou(a, b)
-        assert 0.0 <= iou <= 1.0
-        assert iou == pytest.approx(temporal_iou(b, a), abs=1e-12)
-        c = rng.uniform(0.1, 10)
-        scaled = temporal_iou(
-            (a[0] * c, a[1] * c), (b[0] * c, b[1] * c)
-        )
-        assert scaled == pytest.approx(iou, abs=1e-9)
-
-
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        TemporalSegment(5.0, 5.0)
-    with pytest.raises(ValueError):
-        TemporalSegment(-1.0, 2.0)
-
-
-def test_agreement_identity_and_disjoint():
-    a = {("v", 0): [(0.0, 4.0), (8.0, 12.0)], ("v", 1): [(1.0, 2.0)]}
-    assert agreement_rate(a, a) == 1.0
-    shifted = {
-        ("v", 0): [(100.0, 104.0), (108.0, 112.0)],
-        ("v", 1): [(50.0, 51.0)],
-    }
-    assert agreement_rate(a, shifted) == 0.0
-
-
-def test_agreement_partial_match():
-    # One pair agrees at IoU 1/3, the other overlaps at IoU 0.04 < 0.1.
-    a = {("v", 0): [(0.0, 10.0), (20.0, 30.0)]}
-    b = {("v", 0): [(5.0, 15.0), (29.6, 30.0)]}
-    assert agreement_rate(a, b, iou_threshold=0.1) == 0.5
-
-
-def test_agreement_key_mismatch():
-    with pytest.raises(ValueError):
-        agreement_rate({("v", 0): []}, {("v", 1): []})
-
-
-def test_agreement_normalizations():
-    a = {("v", 0): [(0.0, 10.0), (20.0, 30.0), (40.0, 50.0)]}
-    b = {("v", 0): [(0.0, 10.0)]}
-    assert agreement_rate(a, b, normalize="max") == pytest.approx(1 / 3)
-    assert agreement_rate(a, b, normalize="min") == pytest.approx(1.0)
-    assert agreement_rate(a, b, normalize="mean") == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
-# Recall vs duration correlation
-# ---------------------------------------------------------------------------
-
-
-def test_segments_by_key_bridges_truth_files():
-    from annocamp.evaluate import segments_by_key
-    from annocamp.workersim import VideoTruth
-
-    truths = [
-        VideoTruth(
-            video_id="a",
-            duration_seconds=30.0,
-            labels=frozenset({1}),
-            segments={1: ((2.0, 8.0), (10.0, 12.0))},
-        ),
-        VideoTruth(video_id="b", duration_seconds=30.0, labels=frozenset()),
-    ]
-    keyed = segments_by_key(truths)
-    assert set(keyed) == {("a", 1)}
-    assert [s.start for s in keyed[("a", 1)]] == [2.0, 10.0]
-    assert agreement_rate(keyed, keyed) == 1.0
-

@@ -1,4 +1,4 @@
-"""Every top-level function and class of annocamp is reached from a root.
+"""Every function, class, method and property of annocamp is reached from a root.
 
 The roots are the command line (`cli.main`), the bundled experiments
 (`campaign.reproduce`) and the library calls bench/workload.py makes. The
@@ -6,9 +6,11 @@ walk follows name references through the parsed source: a name bound by a
 relative import resolves to its definition in the imported module, and a
 module's attribute (`campaign.ingest`) to that module's definition.
 Module-level statements always run, class bodies, decorators and default
-values included; a function body runs once its function is reached, and
-every method of a reached class counts as reached. Annotations are never
-evaluated (every module imports `annotations` from `__future__`).
+values included; a function body runs once its function is reached. A
+method or property of a reached class is reached when it is a dunder
+method, or when a reached body (or a module-level statement) loads its name
+as an attribute. Annotations are never evaluated (every module imports
+`annotations` from `__future__`).
 """
 
 import ast
@@ -31,28 +33,27 @@ ROOTS = (
     "workersim.Worker",
     "workersim.default_behavior",
     "workersim.fit_hard_mixture",
+    "evaluate.LabelMatrix.binary",
 )
 
 # Definitions no root reaches that stay, each with its reason.
-_TEMPORAL = "the temporal suite: acceptance criterion 8, and the only reader of the truth files' segments"
 KEEP = {
     "evaluate.analytic_union": "the closed form acceptance criterion 4 checks the simulator against",
-    "evaluate.TemporalSegment": _TEMPORAL,
-    "evaluate.temporal_iou": _TEMPORAL,
-    "evaluate.agreement_rate": _TEMPORAL,
-    "evaluate.segments_by_key": _TEMPORAL,
 }
 
 
 def _references(node):
-    """(name, attribute) for each name a node loads; attribute is the one
-    taken of the name, or None."""
+    """(name, attribute) for each name a node loads, attribute being the one
+    loaded of the name or None; (None, attribute) for each attribute loaded
+    of any other expression."""
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        yield node.value.id, node.attr
+        yield node.value.id, node.attr if isinstance(node.ctx, ast.Load) else None
     elif isinstance(node, ast.Name):
         if isinstance(node.ctx, ast.Load):
             yield node.id, None
     else:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield None, node.attr
         for name, value in ast.iter_fields(node):
             if name in ("annotation", "returns"):
                 continue
@@ -69,8 +70,9 @@ def _parts(function):
 
 
 def _graph():
-    """(definitions: "module.name" -> the references its body makes once it is
-    reached, references made at import time, import bindings per module)."""
+    """(definitions: "module.name" or "module.Class.method" -> the references
+    its body makes once it is reached, references made at import time, import
+    bindings per module)."""
     definitions, at_import, bindings = {}, [], {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -90,7 +92,9 @@ def _graph():
                     if isinstance(item, ast.FunctionDef):
                         before, body = _parts(item)
                         now += before
-                        deferred += body
+                        definitions[f"{module}.{statement.name}.{item.name}"] = [
+                            (module, ref) for node in body for ref in _references(node)
+                        ]
                     else:
                         now.append(item)
             else:
@@ -105,6 +109,8 @@ def _graph():
 
 def _resolve(definitions, bindings, module, reference):
     name, attribute = reference
+    if name is None:
+        return None
     target = bindings[module].get(name, f"{module}.{name}")
     if target in bindings:  # a module: its attribute is the definition
         target = f"{target}.{attribute}"
@@ -119,15 +125,23 @@ def _resolve(definitions, bindings, module, reference):
 def _reached(roots) -> set:
     definitions, at_import, bindings = _graph()
     missing = [r for r in roots if r not in definitions]
-    assert not missing, f"roots that are not top-level definitions: {missing}"
-    reached, todo = set(), list(roots)
-    todo += [_resolve(definitions, bindings, m, ref) for m, ref in at_import]
-    while todo:
-        name = todo.pop()
-        if name is None or name in reached:
-            continue
-        reached.add(name)
-        todo += [_resolve(definitions, bindings, m, ref) for m, ref in definitions[name]]
+    assert not missing, f"roots that are not definitions: {missing}"
+    methods = [(name, *name.rsplit(".", 1)) for name in definitions if name.count(".") == 2]
+    reached, loaded, todo, references = set(), set(), list(roots), at_import
+    while todo or references:
+        loaded.update(attribute for _, (_, attribute) in references)
+        todo += [_resolve(definitions, bindings, m, ref) for m, ref in references]
+        references = []
+        while todo:
+            name = todo.pop()
+            if name is None or name in reached:
+                continue
+            reached.add(name)
+            references += definitions[name]
+        if not references:  # the methods that the loads so far reach
+            todo = [name for name, owner, method in methods if name not in reached
+                    and owner in reached
+                    and (method.startswith("__") and method.endswith("__") or method in loaded)]
     return reached
 
 
@@ -148,3 +162,6 @@ def test_walk_follows_module_attributes_and_imports():
     # expand_answer through `from .taxonomy import`.
     assert {"campaign.ingest", "taxonomy.expand_answer", "output.atomic_open"} <= reached
     assert "evaluate.analytic_union" not in reached
+    # A dunder method of a reached class, and a method whose name a reached
+    # body loads (`plan.modifiers.label()` in the plan command).
+    assert {"workersim.EventTable.__len__", "workersim.ModifierSet.label"} <= reached

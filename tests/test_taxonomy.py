@@ -34,8 +34,8 @@ def write_tax(tmp_path, doc):
 def test_sample_taxonomy_shape(sample_tax):
     assert sample_tax.label_count == 157
     assert sample_tax.question_count == 52
-    groups = [q for q in sample_tax.questions if not q.is_singleton]
-    singles = [q for q in sample_tax.questions if q.is_singleton]
+    groups = [q for q in sample_tax.questions if len(q.members) != 1]
+    singles = [q for q in sample_tax.questions if len(q.members) == 1]
     assert len(groups) == 33
     assert len(singles) == 19
 
@@ -183,7 +183,7 @@ def test_expand_group_selection(sample_tax):
 
 
 def test_expand_singleton(sample_tax):
-    single = next(q for q in sample_tax.questions if q.is_singleton)
+    single = next(q for q in sample_tax.questions if len(q.members) == 1)
     only = single.members[0]
     assert expand_answer(sample_tax, single.id, True, {only}) == frozenset({only})
 
@@ -217,7 +217,7 @@ def test_expand_full_coverage(sample_tax):
 def test_singleton_taxonomy_helper():
     tax = singleton_taxonomy(10)
     assert tax.label_count == 10
-    assert all(q.is_singleton for q in tax.questions)
+    assert all(len(q.members) == 1 for q in tax.questions)
     assert all(q.members == (q.id,) for q in tax.questions)
 
 

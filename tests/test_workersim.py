@@ -41,6 +41,7 @@ from annocamp.workersim import (
     sample_worker_pool,
     simulate_block,
 )
+from helpers import event_rows
 
 NONE = ModifierSet()
 
@@ -307,7 +308,7 @@ def test_perfect_worker_reproduces_truth():
     truth = VideoTruth(video_id="v0", labels=frozenset({0, 1, 57, 140}))
     events = simulate_one(perfect_behavior(), tax, truth, seed=5)
     found = set()
-    for _, _, question, gate, members, _, _, _ in events.rows(tax):
+    for _, _, question, gate, members, _, _, _ in event_rows(events, tax):
         gate_should_fire = any(m in truth.labels for m in tax.question(question).members)
         assert gate == gate_should_fire
         found |= set(members)
@@ -523,13 +524,6 @@ def test_spammer_gold_recall_is_half():
 # ---------------------------------------------------------------------------
 
 
-def test_video_truth_segment_validation():
-    with pytest.raises(ValueError):
-        VideoTruth(video_id="v", duration_seconds=10.0, segments={1: ((5.0, 12.0),)})
-    with pytest.raises(ValueError):
-        VideoTruth(video_id="v", duration_seconds=10.0, segments={1: ((4.0, 4.0),)})
-
-
 def test_make_random_truth_prevalence():
     truths = make_random_truth(4000, 52, 3.7, seed=2)
     mean = np.mean([len(t.labels) for t in truths])
@@ -557,16 +551,13 @@ def test_make_random_truth_is_a_prefix_of_a_longer_draw(n, m, seed, min_labels):
 
 def test_load_truths_reads_every_field(tmp_path):
     truths = [
-        VideoTruth(
-            video_id="a", duration_seconds=20.0, labels=frozenset({1, 5}),
-            segments={1: ((2.0, 8.5),)},
-        ),
+        VideoTruth(video_id="a", duration_seconds=20.0, labels=frozenset({1, 5})),
         VideoTruth(video_id="b", duration_seconds=42.0, labels=frozenset()),
         VideoTruth(video_id="7"),
     ]
     path = tmp_path / "truths.jsonl"
     path.write_text(
-        '{"video": "a", "duration": 20, "labels": [5, 1], "segments": {"1": [[2, 8.5]]}}\n'
+        '{"video": "a", "duration": 20, "labels": [5, 1]}\n'
         '\n{"video": "b", "duration": 42.0, "labels": []}\n{"video": 7}\n'
     )
     assert load_truths(path) == truths
@@ -593,6 +584,51 @@ def test_load_truths_rejects_a_carriage_return_in_an_id(tmp_path):
     with pytest.raises(ValueError) as exc:
         load_truths(path)
     assert str(exc.value) == f"{path}: line 2: video id 'v\\r1' holds a carriage return"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"video": "a", "segments": {"1": [[2, 8.5]]}}', "unknown key 'segments'"),
+        ('{"video": "a", "lables": [1]}', "unknown key 'lables'"),
+        ('["a", 30.1, [1]]', "not a JSON object"),
+    ],
+    ids=["segments", "typo", "array"],
+)
+def test_load_truths_rejects_keys_it_does_not_read(tmp_path, line, reason):
+    path = tmp_path / "keys.jsonl"
+    path.write_text(f'{{"video": "b"}}\n{line}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    assert str(exc.value) == f"{path}: line 2: {reason}"
+
+
+@pytest.mark.parametrize("duration", ["0", "-1", "NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_truths_rejects_a_duration_that_is_not_finite_and_positive(tmp_path, duration):
+    path = tmp_path / "duration.jsonl"
+    path.write_text(f'{{"video": "b"}}\n{{"video": "a", "duration": {duration}}}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    shown = float(duration)
+    assert str(exc.value) == (
+        f"{path}: line 2: video 'a': duration must be finite and positive, got {shown}"
+    )
+
+
+def test_load_truths_reports_a_duration_too_large_for_a_float(tmp_path):
+    path = tmp_path / "duration.jsonl"
+    path.write_text(f'{{"video": "a", "duration": 1{"0" * 400}}}\n')
+    with pytest.raises(ValueError, match=r"line 1: int too large to convert to float"):
+        load_truths(path)
+
+
+@pytest.mark.parametrize("labels", ['"12"', "[1.7, true]", "[true]", "[1, 2.0]", "{}", "null"])
+def test_load_truths_rejects_labels_that_are_not_an_array_of_integers(tmp_path, labels):
+    path = tmp_path / "labels.jsonl"
+    path.write_text(f'{{"video": "b", "labels": [3]}}\n{{"video": "a", "labels": {labels}}}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    assert str(exc.value) == f"{path}: line 2: video 'a': labels must be an array of integers"
 
 
 def test_concat_of_one_table_is_that_table():
