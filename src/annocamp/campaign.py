@@ -46,6 +46,7 @@ from .seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from .taxonomy import (
     SubsetPlan,
     Taxonomy,
+    dense_codes,
     expand_answer,
     mask_members,
     members_mask,
@@ -424,8 +425,8 @@ def _csv_fields(ids) -> list[str]:
 def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """The ids that `codes` use, numbered by first use as `ingest` numbers
     them, and the codes on that vocabulary."""
-    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    names = [ids[u] for u in used.tolist()]
+    inverse, first = group_ids(codes)
+    names = [ids[u] for u in codes[first].tolist()]
     index: dict = {}
     for rank in np.argsort(first).tolist():
         index.setdefault(names[rank], len(index))
@@ -456,8 +457,8 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
         raw = (str(q), str(int(gate)), ";".join(map(str, mask_members(tax.question(q), mask))))
         texts.append(",".join(raw))
         valid &= not isinstance(_answer_code(tax, raw, answers), str)
-    bits, elapsed = np.unique(table.elapsed.view(np.uint64), return_inverse=True)
-    iterations, iteration = np.unique(table.iteration, return_inverse=True)
+    bits, elapsed = dense_codes(table.elapsed.view(np.uint64))
+    iterations, iteration = dense_codes(table.iteration)
     workers, videos = _csv_fields(table.worker_ids), _csv_fields(table.video_ids)
     columns = [
         (workers, table.worker),

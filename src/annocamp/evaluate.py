@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .taxonomy import Taxonomy, question_positions
+from .taxonomy import Taxonomy, dense_codes, question_positions
 
 
 class IncompleteIterationError(ValueError):
@@ -67,7 +67,7 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
         raise ValueError("no events to aggregate")
     video = events.video[evaluated]
     slot = question_positions(taxonomy, events.question[evaluated])
-    passes, iteration = np.unique(events.iteration[evaluated], return_inverse=True)
+    passes, iteration = dense_codes(events.iteration[evaluated])
     # Every (video, iteration) pair present must answer every question.
     pair = video * len(passes) + iteration
     asked = np.zeros((len(events.video_ids) * len(passes), taxonomy.question_count), dtype=bool)
@@ -197,11 +197,22 @@ def event_stats(events) -> tuple[float, float]:
 
 def group_ids(*columns) -> tuple[np.ndarray, np.ndarray]:
     """A dense id for each row's combination of the integer columns, and the
-    first row having each id."""
-    key = np.zeros(len(columns[0]), dtype=np.int64)
+    first row having each id.
+
+    The ids number the combinations in lexicographic order of the columns'
+    values. Each column, and then the combined key, is coded by
+    `dense_codes`, which skips the sort whenever the values span no more
+    than the rows do, as the indices into a vocabulary whose every entry is
+    used do; either path gives the same codes, and so the same ids as
+    sorting the combinations.
+    """
+    rows = len(columns[0])
+    key = np.zeros(rows, dtype=np.int64)
     for column in columns:
-        values, dense = np.unique(column, return_inverse=True)
-        key = key * len(values) + dense.ravel()
-    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-    return ids.ravel(), first
+        values, dense = dense_codes(column)
+        key = key * len(values) + dense
+    groups, ids = dense_codes(key)
+    first = np.full(len(groups), rows)
+    np.minimum.at(first, ids, np.arange(rows))
+    return ids, first
 

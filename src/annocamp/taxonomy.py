@@ -219,11 +219,45 @@ def mask_members(question: QuestionGroup, mask: int) -> tuple[int, ...]:
     return tuple(m for i, m in enumerate(question.members) if mask >> i & 1)
 
 
+def dense_codes(column) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-D column, ascending, and each row's index
+    among them: exactly `np.unique(column, return_inverse=True)`.
+
+    An integer or boolean column whose value span (max - min + 1) is at most
+    its length is coded without a sort: each row marks its offset from the
+    minimum in a table of the span, and the marked values are ranked by a
+    running sum. (A mark, unlike `np.bincount`'s count, does not slow down
+    on runs of one value.) Any other column is sorted by `np.unique`.
+    """
+    column = np.asarray(column)
+    work = column.view(np.uint8) if column.dtype == bool else column
+    if work.dtype.kind in "iu" and len(work):
+        low, high = work.min(), work.max()
+        span = int(high) - int(low) + 1
+        if span <= len(work):
+            # Every offset is below the span, so neither the subtraction
+            # nor the cast to an index can wrap.
+            offset = (work - low).astype(np.intp, copy=False)
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            values = (np.flatnonzero(present).astype(work.dtype) + low).astype(column.dtype)
+            # With no value missing from the span, each offset is its rank.
+            return values, offset if present.all() else (np.cumsum(present) - 1)[offset]
+    return np.unique(column, return_inverse=True)
+
+
 def question_positions(tax: Taxonomy, question_ids: np.ndarray) -> np.ndarray:
-    """Positions in tax.questions of an array of question ids."""
+    """Positions in tax.questions of an array of question ids.
+
+    Only the distinct ids (`dense_codes`, at most one per question unless an
+    id is unknown) are searched in the sorted taxonomy ids; the rows gather
+    their id's position, so the result is that of a search per row. An
+    unknown id is a TaxonomyError naming the first row's unknown id.
+    """
+    values, codes = dense_codes(question_ids)
     order, ids = tax._id_order, tax.question_ids[tax._id_order]
-    found = np.minimum(np.searchsorted(ids, question_ids), len(ids) - 1)
-    unknown = ids[found] != question_ids
+    found = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
+    unknown = ids[found] != values
     if unknown.any():
-        raise TaxonomyError(f"unknown question id {question_ids[unknown][0]}")
-    return order[found]
+        raise TaxonomyError(f"unknown question id {question_ids[unknown[codes]][0]}")
+    return order[found][codes]

@@ -590,10 +590,10 @@ def load_truths(source) -> list[VideoTruth]:
 
     Each line is an object {"video": id, "duration": seconds, "labels":
     [ids]}; "duration" (default 30.1) and "labels" (default none) may be
-    left out, and any other key is an error. The duration must be finite
-    and positive and the labels integers. A video id may appear on one line
-    only and may not hold a carriage return, which an events CSV cannot
-    carry unquoted.
+    left out, and any other key is an error. The duration must be a finite
+    and positive JSON number and the labels integers. A video id may appear
+    on one line only and may not hold a carriage return, which an events CSV
+    cannot carry unquoted.
     """
     truths, lines = [], {}
     with open(source, encoding="utf-8") as fh:
@@ -608,12 +608,18 @@ def load_truths(source) -> list[VideoTruth]:
                 unknown = [key for key in doc if key not in ("video", "duration", "labels")]
                 if unknown:
                     raise ValueError(f"unknown key {unknown[0]!r}")
+                if "video" not in doc:
+                    raise ValueError("missing key 'video'")
                 video_id = str(doc["video"])
                 if "\r" in video_id:
                     raise ValueError(f"video id {video_id!r} holds a carriage return")
                 if lines.setdefault(video_id, line_num) != line_num:
                     raise ValueError(f"video {video_id!r} repeats line {lines[video_id]}")
-                duration = float(doc.get("duration", 30.1))
+                duration = doc.get("duration", 30.1)
+                if type(duration) not in (int, float):
+                    raise ValueError(f"video {video_id!r}: duration must be a number, "
+                                     f"got {duration!r}")
+                duration = float(duration)
                 if not 0 < duration < np.inf:
                     raise ValueError(f"video {video_id!r}: duration must be finite and "
                                      f"positive, got {duration}")
@@ -621,6 +627,6 @@ def load_truths(source) -> list[VideoTruth]:
                 if not isinstance(labels, list) or any(type(l) is not int for l in labels):
                     raise ValueError(f"video {video_id!r}: labels must be an array of integers")
                 truths.append(VideoTruth(video_id, duration, frozenset(labels)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{source}: line {line_num}: {exc}") from exc
     return truths

@@ -1,8 +1,9 @@
 """Micro-benchmarks of the event table's layers: CSV writing, ingest (a CSV
 parse, and a read of the table sidecar `write_events_csv` leaves beside the
-CSV) and aggregate, on the events of a k=5, two-pass campaign over 150
-videos of the bundled taxonomy (about 22k rows). Each reports its rows per
-second.
+CSV), the row checks' grouping and aggregate, on the events of a k=5,
+two-pass campaign over 150 videos of the bundled taxonomy (about 22k rows);
+and aggregate on one k=52 pass over 1000 videos of the 52-question
+singleton taxonomy (52k rows). Each reports its rows per second.
 
 Not collected by a plain `pytest` run (the file name does not start with
 `test_`); run them explicitly:
@@ -14,8 +15,8 @@ import pytest
 
 from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
 from annocamp.cli import sample_taxonomy_path
-from annocamp.evaluate import aggregate
-from annocamp.taxonomy import load_taxonomy
+from annocamp.evaluate import aggregate, group_ids
+from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.workersim import (
     ModifierSet,
     default_behavior,
@@ -76,4 +77,24 @@ def test_ingest_sidecar(benchmark, tax, events, events_csv):
 def test_aggregate(benchmark, tax, events):
     matrix = benchmark(aggregate, events, tax)
     assert matrix.iterations == 2
+    report_rows(benchmark, len(events))
+
+
+def test_group_ids_row_checks(benchmark, events):
+    # The columns `ingest`'s row checks group to find a repeated non-gold answer.
+    kept = ~events.gold
+    columns = [c[kept] for c in (events.worker, events.video, events.iteration, events.question)]
+    ids, first = benchmark(group_ids, *columns)
+    assert len(first) == len(ids)  # the simulator repeats no answer
+    report_rows(benchmark, len(ids))
+
+
+def test_aggregate_k52_pass(benchmark):
+    tax = singleton_taxonomy(52)
+    behavior = fit_hard_mixture(default_behavior())
+    truths = make_random_truth(1000, tax.label_count, 3.7, SEED)
+    pool = sample_worker_pool(50, behavior, 0.0, SEED)
+    events = run_campaign(tax, truths, 52, 1, behavior, SEED, pool=pool)
+    matrix = benchmark(aggregate, events, tax)
+    assert matrix.iterations == 1
     report_rows(benchmark, len(events))

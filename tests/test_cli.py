@@ -250,6 +250,15 @@ def test_missing_input_file_is_one_line(tmp_path, sample_videos, argv):
     )
 
 
+def test_simulate_on_truths_without_a_video_key_is_one_line(tmp_path):
+    truths = tmp_path / "t.jsonl"
+    truths.write_text('{"duration": 5}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--videos", str(truths), "--k", "5",
+              "--out", str(tmp_path / "events.csv")])
+    assert str(exc.value) == f"annocamp simulate: {truths}: line 1: missing key 'video'"
+
+
 def test_metrics_on_video_without_truth_exits_with_message(tmp_path, sample_videos):
     events = tmp_path / "events.csv"
     run(["simulate", "--videos", sample_videos, "--k", "52", "--seed", "4",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annocamp.evaluate import (
@@ -10,10 +10,17 @@ from annocamp.evaluate import (
     analytic_union,
     event_stats,
     expected_recall,
+    group_ids,
     metrics,
     truth_matrix,
 )
-from annocamp.taxonomy import members_mask, singleton_taxonomy, taxonomy_from_mapping
+from annocamp.taxonomy import (
+    TaxonomyError,
+    members_mask,
+    question_positions,
+    singleton_taxonomy,
+    taxonomy_from_mapping,
+)
 from annocamp.workersim import EventTable, fp_rate_from_precision
 
 
@@ -182,6 +189,67 @@ def test_aggregate_matches_row_by_row_union(rows):
     assert matrix.video_ids == video_ids
     assert matrix.iterations == iterations
     assert np.array_equal(matrix.votes, votes)
+
+
+def sorted_group_ids(*columns):
+    """group_ids by sorting: each column, then the combined key, through np.unique."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        values, dense = np.unique(column, return_inverse=True)
+        key = key * len(values) + dense.ravel()
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    return ids.ravel(), first
+
+
+# Columns of the kinds the event table groups: vocabulary indices, wide or
+# negative integers, the bool gate and uint64 members masks with the top bit.
+_COLUMN_KINDS = (
+    (np.int64, st.integers(0, 5)),
+    (np.int64, st.integers(-(10**9), 10**9)),
+    (np.int64, st.integers(-3, 3)),
+    (bool, st.booleans()),
+    (np.uint64, st.sampled_from([0, 1, 6, 2**63, 2**64 - 1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40))
+def test_group_ids_matches_sorting(data, rows):
+    kinds = data.draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=4))
+    columns = [np.array(data.draw(st.lists(values, min_size=rows, max_size=rows)), dtype)
+               for dtype, values in kinds]
+    ids, first = group_ids(*columns)
+    want_ids, want_first = sorted_group_ids(*columns)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(first, want_first)
+
+
+# Question ids with a gap, listed out of order.
+_GAPPED_TAX = taxonomy_from_mapping({
+    "labels": [{"id": i, "name": f"l{i}"} for i in range(3)],
+    "questions": [{"id": 15, "prompt": "a", "members": [0]},
+                  {"id": 10, "prompt": "b", "members": [1]},
+                  {"id": 12, "prompt": "c", "members": [2]}],
+})
+
+
+@pytest.mark.parametrize("tax", [_ORACLE_TAX, _GAPPED_TAX], ids=["oracle", "gapped"])
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.sampled_from([-2, 0, 9, 10, 10, 11, 12, 12, 13, 15, 40])))
+@example(ids=[])
+@example(ids=[11, -1, 12])  # negative
+@example(ids=[10, 12, 16, 11, 9])  # outside the taxonomy's ids
+@example(ids=[12, 11, 10, 10, 13, 15])  # inside their span but absent from the gapped one
+def test_question_positions_matches_a_lookup_per_row(tax, ids):
+    position = {q.id: p for p, q in enumerate(tax.questions)}
+    unknown = [i for i in ids if i not in position]
+    column = np.array(ids, dtype=np.int64)
+    if unknown:
+        with pytest.raises(TaxonomyError) as exc:
+            question_positions(tax, column)
+        assert str(exc.value) == f"unknown question id {unknown[0]}"
+    else:
+        assert question_positions(tax, column).tolist() == [position[i] for i in ids]
 
 
 def test_aggregate_unknown_question():

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annocamp.cli import sample_taxonomy_path
 from annocamp.taxonomy import (
     TaxonomyError,
+    dense_codes,
     expand_answer,
     load_taxonomy,
     mask_members,
@@ -238,3 +239,56 @@ def test_lookup_arrays_are_built_once_and_read_only(sample_tax):
     # The arrays do not enter comparison: equal taxonomies stay equal and hash alike.
     again = load_taxonomy(sample_taxonomy_path())
     assert again == sample_tax and hash(again) == hash(sample_tax)
+
+
+def assert_codes_like_unique(column):
+    values, codes = dense_codes(column)
+    want_values, want_codes = np.unique(column, return_inverse=True)
+    assert (values.dtype, codes.dtype) == (want_values.dtype, want_codes.dtype)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(codes, want_codes)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-4, 4)),  # negative values, the counting path
+    st.lists(st.integers(-(10**12), 10**12), max_size=8),  # spans far above the length
+    st.lists(st.integers(INT64_MAX - 3, INT64_MAX)),
+    st.lists(st.integers(INT64_MIN, INT64_MIN + 3)),
+    st.lists(st.sampled_from([INT64_MIN, -1, 0, INT64_MAX])),
+))
+@example([])
+@example([-3, -1, -3, -2])
+@example([0, 10**12, 5])
+# The span of these, computed in int64, would wrap to 0 or to a negative count.
+@example([INT64_MIN, INT64_MAX])
+@example([INT64_MAX, INT64_MIN, INT64_MAX, -1])
+def test_dense_codes_matches_unique_on_int64(values):
+    assert_codes_like_unique(np.array(values, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.lists(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.one_of(st.integers(2**63, 2**63 + 3), st.integers(2**64 - 3, 2**64 - 1),
+                       st.integers(0, 3))).map(lambda v: np.array(v, dtype=np.uint64)),
+))
+@example(np.array([2**64 - 1, 2**63, 2**64 - 1], dtype=np.uint64))
+@example(np.array([], dtype=bool))
+def test_dense_codes_matches_unique_on_bool_and_uint64(column):
+    assert_codes_like_unique(column)
+
+
+def test_dense_codes_counts_a_column_whose_span_is_at_most_its_length(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    for column in ([7, 5, 7, 6], [True, False, False], np.array([2**63, 2**63 + 1], np.uint64)):
+        values, codes = dense_codes(np.asarray(column))
+        assert np.array_equal(values[codes], column)
+    with pytest.raises(AssertionError, match="np.unique called"):
+        dense_codes(np.array([0, 2]))

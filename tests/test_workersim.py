@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -613,6 +614,24 @@ def test_load_truths_rejects_a_duration_that_is_not_finite_and_positive(tmp_path
     assert str(exc.value) == (
         f"{path}: line 2: video 'a': duration must be finite and positive, got {shown}"
     )
+
+
+@pytest.mark.parametrize("duration", ["true", "false", '"40"', "null", "[5]"])
+def test_load_truths_rejects_a_duration_that_is_not_a_number(tmp_path, duration):
+    path = tmp_path / "duration.jsonl"
+    path.write_text(f'{{"video": "b"}}\n{{"video": "a", "duration": {duration}}}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    shown = repr(json.loads(duration))
+    assert str(exc.value) == f"{path}: line 2: video 'a': duration must be a number, got {shown}"
+
+
+def test_load_truths_names_a_missing_video_key(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"duration": 5}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    assert str(exc.value) == f"{path}: line 1: missing key 'video'"
 
 
 def test_load_truths_reports_a_duration_too_large_for_a_float(tmp_path):
