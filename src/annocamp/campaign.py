@@ -80,13 +80,15 @@ HIT_ID = "hit-{:03d}-{:05d}"  # by subset index and chunk
 
 @dataclass(frozen=True, eq=False)
 class Hits:
-    """Packed HITs as columns, question subset by subset in pack order.
+    """Packed HITs as columns, question subset by subset in plan order.
 
     Per HIT: `subset` (its subset's index), `chunk` (its number in the
     subset) and `expected_seconds`; each pays `pay`. Per task (one video of
     one HIT, in HIT order; a subset has one task per video): `hit`, `video`
     (its row in `video_ids`) and `lengths` (its slot count). Per slot, task
     by task in the order asked: `question` (its id) and `gold` (a bias duplicate).
+    `pack_hits` builds each column for the whole pass at once, from one
+    packing-order draw and one slot block per distinct subset size.
     """
 
     video_ids: tuple[str, ...]
@@ -151,8 +153,13 @@ def pack_hits(
     question order. With positive bias, duplicates of questions known
     positive for the member videos are injected until the expected
     affirmative fraction reaches one third; duplicates are flagged gold and
-    excluded from the expected-time accounting. Each subset is packed by
-    one array program over all of its HITs.
+    excluded from the expected-time accounting.
+
+    The pass is packed with no loop over subsets: one draw orders the
+    videos of every subset, the HITs and their gold duplicates are sized
+    over all HITs at once, each distinct subset size fills its tasks'
+    slots as one (subsets x videos x slots) block, and one argsort
+    shuffles the slots of every task.
     """
     video_ids = tuple(video_ids)
     if not video_ids:
@@ -162,83 +169,97 @@ def pack_hits(
         raise ValueError(f"video {repeated!r} is listed more than once")
     if positive_bias and not known_positives:
         raise ValueError("positive bias requires known positive questions per video")
-    qtop = sum(len(s) for s in subset_plan.subsets)
     n = len(video_ids)
     video_keys = id_keys(video_ids)
-    # Each video's known positives, as one flat array with offsets.
-    pools = [known_positives.get(v) or () for v in video_ids] if positive_bias else []
-    pool_len = np.array(list(map(len, pools)), dtype=np.int64)
-    pool_start = np.cumsum(pool_len) - pool_len
-    pooled = np.array([q for pool in pools for q in pool], dtype=np.int64)
-    parts = []
-    for subset_index, subset in enumerate(subset_plan.subsets):
-        size = len(subset)
-        per_hit = videos_per_hit(model, size, budget)
-        # Task t is the video packed[t] of chunk t // per_hit; the shuffle
-        # order(seed, video_ids, "pack", subset_index) draws the packing.
-        packed = key_order(draw_key(seed, "pack", subset_index, video_keys))
-        chunk = np.arange(n) // per_hit
-        chunk_len = np.bincount(chunk)
-        chunks = len(chunk_len)
-        # A task's slots are its base questions, then its gold duplicates.
-        subset_ids = np.array(subset, dtype=np.int64)
-        slots = np.broadcast_to(subset_ids, (n, size))
+    sizes = np.array(list(map(len, subset_plan.subsets)), dtype=np.int64)
+    ids = np.fromiter(chain.from_iterable(subset_plan.subsets), dtype=np.int64)
+    first_id = np.cumsum(sizes) - sizes  # each subset's offset in ids
+    subset_keys = id_keys(range(len(sizes)))
+    # Row s is subset s's packing order, the shuffle order(seed, video_ids,
+    # "pack", s): its task t is the video packed[s, t] of chunk t // per_hit.
+    packed = key_order(draw_key(seed, "pack", subset_keys[:, None], video_keys))
+    distinct, size_at = dense_codes(sizes)
+    per_hit = np.array([videos_per_hit(model, size, budget) for size in distinct.tolist()])
+    seconds = np.array([task_time(model, size) for size in distinct.tolist()])[size_at]
+    chunk = np.arange(n) // per_hit[size_at, None]
+    chunks = chunk[:, -1] + 1
+    first_hit = np.cumsum(chunks) - chunks
+    hit = (first_hit[:, None] + chunk).ravel()
+    hit_subset = np.repeat(np.arange(len(sizes)), chunks)
+    hit_chunk = np.arange(len(hit_subset)) - first_hit[hit_subset]
+    chunk_len = np.bincount(hit)
+    golds = np.zeros((len(sizes), n), dtype=np.int64)
+    if positive_bias:
+        # Each video's known positives, as one flat array with offsets.
+        pools = [known_positives.get(v) or () for v in video_ids]
+        pool_len = np.array(list(map(len, pools)), dtype=np.int64)
+        pool_start = np.cumsum(pool_len) - pool_len
+        pooled = np.array([q for pool in pools for q in pool], dtype=np.int64)
+        # A HIT's duplicates go round-robin over its donors (the videos with
+        # known positives, in pack order); a video's j-th gold slot repeats
+        # its known positive j modulo their count.
+        hit_size = sizes[hit_subset]
+        expected_pos = chunk_len * prevalence * hit_size / len(ids)
+        duplicates = np.maximum(0, np.rint((chunk_len * hit_size - 3.0 * expected_pos) / 2.0))
+        duplicates = duplicates.astype(np.int64)
+        donor = pool_len[packed].ravel() > 0
+        donors = np.bincount(hit[donor], minlength=len(chunk_len))
+        empty = np.flatnonzero((duplicates > 0) & (donors == 0))
+        if len(empty):
+            hit_id = HIT_ID.format(hit_subset[empty[0]], hit_chunk[empty[0]])
+            raise ValueError(f"{hit_id}: no video has a known positive to duplicate")
+        nth = np.cumsum(donor) - 1 - (np.cumsum(donors) - donors)[hit]
+        turns, extra = np.divmod(duplicates, np.maximum(donors, 1))
+        golds = np.where(donor, turns[hit] + (nth < extra[hit]), 0).reshape(golds.shape)
+    lengths = sizes[:, None] + golds
+    # A task's slots are its base questions, then its gold duplicates,
+    # padded to the widest task; each subset size fills its tasks' slots.
+    # Without gold slots or shared orders, the videos of a subset share one
+    # row of slots.
+    gilded = golds.any()
+    alike = not gilded and not (grouping and (sizes > 1).any())
+    slots = np.empty((len(sizes), 1 if alike else n, lengths.max()), dtype=np.int64)
+    for size_index, size in enumerate(distinct.tolist()):
+        rows = np.flatnonzero(size_at == size_index)
+        subset_ids = ids[first_id[rows, None] + np.arange(size)]
+        base = subset_ids[:, None, :]  # every video of a subset alike
         if grouping and size > 1:
-            # One question order shared by every video of a HIT: chunk c's is
-            # order(seed, subset, subset_index, c, "order").
-            chunk_keys = id_keys(range(chunks))[:, None]
-            shared = key_order(draw_key(seed, subset_index, chunk_keys, "order", id_keys(subset)))
-            slots = subset_ids[shared][chunk]
-        lengths = np.full(n, size)
-        if positive_bias:
-            # A chunk's duplicates go round-robin over its donors (the videos
-            # with known positives, in pack order); a video's j-th gold slot
-            # repeats its known positive j modulo their count.
-            expected_pos = chunk_len * prevalence * size / qtop
-            duplicates = np.maximum(0, np.rint((chunk_len * size - 3.0 * expected_pos) / 2.0))
-            duplicates = duplicates.astype(np.int64)
-            donor = pool_len[packed] > 0
-            donors = np.bincount(chunk[donor], minlength=chunks)
-            empty = np.flatnonzero((duplicates > 0) & (donors == 0))
-            if len(empty):
-                hit_id = HIT_ID.format(subset_index, empty[0])
-                raise ValueError(f"{hit_id}: no video has a known positive to duplicate")
-            nth = np.cumsum(donor) - 1 - (np.cumsum(donors) - donors)[chunk]
-            turns, extra = np.divmod(duplicates, np.maximum(donors, 1))
-            golds = np.where(donor, turns[chunk] + (nth < extra[chunk]), 0)
-            j = np.arange(golds.max())
-            at = pool_start[packed][:, None] + j % np.maximum(pool_len[packed], 1)[:, None]
-            slots = np.concatenate([slots, pooled[np.where(j < golds[:, None], at, 0)]], axis=1)
-            lengths += golds
-        # Slots are shuffled, the rows of all chunks at once, by argsort of
-        # counter uniforms keyed by (seed, subset, video), the padding past a
-        # row's end sorting last. Under grouping the shuffle only places the
-        # gold slots, in their drawn order, and the base slots keep the
-        # shared order; without gold slots it is skipped there.
-        width = np.arange(slots.shape[1])
-        placed, is_gold = slots, np.broadcast_to(width >= size, slots.shape)
-        if len(width) > 1 and (len(width) > size or not grouping):
-            keys = fold(draw_key(seed, subset_index), video_keys[packed], id_key("slots"))
-            u = uniforms(keys[:, None], width)
-            u[width >= lengths[:, None]] = 2.0
-            perm = np.argsort(u, axis=1)
-            placed, is_gold = np.take_along_axis(slots, perm, axis=1), perm >= size
-            if grouping:
-                rank = np.cumsum(~is_gold, axis=1) - 1
-                placed = np.where(is_gold, placed, np.take_along_axis(slots, rank, axis=1))
-        asked = width < lengths[:, None]
-        parts.append({
-            "subset": np.full(chunks, subset_index),
-            "chunk": np.arange(chunks),
-            "expected_seconds": chunk_len * task_time(model, size),
-            "hit": sum(len(part["chunk"]) for part in parts) + chunk,
-            "video": packed,
-            "lengths": lengths,
-            "question": placed[asked],
-            "gold": is_gold[asked],
-        })
-    columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    return Hits(video_ids, pay=budget.pay_per_hit, **columns)
+            # One question order shared by every video of a HIT: chunk c of
+            # subset s has order(seed, subset, s, c, "order").
+            chunk_keys = id_keys(range(chunks[rows[0]]))[:, None]
+            question_keys = id_keys(subset_ids.ravel().tolist()).reshape(len(rows), 1, size)
+            shared = key_order(draw_key(seed, subset_keys[rows, None, None], chunk_keys, "order",
+                                        question_keys))
+            base = np.take_along_axis(base, shared, axis=2)[:, chunk[rows[0]]]
+        slots[rows, :, :size] = base
+        if gilded:
+            video = packed[rows]
+            j = np.arange(golds[rows].max())
+            at = pool_start[video][..., None] + j % np.maximum(pool_len[video], 1)[..., None]
+            slots[rows, :, size : size + len(j)] = pooled[np.where(j < golds[rows, :, None], at, 0)]
+    # Slots are shuffled, every task of the pass at once, by argsort of
+    # counter uniforms keyed by (seed, subset, video), the padding past a
+    # task's end sorting last. Under grouping the shuffle only places the
+    # gold slots, in their drawn order, and the base slots keep the shared
+    # order; without gold slots it is skipped there.
+    width = np.arange(slots.shape[2])
+    is_gold = width >= sizes[:, None, None]
+    if len(width) > 1 and (gilded or not grouping):
+        keys = fold(draw_key(seed, subset_keys[:, None]), video_keys[packed], id_key("slots"))
+        u = uniforms(keys[..., None], width)
+        u[width >= lengths[..., None]] = 2.0
+        perm = np.argsort(u, axis=2)
+        placed, is_gold = np.take_along_axis(slots, perm, axis=2), perm >= sizes[:, None, None]
+        if grouping:
+            rank = np.cumsum(~is_gold, axis=2) - 1
+            placed = np.where(is_gold, placed, np.take_along_axis(slots, rank, axis=2))
+        slots = placed
+    asked = width < lengths[..., None]
+    slots, is_gold = np.broadcast_to(slots, asked.shape), np.broadcast_to(is_gold, asked.shape)
+    return Hits(video_ids, subset=hit_subset, chunk=hit_chunk,
+                expected_seconds=chunk_len * seconds[hit_subset], pay=budget.pay_per_hit,
+                hit=hit, video=packed.ravel(), lengths=lengths.ravel(),
+                question=slots[asked], gold=is_gold[asked])
 
 
 def assign_workers(hits, pool, seed: int, iteration: int, blacklist=()) -> list[Worker]:

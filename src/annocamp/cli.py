@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from importlib import resources
@@ -359,7 +360,10 @@ def cmd_reproduce(args, config: Config) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. It holds no command
+    function: `main` looks the command's up on this module at call time."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     common.add_argument("--config", default=None, help="JSON config file")
@@ -373,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-time", parents=[common], help="fit the linear task-time model")
     p.add_argument("--timings", required=True, help="questions,seconds[,video_seconds] CSV")
-    p.set_defaults(func=cmd_fit_time)
 
     p = sub.add_parser("calibrate", parents=[common], help="build the worker model")
     p.add_argument(
@@ -381,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip fitting the multi-pass difficulty mixture",
     )
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("pack-hits", parents=[common], help="pack videos into HIT specs")
     p.add_argument("--taxonomy", default=None)
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="questions per task")
     p.add_argument("--positive-bias", action="store_true")
     p.add_argument("--grouping", action="store_true")
-    p.set_defaults(func=cmd_pack_hits)
 
     p = sub.add_parser("simulate", parents=[common], help="simulate an annotation campaign")
     p.add_argument("--taxonomy", default=None)
@@ -400,18 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spammer-fraction", type=float, default=0.0)
     for name, _ in workersim.MODIFIERS:
         p.add_argument("--" + name.replace("_", "-"), action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ingest", parents=[common], help="validate events, emit worker stats")
     p.add_argument("--taxonomy", default=None)
     p.add_argument("--events", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("aggregate", parents=[common], help="fold events into labels")
     p.add_argument("--taxonomy", default=None)
     p.add_argument("--events", required=True)
     p.add_argument("--threshold", type=int, default=1)
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("metrics", parents=[common], help="score aggregated labels vs truth")
     p.add_argument("--taxonomy", default=None)
@@ -421,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", default="adhoc")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--modifiers", default="none")
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("plan", parents=[common], help="pick the best strategy for a budget")
     p.add_argument("--budget-minutes", type=float, required=True)
@@ -434,24 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit every feasible plan as CSV instead of the optimum",
     )
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("qc", parents=[common], help="flag outlier workers")
     p.add_argument("--stats", required=True, help="worker stats CSV from ingest")
     p.add_argument("--mad-z", type=float, default=3.0)
     p.add_argument("--min-workers", type=int, default=5)
-    p.set_defaults(func=cmd_qc)
 
     p = sub.add_parser("verify-queue", parents=[common], help="queue predicted positives")
     p.add_argument("--taxonomy", default=None)
     p.add_argument("--events", required=True)
     p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--done", default=None, help="CSV of already-verified video,label pairs")
-    p.set_defaults(func=cmd_verify_queue)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a bundled experiment")
     p.add_argument("name", choices=campaign.EXPERIMENTS)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
@@ -459,8 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; bad input exits with a one-line message."""
     args = build_parser().parse_args(argv)
+    # Built on each call, so a command function replaced on this module
+    # after the parser was built is the one that runs.
+    command = {
+        "fit-time": cmd_fit_time, "calibrate": cmd_calibrate, "pack-hits": cmd_pack_hits,
+        "simulate": cmd_simulate, "ingest": cmd_ingest, "aggregate": cmd_aggregate,
+        "metrics": cmd_metrics, "plan": cmd_plan, "qc": cmd_qc,
+        "verify-queue": cmd_verify_queue, "reproduce": cmd_reproduce,
+    }[args.command]
     try:
-        return args.func(args, Config.load(args.config))
+        return command(args, Config.load(args.config))
     except (OSError, ValueError) as exc:
         raise SystemExit(f"annocamp {args.command}: {exc}") from exc
 

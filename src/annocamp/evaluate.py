@@ -85,12 +85,14 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
         video_ids = tuple(sorted(events.video_ids[v] for v in seen.tolist()))
     else:
         video_ids = tuple(video_ids)
-    index = {v: i for i, v in enumerate(video_ids)}
-    row_of = np.array([index.get(v, -1) for v in events.video_ids], dtype=np.int64)
-    outside = row_of[video] < 0
-    if outside.any():
-        name = events.video_ids[video[outside][0]]
-        raise ValueError(f"events name video {name!r}, which is not among the video ids")
+    row = video  # on the table's own vocabulary, a video's row is its code
+    if video_ids != events.video_ids:
+        index = {v: i for i, v in enumerate(video_ids)}
+        row = np.array([index.get(v, -1) for v in events.video_ids], dtype=np.int64)[video]
+        outside = row < 0
+        if outside.any():
+            name = events.video_ids[video[outside][0]]
+            raise ValueError(f"events name video {name!r}, which is not among the video ids")
 
     # Decode each affirmative answer's members bits to labels, keep each
     # (video, iteration, label) once and count its iterations per video.
@@ -101,7 +103,7 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     answer, bit = np.nonzero(events.members[evaluated][yes, None] >> bits & np.uint64(1))
     label = table[slot[yes][answer], bit]
     marked = group_ids(pair[yes][answer], label)[1]
-    rows = row_of[video[yes][answer][marked]]
+    rows = row[yes][answer][marked]
     votes = np.bincount(rows * labels + label[marked], minlength=len(video_ids) * labels)
     return LabelMatrix(
         video_ids=video_ids,

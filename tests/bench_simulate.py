@@ -37,8 +37,9 @@ def pool():
     return [Worker(f"w{i:04d}", recall_scale=float(s)) for i, s in enumerate(scales)]
 
 
-@pytest.mark.parametrize("k, videos", [(1, 300), (52, 1000)])
+@pytest.mark.parametrize("k, videos", [(1, 300), (5, 300), (52, 1000)])
 def test_pack_hits(benchmark, tax, k, videos):
+    # k = 5 packs 10 subsets of 5 questions and one of 2: two subset sizes.
     plan = partition_questions(tax, k, SEED)
     videos = [f"v{i:05d}" for i in range(videos)]
     hits = benchmark(pack_hits, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED)

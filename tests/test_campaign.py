@@ -8,6 +8,7 @@ import logging
 import math
 import statistics
 import types
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from annocamp import campaign
 from annocamp.campaign import (
+    HIT_ID,
+    Hits,
     QcThresholds,
     WorkerStats,
     assign_workers,
@@ -33,12 +36,13 @@ from annocamp.campaign import (
     worker_stats_from_events,
     write_events_csv,
 )
-from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, task_time, videos_per_hit
+from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, TimeModel, task_time, videos_per_hit
 from annocamp.evaluate import LabelMatrix, aggregate, truth_matrix, metrics
 from annocamp.planner import FEW_QUESTION_BUNDLE
 from annocamp.cli import sample_taxonomy_path
 from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from annocamp.taxonomy import (
+    SubsetPlan,
     Taxonomy,
     load_taxonomy,
     partition_questions,
@@ -407,6 +411,177 @@ def test_pack_columns_equal_the_hit_loop(sample_tax, seed, k, n, grouping, posit
     assert hits.lengths.tolist() == [len(s) for _, _, s in tasks]
     assert hits.question.tolist() == [q.question_id for _, _, s in tasks for q in s]
     assert hits.gold.tolist() == [q.gold for _, _, s in tasks for q in s]
+
+
+def _pack_hits_per_subset(
+    video_ids,
+    subset_plan: SubsetPlan,
+    budget: HitBudget,
+    model: TimeModel,
+    seed: int,
+    *,
+    positive_bias: bool = False,
+    grouping: bool = False,
+    known_positives: dict | None = None,
+    prevalence: float = DEFAULT_PREVALENCE,
+) -> Hits:
+    """The packer as one array program per question subset, in a loop over
+    the plan's subsets whose parts are joined at the end."""
+    video_ids = tuple(video_ids)
+    if not video_ids:
+        raise ValueError("cannot pack an empty video list")
+    if len(set(video_ids)) < len(video_ids):
+        repeated = next(v for v, count in Counter(video_ids).items() if count > 1)
+        raise ValueError(f"video {repeated!r} is listed more than once")
+    if positive_bias and not known_positives:
+        raise ValueError("positive bias requires known positive questions per video")
+    qtop = sum(len(s) for s in subset_plan.subsets)
+    n = len(video_ids)
+    video_keys = id_keys(video_ids)
+    # Each video's known positives, as one flat array with offsets.
+    pools = [known_positives.get(v) or () for v in video_ids] if positive_bias else []
+    pool_len = np.array(list(map(len, pools)), dtype=np.int64)
+    pool_start = np.cumsum(pool_len) - pool_len
+    pooled = np.array([q for pool in pools for q in pool], dtype=np.int64)
+    parts = []
+    for subset_index, subset in enumerate(subset_plan.subsets):
+        size = len(subset)
+        per_hit = videos_per_hit(model, size, budget)
+        # Task t is the video packed[t] of chunk t // per_hit; the shuffle
+        # order(seed, video_ids, "pack", subset_index) draws the packing.
+        packed = key_order(draw_key(seed, "pack", subset_index, video_keys))
+        chunk = np.arange(n) // per_hit
+        chunk_len = np.bincount(chunk)
+        chunks = len(chunk_len)
+        # A task's slots are its base questions, then its gold duplicates.
+        subset_ids = np.array(subset, dtype=np.int64)
+        slots = np.broadcast_to(subset_ids, (n, size))
+        if grouping and size > 1:
+            # One question order shared by every video of a HIT: chunk c's is
+            # order(seed, subset, subset_index, c, "order").
+            chunk_keys = id_keys(range(chunks))[:, None]
+            shared = key_order(draw_key(seed, subset_index, chunk_keys, "order", id_keys(subset)))
+            slots = subset_ids[shared][chunk]
+        lengths = np.full(n, size)
+        if positive_bias:
+            # A chunk's duplicates go round-robin over its donors (the videos
+            # with known positives, in pack order); a video's j-th gold slot
+            # repeats its known positive j modulo their count.
+            expected_pos = chunk_len * prevalence * size / qtop
+            duplicates = np.maximum(0, np.rint((chunk_len * size - 3.0 * expected_pos) / 2.0))
+            duplicates = duplicates.astype(np.int64)
+            donor = pool_len[packed] > 0
+            donors = np.bincount(chunk[donor], minlength=chunks)
+            empty = np.flatnonzero((duplicates > 0) & (donors == 0))
+            if len(empty):
+                hit_id = HIT_ID.format(subset_index, empty[0])
+                raise ValueError(f"{hit_id}: no video has a known positive to duplicate")
+            nth = np.cumsum(donor) - 1 - (np.cumsum(donors) - donors)[chunk]
+            turns, extra = np.divmod(duplicates, np.maximum(donors, 1))
+            golds = np.where(donor, turns[chunk] + (nth < extra[chunk]), 0)
+            j = np.arange(golds.max())
+            at = pool_start[packed][:, None] + j % np.maximum(pool_len[packed], 1)[:, None]
+            slots = np.concatenate([slots, pooled[np.where(j < golds[:, None], at, 0)]], axis=1)
+            lengths += golds
+        # Slots are shuffled, the rows of all chunks at once, by argsort of
+        # counter uniforms keyed by (seed, subset, video), the padding past a
+        # row's end sorting last. Under grouping the shuffle only places the
+        # gold slots, in their drawn order, and the base slots keep the
+        # shared order; without gold slots it is skipped there.
+        width = np.arange(slots.shape[1])
+        placed, is_gold = slots, np.broadcast_to(width >= size, slots.shape)
+        if len(width) > 1 and (len(width) > size or not grouping):
+            keys = fold(draw_key(seed, subset_index), video_keys[packed], id_key("slots"))
+            u = uniforms(keys[:, None], width)
+            u[width >= lengths[:, None]] = 2.0
+            perm = np.argsort(u, axis=1)
+            placed, is_gold = np.take_along_axis(slots, perm, axis=1), perm >= size
+            if grouping:
+                rank = np.cumsum(~is_gold, axis=1) - 1
+                placed = np.where(is_gold, placed, np.take_along_axis(slots, rank, axis=1))
+        asked = width < lengths[:, None]
+        parts.append({
+            "subset": np.full(chunks, subset_index),
+            "chunk": np.arange(chunks),
+            "expected_seconds": chunk_len * task_time(model, size),
+            "hit": sum(len(part["chunk"]) for part in parts) + chunk,
+            "video": packed,
+            "lengths": lengths,
+            "question": placed[asked],
+            "gold": is_gold[asked],
+        })
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    return Hits(video_ids, pay=budget.pay_per_hit, **columns)
+
+
+SUBSET_FIELDS = ("subset", "chunk", "expected_seconds", "hit", "video", "lengths", "question",
+                 "gold")
+
+
+def cut_plan(tax, order, cuts):
+    """A hand-built SubsetPlan: the question ids in `order`, cut into
+    subsets of the sizes in `cuts`, so that sizes may repeat in any order."""
+    ids = [tax.questions[i].id for i in order]
+    starts = np.cumsum([0, *cuts]).tolist()
+    return SubsetPlan(tuple(tuple(ids[a:b]) for a, b in zip(starts, starts[1:]) if a < len(ids)))
+
+
+KNOWN = [[3, 9], [0], [51, 7, 12], [20]] * 8
+
+
+@settings(max_examples=80, deadline=None)
+@example(seed=0, k=52, n=1, cuts=None, grouping=True, positive_bias=True, known_lists=KNOWN,
+         empty=set(), missing=set(), repeat=False).via("one video")
+@example(seed=1, k=1, n=5, cuts=None, grouping=False, positive_bias=True, known_lists=KNOWN,
+         empty=set(), missing=set(), repeat=False).via("per_hit above the video count")
+@example(seed=2, k=5, n=30, cuts=None, grouping=True, positive_bias=True, known_lists=KNOWN,
+         empty={0, 3}, missing={7}, repeat=False).via("an uneven last subset, bias, grouping")
+@example(seed=3, k=1, n=30, cuts=[2, 1, 3, 1, 2, 5, 1] * 8, grouping=True, positive_bias=True,
+         known_lists=KNOWN, empty={1, 4}, missing=set(), repeat=False).via("sizes interleave")
+@example(seed=1, k=1, n=10, cuts=[1, 2] * 26, grouping=False, positive_bias=True,
+         known_lists=KNOWN, empty=set(range(5, 10)), missing=set(),
+         repeat=False).via("a HIT with no donor in subset 7, after subsets of another size")
+@example(seed=5, k=7, n=6, cuts=None, grouping=False, positive_bias=False, known_lists=KNOWN,
+         empty=set(), missing=set(), repeat=True).via("a repeated video id")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 52),
+    n=st.integers(1, 30),
+    cuts=st.none() | st.lists(st.integers(1, 6), min_size=52, max_size=52),
+    grouping=st.booleans(),
+    positive_bias=st.booleans(),
+    known_lists=st.lists(
+        st.lists(st.integers(0, 51), min_size=1, max_size=4, unique=True), min_size=30, max_size=30
+    ),
+    empty=st.sets(st.integers(0, 29), max_size=6),
+    missing=st.sets(st.integers(0, 29), max_size=3),
+    repeat=st.booleans(),
+)
+def test_pack_hits_equals_the_per_subset_loop(sample_tax, seed, k, n, cuts, grouping,
+                                              positive_bias, known_lists, empty, missing,
+                                              repeat):
+    """Packing a pass at once gives the per-subset loop's columns, field by
+    field, or the same error; `cuts` hand-builds the plan."""
+    if cuts is None:
+        plan = partition_questions(sample_tax, k, seed)
+    else:
+        plan = cut_plan(sample_tax, order(seed, range(52), "cuts"), cuts)
+    videos = [f"v{i}" for i in range(n)] + (["v0"] if repeat else [])
+    # Videos without known positives: an empty list, or no entry at all.
+    known = {v: [] if i in empty else known_lists[i] for i, v in enumerate(videos[:n])
+             if i not in missing}
+    args = (videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed)
+    kwargs = {"positive_bias": positive_bias, "grouping": grouping,
+              "known_positives": known if positive_bias else None}
+    loop, loop_error = _packed_or_error(_pack_hits_per_subset, *args, **kwargs)
+    hits, error = _packed_or_error(pack_hits, *args, **kwargs)
+    assert error == loop_error
+    if error:
+        return
+    assert (hits.video_ids, hits.pay) == (loop.video_ids, loop.pay)
+    for name in SUBSET_FIELDS:
+        got, want = getattr(hits, name), getattr(loop, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 # ---------------------------------------------------------------------------

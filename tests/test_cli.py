@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from annocamp import cli
 from annocamp.cli import main, sample_taxonomy_path
 
 
@@ -173,6 +174,20 @@ def test_verify_queue_cli(tmp_path, sample_videos):
     run(["verify-queue", "--events", str(events), "--done", str(done),
          "--out", str(queue2)])
     assert read_csv(queue2) == []
+
+
+def test_main_calls_the_command_function_the_module_holds_now(tmp_path, monkeypatch):
+    # The parser is built once per process; a command function replaced on
+    # the module after that build is the one the next call runs.
+    stats = tmp_path / "stats.csv"
+    stats.write_text("worker,tasks,median_seconds,gold_recall,positive_rate\n"
+                     + "".join(f"w{i},3,{40 + i},,0.1\n" for i in range(5)))
+    run(["qc", "--stats", str(stats), "--out", str(tmp_path / "flags.csv")])
+    calls = []
+    monkeypatch.setattr(cli, "cmd_qc", lambda args, config: calls.append(args.stats) or 0)
+    run(["qc", "--stats", str(stats)])
+    assert calls == [str(stats)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_qc_stats_errors_name_column_or_line(tmp_path):

@@ -191,6 +191,26 @@ def test_aggregate_matches_row_by_row_union(rows):
     assert np.array_equal(matrix.votes, votes)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=oracle_events(), data=st.data())
+def test_aggregate_is_the_same_on_any_list_of_the_video_ids(rows, data):
+    # video_ids=None, the table's own vocabulary (each video's row is its
+    # code) and a permuted list with an id the events never name all give
+    # each video the oracle's votes.
+    events = table(rows, _ORACLE_TAX)
+    video_ids, _, votes = union_oracle(rows)
+    expected = dict(zip(video_ids, votes.tolist()))
+    permuted = data.draw(st.permutations(events.video_ids + ("unseen",)))
+    for given_ids in (None, events.video_ids, list(events.video_ids), permuted):
+        matrix = aggregate(events, _ORACLE_TAX, video_ids=given_ids)
+        assert matrix.video_ids == (video_ids if given_ids is None else tuple(given_ids))
+        got = dict(zip(matrix.video_ids, matrix.votes.tolist()))
+        assert got == {v: expected.get(v, [0] * _ORACLE_TAX.label_count) for v in got}
+    dropped = events.video_ids[0]
+    with pytest.raises(ValueError, match=f"events name video '{dropped}', which is not among"):
+        aggregate(events, _ORACLE_TAX, video_ids=[v for v in permuted if v != dropped])
+
+
 def sorted_group_ids(*columns):
     """group_ids by sorting: each column, then the combined key, through np.unique."""
     key = np.zeros(len(columns[0]), dtype=np.int64)
