@@ -465,12 +465,12 @@ def _answer_columns(answers: list, code) -> tuple:
 def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     """Write an event table as CSV; the `gold` column appears iff a row is gold.
 
-    Each column's distinct values are formatted once: ids as csv.writer
-    quotes them, answers (question, gate, members), elapsed times by `repr`
-    (0.0 apart from -0.0) and iterations; the rows are joined ROW_CHUNK at
-    a time. An id that would not read back unchanged is a ValueError before
-    the file is opened. When every answer reads back unchanged, the table as
-    `ingest` returns it goes to the CSV's sidecar.
+    Each column's distinct values are formatted once: ids by `_csv_fields`,
+    answers (question, gate, members), elapsed times by `repr` (0.0 apart
+    from -0.0) and iterations; the rows are joined ROW_CHUNK at a time. An
+    id that would not read back unchanged is a ValueError before the file is
+    opened. When every answer reads back unchanged, the table as `ingest`
+    returns it goes to the CSV's sidecar.
     """
     answer, first = group_ids(table.question, table.gate, table.members)
     answers, texts, valid = [], [], True
@@ -922,8 +922,9 @@ _EXPERIMENT_RUNNERS = {
 EXPERIMENTS = tuple(_EXPERIMENT_RUNNERS)
 
 
-def reproduce(name: str, seed: int, out_path, **overrides) -> Path:
-    """Run a bundled experiment and write its figure-shaped CSV.
+def reproduce(name: str, seed: int, out_path, **overrides):
+    """Run a bundled experiment and write its figure-shaped CSV to `out_path`
+    (None: stdout), which it returns.
 
     Output is byte-identical for identical (name, seed, overrides) across
     runs.
@@ -935,4 +936,5 @@ def reproduce(name: str, seed: int, out_path, **overrides) -> Path:
             f"unknown experiment {name!r}; choose one of {', '.join(EXPERIMENTS)}"
         ) from None
     header, rows = runner(seed, **overrides)
-    return write_csv(out_path, header, rows)
+    write_csv(out_path, header, rows)
+    return out_path

@@ -2,13 +2,14 @@
 
 Every command maps to a single library operation; all randomness flows from
 the `--seed` flag. Defaults come from the bundled sample taxonomy and the
-reference calibration; a JSON `--config` overrides them.
+reference calibration; a JSON `--config` overrides them, while the
+interface modifiers come from `simulate`'s flags alone. Without `--out`,
+every command but `simulate` writes its output to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import campaign, costmodel, evaluate, planner, taxonomy, workersim
-from .output import atomic_open, read_records, write_csv
+from .output import read_records, write_csv, write_text
 
 
 def sample_taxonomy_path() -> Path:
@@ -41,129 +42,109 @@ def _correlation_targets(targets) -> tuple[tuple[int, float], ...]:
     return parsed
 
 
-class Config:
-    """Resolved defaults: taxonomy, time model, calibration, budget.
-
-    Each section of a JSON config document replaces one default; a section
-    that does not parse is a one-line ValueError that names it.
-    """
-
-    SECTIONS = {
-        "taxonomy": Path,
-        "time_model": lambda tm: costmodel.TimeModel(float(tm["a"]), float(tm["b"])),
-        "budget": lambda b: costmodel.HitBudget(
-            float(b.get("target_seconds", 150.0)), float(b.get("pay_per_hit", 0.40))
-        ),
-        "anchors": lambda anchors: tuple(
-            workersim.AccuracyAnchor(
-                int(a["k"]), float(a["recall"]), float(a["precision"]),
-                float(a["iteration_minutes"]),
-            )
-            for a in anchors
-        ),
-        "correlation_targets": _correlation_targets,
-        "prevalence": float,
-        "qtop": int,
-        "modifiers": lambda doc: workersim.ModifierSet(
-            **{name: bool(doc.get(name, False)) for name, _ in workersim.MODIFIERS}
-        ),
-    }
-
-    def __init__(self, doc: dict | None = None):
-        doc = doc or {}
-        if not isinstance(doc, dict):
-            raise ValueError("config: must be a JSON object")
-        self.values = {}
-        for key, value in doc.items():
-            if key not in self.SECTIONS:
-                raise ValueError(f"config: unknown key {key!r}")
-            try:
-                self.values[key] = self.SECTIONS[key](value)
-            except KeyError as exc:
-                raise ValueError(f"config: {key}: missing key {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"config: {key}: {exc}") from None
-        for key in doc.get("modifiers", {}):
-            if key not in dict(workersim.MODIFIERS):
-                raise ValueError(f"config: unknown modifiers key {key!r}")
-
-    @classmethod
-    def load(cls, path: str | None) -> "Config":
-        if path is None:
-            return cls()
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def taxonomy(self, override: str | None = None) -> taxonomy.Taxonomy:
-        path = override or self.values.get("taxonomy", sample_taxonomy_path())
-        return taxonomy.load_taxonomy(path)
-
-    def time_model(self) -> costmodel.TimeModel:
-        return self.values.get("time_model", costmodel.DEFAULT_TIME_MODEL)
-
-    def budget(self) -> costmodel.HitBudget:
-        return self.values.get("budget", costmodel.HitBudget())
-
-    def prevalence(self) -> float:
-        return self.values.get("prevalence", workersim.DEFAULT_PREVALENCE)
-
-    def behavior(self, fit_correlation: bool = True) -> workersim.WorkerBehavior:
-        qtop = self.values.get("qtop", workersim.DEFAULT_QTOP)
-        anchors = self.values.get("anchors", workersim.DEFAULT_ANCHORS)
-        behavior = workersim.calibrate(anchors, prevalence=self.prevalence(), qtop=qtop)
-        if fit_correlation:
-            targets = self.values.get("correlation_targets", workersim.DEFAULT_MULTI_PASS_RECALL)
-            behavior = workersim.fit_hard_mixture(behavior, k=qtop, targets=targets)
-        return behavior
-
-    def modifiers(self) -> workersim.ModifierSet:
-        return self.values.get("modifiers", workersim.ModifierSet())
+def _object(doc, required, optional=()) -> dict:
+    """`doc`, a JSON object that holds every `required` key and no key
+    outside `required` and `optional`; a ValueError names the first key
+    that breaks this."""
+    if not isinstance(doc, dict):
+        raise ValueError("must be a JSON object")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"missing key {key!r}")
+    return doc
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with atomic_open(out) as fh:
-            fh.write(text)
+def _time_model(doc) -> costmodel.TimeModel:
+    doc = _object(doc, ("a", "b"))
+    return costmodel.TimeModel(float(doc["a"]), float(doc["b"]))
 
 
-def _emit_csv(header, rows, out: str | None) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        write_csv(out, header, rows)
+def _budget(doc) -> costmodel.HitBudget:
+    doc = _object(doc, (), ("target_seconds", "pay_per_hit"))
+    return costmodel.HitBudget(**{key: float(value) for key, value in doc.items()})
+
+
+def _anchor(doc) -> workersim.AccuracyAnchor:
+    doc = _object(doc, ("k", "recall", "precision", "iteration_minutes"))
+    return workersim.AccuracyAnchor(
+        int(doc["k"]), float(doc["recall"]), float(doc["precision"]),
+        float(doc["iteration_minutes"]),
+    )
+
+
+# Each config section: its default, and the parser of its JSON value.
+SECTIONS = {
+    "taxonomy": (sample_taxonomy_path(), Path),
+    "time_model": (costmodel.DEFAULT_TIME_MODEL, _time_model),
+    "budget": (costmodel.HitBudget(), _budget),
+    "anchors": (workersim.DEFAULT_ANCHORS, lambda docs: tuple(map(_anchor, docs))),
+    "correlation_targets": (workersim.DEFAULT_MULTI_PASS_RECALL, _correlation_targets),
+    "prevalence": (workersim.DEFAULT_PREVALENCE, float),
+    "qtop": (workersim.DEFAULT_QTOP, int),
+}
+
+
+def load_config(path: str | None) -> dict:
+    """Every setting, resolved: each section of the JSON config document at
+    `path` (None: no document) replaces its default. An unknown key or a
+    section that does not parse is a one-line ValueError that names it."""
+    doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("config: must be a JSON object")
+    config = {key: default for key, (default, _) in SECTIONS.items()}
+    for key, value in doc.items():
+        if key not in SECTIONS:
+            raise ValueError(f"config: unknown key {key!r}")
+        try:
+            config[key] = SECTIONS[key][1](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config: {key}: {exc}") from None
+    return config
+
+
+def _taxonomy(args, config: dict) -> taxonomy.Taxonomy:
+    return taxonomy.load_taxonomy(args.taxonomy or config["taxonomy"])
+
+
+def _behavior(config: dict, fit_correlation: bool = True) -> workersim.WorkerBehavior:
+    behavior = workersim.calibrate(
+        config["anchors"], prevalence=config["prevalence"], qtop=config["qtop"]
+    )
+    if fit_correlation:
+        behavior = workersim.fit_hard_mixture(
+            behavior, k=config["qtop"], targets=config["correlation_targets"]
+        )
+    return behavior
+
+
+def _aggregated(args, config: dict):
+    """The taxonomy, the events of `--events` and their vote matrix."""
+    tax = _taxonomy(args, config)
+    events = campaign.ingest(args.events, tax)
+    return tax, events, evaluate.aggregate(events, tax)
 
 
 def _fmt_opt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _modifiers_from_args(args, config: Config) -> workersim.ModifierSet:
-    from_args = workersim.ModifierSet(
-        **{name: getattr(args, name) for name, _ in workersim.MODIFIERS}
-    )
-    return from_args if from_args.any else config.modifiers()
-
-
-def cmd_fit_time(args, config: Config) -> int:
+def cmd_fit_time(args, config: dict) -> int:
     observations = costmodel.read_timings_csv(args.timings)
-    model = costmodel.fit_time_model(observations)
-    _emit_text(model.to_json(), args.out)
+    write_text(args.out, costmodel.fit_time_model(observations).to_json())
     return 0
 
 
-def cmd_calibrate(args, config: Config) -> int:
-    behavior = config.behavior(fit_correlation=not args.independence)
-    _emit_text(json.dumps(dataclasses.asdict(behavior), indent=2), args.out)
+def cmd_calibrate(args, config: dict) -> int:
+    behavior = _behavior(config, fit_correlation=not args.independence)
+    write_text(args.out, json.dumps(dataclasses.asdict(behavior), indent=2))
     return 0
 
 
-def cmd_pack_hits(args, config: Config) -> int:
-    tax = config.taxonomy(args.taxonomy)
+def cmd_pack_hits(args, config: dict) -> int:
+    tax = _taxonomy(args, config)
     truths = workersim.load_truths(args.videos)
     video_ids = [t.video_id for t in truths]
     known = None
@@ -171,9 +152,9 @@ def cmd_pack_hits(args, config: Config) -> int:
         truth = evaluate.truth_matrix(truths, tax.label_count, video_ids)
         known = campaign.gate_positives(tax, video_ids, truth)
     hits = campaign.pack_hits(
-        video_ids, taxonomy.partition_questions(tax, args.k, args.seed), config.budget(),
-        config.time_model(), args.seed, positive_bias=args.positive_bias, grouping=args.grouping,
-        known_positives=known, prevalence=config.prevalence(),
+        video_ids, taxonomy.partition_questions(tax, args.k, args.seed), config["budget"],
+        config["time_model"], args.seed, positive_bias=args.positive_bias,
+        grouping=args.grouping, known_positives=known, prevalence=config["prevalence"],
     )
     slots = iter(zip(hits.question.tolist(), hits.gold.tolist()))
     tasks = iter(zip(hits.video.tolist(), hits.lengths.tolist()))
@@ -187,16 +168,16 @@ def cmd_pack_hits(args, config: Config) -> int:
                     "slots": [[{"question": q, "gold": g} for q, g in islice(slots, length)]
                               for _, length in videos],
                     "expected_seconds": seconds, "pay": hits.pay})
-    _emit_text(json.dumps(doc, indent=2), args.out)
+    write_text(args.out, json.dumps(doc, indent=2))
     return 0
 
 
-def cmd_simulate(args, config: Config) -> int:
+def cmd_simulate(args, config: dict) -> int:
     if args.out is None:
         raise SystemExit("simulate requires --out (event CSV path)")
-    tax = config.taxonomy(args.taxonomy)
+    tax = _taxonomy(args, config)
     truths = workersim.load_truths(args.videos)
-    behavior = config.behavior()
+    behavior = _behavior(config)
     pool = (
         workersim.sample_worker_pool(args.workers, behavior, args.spammer_fraction, args.seed)
         if args.workers
@@ -209,17 +190,19 @@ def cmd_simulate(args, config: Config) -> int:
         args.iterations,
         behavior,
         args.seed,
-        modifiers=_modifiers_from_args(args, config),
-        model=config.time_model(),
-        budget=config.budget(),
+        modifiers=workersim.ModifierSet(
+            **{name: getattr(args, name) for name, _ in workersim.MODIFIERS}
+        ),
+        model=config["time_model"],
+        budget=config["budget"],
         pool=pool,
     )
     campaign.write_events_csv(events, tax, args.out)
     return 0
 
 
-def cmd_ingest(args, config: Config) -> int:
-    tax = config.taxonomy(args.taxonomy)
+def cmd_ingest(args, config: dict) -> int:
+    tax = _taxonomy(args, config)
     stats = campaign.worker_stats_from_events(campaign.ingest(args.events, tax))
     header = ["worker", "tasks", "median_seconds", "gold_recall", "positive_rate"]
     rows = [
@@ -232,29 +215,25 @@ def cmd_ingest(args, config: Config) -> int:
         ]
         for s in stats
     ]
-    _emit_csv(header, rows, args.out)
+    write_csv(args.out, header, rows)
     return 0
 
 
-def cmd_aggregate(args, config: Config) -> int:
-    tax = config.taxonomy(args.taxonomy)
-    events = campaign.ingest(args.events, tax)
-    matrix = evaluate.aggregate(events, tax)
+def cmd_aggregate(args, config: dict) -> int:
+    _, _, matrix = _aggregated(args, config)
     binary = matrix.binary(args.threshold)
     header = ["video", "label", "votes", "positive"]
     rows = [
         [matrix.video_ids[row], label, int(matrix.votes[row, label]), int(binary[row, label])]
         for row, label in zip(*(a.tolist() for a in matrix.votes.nonzero()))
     ]
-    _emit_csv(header, rows, args.out)
+    write_csv(args.out, header, rows)
     return 0
 
 
-def cmd_metrics(args, config: Config) -> int:
-    tax = config.taxonomy(args.taxonomy)
+def cmd_metrics(args, config: dict) -> int:
+    tax, events, matrix = _aggregated(args, config)
     truths = workersim.load_truths(args.videos)
-    events = campaign.ingest(args.events, tax)
-    matrix = evaluate.aggregate(events, tax)
     truth = evaluate.truth_matrix(truths, tax.label_count, matrix.video_ids)
     scored = evaluate.metrics(matrix.binary(args.threshold), truth)
     minutes, affirmative = evaluate.event_stats(events)
@@ -278,12 +257,12 @@ def cmd_metrics(args, config: Config) -> int:
             f"{minutes:.6f}",
         ]
     ]
-    _emit_csv(header, rows, args.out)
+    write_csv(args.out, header, rows)
     return 0
 
 
-def cmd_plan(args, config: Config) -> int:
-    behavior = config.behavior(fit_correlation=not args.independence)
+def cmd_plan(args, config: dict) -> int:
+    behavior = _behavior(config, fit_correlation=not args.independence)
     constraint = planner.BudgetConstraint(
         max_minutes_per_video=args.budget_minutes,
         min_precision=args.min_precision,
@@ -292,27 +271,30 @@ def cmd_plan(args, config: Config) -> int:
         [int(k) for k in args.k_values.split(",")] if args.k_values else None
     )
     if args.enumerate:
-        if args.out is None:
-            raise SystemExit("plan --enumerate requires --out (CSV path)")
         plans = planner.enumerate_plans(
             behavior,
-            config.time_model(),
+            config["time_model"],
             constraint,
             k_values or [k for k, _ in behavior.recall_points],
             max_n=args.max_n,
         )
-        planner.write_plans_csv(plans, args.out)
+        rows = (
+            [p.k, p.iterations, p.modifiers.label(), f"{p.predicted_recall:.6f}",
+             f"{p.predicted_precision:.6f}", f"{p.minutes_per_video:.6f}"]
+            for p in plans
+        )
+        write_csv(args.out, ["k", "n", "modifiers", "recall", "precision", "minutes"], rows)
         return 0
     plan = planner.optimize(
-        behavior, config.time_model(), constraint, k_values=k_values, max_n=args.max_n
+        behavior, config["time_model"], constraint, k_values=k_values, max_n=args.max_n
     )
     doc = dataclasses.asdict(plan)
     doc["modifiers"] = plan.modifiers.label()
-    _emit_text(json.dumps(doc, indent=2), args.out)
+    write_text(args.out, json.dumps(doc, indent=2))
     return 0
 
 
-def cmd_qc(args, config: Config) -> int:
+def cmd_qc(args, config: dict) -> int:
     stats = read_records(
         args.stats,
         ("worker", "tasks", "median_seconds", "gold_recall", "positive_rate"),
@@ -333,14 +315,12 @@ def cmd_qc(args, config: Config) -> int:
         for flag in flags
         for signal in flag.signals
     ]
-    _emit_csv(header, rows, args.out)
+    write_csv(args.out, header, rows)
     return 0
 
 
-def cmd_verify_queue(args, config: Config) -> int:
-    tax = config.taxonomy(args.taxonomy)
-    events = campaign.ingest(args.events, tax)
-    matrix = evaluate.aggregate(events, tax)
+def cmd_verify_queue(args, config: dict) -> int:
+    _, _, matrix = _aggregated(args, config)
     done = set()
     if args.done:
         done = set(read_records(
@@ -349,15 +329,20 @@ def cmd_verify_queue(args, config: Config) -> int:
     queue = campaign.build_verification_queue(
         matrix, threshold=args.threshold, already_verified=done
     )
-    _emit_csv(["video", "label"], [[t.video, t.label] for t in queue], args.out)
+    write_csv(args.out, ["video", "label"], [[t.video, t.label] for t in queue])
     return 0
 
 
-def cmd_reproduce(args, config: Config) -> int:
-    if args.out is None:
-        raise SystemExit("reproduce requires --out (CSV path)")
+def cmd_reproduce(args, config: dict) -> int:
     campaign.reproduce(args.name, args.seed, args.out)
     return 0
+
+
+def _parent(*flags, **options) -> argparse.ArgumentParser:
+    """A parser that holds one argument, for subparsers to share."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*flags, **options)
+    return parser
 
 
 @functools.cache
@@ -368,6 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
+    tax = _parent("--taxonomy", default=None, help="taxonomy JSON (default: the config's)")
+    videos = _parent("--videos", required=True, help="ground-truth JSONL")
+    events = _parent("--events", required=True, help="events CSV")
+    threshold = _parent("--threshold", type=int, default=1, help="votes that make a positive")
+    independence = _parent("--independence", action="store_true",
+                           help="skip fitting the multi-pass difficulty mixture")
 
     parser = argparse.ArgumentParser(
         prog="annocamp",
@@ -375,26 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit-time", parents=[common], help="fit the linear task-time model")
+    def command(name, summary, *parents):
+        return sub.add_parser(name, parents=[common, *parents], help=summary)
+
+    p = command("fit-time", "fit the linear task-time model")
     p.add_argument("--timings", required=True, help="questions,seconds[,video_seconds] CSV")
 
-    p = sub.add_parser("calibrate", parents=[common], help="build the worker model")
-    p.add_argument(
-        "--independence",
-        action="store_true",
-        help="skip fitting the multi-pass difficulty mixture",
-    )
+    command("calibrate", "build the worker model", independence)
 
-    p = sub.add_parser("pack-hits", parents=[common], help="pack videos into HIT specs")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--videos", required=True, help="ground-truth JSONL")
+    p = command("pack-hits", "pack videos into HIT specs", tax, videos)
     p.add_argument("--k", type=int, required=True, help="questions per task")
     p.add_argument("--positive-bias", action="store_true")
     p.add_argument("--grouping", action="store_true")
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate an annotation campaign")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--videos", required=True, help="ground-truth JSONL")
+    p = command("simulate", "simulate an annotation campaign", tax, videos)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument("--workers", type=int, default=0, help="worker pool size (0: one worker)")
@@ -402,48 +387,35 @@ def build_parser() -> argparse.ArgumentParser:
     for name, _ in workersim.MODIFIERS:
         p.add_argument("--" + name.replace("_", "-"), action="store_true")
 
-    p = sub.add_parser("ingest", parents=[common], help="validate events, emit worker stats")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--events", required=True)
+    command("ingest", "validate events, emit worker stats", tax, events)
+    command("aggregate", "fold events into labels", tax, events, threshold)
 
-    p = sub.add_parser("aggregate", parents=[common], help="fold events into labels")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--events", required=True)
-    p.add_argument("--threshold", type=int, default=1)
-
-    p = sub.add_parser("metrics", parents=[common], help="score aggregated labels vs truth")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--events", required=True)
-    p.add_argument("--videos", required=True)
-    p.add_argument("--threshold", type=int, default=1)
+    p = command("metrics", "score aggregated labels vs truth", tax, events, videos, threshold)
     p.add_argument("--experiment", default="adhoc")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--modifiers", default="none")
 
-    p = sub.add_parser("plan", parents=[common], help="pick the best strategy for a budget")
+    p = command("plan", "pick the best strategy for a budget", independence)
     p.add_argument("--budget-minutes", type=float, required=True)
     p.add_argument("--min-precision", type=float, default=None)
     p.add_argument("--k-values", default=None, help="comma-separated interface sizes")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--independence", action="store_true")
     p.add_argument(
         "--enumerate",
         action="store_true",
         help="emit every feasible plan as CSV instead of the optimum",
     )
 
-    p = sub.add_parser("qc", parents=[common], help="flag outlier workers")
+    qc = campaign.QcThresholds()
+    p = command("qc", "flag outlier workers")
     p.add_argument("--stats", required=True, help="worker stats CSV from ingest")
-    p.add_argument("--mad-z", type=float, default=3.0)
-    p.add_argument("--min-workers", type=int, default=5)
+    p.add_argument("--mad-z", type=float, default=qc.mad_z)
+    p.add_argument("--min-workers", type=int, default=qc.min_workers)
 
-    p = sub.add_parser("verify-queue", parents=[common], help="queue predicted positives")
-    p.add_argument("--taxonomy", default=None)
-    p.add_argument("--events", required=True)
-    p.add_argument("--threshold", type=int, default=1)
+    p = command("verify-queue", "queue predicted positives", tax, events, threshold)
     p.add_argument("--done", default=None, help="CSV of already-verified video,label pairs")
 
-    p = sub.add_parser("reproduce", parents=[common], help="run a bundled experiment")
+    p = command("reproduce", "run a bundled experiment")
     p.add_argument("name", choices=campaign.EXPERIMENTS)
 
     return parser
@@ -461,7 +433,7 @@ def main(argv=None) -> int:
         "verify-queue": cmd_verify_queue, "reproduce": cmd_reproduce,
     }[args.command]
     try:
-        return command(args, Config.load(args.config))
+        return command(args, load_config(args.config))
     except (OSError, ValueError) as exc:
         raise SystemExit(f"annocamp {args.command}: {exc}") from exc
 

@@ -1,10 +1,14 @@
-"""CSV files in and out: atomic writes and the one record reader.
+"""Files in and out: atomic writes, the small-output writers and the one
+record reader.
 
 This is the one place the package opens a file for writing, as UTF-8 text
 or as bytes. A file appears at its path complete or not at all: contents go
-to a temporary file in the same directory, which then replaces the path. `read_records` reads the
-small CSV inputs (timings, worker stats, verified pairs); bad input is a
-one-line error that names the file and the physical line.
+to a temporary file in the same directory, which then replaces the path.
+`write_csv` and `write_text` write every small output (the commands' CSVs
+and JSON documents, the experiments' CSVs); given None for a path, they
+write to stdout. `read_records` reads the small CSV inputs (timings, worker
+stats, verified pairs); bad input is a one-line error that names the file
+and the physical line.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import csv
 import os
 import secrets
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 
@@ -35,13 +40,23 @@ def atomic_open(path, binary: bool = False):
         raise
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write `header` then every row of the iterable `rows`, LF-terminated."""
-    with atomic_open(path) as fh:
+def write_csv(path, header, rows) -> None:
+    """Write `header` then every row of the iterable `rows`, LF-terminated,
+    to `path` or, when it is None, to stdout."""
+    with nullcontext(sys.stdout) if path is None else atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return Path(path)
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` or, when it is None, to stdout, where it ends
+    with a newline."""
+    if path is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def read_records(path, columns, parse) -> list:

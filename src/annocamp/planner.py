@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .costmodel import TimeModel, iteration_time
 from .evaluate import union_precision
-from .output import write_csv
 from .workersim import (
     ModifierSet,
     WorkerBehavior,
@@ -191,24 +190,5 @@ def optimize(
             -p.minutes_per_video,
             p.predicted_precision,
             p.k,
-        ),
-    )
-
-
-def write_plans_csv(plans, path) -> None:
-    """Export enumerated plans as `k,n,modifiers,recall,precision,minutes`."""
-    write_csv(
-        path,
-        ["k", "n", "modifiers", "recall", "precision", "minutes"],
-        (
-            [
-                p.k,
-                p.iterations,
-                p.modifiers.label(),
-                f"{p.predicted_recall:.6f}",
-                f"{p.predicted_precision:.6f}",
-                f"{p.minutes_per_video:.6f}",
-            ]
-            for p in plans
         ),
     )

@@ -155,7 +155,6 @@ class WorkerBehavior:
     fp_points: tuple[tuple[int, float], ...]
     prevalence: float = DEFAULT_PREVALENCE
     qtop: int = DEFAULT_QTOP
-    speed_multiplier: float = 1.0
     hard_fraction: float = 0.0
     hard_recall_multiplier: float = 0.0
     observed_minutes: tuple[tuple[int, float], ...] = ()
@@ -543,7 +542,7 @@ def simulate_block(
     total *= ELAPSED_SIGMA
     np.exp(total, out=total)
     total *= per_question_seconds * size + base_seconds[video]
-    total *= behavior.speed_multiplier * time_scale[worker]
+    total *= time_scale[worker]
     total *= time_ratio[size]
     total += extra[size]
     total /= size

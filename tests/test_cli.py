@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from annocamp import cli
+from annocamp import cli, planner
 from annocamp.cli import main, sample_taxonomy_path
 
 
@@ -134,6 +134,26 @@ def test_plan_enumerate_cli(tmp_path):
     assert rows
     assert {"k", "n", "modifiers", "recall", "precision", "minutes"} == set(rows[0])
     assert any(r["k"] == "52" and r["n"] == "7" for r in rows)
+    config = cli.load_config(None)
+    plans = planner.enumerate_plans(cli._behavior(config), config["time_model"],
+                                    planner.BudgetConstraint(8.61), [1, 52])
+    assert len(rows) == len(plans)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--budget-minutes", "7.1", "--enumerate"],
+        ["reproduce", "expected-recall-budget", "--seed", "1"],
+    ],
+    ids=["plan-enumerate", "reproduce"],
+)
+def test_csv_commands_print_their_file_without_out(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    run(argv + ["--out", str(out)])
+    capsys.readouterr()
+    run(argv)
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_plan_enumerate_lists_the_optimum(tmp_path):
@@ -298,18 +318,44 @@ def test_simulate_checks_out_before_simulating(monkeypatch, sample_videos):
 
 
 @pytest.mark.parametrize(
-    "doc, key",
+    "doc, message",
     [
-        ({"time_modle": {"a": 1.0, "b": 1.0}}, "key 'time_modle'"),
-        ({"modifiers": {"positive_bias": True, "grouped": True}}, "modifiers key 'grouped'"),
+        ({"time_modle": {"a": 1.0, "b": 1.0}}, "unknown key 'time_modle'"),
+        ({"modifiers": {"positive_bias": True}}, "unknown key 'modifiers'"),
+        ({"budget": {"target_second": 30}}, "budget: unknown key 'target_second'"),
+        ({"time_model": {"a": 1.0, "b": 1.0, "c": 1.0}}, "time_model: unknown key 'c'"),
+        ({"anchors": [{"k": 1, "recall": 0.5, "precision": 0.8, "iteration_minutes": 8.0,
+                       "minutes": 8.0}]}, "anchors: unknown key 'minutes'"),
     ],
-    ids=["top-level", "modifiers"],
+    ids=["top-level", "modifiers", "budget", "time_model", "anchors"],
 )
-def test_config_rejects_unknown_keys(tmp_path, doc, key):
+def test_config_rejects_unknown_keys(tmp_path, doc, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit, match=f"annocamp calibrate: config: unknown {key}"):
+    with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--config", str(config)])
+    assert str(exc.value) == f"annocamp calibrate: config: {message}"
+
+
+def calibrated(tmp_path, doc, *flags):
+    config, out = tmp_path / "config.json", tmp_path / "behavior.json"
+    config.write_text(json.dumps(doc))
+    run(["calibrate", "--config", str(config), "--out", str(out), *flags])
+    return json.loads(out.read_text())
+
+
+def test_config_anchors_set_the_recall_points(tmp_path):
+    anchors = [{"k": 1, "recall": 0.6, "precision": 0.8, "iteration_minutes": 8.0},
+               {"k": 26, "recall": 0.5, "precision": 0.85, "iteration_minutes": 2.0}]
+    assert calibrated(tmp_path, {})["recall_points"] == [[1, 0.563], [52, 0.45]]
+    assert calibrated(tmp_path, {"anchors": anchors})["recall_points"] == [[1, 0.6], [26, 0.5]]
+
+
+def test_config_correlation_targets_set_the_hard_fraction(tmp_path):
+    # Less recall lost over three passes than the default .767 needs fewer hard pairs.
+    default = calibrated(tmp_path, {})["hard_fraction"]
+    fitted = calibrated(tmp_path, {"correlation_targets": [[3, 0.8]]})["hard_fraction"]
+    assert 0 < fitted < default
 
 
 @pytest.mark.parametrize(
@@ -349,9 +395,10 @@ def test_unwritable_sidecar_fails_neither_simulate_nor_ingest(tmp_path, sample_v
         ({"time_model": {"b": 1}}, "time_model: missing key 'a'"),
         ({"anchors": [{"k": 1}]}, "anchors: missing key 'recall'"),
         ({"budget": 5}, "budget: "),
-        ({"modifiers": 5}, "modifiers: "),
+        ([], "must be a JSON object"),
+        (None, "must be a JSON object"),
     ],
-    ids=["time_model", "anchors", "budget", "modifiers"],
+    ids=["time_model", "anchors", "budget", "list", "null"],
 )
 def test_config_malformed_section_is_one_line(tmp_path, sample_videos, doc, section):
     config = tmp_path / "config.json"

@@ -186,22 +186,6 @@ def test_chosen_plan_agrees_with_simulation(behavior):
     assert abs(scored.precision - plan.predicted_precision) <= 3 * se_p
 
 
-def test_write_plans_csv(behavior, tmp_path):
-    import csv
-
-    plans = enumerate_plans(
-        behavior, DEFAULT_TIME_MODEL, BudgetConstraint(8.61), [1, 52], max_n=8
-    )
-    path = tmp_path / "plans.csv"
-    from annocamp.planner import write_plans_csv
-
-    write_plans_csv(plans, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(plans)
-    assert set(rows[0]) == {"k", "n", "modifiers", "recall", "precision", "minutes"}
-
-
 def test_constraint_validation():
     with pytest.raises(ValueError):
         BudgetConstraint(max_minutes_per_video=0.0)
