@@ -13,11 +13,12 @@ import hashlib
 import io
 import logging
 import math
+import os
 import statistics
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -365,61 +366,123 @@ def run_campaign(*args, **kwargs) -> EventTable:
 
 logger = logging.getLogger(__name__)
 
-# Folded into every sidecar key, so a sidecar of another layout never matches.
-SIDECAR_FORMAT = b"annocamp events table 1"
+# The first line of every sidecar; a file of another layout never reads.
+SIDECAR_FORMAT = b"annocamp events table 2\n"
+# Each EVENT_FIELDS column's dtype in the sidecar, in field order.
+SIDECAR_DTYPES = {name: np.dtype(dtype) for name, dtype in (
+    ("worker", "<i4"), ("video", "<i4"), ("question", "<i4"), ("gate", "u1"),
+    ("members", "<u8"), ("elapsed", "<f8"), ("iteration", "<i4"), ("gold", "u1"),
+)}
+ROW_BYTES = sum(dtype.itemsize for dtype in SIDECAR_DTYPES.values())
 
 
 def sidecar_path(events) -> Path:
-    """The table sidecar of an events CSV: `<events>.npz`, beside it."""
+    """The table sidecar of an events CSV: `<events>.table`, beside it, a flat
+    file of the table in narrow dtypes (`_save_sidecar` gives the layout)."""
     events = Path(events)
-    return events.with_name(events.name + ".npz")
+    return events.with_name(events.name + ".table")
 
 
-def _sidecar_key(csv_digest: bytes, tax: Taxonomy) -> np.ndarray:
+def _sidecar_key(csv_digest: bytes, tax: Taxonomy) -> bytes:
     """The CSV's digest, then a digest of the question table ingest reads it by."""
     questions = repr([(q.id, q.members) for q in tax.questions]).encode()
-    tax_digest = hashlib.blake2b(SIDECAR_FORMAT + questions, digest_size=16).digest()
-    return np.frombuffer(csv_digest + tax_digest, np.uint8)
+    return csv_digest + hashlib.sha256(questions).digest()
 
 
 def _csv_digest(data: bytes = b""):
-    """The blake2b hash of CSV bytes that a sidecar key starts with."""
-    return hashlib.blake2b(data, digest_size=32)
+    """The SHA-256 hash of CSV bytes that a sidecar key starts with."""
+    return hashlib.sha256(data)
 
 
-def _save_sidecar(events, key: np.ndarray, table: EventTable) -> None:
+def _save_sidecar(events, key: bytes, table: EventTable) -> None:
     """Save `table` under `key` as the CSV's sidecar; where no file can be
-    written, there is no sidecar."""
-    arrays = {f.name: getattr(table, f.name) for f in EVENT_FIELDS}
-    for name in ("worker_ids", "video_ids"):
-        encoded = [i.encode() for i in getattr(table, name)]
-        arrays[name] = np.frombuffer(b"".join(encoded), np.uint8)
-        arrays[name + "_lengths"] = np.array(list(map(len, encoded)), np.int64)
+    written, or a column does not fit its SIDECAR_DTYPES dtype, there is no
+    sidecar.
+
+    The file is SIDECAR_FORMAT, the key, the row count and the two
+    vocabulary sizes (`<i8`), each id's UTF-8 length (`<i8`, workers then
+    videos), the ids' bytes, then each column's raw bytes in its
+    SIDECAR_DTYPES dtype. The parts are written one by one.
+    """
+    for name, dtype in SIDECAR_DTYPES.items():
+        column = getattr(table, name)
+        if dtype.kind == "i" and len(column) and not (
+            np.iinfo(dtype).min <= column.min() and column.max() <= np.iinfo(dtype).max
+        ):
+            logger.debug("no table sidecar for %s: %s values do not fit %s", events, name, dtype)
+            return
+    ids = [[i.encode() for i in vocabulary] for vocabulary in (table.worker_ids, table.video_ids)]
     try:
         with atomic_open(sidecar_path(events), binary=True) as fh:
-            np.savez(fh, allow_pickle=False, key=key, **arrays)
+            fh.write(SIDECAR_FORMAT)
+            fh.write(key)
+            fh.write(np.array([len(table), *map(len, ids)], "<i8"))
+            fh.write(np.array([len(i) for i in chain(*ids)], "<i8"))
+            fh.write(b"".join(chain(*ids)))
+            for name, dtype in SIDECAR_DTYPES.items():
+                fh.write(np.ascontiguousarray(getattr(table, name), dtype))
     except OSError as exc:
         logger.debug("no table sidecar for %s: %s", events, exc)
 
 
-def _load_sidecar(events, key: np.ndarray) -> EventTable | None:
+def _load_sidecar(events, key: bytes, tax: Taxonomy) -> EventTable | None:
     """The table of the CSV's sidecar if it holds `key`; None if it is
-    missing, stale or unreadable (with a warning)."""
+    missing, stale, or unreadable or damaged (with a warning)."""
     path = sidecar_path(events)
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            if not np.array_equal(npz["key"], key):
-                return None
-            vocabularies = []
-            for name in ("worker_ids", "video_ids"):
-                data, ends = npz[name].tobytes(), np.cumsum(npz[name + "_lengths"]).tolist()
-                vocabularies.append(tuple(data[a:b].decode() for a, b in zip([0, *ends], ends)))
-            return EventTable(*vocabularies, *(npz[f.name] for f in EVENT_FIELDS))
+        with open(path, "rb") as fh:
+            return _read_sidecar(fh, key, tax)
     except FileNotFoundError:
         return None
     except Exception as exc:  # whatever is wrong with the file, the CSV stands in
         logger.warning("ignoring table sidecar %s: %s", path, exc)
         return None
+
+
+def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
+    """The table of an open sidecar file, None if it holds another key.
+
+    The parts are read in order, each column straight into an array, and
+    the file's size must be exactly what its counts give. A ValueError
+    names the first way the file is not a sidecar, or holds a table no CSV
+    gives: a question the taxonomy lacks, members bits past the question's
+    members, members on a negative gate or none on an affirmative one, an
+    id code outside its vocabulary, or a flag not 0 or 1.
+    """
+    size, head_size = os.fstat(fh.fileno()).st_size, len(SIDECAR_FORMAT) + len(key) + 24
+    head = fh.read(head_size)
+    if not head.startswith(SIDECAR_FORMAT):
+        raise ValueError("not an events table sidecar")
+    if len(head) < head_size:
+        raise ValueError(f"{size} bytes, too few for its header")
+    if head[len(SIDECAR_FORMAT) : -24] != key:
+        return None
+    rows, *sizes = np.frombuffer(head, "<i8", 3, len(head) - 24).tolist()
+    if min(rows, *sizes) < 0 or len(head) + 8 * sum(sizes) + rows * ROW_BYTES > size:
+        raise ValueError("row or vocabulary counts outside the file")
+    lengths = np.frombuffer(fh.read(8 * sum(sizes)), "<i8").tolist()
+    expected = len(head) + 8 * len(lengths) + sum(lengths) + rows * ROW_BYTES
+    if min(lengths, default=0) < 0 or size != expected:
+        raise ValueError(f"{size} bytes where its counts give {expected}")
+    ends = list(accumulate(lengths, initial=0))
+    text = fh.read(ends[-1])
+    ids = [text[a:b].decode() for a, b in zip(ends, ends[1:])]
+    vocabularies = (tuple(ids[: sizes[0]]), tuple(ids[sizes[0] :]))
+    raw = {name: np.fromfile(fh, dtype, rows) for name, dtype in SIDECAR_DTYPES.items()}
+    if rows and max(raw["gate"].max(), raw["gold"].max()) > 1:
+        raise ValueError("a gate or gold flag is neither 0 nor 1")
+    for name, ids in zip(("worker", "video"), vocabularies):
+        if rows and not 0 <= raw[name].min() <= raw[name].max() < len(ids):
+            raise ValueError(f"a {name} code outside its {len(ids)} ids")
+    table = EventTable(*vocabularies, *(raw[f.name].astype(f.metadata["dtype"], copy=False)
+                                        for f in EVENT_FIELDS))
+    questions, question = dense_codes(table.question)
+    limits = np.array([(1 << len(q.members)) - 1 for q in tax.questions], np.uint64)
+    if (table.members > limits[question_positions(tax, questions)][question]).any():
+        raise ValueError("members bits past their question's members")
+    if ((table.members != 0) != table.gate).any():
+        raise ValueError("members on a negative gate or none on an affirmative one")
+    return table
 
 
 def _csv_fields(ids) -> list[str]:
@@ -470,7 +533,9 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     from -0.0) and iterations; the rows are joined ROW_CHUNK at a time. An
     id that would not read back unchanged is a ValueError before the file is
     opened. When every answer reads back unchanged, the table as `ingest`
-    returns it goes to the CSV's sidecar.
+    returns it goes to the CSV's sidecar (`sidecar_path`), keyed by the
+    SHA-256 digest of the bytes written; a table whose columns do not fit
+    the sidecar's narrow dtypes gets none.
     """
     answer, first = group_ids(table.question, table.gate, table.members)
     answers, texts, valid = [], [], True
@@ -538,12 +603,25 @@ def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
 def _row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
     """(line, reason) for each row the table-wide checks reject: a
     non-positive or non-finite elapsed time, or a second non-gold answer to
-    one (worker, video, question, iteration). Row r is on line lines[r]."""
+    one (worker, video, question, iteration). Row r is on line lines[r].
+
+    A repeat is looked for by sorting the checked rows' mixed-radix key of
+    (worker, video, iteration, question), the vocabulary codes as they are
+    and the other two by `dense_codes`, and comparing neighbours; only when
+    one repeats does `group_ids` name each repeat by the first line of its
+    answer.
+    """
     elapsed = table.elapsed
     bad = ~((elapsed > 0) & (elapsed < np.inf))
     problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
                 for r in np.flatnonzero(bad)]
     kept = np.flatnonzero(~bad & ~table.gold)
+    iterations, iteration = dense_codes(table.iteration)
+    questions, question = dense_codes(table.question)
+    key = (table.worker * len(table.video_ids) + table.video) * len(iterations) + iteration
+    key = np.sort((key * len(questions) + question)[kept])
+    if not (key[1:] == key[:-1]).any():
+        return problems
     columns = (table.worker, table.video, table.iteration, table.question)
     task, first = group_ids(*(c[kept] for c in columns))
     original = kept[first[task]]
@@ -562,14 +640,15 @@ def ingest(source, tax: Taxonomy) -> EventTable:
     second non-gold answer to one (worker, video, question, iteration).
 
     The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
-    keyed by the digests of the CSV's bytes and of the taxonomy's questions.
-    A call whose key matches reads the table from there and runs the same
-    row checks on it; any problem sends it to the parse, so an error always
+    keyed by the SHA-256 digests of the CSV's bytes and of the taxonomy's
+    questions. A call whose key matches reads the table from there, checks
+    that it is one a CSV could give (`_read_sidecar`) and runs the same row
+    checks on it; any problem sends it to the parse, so an error always
     names its lines.
     """
     data = Path(source).read_bytes()
     key = _sidecar_key(_csv_digest(data).digest(), tax)
-    table = _load_sidecar(source, key)
+    table = _load_sidecar(source, key, tax)
     if table is not None and not _row_problems(table, range(len(table))):
         return table
     table = _parse_events(source, data, tax)

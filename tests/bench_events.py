@@ -1,9 +1,11 @@
 """Micro-benchmarks of the event table's layers: CSV writing, ingest (a CSV
 parse, and a read of the table sidecar `write_events_csv` leaves beside the
-CSV), the row checks' grouping and aggregate, on the events of a k=5,
-two-pass campaign over 150 videos of the bundled taxonomy (about 22k rows);
-and aggregate on one k=52 pass over 1000 videos of the 52-question
-singleton taxonomy (52k rows). Each reports its rows per second.
+CSV), the row checks and aggregate, on the events of a k=5, two-pass
+campaign over 150 videos of the bundled taxonomy (about 22k rows); the
+sidecar ingest and the row checks again at 208k rows, a k=5, two-pass
+campaign over 2000 videos and 50 workers; and aggregate on one k=52 pass
+over 1000 videos of the 52-question singleton taxonomy (52k rows). Each
+reports its rows per second.
 
 Not collected by a plain `pytest` run (the file name does not start with
 `test_`); run them explicitly:
@@ -13,9 +15,10 @@ Not collected by a plain `pytest` run (the file name does not start with
 
 import pytest
 
+from annocamp import campaign
 from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
 from annocamp.cli import sample_taxonomy_path
-from annocamp.evaluate import aggregate, group_ids
+from annocamp.evaluate import aggregate
 from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.workersim import (
     ModifierSet,
@@ -46,6 +49,17 @@ def events(tax):
 def events_csv(tax, events, tmp_path_factory):
     path = tmp_path_factory.mktemp("events") / "events.csv"
     write_events_csv(events, tax, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def large_events_csv(tax, tmp_path_factory):
+    """The CSV, with its sidecar, of the 208k-row campaign."""
+    behavior = fit_hard_mixture(default_behavior())
+    truths = make_random_truth(2000, tax.label_count, 3.7, SEED, min_labels=1)
+    pool = sample_worker_pool(50, behavior, 0.0, SEED)
+    path = tmp_path_factory.mktemp("large") / "events.csv"
+    write_events_csv(run_campaign(tax, truths, 5, 2, behavior, SEED, pool=pool), tax, path)
     return path
 
 
@@ -80,13 +94,23 @@ def test_aggregate(benchmark, tax, events):
     report_rows(benchmark, len(events))
 
 
-def test_group_ids_row_checks(benchmark, events):
-    # The columns `ingest`'s row checks group to find a repeated non-gold answer.
-    kept = ~events.gold
-    columns = [c[kept] for c in (events.worker, events.video, events.iteration, events.question)]
-    ids, first = benchmark(group_ids, *columns)
-    assert len(first) == len(ids)  # the simulator repeats no answer
-    report_rows(benchmark, len(ids))
+def test_row_checks(benchmark, events):
+    # The checks every ingest runs, the sidecar's included.
+    problems = benchmark(campaign._row_problems, events, range(len(events)))
+    assert problems == []  # the simulator repeats no answer
+    report_rows(benchmark, len(events))
+
+
+def test_ingest_sidecar_208k(benchmark, tax, large_events_csv):
+    table = benchmark(ingest, large_events_csv, tax)
+    assert len(table) == 208_000
+    report_rows(benchmark, len(table))
+
+
+def test_row_checks_208k(benchmark, tax, large_events_csv):
+    table = ingest(large_events_csv, tax)
+    assert benchmark(campaign._row_problems, table, range(len(table))) == []
+    report_rows(benchmark, len(table))
 
 
 def test_aggregate_k52_pass(benchmark):

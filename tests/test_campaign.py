@@ -37,7 +37,7 @@ from annocamp.campaign import (
     write_events_csv,
 )
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, TimeModel, task_time, videos_per_hit
-from annocamp.evaluate import LabelMatrix, aggregate, truth_matrix, metrics
+from annocamp.evaluate import LabelMatrix, aggregate, group_ids, truth_matrix, metrics
 from annocamp.planner import FEW_QUESTION_BUNDLE
 from annocamp.cli import sample_taxonomy_path
 from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
@@ -51,6 +51,7 @@ from annocamp.taxonomy import (
 )
 from annocamp.workersim import (
     DEFAULT_PREVALENCE,
+    EVENT_FIELDS,
     EventTable,
     ModifierSet,
     VideoTruth,
@@ -801,7 +802,7 @@ def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monke
     path = tmp_path / "events.csv"
     write_events_csv(run_campaign(tax, truths, 52, 1, behavior, seed=2), tax, path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert sorted(before) == ["events.csv", "events.csv.npz"]
+    assert sorted(before) == ["events.csv", sidecar_path(path).name]
     writes = []
     atomic_open = campaign.atomic_open
 
@@ -924,6 +925,60 @@ def test_ingest_of_the_sidecar_equals_the_csv_parse(sample_tax, tmp_path_factory
     assert with_sidecar == ingest_outcome(path, sample_tax)
 
 
+def group_ids_row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
+    """`campaign._row_problems` as it was before its sort-based repeat
+    check, kept verbatim as the reference: `group_ids` names every repeat."""
+    elapsed = table.elapsed
+    bad = ~((elapsed > 0) & (elapsed < np.inf))
+    problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
+                for r in np.flatnonzero(bad)]
+    kept = np.flatnonzero(~bad & ~table.gold)
+    columns = (table.worker, table.video, table.iteration, table.question)
+    task, first = group_ids(*(c[kept] for c in columns))
+    original = kept[first[task]]
+    for row, first_row in zip(kept[original != kept], original[original != kept]):
+        problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
+                         f"video, question {table.question[row]} and iteration)"))
+    return problems
+
+
+@st.composite
+def tables_with_repeats(draw, tax):
+    """`event_tables`, then copies of some rows, each with its own elapsed
+    time and gold flag, shuffled in among them."""
+    table = draw(event_tables(tax))
+    rows = list(range(len(table)))
+    columns = {f.name: getattr(table, f.name).tolist() for f in EVENT_FIELDS}
+    for _ in range(draw(st.integers(0, 6)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        for name, column in columns.items():
+            column.append(column[row])
+        columns["elapsed"][-1] = draw(ELAPSED)
+        columns["gold"][-1] = draw(st.booleans())
+    shuffled = draw(st.permutations(range(len(columns["worker"]))))
+    return EventTable(table.worker_ids, table.video_ids,
+                      *([column[i] for i in shuffled] for column in columns.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_checks_equal_the_group_ids_reference(sample_tax, data):
+    table = data.draw(tables_with_repeats(sample_tax))
+    lines = sorted(data.draw(st.lists(st.integers(2, 10**6), min_size=len(table),
+                                      max_size=len(table), unique=True)))
+    for at in (range(len(table)), lines):
+        assert campaign._row_problems(table, at) == group_ids_row_problems(table, at)
+
+
+def test_table_a_narrow_column_cannot_hold_gets_no_sidecar(sample_tax, small_events, tmp_path):
+    wide = dataclasses.replace(small_events, iteration=small_events.iteration + 2**31)
+    path = tmp_path / "events.csv"
+    write_events_csv(wide, sample_tax, path)
+    assert not sidecar_path(path).exists()
+    assert ingest(path, sample_tax).iteration.min() == 2**31
+    assert not sidecar_path(path).exists()
+
+
 @pytest.fixture
 def small_events(sample_tax, behavior):
     truths = make_random_truth(6, sample_tax.label_count, 3.7, seed=5, min_labels=1)
@@ -1000,33 +1055,69 @@ def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events
         assert len(caplog.records) == 1
 
 
-UNPICKLED = []
+def first_row(mask) -> int:
+    return int(np.flatnonzero(mask)[0])
 
 
-def _unpickle():
-    UNPICKLED.append(True)
-    return 0
+# Edits to a table that the CSV could never give, each as columns to replace.
+TAMPERED = {
+    "stray-member-bit": lambda t: {"members": np.where(
+        np.arange(len(t)) == first_row(t.gate), np.uint64(1 << 40), t.members)},
+    "members-on-negative-gate": lambda t: {"members": np.where(
+        np.arange(len(t)) == first_row(~t.gate), np.uint64(1), t.members)},
+    "affirmative-without-members": lambda t: {"members": np.where(
+        np.arange(len(t)) == first_row(t.gate), np.uint64(0), t.members)},
+    "unknown-question": lambda t: {"question": np.where(
+        np.arange(len(t)) == 3, 999, t.question)},
+    "worker-past-vocabulary": lambda t: {"worker": np.where(
+        np.arange(len(t)) == 3, len(t.worker_ids), t.worker)},
+    "negative-video": lambda t: {"video": np.where(np.arange(len(t)) == 3, -1, t.video)},
+}
 
 
-class PickleTrap:
-    def __reduce__(self):
-        return _unpickle, ()
+@pytest.mark.parametrize("tamper", TAMPERED)
+def test_tampered_sidecar_is_not_trusted(sample_tax, small_events, tmp_path, caplog, tamper):
+    # A sidecar under the CSV's own key whose table no CSV could give is
+    # ignored with one warning: the CSV's table stands.
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    expected = csv_only(path, sample_tax)
+    key = campaign._sidecar_key(campaign._csv_digest(path.read_bytes()).digest(), sample_tax)
+    tampered = dataclasses.replace(expected, **TAMPERED[tamper](expected))
+    campaign._save_sidecar(path, key, tampered)
+    with caplog.at_level(logging.WARNING, logger="annocamp"):
+        assert ingest(path, sample_tax) == expected
+    assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.campaign", "WARNING")]
 
 
-def test_sidecar_object_array_is_never_unpickled(sample_tax, small_events, tmp_path, caplog):
+def vocabulary_length_past_the_end(data: bytes) -> bytes:
+    """The sidecar with its first id length raised past the end of the file.
+    That length follows the format line, the key (two SHA-256 digests) and
+    the three counts."""
+    at = len(campaign.SIDECAR_FORMAT) + 64 + 24
+    return data[:at] + np.array(len(data), "<i8").tobytes() + data[at + 8 :]
+
+
+SIDECAR_DAMAGE = {
+    "one-byte-short": lambda data: data[:-1],
+    "one-byte-extra": lambda data: data + b"\0",
+    "vocabulary-length-past-the-end": vocabulary_length_past_the_end,
+    "gold-flag-2": lambda data: data[:-1] + b"\2",  # the last byte is the last row's gold
+}
+
+
+@pytest.mark.parametrize("damage", SIDECAR_DAMAGE)
+def test_damaged_sidecar_body_falls_back_with_one_warning(sample_tax, small_events, tmp_path,
+                                                          caplog, damage):
+    # The key still matches the CSV; what follows it does not add up.
     path = tmp_path / "events.csv"
     write_events_csv(small_events, sample_tax, path)
     expected = csv_only(path, sample_tax)
     sidecar = sidecar_path(path)
-    with np.load(sidecar) as npz:
-        arrays = dict(npz)  # the key still matches the CSV
-    arrays["worker"] = np.array([PickleTrap()] * len(small_events), dtype=object)
-    with open(sidecar, "wb") as fh:
-        np.savez(fh, allow_pickle=True, **arrays)
+    sidecar.write_bytes(SIDECAR_DAMAGE[damage](sidecar.read_bytes()))
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
-    assert UNPICKLED == []
-    assert len(caplog.records) == 1
+    assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.campaign", "WARNING")]
 
 
 def test_blacklisted_worker_gets_no_assignments(tax, behavior):

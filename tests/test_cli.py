@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from annocamp import cli, planner
+from annocamp import campaign, cli, planner
 from annocamp.cli import main, sample_taxonomy_path
 
 
@@ -307,8 +307,6 @@ def test_metrics_on_video_without_truth_exits_with_message(tmp_path, sample_vide
 
 
 def test_simulate_checks_out_before_simulating(monkeypatch, sample_videos):
-    from annocamp import campaign
-
     def fail(*args, **kwargs):
         raise AssertionError("simulated before checking --out")
 
@@ -379,14 +377,15 @@ def test_config_rejects_bad_correlation_targets(tmp_path, targets, reason):
 
 def test_unwritable_sidecar_fails_neither_simulate_nor_ingest(tmp_path, sample_videos):
     events = tmp_path / "events.csv"
-    (tmp_path / "events.csv.npz").mkdir()  # a directory where the sidecar goes
+    sidecar = campaign.sidecar_path(events)
+    sidecar.mkdir()  # a directory where the sidecar goes
     run(["simulate", "--videos", sample_videos, "--k", "5", "--workers", "4", "--seed", "3",
          "--out", str(events)])
     run(["ingest", "--events", str(events), "--out", str(tmp_path / "stats.csv")])
     assert read_csv(tmp_path / "stats.csv")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "events.csv.npz",
-                                                           "stats.csv"]
-    assert (tmp_path / "events.csv.npz").is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["events.csv", sidecar.name,
+                                                                  "stats.csv"])
+    assert sidecar.is_dir()
 
 
 @pytest.mark.parametrize(
