@@ -26,6 +26,7 @@ import numpy as np
 
 from .costmodel import (
     DEFAULT_TIME_MODEL,
+    REFERENCE_VIDEO_SECONDS,
     HitBudget,
     TimeModel,
     scale_base_for_duration,
@@ -42,7 +43,8 @@ from .evaluate import (
     truth_matrix,
 )
 from .output import atomic_open, write_csv
-from .planner import FEW_QUESTION_BUNDLE, NO_MODIFIERS, plan_iteration_minutes
+from .planner import (NO_MODIFIERS, BudgetConstraint, best_plan, enumerate_plans,
+                      plan_iteration_minutes)
 from .seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from .taxonomy import (
     SubsetPlan,
@@ -66,7 +68,6 @@ from .workersim import (
     fit_hard_mixture,
     hard_pairs,
     make_random_truth,
-    regime,
     sample_worker_pool,
     simulate_block,
 )
@@ -263,14 +264,13 @@ def pack_hits(
                 question=slots[asked], gold=is_gold[asked])
 
 
-def assign_workers(hits, pool, seed: int, iteration: int, blacklist=()) -> list[Worker]:
-    """One worker per HIT: a seeded shuffle of the pool's worker ids, cycled,
-    without the workers whose ids are in `blacklist`."""
-    eligible = [w for w in pool if w.worker_id not in blacklist]
-    if not eligible:
-        raise ValueError("no eligible workers (all blacklisted?)")
-    perm = order(seed, [w.worker_id for w in eligible], "assign", iteration)
-    return [eligible[perm[i % len(eligible)]] for i in range(len(hits))]
+def assign_workers(hits, pool, seed: int, iteration: int) -> list[Worker]:
+    """One worker per HIT: a seeded shuffle of the pool's worker ids, cycled.
+    Every worker in the pool is eligible; QC flags do not remove anyone."""
+    if not pool:
+        raise ValueError("the worker pool is empty")
+    perm = order(seed, [w.worker_id for w in pool], "assign", iteration)
+    return [pool[perm[i % len(pool)]] for i in range(len(hits))]
 
 
 def campaign_rows(tax: Taxonomy, truths, pool, behavior: WorkerBehavior, seed: int,
@@ -309,7 +309,6 @@ def simulate_campaign(
     model: TimeModel = DEFAULT_TIME_MODEL,
     budget: HitBudget = HitBudget(),
     pool=None,
-    blacklist=(),
 ):
     """Simulate `iterations` complete passes; yields one event table per pass.
 
@@ -320,6 +319,7 @@ def simulate_campaign(
     one `simulate_block` call over all of its tasks. Every draw is a counter
     draw keyed by the ids of the task's worker and video, so the events are
     a pure function of the seed and do not depend on execution order.
+    Each pass assigns the HITs over the whole pool (default: one worker).
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
@@ -348,7 +348,7 @@ def simulate_campaign(
     }
     del subset
     for iteration in range(iterations):
-        picks = assign_workers(hits, pool, seed, iteration, blacklist)
+        picks = assign_workers(hits, pool, seed, iteration)
         worker = np.array([worker_row[w.worker_id] for w in picks])[hits.hit]
         yield simulate_block(behavior, tax, modifiers, seed, iteration=iteration, worker=worker,
                              **rows, **tasks)
@@ -766,8 +766,8 @@ def qc_flag(stats, thresholds: QcThresholds = QcThresholds()) -> list[QcFlag]:
     """Advisory outlier flags on gold recall, task time, and positive rate.
 
     Flags mark deviations beyond the robust z threshold from the pool
-    median (gold recall: low side only). Blacklisting stays a separate,
-    explicit decision.
+    median (gold recall: low side only). Flags are advisory: every worker
+    stays in the pool that `assign_workers` draws from.
     """
     stats = list(stats)
     if len(stats) < thresholds.min_workers:
@@ -825,22 +825,15 @@ def _fitted_behavior() -> WorkerBehavior:
     return fit_hard_mixture(default_behavior())
 
 
-def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed):
-    """Cumulative (n, minutes, recall, precision) rows for one interface size."""
+def _simulated_rows(tax, truths, behavior, plan, seed):
+    """Cumulative (n, minutes, recall, precision) rows for one plan's passes."""
     truth = truth_matrix(truths, tax.label_count)
     video_ids = tuple(sorted(t.video_id for t in truths))
     votes = np.zeros((len(video_ids), tax.label_count), dtype=np.int16)
     total_seconds = 0.0
     rows = []
-    batches = simulate_campaign(
-        tax,
-        truths,
-        k,
-        iterations,
-        behavior,
-        seed,
-        modifiers=modifiers,
-    )
+    batches = simulate_campaign(tax, truths, plan.k, plan.iterations, behavior, seed,
+                                modifiers=plan.modifiers)
     for n, events in enumerate(batches, start=1):
         matrix = aggregate(events, tax, video_ids=video_ids)
         votes += matrix.votes
@@ -851,10 +844,28 @@ def _simulated_rows(tax, truths, behavior, k, iterations, modifiers, seed):
     return rows
 
 
-def _experiment_question_count_sweep(seed: int, videos: int = 160):
+_PLANNED_KS = (1, 5, 26, 52)
+
+
+def _planned_runs(tax, truths, behavior, model, budget_minutes, seed):
+    """For each of `_PLANNED_KS` that fits the budget, the planner's plan at
+    that k (`best_plan` over its beneficial modifier sets, no precision
+    floor) and `_simulated_rows` of that plan's modifiers and passes."""
+    plans = enumerate_plans(behavior, model, BudgetConstraint(budget_minutes), _PLANNED_KS,
+                            beneficial_only=True)
+    for k in _PLANNED_KS:
+        at_k = [p for p in plans if p.k == k]
+        if at_k:
+            plan = best_plan(at_k)
+            yield plan, _simulated_rows(tax, truths, behavior, plan, seed)
+
+
+def _experiment_question_count_sweep(seed: int):
+    """One pass at each sweep k: recall, precision, minutes and the
+    affirmative rate, on 160 videos."""
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
-    truths = make_random_truth(videos, tax.label_count, behavior.prevalence, seed)
+    truths = make_random_truth(160, tax.label_count, behavior.prevalence, seed)
     truth = truth_matrix(truths, tax.label_count)
     header = ["k", "recall", "precision", "minutes_per_video", "affirmative_per_iteration"]
     rows = []
@@ -869,7 +880,10 @@ def _experiment_question_count_sweep(seed: int, videos: int = 160):
     return header, rows
 
 
-def _experiment_expected_recall_budget(seed: int, budget_minutes: float = 8.61):
+def _experiment_expected_recall_budget(seed: int):
+    """The analytic expected recall at each sweep k within 8.61 min/video;
+    nothing is simulated, so the seed is unused."""
+    budget_minutes = 8.61
     behavior = default_behavior()
     header = ["k", "iteration_minutes", "budget_minutes", "expected_recall"]
     rows = []
@@ -880,7 +894,9 @@ def _experiment_expected_recall_budget(seed: int, budget_minutes: float = 8.61):
     return header, rows
 
 
-def _experiment_multi_iteration(seed: int, videos: int = 150, budget_minutes: float = 7.1):
+def _experiment_multi_iteration(seed: int, videos: int = 150):
+    """Each pass of the planner's plan at each planned k within 7.1
+    min/video, priced by the fitted behaviour's observed minutes."""
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
     # Every video needs one known positive so gold duplicates have a donor.
@@ -889,30 +905,25 @@ def _experiment_multi_iteration(seed: int, videos: int = 150, budget_minutes: fl
     )
     header = ["k", "modifiers", "iterations", "minutes_per_video", "recall", "precision"]
     rows = []
-    for k in (1, 5, 26, 52):
-        modifiers = FEW_QUESTION_BUNDLE if regime(k) == "few" else NO_MODIFIERS
-        per_pass = plan_iteration_minutes(behavior, DEFAULT_TIME_MODEL, k, modifiers)
-        iterations = max(1, int(budget_minutes / per_pass + 1e-9))
-        for n, minutes, recall, precision in _simulated_rows(
-            tax, truths, behavior, k, iterations, modifiers, seed
-        ):
+    for plan, sim in _planned_runs(tax, truths, behavior, DEFAULT_TIME_MODEL, 7.1, seed):
+        for n, minutes, recall, precision in sim:
             rows.append(
-                [k, modifiers.label(), n, _fmt(minutes), _fmt(recall), _fmt(precision)]
+                [plan.k, plan.modifiers.label(), n, _fmt(minutes), _fmt(recall), _fmt(precision)]
             )
     return header, rows
 
 
-_LENGTH_BINS = (("0-20s", 10.0), ("20-40s", 30.1), ("40-60s", 50.0))
+_LENGTH_BINS = (("0-20s", 10.0), ("20-40s", REFERENCE_VIDEO_SECONDS), ("40-60s", 50.0))
 
 
-def _experiment_length_breakdown(
-    seed: int, videos_per_bin: int = 120, budget_minutes: float = 4.4
-):
+def _experiment_length_breakdown(seed: int, videos_per_bin: int = 120):
+    """The last pass of the planner's plan at each planned k within 4.4
+    min/video, per video-length bin; a k whose one pass does not fit a bin
+    is left out of it."""
     tax = singleton_taxonomy(52)
-    behavior = _fitted_behavior()
     # Pass times come from the duration-scaled model, never the observed
-    # reference-length minutes.
-    unobserved = replace(behavior, observed_minutes=())
+    # reference-length minutes, which the simulation does not read.
+    behavior = replace(_fitted_behavior(), observed_minutes=())
     header = [
         "length_bin",
         "k",
@@ -933,35 +944,20 @@ def _experiment_length_breakdown(
             min_labels=1,
         )
         scaled = scale_base_for_duration(DEFAULT_TIME_MODEL, duration)
-        for k in (1, 5, 26, 52):
-            modifiers = FEW_QUESTION_BUNDLE if regime(k) == "few" else NO_MODIFIERS
-            minutes = plan_iteration_minutes(unobserved, scaled, k, modifiers)
-            n = int(budget_minutes / minutes + 1e-9)
-            if n < 1:
-                continue
-            sim = _simulated_rows(
-                tax, truths, behavior, k, n, modifiers, seed + bin_index
-            )
+        for plan, sim in _planned_runs(tax, truths, behavior, scaled, 4.4, seed + bin_index):
             _, measured_minutes, recall, precision = sim[-1]
-            rows.append(
-                [
-                    bin_label,
-                    k,
-                    modifiers.label(),
-                    n,
-                    _fmt(measured_minutes),
-                    _fmt(recall),
-                    _fmt(precision),
-                ]
-            )
+            rows.append([bin_label, plan.k, plan.modifiers.label(), plan.iterations,
+                         _fmt(measured_minutes), _fmt(recall), _fmt(precision)])
     return header, rows
 
 
-def _experiment_worker_correlations(seed: int, videos: int = 80, workers: int = 30):
+def _experiment_worker_correlations(seed: int):
+    """Per-worker tasks, median seconds, recall and precision of a 30-worker
+    pool over two 52-question passes on 80 videos."""
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
-    truths = make_random_truth(videos, tax.label_count, behavior.prevalence, seed)
-    pool = sample_worker_pool(workers, behavior, 0.0, seed)
+    truths = make_random_truth(80, tax.label_count, behavior.prevalence, seed)
+    pool = sample_worker_pool(30, behavior, 0.0, seed)
     events = run_campaign(tax, truths, 52, 2, behavior, seed, pool=pool)
     # An event is positive when its question has a member the video shows.
     members = tax.member_table[question_positions(tax, events.question)]
@@ -1006,7 +1002,9 @@ def reproduce(name: str, seed: int, out_path, **overrides):
     (None: stdout), which it returns.
 
     Output is byte-identical for identical (name, seed, overrides) across
-    runs.
+    runs. `multi-iteration` and `length-breakdown` simulate the plans the
+    planner picks; the overrides they take, `videos` and `videos_per_bin`,
+    shrink the run, and the other experiments take none.
     """
     try:
         runner = _EXPERIMENT_RUNNERS[name]

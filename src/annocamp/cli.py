@@ -275,7 +275,7 @@ def cmd_plan(args, config: dict) -> int:
             behavior,
             config["time_model"],
             constraint,
-            k_values or [k for k, _ in behavior.recall_points],
+            k_values,
             max_n=args.max_n,
         )
         rows = (

@@ -2,7 +2,9 @@
 
 Enumerates candidate plans whose per-video time fits a budget, predicts
 recall/precision for each from the calibrated worker model, and picks the
-recall-maximizing plan subject to an optional precision floor.
+recall-maximizing plan subject to an optional precision floor. This is the
+one module that picks modifiers and pass counts: the bundled experiments
+simulate its plans.
 """
 
 from __future__ import annotations
@@ -126,13 +128,18 @@ def enumerate_plans(
     behavior: WorkerBehavior,
     model: TimeModel,
     constraint: BudgetConstraint,
-    k_values,
+    k_values=None,
     max_n: int | None = None,
     beneficial_only: bool = False,
 ) -> list[Plan]:
     """All (k, n, modifiers) combinations whose time fits the budget, with at
-    most `max_n` passes (None: as many as the budget buys)."""
-    k_values = list(k_values)
+    most `max_n` passes (None: as many as the budget buys).
+
+    `k_values` None means the calibration anchors, the interface sizes with
+    measured accuracy; other sizes are interpolated. `beneficial_only` drops
+    the many-question bundle, measured as harmful. No precision floor here.
+    """
+    k_values = [k for k, _ in behavior.recall_points] if k_values is None else list(k_values)
     if not k_values or (max_n is not None and max_n < 1):
         raise ValueError("need at least one k value and max_n >= 1")
     budget = constraint.max_minutes_per_video
@@ -154,6 +161,13 @@ def enumerate_plans(
     return plans
 
 
+def best_plan(plans) -> Plan:
+    """The plan the planner ranks first: highest predicted recall; ties break
+    toward lower minutes, then higher precision, then larger k."""
+    return max(plans, key=lambda p: (p.predicted_recall, -p.minutes_per_video,
+                                     p.predicted_precision, p.k))
+
+
 def optimize(
     behavior: WorkerBehavior,
     model: TimeModel,
@@ -161,14 +175,9 @@ def optimize(
     k_values=None,
     max_n: int | None = None,
 ) -> Plan:
-    """Recall-maximizing plan within the budget and precision floor.
-
-    Only interface sizes with measured accuracy (the calibration anchors)
-    are searched by default; interpolated sizes can be forced via k_values.
-    Ties break toward lower minutes, then higher precision, then larger k.
-    """
-    if k_values is None:
-        k_values = [k for k, _ in behavior.recall_points]
+    """The `best_plan` among the beneficial plans at `k_values` (None: the
+    calibration anchors) within the budget and the precision floor; raises
+    InfeasiblePlanError when no plan fits."""
     plans = enumerate_plans(
         behavior, model, constraint, k_values, max_n, beneficial_only=True
     )
@@ -183,12 +192,4 @@ def optimize(
                 else ""
             )
         )
-    return max(
-        plans,
-        key=lambda p: (
-            p.predicted_recall,
-            -p.minutes_per_video,
-            p.predicted_precision,
-            p.k,
-        ),
-    )
+    return best_plan(plans)

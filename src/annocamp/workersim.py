@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .costmodel import DEFAULT_TIME_MODEL  # noqa: F401 (re-exported)
+from .costmodel import DEFAULT_TIME_MODEL, REFERENCE_VIDEO_SECONDS  # noqa: F401 (re-exported)
 from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
 from .taxonomy import Taxonomy
 
@@ -293,7 +293,7 @@ class VideoTruth:
     """Ground truth for one video: its duration and positive labels."""
 
     video_id: str
-    duration_seconds: float = 30.1
+    duration_seconds: float = REFERENCE_VIDEO_SECONDS
     labels: frozenset[int] = frozenset()
 
 
@@ -558,7 +558,7 @@ def make_random_truth(
     label_count: int,
     prevalence: float,
     seed: int,
-    duration_seconds: float = 30.1,
+    duration_seconds: float = REFERENCE_VIDEO_SECONDS,
     min_labels: int = 0,
 ) -> list[VideoTruth]:
     """Synthetic ground truth for videos v00000, v00001, ...: each label
@@ -614,7 +614,7 @@ def load_truths(source) -> list[VideoTruth]:
                     raise ValueError(f"video id {video_id!r} holds a carriage return")
                 if lines.setdefault(video_id, line_num) != line_num:
                     raise ValueError(f"video {video_id!r} repeats line {lines[video_id]}")
-                duration = doc.get("duration", 30.1)
+                duration = doc.get("duration", REFERENCE_VIDEO_SECONDS)
                 if type(duration) not in (int, float):
                     raise ValueError(f"video {video_id!r}: duration must be a number, "
                                      f"got {duration!r}")

@@ -11,6 +11,9 @@ Not collected by a plain `pytest` run (the file name does not start with
 `test_`); run them explicitly:
 
     python -m pytest tests/bench_events.py --benchmark-only
+
+With `--benchmark-disable` each benchmarked call runs once, untimed, and
+the file is a quick correctness pass.
 """
 
 import pytest
@@ -65,7 +68,9 @@ def large_events_csv(tax, tmp_path_factory):
 
 def report_rows(benchmark, rows):
     benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
+    # Under --benchmark-disable nothing is timed, so there is no rate.
+    if benchmark.stats is not None:
+        benchmark.extra_info["rows_per_s"] = rows / benchmark.stats.stats.median
 
 
 def test_write_events_csv(benchmark, tax, events, tmp_path):

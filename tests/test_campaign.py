@@ -36,9 +36,10 @@ from annocamp.campaign import (
     worker_stats_from_events,
     write_events_csv,
 )
-from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget, TimeModel, task_time, videos_per_hit
+from annocamp.costmodel import (DEFAULT_TIME_MODEL, HitBudget, TimeModel, scale_base_for_duration,
+                                task_time, videos_per_hit)
 from annocamp.evaluate import LabelMatrix, aggregate, group_ids, truth_matrix, metrics
-from annocamp.planner import FEW_QUESTION_BUNDLE
+from annocamp.planner import FEW_QUESTION_BUNDLE, BudgetConstraint, InfeasiblePlanError, optimize
 from annocamp.cli import sample_taxonomy_path
 from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from annocamp.taxonomy import (
@@ -1120,37 +1121,11 @@ def test_damaged_sidecar_body_falls_back_with_one_warning(sample_tax, small_even
     assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.campaign", "WARNING")]
 
 
-def test_blacklisted_worker_gets_no_assignments(tax, behavior):
-    truths = make_random_truth(30, 52, 3.7, seed=9)
-    pool = sample_worker_pool(6, behavior, 0.0, seed=3)
-    blacklist = {pool[0].worker_id}
-    events = run_campaign(
-        tax, truths, 26, 3, behavior, seed=4, pool=pool, blacklist=blacklist
-    )
-    assert pool[0].worker_id not in {r[0] for r in event_rows(events, tax)}
-    plan = partition_questions(tax, 26, seed=0)
-    hits = pack_hits(
-        [t.video_id for t in truths], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0
-    )
-    for iteration in range(3):
-        assigned = assign_workers(hits, pool, seed=4, iteration=iteration, blacklist=blacklist)
-        assert pool[0].worker_id not in {w.worker_id for w in assigned}
-
-
-def test_blacklist_added_after_construction_is_excluded(tax):
-    pool = [Worker(f"w{i}") for i in range(5)]
-    blacklist = {"w1"}
-    blacklist.add("w3")
-    plan = partition_questions(tax, 1, seed=0)
-    hits = pack_hits([f"v{i}" for i in range(40)], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
-    assigned = {w.worker_id for w in assign_workers(hits, pool, 0, 0, blacklist)}
-    assert assigned == {"w0", "w2", "w4"}
-
-
-def test_assign_workers_requires_eligible_pool(tax):
-    blacklist = {"w0"}
-    with pytest.raises(ValueError, match="eligible"):
-        assign_workers([], [Worker("w0")], seed=0, iteration=0, blacklist=blacklist)
+def test_assign_workers_requires_eligible_pool(tax, behavior):
+    with pytest.raises(ValueError, match="^the worker pool is empty$"):
+        assign_workers([], [], seed=0, iteration=0)
+    with pytest.raises(ValueError, match="^the worker pool is empty$"):
+        run_campaign(tax, make_random_truth(5, 52, 3.7, seed=0), 5, 1, behavior, 0, pool=[])
 
 
 def test_gate_positives(tax, sample_tax):
@@ -1445,9 +1420,33 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def test_multi_iteration_many_questions_dominate(tmp_path):
-    path = reproduce("multi-iteration", seed=3, out_path=tmp_path / "mi.csv", videos=80)
+def planned(behavior, model, budget_minutes, ks):
+    """(k, modifiers, iterations) of `optimize`'s plan at each k searched
+    alone, leaving out a k that does not fit the budget."""
+    plans = []
+    for k in ks:
+        try:
+            plan = optimize(behavior, model, BudgetConstraint(budget_minutes), k_values=[k])
+        except InfeasiblePlanError:
+            continue
+        plans.append((str(plan.k), plan.modifiers.label(), plan.iterations))
+    return plans
+
+
+def warnings_of(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_multi_iteration_many_questions_dominate(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING):
+        path = reproduce("multi-iteration", seed=3, out_path=tmp_path / "mi.csv", videos=80)
+    assert warnings_of(caplog) == []
     rows = read_csv(path)
+    # Each k simulates every pass of the planner's plan at that k, 7.1 min/video.
+    plans = planned(fit_hard_mixture(default_behavior()), DEFAULT_TIME_MODEL, 7.1, (1, 5, 26, 52))
+    assert [(r["k"], r["modifiers"], r["iterations"]) for r in rows] == [
+        (k, modifiers, str(n)) for k, modifiers, passes in plans for n in range(1, passes + 1)
+    ]
     k52 = [r for r in rows if r["k"] == "52"]
     k1 = [r for r in rows if r["k"] == "1"]
     assert k52 and k1
@@ -1461,11 +1460,22 @@ def test_multi_iteration_many_questions_dominate(tmp_path):
         assert max(float(r["recall"]) for r in cheaper) > float(few["recall"])
 
 
-def test_length_breakdown_gap_grows_with_duration(tmp_path):
-    path = reproduce(
-        "length-breakdown", seed=4, out_path=tmp_path / "lb.csv", videos_per_bin=100
-    )
+def test_length_breakdown_gap_grows_with_duration(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING):
+        path = reproduce(
+            "length-breakdown", seed=4, out_path=tmp_path / "lb.csv", videos_per_bin=100
+        )
+    assert warnings_of(caplog) == []
     rows = read_csv(path)
+    # Each bin runs the planner's plan at each k that fits 4.4 min/video, its
+    # passes priced by the time model scaled to the bin's duration.
+    behavior = dataclasses.replace(fit_hard_mixture(default_behavior()), observed_minutes=())
+    for bin_label, seconds in (("0-20s", 10.0), ("20-40s", 30.1), ("40-60s", 50.0)):
+        model = scale_base_for_duration(DEFAULT_TIME_MODEL, seconds)
+        assert [
+            (r["k"], r["modifiers"], int(r["iterations"]))
+            for r in rows if r["length_bin"] == bin_label
+        ] == planned(behavior, model, 4.4, (1, 5, 26, 52))
 
     def gap(bin_label):
         by_k = {r["k"]: float(r["recall"]) for r in rows if r["length_bin"] == bin_label}

@@ -6,15 +6,17 @@ import pytest
 from annocamp.costmodel import DEFAULT_TIME_MODEL, TimeModel, iteration_time
 from annocamp.planner import (
     FEW_QUESTION_BUNDLE,
+    MANY_QUESTION_BUNDLE,
     NO_MODIFIERS,
     BudgetConstraint,
     InfeasiblePlanError,
+    best_plan,
     enumerate_plans,
     modifier_options,
     optimize,
     plan_iteration_minutes,
 )
-from annocamp.workersim import default_behavior, fit_hard_mixture
+from annocamp.workersim import AccuracyAnchor, calibrate, default_behavior, fit_hard_mixture
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,19 @@ def test_modifier_options_regimes():
     assert modifier_options(3) == [NO_MODIFIERS, FEW_QUESTION_BUNDLE]
     assert modifier_options(26, beneficial_only=True) == [NO_MODIFIERS]
     assert len(modifier_options(26)) == 2
+
+
+def test_optimize_skips_the_harmful_bundle_even_where_it_ranks_first():
+    # Without a mixture and at this floor, the many-question bundle's plan
+    # ranks first among all option sets at k=26; optimize, searching the
+    # beneficial sets only, must not take it.
+    behavior = calibrate([AccuracyAnchor(1, 0.73, 0.50, 4.3), AccuracyAnchor(52, 0.74, 0.23, 1.45)])
+    constraint = BudgetConstraint(36.0, min_precision=0.165)
+    plan = optimize(behavior, DEFAULT_TIME_MODEL, constraint, k_values=[26])
+    assert (plan.k, plan.iterations, plan.modifiers) == (26, 3, NO_MODIFIERS)
+    every = enumerate_plans(behavior, DEFAULT_TIME_MODEL, constraint, [26])
+    top = best_plan([p for p in every if p.predicted_precision >= constraint.min_precision])
+    assert (top.k, top.iterations, top.modifiers) == (26, 4, MANY_QUESTION_BUNDLE)
 
 
 def test_plan_minutes_invariant(behavior):
