@@ -18,6 +18,7 @@ import statistics
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from inspect import signature
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
@@ -59,7 +60,6 @@ from .taxonomy import (
 )
 from .workersim import (
     DEFAULT_PREVALENCE,
-    EVENT_FIELDS,
     EventTable,
     ModifierSet,
     Worker,
@@ -73,7 +73,7 @@ from .workersim import (
 )
 
 # The events CSV columns; `gold` follows when a row is gold.
-EVENT_COLUMNS = tuple(f.name for f in EVENT_FIELDS if f.name != "gold")
+EVENT_COLUMNS = ("worker", "video", "question", "gate", "members", "elapsed", "iteration")
 ROW_CHUNK = 4096  # rows the events CSV writer joins into text at a time
 
 
@@ -367,11 +367,11 @@ def run_campaign(*args, **kwargs) -> EventTable:
 logger = logging.getLogger(__name__)
 
 # The first line of every sidecar; a file of another layout never reads.
-SIDECAR_FORMAT = b"annocamp events table 2\n"
+SIDECAR_FORMAT = b"annocamp events table 3\n"
 # Each EVENT_FIELDS column's dtype in the sidecar, in field order.
 SIDECAR_DTYPES = {name: np.dtype(dtype) for name, dtype in (
-    ("worker", "<i4"), ("video", "<i4"), ("question", "<i4"), ("gate", "u1"),
-    ("members", "<u8"), ("elapsed", "<f8"), ("iteration", "<i4"), ("gold", "u1"),
+    ("worker", "<i4"), ("video", "<i4"), ("question", "<i4"), ("members", "<u8"),
+    ("elapsed", "<f8"), ("iteration", "<i4"), ("gold", "u1"),
 )}
 ROW_BYTES = sum(dtype.itemsize for dtype in SIDECAR_DTYPES.values())
 
@@ -389,11 +389,6 @@ def _sidecar_key(csv_digest: bytes, tax: Taxonomy) -> bytes:
     return csv_digest + hashlib.sha256(questions).digest()
 
 
-def _csv_digest(data: bytes = b""):
-    """The SHA-256 hash of CSV bytes that a sidecar key starts with."""
-    return hashlib.sha256(data)
-
-
 def _save_sidecar(events, key: bytes, table: EventTable) -> None:
     """Save `table` under `key` as the CSV's sidecar; where no file can be
     written, or a column does not fit its SIDECAR_DTYPES dtype, there is no
@@ -401,8 +396,9 @@ def _save_sidecar(events, key: bytes, table: EventTable) -> None:
 
     The file is SIDECAR_FORMAT, the key, the row count and the two
     vocabulary sizes (`<i8`), each id's UTF-8 length (`<i8`, workers then
-    videos), the ids' bytes, then each column's raw bytes in its
-    SIDECAR_DTYPES dtype. The parts are written one by one.
+    videos), the ids' bytes, then each stored column's raw bytes in its
+    SIDECAR_DTYPES dtype, ROW_BYTES a row. `gate` is not stored: the table
+    derives it from `members`. The parts are written one by one.
     """
     for name, dtype in SIDECAR_DTYPES.items():
         column = getattr(table, name)
@@ -444,10 +440,10 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
 
     The parts are read in order, each column straight into an array, and
     the file's size must be exactly what its counts give. A ValueError
-    names the first way the file is not a sidecar, or holds a table no CSV
-    gives: a question the taxonomy lacks, members bits past the question's
-    members, members on a negative gate or none on an affirmative one, an
-    id code outside its vocabulary, or a flag not 0 or 1.
+    names the first way the file is not a sidecar (or one of another
+    format), or holds a table no CSV gives: a question the taxonomy lacks,
+    members bits past the question's members (`_stray_members`), an id code
+    outside its vocabulary, or a gold flag not 0 or 1.
     """
     size, head_size = os.fstat(fh.fileno()).st_size, len(SIDECAR_FORMAT) + len(key) + 24
     head = fh.read(head_size)
@@ -469,20 +465,22 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     ids = [text[a:b].decode() for a, b in zip(ends, ends[1:])]
     vocabularies = (tuple(ids[: sizes[0]]), tuple(ids[sizes[0] :]))
     raw = {name: np.fromfile(fh, dtype, rows) for name, dtype in SIDECAR_DTYPES.items()}
-    if rows and max(raw["gate"].max(), raw["gold"].max()) > 1:
-        raise ValueError("a gate or gold flag is neither 0 nor 1")
+    if rows and raw["gold"].max() > 1:
+        raise ValueError("a gold flag is neither 0 nor 1")
     for name, ids in zip(("worker", "video"), vocabularies):
         if rows and not 0 <= raw[name].min() <= raw[name].max() < len(ids):
             raise ValueError(f"a {name} code outside its {len(ids)} ids")
-    table = EventTable(*vocabularies, *(raw[f.name].astype(f.metadata["dtype"], copy=False)
-                                        for f in EVENT_FIELDS))
+    table = EventTable(*vocabularies, **raw)
+    if _stray_members(table, tax).any():
+        raise ValueError("members bits past their question's members")
+    return table
+
+
+def _stray_members(table: EventTable, tax: Taxonomy) -> np.ndarray:
+    """Whether each row's members bits lie past its question's (TaxonomyError if unknown)."""
     questions, question = dense_codes(table.question)
     limits = np.array([(1 << len(q.members)) - 1 for q in tax.questions], np.uint64)
-    if (table.members > limits[question_positions(tax, questions)][question]).any():
-        raise ValueError("members bits past their question's members")
-    if ((table.members != 0) != table.gate).any():
-        raise ValueError("members on a negative gate or none on an affirmative one")
-    return table
+    return table.members > limits[question_positions(tax, questions)][question]
 
 
 def _csv_fields(ids) -> list[str]:
@@ -518,39 +516,46 @@ def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
 
 
 def _answer_columns(answers: list, code) -> tuple:
-    """The question, gate and members columns of answer codes into `answers`."""
-    return tuple(
-        np.array([a[i] for a in answers], dtype)[code]
-        for i, dtype in enumerate((np.int64, bool, np.uint64))
-    )
+    """The question and members columns of answer codes into `answers`."""
+    question, members = zip(*answers) if answers else ((), ())
+    return np.array(question, np.int64)[code], np.array(members, np.uint64)[code]
 
 
 def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     """Write an event table as CSV; the `gold` column appears iff a row is gold.
 
-    Each column's distinct values are formatted once: ids by `_csv_fields`,
-    answers (question, gate, members), elapsed times by `repr` (0.0 apart
-    from -0.0) and iterations; the rows are joined ROW_CHUNK at a time. An
-    id that would not read back unchanged is a ValueError before the file is
-    opened. When every answer reads back unchanged, the table as `ingest`
-    returns it goes to the CSV's sidecar (`sidecar_path`), keyed by the
-    SHA-256 digest of the bytes written; a table whose columns do not fit
-    the sidecar's narrow dtypes gets none.
+    A table `ingest` would not read back is a ValueError before the file is
+    opened: an id that would not read back unchanged, or, by CSV line as
+    `ingest` names them, rows whose members bits lie past their question's
+    members, whose elapsed time is not positive and finite, or that repeat a
+    non-gold (worker, video, question, iteration). Each column's distinct
+    values are formatted once, and the rows joined ROW_CHUNK at a time. The
+    table as `ingest` returns it goes to the CSV's sidecar (`sidecar_path`),
+    keyed by the SHA-256 digest of the bytes written, unless its columns do
+    not fit the sidecar's narrow dtypes.
     """
-    answer, first = group_ids(table.question, table.gate, table.members)
-    answers, texts, valid = [], [], True
-    for q, gate, mask in zip(*(c[first].tolist() for c in (table.question, table.gate, table.members))):
-        raw = (str(q), str(int(gate)), ";".join(map(str, mask_members(tax.question(q), mask))))
-        texts.append(",".join(raw))
-        valid &= not isinstance(_answer_code(tax, raw, answers), str)
-    bits, elapsed = dense_codes(table.elapsed.view(np.uint64))
-    iterations, iteration = dense_codes(table.iteration)
     workers, videos = _csv_fields(table.worker_ids), _csv_fields(table.video_ids)
+    (worker_ids, worker), (video_ids, video) = (_first_seen(table.worker_ids, table.worker),
+                                                _first_seen(table.video_ids, table.video))
+    parsed = replace(table, worker_ids=worker_ids, video_ids=video_ids, worker=worker, video=video)
+    # ingest counts physical lines, and a quoted id may hold line breaks.
+    breaks = [np.array([f.count("\n") + f.count("\r") - f.count("\r\n") for f in fs], np.int64)
+              for fs in (workers, videos)]
+    lines = 1 + np.cumsum(1 + breaks[0][table.worker] + breaks[1][table.video])
+    _raise_problems(path, [
+        (lines[r], f"question {table.question[r]}: members bits past its members")
+        for r in np.flatnonzero(_stray_members(parsed, tax))
+    ] + _row_problems(parsed, lines))
+    answer, first = group_ids(table.question, table.members)
+    texts = [f"{q},{int(mask != 0)},{';'.join(map(str, mask_members(tax.question(q), mask)))}"
+             for q, mask in zip(table.question[first].tolist(), table.members[first].tolist())]
+    seconds, elapsed = dense_codes(table.elapsed)
+    iterations, iteration = dense_codes(table.iteration)
     columns = [
         (workers, table.worker),
         (videos, table.video),
         (texts, answer),
-        (list(map(repr, bits.view(np.float64).tolist())), elapsed),
+        (list(map(repr, seconds.tolist())), elapsed),
         (list(map(str, iterations.tolist())), iteration),
     ]
     gold = table.gold.any()
@@ -558,7 +563,7 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
         columns.append((["0", "1"], table.gold.view(np.uint8)))
     columns = [(np.array(values, object), codes) for values, codes in columns]
     header = ",".join(EVENT_COLUMNS + (("gold",) if gold else ())) + "\n"
-    digest = _csv_digest()
+    digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
         chunks = (
             "".join([",".join(row) + "\n" for row in zip(*(
@@ -570,13 +575,7 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
             data = text.encode()
             digest.update(data)
             fh.write(data)
-    if valid:
-        worker_ids, worker = _first_seen(table.worker_ids, table.worker)
-        video_ids, video = _first_seen(table.video_ids, table.video)
-        parsed = EventTable(worker_ids, video_ids, worker, video,
-                            *_answer_columns(answers, answer), table.elapsed,
-                            table.iteration, table.gold)
-        _save_sidecar(path, _sidecar_key(digest.digest(), tax), parsed)
+    _save_sidecar(path, _sidecar_key(digest.digest(), tax), parsed)
 
 
 def _parse_bool(raw: str, column: str) -> bool:
@@ -589,14 +588,14 @@ def _parse_bool(raw: str, column: str) -> bool:
 
 def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
     """Index in `answers` of a raw (question, gate, members) answer, appended
-    as (question id, gate, members mask); or the reason it is invalid."""
+    as (question id, members mask); or the reason it is invalid."""
     try:
         question_id, gate = int(raw[0]), _parse_bool(raw[1], "gate")
         labels = [int(m) for m in raw[2].split(";") if m.strip()]
         selected = expand_answer(tax, question_id, gate, labels)
     except ValueError as exc:
         return str(exc)
-    answers.append((question_id, gate, members_mask(tax.question(question_id), selected)))
+    answers.append((question_id, members_mask(tax.question(question_id), selected)))
     return len(answers) - 1
 
 
@@ -636,8 +635,9 @@ def ingest(source, tax: Taxonomy) -> EventTable:
 
     One ValueError names every bad row by line, the first 20 of them: a row
     with too few fields, a value that does not parse, an answer
-    `expand_answer` rejects, a non-positive or non-finite elapsed time, or a
-    second non-gold answer to one (worker, video, question, iteration).
+    `expand_answer` rejects (a gate that disagrees with its members, say), a
+    non-positive or non-finite elapsed time, or a second non-gold answer to
+    one (worker, video, question, iteration).
 
     The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
     keyed by the SHA-256 digests of the CSV's bytes and of the taxonomy's
@@ -647,7 +647,7 @@ def ingest(source, tax: Taxonomy) -> EventTable:
     names its lines.
     """
     data = Path(source).read_bytes()
-    key = _sidecar_key(_csv_digest(data).digest(), tax)
+    key = _sidecar_key(hashlib.sha256(data).digest(), tax)
     table = _load_sidecar(source, key, tax)
     if table is not None and not _row_problems(table, range(len(table))):
         return table
@@ -661,7 +661,7 @@ def _parse_events(source, data: bytes, tax: Taxonomy) -> EventTable:
     workers: dict[str, int] = {}
     videos: dict[str, int] = {}
     codes: dict[tuple[str, str, str], int | str] = {}  # raw answer -> _answer_code
-    answers: list[tuple[int, bool, int]] = []
+    answers: list[tuple[int, int]] = []
     fields = array("q")  # worker, video, answer code, iteration and gold of each row
     elapsed, lines, problems = array("d"), array("q"), []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
@@ -698,13 +698,16 @@ def _parse_events(source, data: bytes, tax: Taxonomy) -> EventTable:
     worker, video, code, iteration, gold = np.frombuffer(fields, np.int64).reshape(-1, 5).T
     table = EventTable(tuple(workers), tuple(videos), worker, video,
                        *_answer_columns(answers, code), np.frombuffer(elapsed), iteration, gold)
-    problems += _row_problems(table, lines)
+    _raise_problems(source, problems + _row_problems(table, lines))
+    return table
+
+
+def _raise_problems(source, problems: list[tuple[int, str]]) -> None:
+    """One ValueError naming the first 20 (line, reason) problems by line, if any."""
     if problems:
-        problems.sort()
-        shown = "; ".join(f"line {line}: {reason}" for line, reason in problems[:20])
+        shown = "; ".join(f"line {line}: {reason}" for line, reason in sorted(problems)[:20])
         more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
         raise ValueError(f"{source}: {shown}{more}")
-    return table
 
 
 def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
@@ -1004,7 +1007,8 @@ def reproduce(name: str, seed: int, out_path, **overrides):
     Output is byte-identical for identical (name, seed, overrides) across
     runs. `multi-iteration` and `length-breakdown` simulate the plans the
     planner picks; the overrides they take, `videos` and `videos_per_bin`,
-    shrink the run, and the other experiments take none.
+    shrink the run, and the other experiments take none. An unknown name or
+    an override the experiment does not take is a ValueError.
     """
     try:
         runner = _EXPERIMENT_RUNNERS[name]
@@ -1012,6 +1016,9 @@ def reproduce(name: str, seed: int, out_path, **overrides):
         raise ValueError(
             f"unknown experiment {name!r}; choose one of {', '.join(EXPERIMENTS)}"
         ) from None
+    unknown = [o for o in overrides if o not in list(signature(runner).parameters)[1:]]
+    if unknown:
+        raise ValueError(f"experiment {name!r} takes no override {unknown[0]!r}")
     header, rows = runner(seed, **overrides)
     write_csv(out_path, header, rows)
     return out_path

@@ -307,8 +307,8 @@ class EventTable:
 
     `worker` and `video` index the `worker_ids` and `video_ids` vocabularies;
     `members` is the bitmask of the selected labels (`taxonomy.members_mask`);
-    `gold` rows are positive-bias duplicates, which never vote. The columns
-    are declared in CSV order.
+    `gold` rows are positive-bias duplicates, which never vote. `gate`, no
+    constructor argument, is `members != 0`, computed when the table is built.
     """
 
     worker_ids: tuple[str, ...]
@@ -316,16 +316,17 @@ class EventTable:
     worker: np.ndarray = _column(np.int64)
     video: np.ndarray = _column(np.int64)
     question: np.ndarray = _column(np.int64)
-    gate: np.ndarray = _column(bool)
     members: np.ndarray = _column(np.uint64)
     elapsed: np.ndarray = _column(np.float64)
     iteration: np.ndarray = _column(np.int64)
     gold: np.ndarray = _column(bool)
+    gate: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for f in EVENT_FIELDS:
             column = np.asarray(getattr(self, f.name), f.metadata["dtype"])
             object.__setattr__(self, f.name, column)
+        object.__setattr__(self, "gate", self.members != 0)
         if len({getattr(self, f.name).shape for f in EVENT_FIELDS}) > 1 or self.worker.ndim != 1:
             raise ValueError("event columns must be 1-D and of one length")
 
@@ -351,7 +352,7 @@ class EventTable:
                    for f in EVENT_FIELDS)
         return cls(first.worker_ids, first.video_ids, *columns)
 
-EVENT_FIELDS = fields(EventTable)[2:]
+EVENT_FIELDS = tuple(f for f in fields(EventTable)[2:] if f.init)
 
 
 @dataclass(frozen=True)
@@ -549,7 +550,7 @@ def simulate_block(
     elapsed = total[owner]
     slot_worker = worker[owner]
     del key, total, task, owner
-    return EventTable(worker_ids, video_ids, slot_worker, slot_video, qid, gate, mask, elapsed,
+    return EventTable(worker_ids, video_ids, slot_worker, slot_video, qid, mask, elapsed,
                       np.full(len(qid), iteration), gold.copy())
 
 

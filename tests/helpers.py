@@ -6,8 +6,8 @@ from annocamp.workersim import EVENT_FIELDS
 
 def event_rows(table, tax) -> list[tuple]:
     """The row view of an event table: one (worker id, video id, question,
-    gate, member labels, elapsed, iteration, gold) tuple of Python values per
-    event, in table order."""
+    member labels, elapsed, iteration, gold) tuple of Python values per
+    event, in table order. The gate is not stored: it is `bool(members)`."""
     columns = {f.name: getattr(table, f.name).tolist() for f in EVENT_FIELDS}
     answers = list(zip(columns["question"], columns["members"]))
     decoded = {(q, mask): mask_members(tax.question(q), mask) for q, mask in set(answers)}

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import hashlib
 import io
 import itertools
 import logging
@@ -654,7 +655,7 @@ def test_campaign_covers_every_pair_each_iteration(tax, behavior):
     batches = list(simulate_campaign(tax, truths, 5, 2, behavior, seed=1))
     assert len(batches) == 2
     for iteration, events in enumerate(batches):
-        seen = {(r[1], r[2]) for r in event_rows(events, tax) if not r[7]}
+        seen = {(r[1], r[2]) for r in event_rows(events, tax) if not r[6]}
         assert len(seen) == 10 * 52
         assert (events.iteration == iteration).all()
 
@@ -759,7 +760,7 @@ def test_event_csv_round_trip(tax, behavior, tmp_path):
     write_events_csv(events, tax, path)
     result = ingest(path, tax)
     assert len(result) != 0
-    key = lambda r: (r[6], r[1], r[2], r[7], r[0])  # iteration, video, question, gold, worker
+    key = lambda r: (r[5], r[1], r[2], r[6], r[0])  # iteration, video, question, gold, worker
     recovered = sorted(event_rows(result, tax), key=key)
     original = sorted(event_rows(events, tax), key=key)
     assert recovered == original
@@ -847,22 +848,38 @@ ELAPSED = st.one_of(
 
 @st.composite
 def event_tables(draw, tax, ids=ID_TEXT):
-    """Event tables over `tax`: vocabularies of `ids` that may repeat an id,
-    mostly valid answers, and repeats of a (worker, video, question, iteration)."""
+    """Event tables over `tax`: vocabularies of `ids` that may repeat an id;
+    answers (question, members) whose members bits now and then stray past
+    the question's members; elapsed times now and then not positive or not
+    finite; and now and then a copy of a row, with its own elapsed time and
+    gold flag, besides the repeats of a (worker, video, question, iteration)
+    that the draws give."""
     worker_ids = draw(st.lists(ids, min_size=1, max_size=3))
     video_ids = draw(st.lists(ids, min_size=1, max_size=3))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         q = draw(st.sampled_from(tax.questions[:4]))
-        gate, valid = draw(st.booleans()), draw(st.sampled_from([True] * 7 + [False]))
-        mask = draw(st.integers(1, 2 ** len(q.members) - 1)) if gate == valid else 0
+        mask = draw(st.integers(0, 2 ** len(q.members) - 1))
+        if draw(st.integers(0, 19)) == 0:
+            mask |= 1 << draw(st.integers(len(q.members), 63))
+        elapsed = draw(ELAPSED if draw(st.integers(0, 9)) == 0 else st.floats(1e-3, 1e4))
         rows.append((
             draw(st.integers(0, len(worker_ids) - 1)),
             draw(st.integers(0, len(video_ids) - 1)),
-            q.id, gate, mask, draw(ELAPSED), draw(st.integers(-1, 2)), draw(st.booleans()),
+            q.id, mask, elapsed, draw(st.integers(-1, 2)), draw(st.booleans()),
         ))
-    columns = zip(*rows) if rows else [[]] * 8
+    if rows and draw(st.integers(0, 3)) == 0:
+        copy = list(draw(st.sampled_from(rows)))
+        copy[4:] = draw(st.floats(1e-3, 1e4)), copy[5], draw(st.booleans())
+        rows.insert(draw(st.integers(0, len(rows))), tuple(copy))
+    columns = zip(*rows) if rows else [[]] * 7
     return EventTable(tuple(worker_ids), tuple(video_ids), *columns)
+
+
+def stray_rows(table, tax) -> list[int]:
+    """The rows whose members bits lie past their question's members."""
+    return [r for r, (q, mask) in enumerate(zip(table.question.tolist(), table.members.tolist()))
+            if mask >> len(tax.question(q).members)]
 
 
 def csv_writer_bytes(table, tax) -> bytes:
@@ -871,11 +888,18 @@ def csv_writer_bytes(table, tax) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     gold = table.gold.any()
     writer.writerow(campaign.EVENT_COLUMNS + (("gold",) if gold else ()))
-    for worker, video, q, gate, members, elapsed, iteration, is_gold in event_rows(table, tax):
-        row = (worker, video, q, int(gate), ";".join(map(str, members)), repr(elapsed),
-               iteration, int(is_gold))
+    for worker, video, q, members, elapsed, iteration, is_gold in event_rows(table, tax):
+        row = (worker, video, q, int(bool(members)), ";".join(map(str, members)),
+               repr(elapsed), iteration, int(is_gold))
         writer.writerow(row if gold else row[:-1])
     return buf.getvalue().encode()
+
+
+def csv_lines(data: bytes) -> list[int]:
+    """The line on which csv.reader ends each row after the header."""
+    reader = csv.reader(io.StringIO(data.decode(), newline=""))
+    next(reader)
+    return [reader.line_num for _ in reader]
 
 
 def ingest_outcome(path, tax):
@@ -885,21 +909,39 @@ def ingest_outcome(path, tax):
         return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_write_events_csv_bytes_are_csv_writers(sample_tax, tmp_path_factory, data):
-    # An id that would not read back is named, and no file is written.
+    # The round trip: the writer refuses a table before it opens the file,
+    # naming an id that would not read back, rows with stray members bits,
+    # or else just what ingest names in csv.writer's bytes of the table.
+    # Otherwise it writes those bytes and a sidecar, and ingest returns the
+    # table on its first-seen vocabularies, with the sidecar and without it.
     table = data.draw(event_tables(sample_tax))
     path = tmp_path_factory.mktemp("writer") / "events.csv"
     unreadable = [i for i in table.worker_ids + table.video_ids if not reads_back(i)]
-    if unreadable:
-        with pytest.raises(ValueError) as exc:
-            write_events_csv(table, sample_tax, path)
-        assert str(exc.value) == f"id {unreadable[0]!r} would not read back from an events CSV"
+    try:
+        write_events_csv(table, sample_tax, path)
+    except ValueError as exc:
         assert not any(path.parent.iterdir())
+        if unreadable:
+            assert str(exc) == f"id {unreadable[0]!r} would not read back from an events CSV"
+        elif stray_rows(table, sample_tax):
+            lines = csv_lines(csv_writer_bytes(table, sample_tax))
+            assert all(f"line {lines[r]}: question {table.question[r]}: members bits past its "
+                       "members" in str(exc) for r in stray_rows(table, sample_tax))
+        else:
+            path.write_bytes(csv_writer_bytes(table, sample_tax))
+            assert ingest_outcome(path, sample_tax) == str(exc)
         return
-    write_events_csv(table, sample_tax, path)
     assert path.read_bytes() == csv_writer_bytes(table, sample_tax)
+    worker_ids, worker = campaign._first_seen(table.worker_ids, table.worker)
+    video_ids, video = campaign._first_seen(table.video_ids, table.video)
+    expected = dataclasses.replace(table, worker_ids=worker_ids, video_ids=video_ids,
+                                   worker=worker, video=video)
+    assert ingest(path, sample_tax) == expected
+    sidecar_path(path).unlink()
+    assert ingest(path, sample_tax) == expected
 
 
 def test_write_events_csv_rejects_an_id_that_would_not_read_back(sample_tax, behavior,
@@ -913,17 +955,40 @@ def test_write_events_csv_rejects_an_id_that_would_not_read_back(sample_tax, beh
     assert list(tmp_path.iterdir()) == []
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("edit, problem", [
+    ({"elapsed": [0.0, 2.0]}, "line 2: elapsed must be positive"),
+    ({"elapsed": [1.0, math.inf]}, "line 3: elapsed must be finite"),
+    ({"question": [0, 0]},
+     "line 3: duplicates line 2 (same worker, video, question 0 and iteration)"),
+    ({"members": [2, 0]}, "line 2: question 0: members bits past its members"),
+], ids=["elapsed-0", "elapsed-inf", "repeated-answer", "stray-members-bit"])
+def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, problem):
+    # Named as ingest names them, by CSV line, before any file is opened.
+    columns = dict(worker=[0, 0], video=[0, 0], question=[0, 1], members=[1, 0],
+                   elapsed=[1.0, 2.0], iteration=[0, 0], gold=[False, False])
+    table = EventTable(("w",), ("v",), **{**columns, **edit})
+    path = tmp_path / "events.csv"
+    with pytest.raises(ValueError) as exc:
+        write_events_csv(table, singleton_taxonomy(2), path)
+    assert str(exc.value) == f"{path}: {problem}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_ingest_of_the_sidecar_equals_the_csv_parse(sample_tax, tmp_path_factory, data):
-    # Whatever the table, reading it back through the sidecar gives what the
-    # CSV alone gives: the same table or the same error.
+    # The sidecar the writer leaves is, byte for byte, the one ingest saves
+    # after it parses the CSV.
     table = data.draw(event_tables(sample_tax, ID_TEXT.filter(reads_back)))
     path = tmp_path_factory.mktemp("sidecar") / "events.csv"
-    write_events_csv(table, sample_tax, path)
-    with_sidecar = ingest_outcome(path, sample_tax)
-    sidecar_path(path).unlink(missing_ok=True)
-    assert with_sidecar == ingest_outcome(path, sample_tax)
+    try:
+        write_events_csv(table, sample_tax, path)
+    except ValueError:
+        return  # the round trip above checks the refusals
+    written = sidecar_path(path).read_bytes()
+    sidecar_path(path).unlink()
+    ingest(path, sample_tax)
+    assert sidecar_path(path).read_bytes() == written
 
 
 def group_ids_row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
@@ -1036,7 +1101,16 @@ def test_sidecar_of_another_taxonomy_is_ignored(sample_tax, small_events, tmp_pa
     assert ingest(path, reversed_members) == expected
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+def format_2(data: bytes) -> bytes:
+    """The sidecar as format 2 laid it out: its own format line, and a gate
+    byte a row (set where members are) after the question column."""
+    rows = int(np.frombuffer(data, "<i8", 1, len(campaign.SIDECAR_FORMAT) + 64)[0])
+    at = len(data) - rows * campaign.ROW_BYTES + 12 * rows  # past worker, video and question
+    gate = (np.frombuffer(data, "<u8", rows, at) != 0).astype("u1").tobytes()
+    return b"annocamp events table 2\n" + data[len(campaign.SIDECAR_FORMAT) : at] + gate + data[at:]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "format-2"])
 def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events, tmp_path,
                                                         caplog, damage):
     path = tmp_path / "events.csv"
@@ -1045,13 +1119,14 @@ def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events
     sidecar = sidecar_path(path)
     data = sidecar.read_bytes()
     sidecar.write_bytes({"truncated": data[: len(data) // 2], "garbage": b"PK\x03\x04 junk",
-                         "empty": b""}[damage])
+                         "empty": b"", "format-2": format_2(data)}[damage])
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
         assert [(r.name, r.levelname) for r in caplog.records] == [
             ("annocamp.campaign", "WARNING")
         ]
-        # The parse wrote a good sidecar in its place.
+        # The parse wrote a good sidecar, of this format, in its place.
+        assert sidecar.read_bytes() == data
         assert ingest(path, sample_tax) == expected
         assert len(caplog.records) == 1
 
@@ -1064,10 +1139,6 @@ def first_row(mask) -> int:
 TAMPERED = {
     "stray-member-bit": lambda t: {"members": np.where(
         np.arange(len(t)) == first_row(t.gate), np.uint64(1 << 40), t.members)},
-    "members-on-negative-gate": lambda t: {"members": np.where(
-        np.arange(len(t)) == first_row(~t.gate), np.uint64(1), t.members)},
-    "affirmative-without-members": lambda t: {"members": np.where(
-        np.arange(len(t)) == first_row(t.gate), np.uint64(0), t.members)},
     "unknown-question": lambda t: {"question": np.where(
         np.arange(len(t)) == 3, 999, t.question)},
     "worker-past-vocabulary": lambda t: {"worker": np.where(
@@ -1083,7 +1154,7 @@ def test_tampered_sidecar_is_not_trusted(sample_tax, small_events, tmp_path, cap
     path = tmp_path / "events.csv"
     write_events_csv(small_events, sample_tax, path)
     expected = csv_only(path, sample_tax)
-    key = campaign._sidecar_key(campaign._csv_digest(path.read_bytes()).digest(), sample_tax)
+    key = campaign._sidecar_key(hashlib.sha256(path.read_bytes()).digest(), sample_tax)
     tampered = dataclasses.replace(expected, **TAMPERED[tamper](expected))
     campaign._save_sidecar(path, key, tampered)
     with caplog.at_level(logging.WARNING, logger="annocamp"):
@@ -1262,7 +1333,7 @@ def test_worker_stats_median_against_sort_oracle(tax, behavior):
     stats = worker_stats_from_events(events)
     assert len(stats) == 10
     per_worker_tasks = {}
-    for worker, video, _, _, _, elapsed, iteration, _ in event_rows(events, tax):
+    for worker, video, _, _, elapsed, iteration, _ in event_rows(events, tax):
         per_worker_tasks.setdefault(worker, {}).setdefault((video, iteration), 0.0)
         per_worker_tasks[worker][(video, iteration)] += elapsed
     for s in stats:
@@ -1413,6 +1484,16 @@ def test_verification_queue_idempotent():
 def test_reproduce_unknown_name(tmp_path):
     with pytest.raises(ValueError, match="unknown experiment"):
         reproduce("nope", 0, tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("name, override", [("question-count-sweep", "videos"),
+                                            ("multi-iteration", "budget_minutes"),
+                                            ("length-breakdown", "videos")])
+def test_reproduce_names_an_override_the_experiment_does_not_take(tmp_path, name, override):
+    with pytest.raises(ValueError) as exc:
+        reproduce(name, 0, tmp_path / "x.csv", **{override: 5})
+    assert str(exc.value) == f"experiment {name!r} takes no override {override!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def read_csv(path):

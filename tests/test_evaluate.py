@@ -45,7 +45,6 @@ def table(rows, tax) -> EventTable:
         worker=[worker_row[r[0]] for r in rows],
         video=[video_row[r[1]] for r in rows],
         question=[r[2] for r in rows],
-        gate=[r[3] for r in rows],
         members=[members_mask(tax.question(r[2]), r[4]) if r[4] else 0 for r in rows],
         elapsed=[r[5] for r in rows],
         iteration=[r[6] for r in rows],
