@@ -70,6 +70,7 @@ from .workersim import (
     make_random_truth,
     sample_worker_pool,
     simulate_block,
+    slot_table,
 )
 
 # The events CSV columns; `gold` follows when a row is gold.
@@ -314,12 +315,15 @@ def simulate_campaign(
 
     Each pass lists the HITs' events in slot order, on the vocabularies of
     the pool's worker ids and the truths' video ids, which must be unique.
-    `pack_hits` gives the HITs' task and slot columns once, and the worker,
-    video and task columns `simulate_block` reads are built once; a pass is
-    one `simulate_block` call over all of its tasks. Every draw is a counter
-    draw keyed by the ids of the task's worker and video, so the events are
-    a pure function of the seed and do not depend on execution order.
-    Each pass assigns the HITs over the whole pool (default: one worker).
+    Built once, before the first pass: the HITs' task and slot columns
+    (`pack_hits`), the worker, video and task columns `simulate_block`
+    reads, and the slots' pass-invariant table (`slot_table`), whose video,
+    question and gold columns every pass's events share, read-only. A pass
+    is one `simulate_block` call over all of its tasks, which draws only
+    what its workers change. Every draw is a counter draw keyed by the ids
+    of the task's worker and video, so the events are a pure function of
+    the seed and do not depend on execution order. Each pass assigns the
+    HITs over the whole pool (default: one worker).
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
@@ -346,6 +350,8 @@ def simulate_campaign(
         "question": question_positions(tax, hits.question),
         "gold": hits.gold,
     }
+    tasks["slots"] = slot_table(tax, rows["truth"], rows["hard"], tasks["video"],
+                                tasks["lengths"], tasks["question"], tasks["gold"])
     del subset
     for iteration in range(iterations):
         picks = assign_workers(hits, pool, seed, iteration)
@@ -471,16 +477,16 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
         if rows and not 0 <= raw[name].min() <= raw[name].max() < len(ids):
             raise ValueError(f"a {name} code outside its {len(ids)} ids")
     table = EventTable(*vocabularies, **raw)
-    if _stray_members(table, tax).any():
+    if _stray_members(table.question, table.members, tax).any():
         raise ValueError("members bits past their question's members")
     return table
 
 
-def _stray_members(table: EventTable, tax: Taxonomy) -> np.ndarray:
+def _stray_members(question: np.ndarray, members: np.ndarray, tax: Taxonomy) -> np.ndarray:
     """Whether each row's members bits lie past its question's (TaxonomyError if unknown)."""
-    questions, question = dense_codes(table.question)
+    questions, question = dense_codes(question)
     limits = np.array([(1 << len(q.members)) - 1 for q in tax.questions], np.uint64)
-    return table.members > limits[question_positions(tax, questions)][question]
+    return members > limits[question_positions(tax, questions)][question]
 
 
 def _csv_fields(ids) -> list[str]:
@@ -526,9 +532,10 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
 
     A table `ingest` would not read back is a ValueError before the file is
     opened: an id that would not read back unchanged, or, by CSV line as
-    `ingest` names them, rows whose members bits lie past their question's
-    members, whose elapsed time is not positive and finite, or that repeat a
-    non-gold (worker, video, question, iteration). Each column's distinct
+    `ingest` names them, rows that name a question the taxonomy lacks, whose
+    members bits lie past their question's members, whose elapsed time is
+    not positive and finite, or that repeat a non-gold (worker, video,
+    question, iteration). Each column's distinct
     values are formatted once, and the rows joined ROW_CHUNK at a time. The
     table as `ingest` returns it goes to the CSV's sidecar (`sidecar_path`),
     keyed by the SHA-256 digest of the bytes written, unless its columns do
@@ -542,10 +549,14 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     breaks = [np.array([f.count("\n") + f.count("\r") - f.count("\r\n") for f in fs], np.int64)
               for fs in (workers, videos)]
     lines = 1 + np.cumsum(1 + breaks[0][table.worker] + breaks[1][table.video])
+    known = np.isin(table.question, tax.question_ids)
+    stray = np.flatnonzero(known)[_stray_members(table.question[known], table.members[known], tax)]
     _raise_problems(path, [
-        (lines[r], f"question {table.question[r]}: members bits past its members")
-        for r in np.flatnonzero(_stray_members(parsed, tax))
+        (lines[r], f"unknown question id {table.question[r]}") for r in np.flatnonzero(~known)
+    ] + [
+        (lines[r], f"question {table.question[r]}: members bits past its members") for r in stray
     ] + _row_problems(parsed, lines))
+    del known  # not held through the write
     answer, first = group_ids(table.question, table.members)
     texts = [f"{q},{int(mask != 0)},{';'.join(map(str, mask_members(tax.question(q), mask)))}"
              for q, mask in zip(table.question[first].tolist(), table.members[first].tolist())]

@@ -61,24 +61,36 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     duplicate events never contribute, and a label marked by two answers in
     one (video, iteration) gets one vote. Given `video_ids`, every event's
     video must be among them.
+
+    Coverage is one count of the answers per (video, iteration, question).
+    When no such triple has two answers and no label belongs to two
+    questions (`Taxonomy.one_question_per_label`), no label can be marked
+    twice in one (video, iteration), and the marks are counted as they are;
+    otherwise each (video, iteration, label) is kept once by `group_ids`.
     """
     evaluated = ~events.gold
     if not evaluated.any():
         raise ValueError("no events to aggregate")
+    if evaluated.all():
+        evaluated = slice(None)  # every row votes: read the columns as they are
     video = events.video[evaluated]
     slot = question_positions(taxonomy, events.question[evaluated])
     passes, iteration = dense_codes(events.iteration[evaluated])
     # Every (video, iteration) pair present must answer every question.
     pair = video * len(passes) + iteration
-    asked = np.zeros((len(events.video_ids) * len(passes), taxonomy.question_count), dtype=bool)
-    asked[pair, slot] = True
+    questions = taxonomy.question_count
+    answers = np.bincount(pair * questions + slot,
+                          minlength=len(events.video_ids) * len(passes) * questions)
+    answers = answers.reshape(-1, questions)
     gaps = [
         (events.video_ids[p // len(passes)], int(passes[p % len(passes)]),
-         [q.id for q, answered in zip(taxonomy.questions, asked[p]) if not answered])
-        for p in np.flatnonzero(asked.any(axis=1) & ~asked.all(axis=1)).tolist()
+         [q.id for q, count in zip(taxonomy.questions, answers[p].tolist()) if not count])
+        for p in np.flatnonzero(answers.any(axis=1) & ~answers.all(axis=1)).tolist()
     ]
     if gaps:
         raise IncompleteIterationError(sorted(gaps))
+    repeated = answers.max(initial=0) > 1 or not taxonomy.one_question_per_label
+    del answers
 
     if video_ids is None:
         seen = np.flatnonzero(np.bincount(video, minlength=len(events.video_ids)))
@@ -102,9 +114,11 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     bits = np.arange(table.shape[1], dtype=np.uint64)
     answer, bit = np.nonzero(events.members[evaluated][yes, None] >> bits & np.uint64(1))
     label = table[slot[yes][answer], bit]
-    marked = group_ids(pair[yes][answer], label)[1]
-    rows = row[yes][answer][marked]
-    votes = np.bincount(rows * labels + label[marked], minlength=len(video_ids) * labels)
+    rows = row[yes][answer]
+    if repeated:
+        marked = group_ids(pair[yes][answer], label)[1]
+        rows, label = rows[marked], label[marked]
+    votes = np.bincount(rows * labels + label, minlength=len(video_ids) * labels)
     return LabelMatrix(
         video_ids=video_ids,
         votes=votes.reshape(len(video_ids), labels).astype(np.int16),

@@ -67,8 +67,18 @@ def uniforms(keys, counters) -> np.ndarray:
 
 
 def key_order(keys) -> np.ndarray:
-    """Positions sorted by one counter uniform per key, along the last axis."""
-    return np.argsort(uniforms(keys, 0), axis=-1, kind="stable")
+    """Positions sorted by one counter uniform per key, along the last axis;
+    tied uniforms keep their positions' order.
+
+    Without ties every sort gives one order, so numpy's default sort is
+    used, and the stable sort only when two neighbours in sorted order tie.
+    """
+    u = uniforms(keys, 0)
+    positions = np.argsort(u, axis=-1)
+    ranked = np.take_along_axis(u, positions, axis=-1)
+    if (ranked[..., 1:] == ranked[..., :-1]).any():
+        return np.argsort(u, axis=-1, kind="stable")
+    return positions
 
 
 def order(master_seed: int, ids, *tags) -> np.ndarray:

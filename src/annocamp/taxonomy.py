@@ -41,18 +41,27 @@ class QuestionGroup:
     members: tuple[int, ...]
 
 
+# The widest question-id span, per question, that `question_positions`
+# looks up in a table indexed by id; a wider span is searched.
+LOOKUP_SPAN_PER_QUESTION = 8
+
+
 @dataclass(frozen=True)
 class Taxonomy:
     """Labels and top-level questions, with lookup arrays built once, read-only:
     `member_table` holds label ids by (question position, member bit), -1 past
-    a question's members, and `question_ids` the question ids by position."""
+    a question's members, and `question_ids` the question ids by position.
+    `one_question_per_label` says whether no label is a member of two
+    questions (`_validate` requires it; a Taxonomy built directly may not)."""
 
     labels: tuple[Label, ...]
     questions: tuple[QuestionGroup, ...]
     _question_index: dict = field(init=False, repr=False, compare=False)
     member_table: np.ndarray = field(init=False, repr=False, compare=False)
     question_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    one_question_per_label: bool = field(init=False, repr=False, compare=False)
     _id_order: np.ndarray = field(init=False, repr=False, compare=False)
+    _position_of: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width = max((len(q.members) for q in self.questions), default=0)
@@ -60,10 +69,19 @@ class Taxonomy:
         for row, q in enumerate(self.questions):
             table[row, : len(q.members)] = q.members
         ids = np.array([q.id for q in self.questions], dtype=np.int64)
+        members = [m for q in self.questions for m in q.members]
         object.__setattr__(self, "_question_index", {q.id: q for q in self.questions})
+        object.__setattr__(self, "one_question_per_label", len(set(members)) == len(members))
+        # Position by id offset from the lowest id, -1 where no question has
+        # the id, when the ids span few enough values.
+        position_of = None
+        if len(ids) and ids.max() - ids.min() < LOOKUP_SPAN_PER_QUESTION * len(ids):
+            position_of = np.full(ids.max() - ids.min() + 1, -1, dtype=np.intp)
+            position_of[ids - ids.min()] = np.arange(len(ids))
         for name, array in (("member_table", table), ("question_ids", ids),
-                            ("_id_order", np.argsort(ids))):
-            array.flags.writeable = False
+                            ("_id_order", np.argsort(ids)), ("_position_of", position_of)):
+            if array is not None:
+                array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     @property
@@ -249,11 +267,21 @@ def dense_codes(column) -> tuple[np.ndarray, np.ndarray]:
 def question_positions(tax: Taxonomy, question_ids: np.ndarray) -> np.ndarray:
     """Positions in tax.questions of an array of question ids.
 
-    Only the distinct ids (`dense_codes`, at most one per question unless an
-    id is unknown) are searched in the sorted taxonomy ids; the rows gather
-    their id's position, so the result is that of a search per row. An
-    unknown id is a TaxonomyError naming the first row's unknown id.
+    Where the taxonomy's ids span few values (`LOOKUP_SPAN_PER_QUESTION`),
+    each row looks its id up in the id -> position table the taxonomy built
+    once. Otherwise, or when a row's id is not in that table, only the
+    distinct ids (`dense_codes`, at most one per question unless an id is
+    unknown) are searched in the sorted taxonomy ids and the rows gather
+    their id's position; either way the result is that of a search per row.
+    An unknown id is a TaxonomyError naming the first row's unknown id.
     """
+    table = tax._position_of
+    if table is not None and len(question_ids):
+        low = tax.question_ids[tax._id_order[0]]
+        if low <= question_ids.min() and question_ids.max() <= low + len(table) - 1:
+            positions = table[question_ids - low]
+            if positions.min() >= 0:
+                return positions
     values, codes = dense_codes(question_ids)
     order, ids = tax._id_order, tax.question_ids[tax._id_order]
     found = np.minimum(np.searchsorted(ids, values), len(ids) - 1)

@@ -425,6 +425,61 @@ def _select_members(probs: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.n
     return (take.astype(np.uint64) << bit.astype(np.uint64)).sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """What a pass's slots hold whatever workers answer them, built once by
+    `slot_table` and read-only.
+
+    Per slot: `owner` (its task), `video` (its video row), `question` (its
+    question id) and `gold`; the last three are the event table's columns,
+    shared by every pass's table. `positive` lists the slots whose question
+    has a true member for the video and `hard_positive` those of them whose
+    true members are all hard; `gold_owner` and `gold_ordinal` give each gold
+    slot's task and its ordinal among the task's gold slots; `multi` lists
+    the non-gold slots of questions with more than one member.
+    """
+
+    owner: np.ndarray
+    video: np.ndarray
+    question: np.ndarray
+    gold: np.ndarray
+    positive: np.ndarray
+    hard_positive: np.ndarray
+    gold_owner: np.ndarray
+    gold_ordinal: np.ndarray
+    multi: np.ndarray
+
+
+def slot_table(tax: Taxonomy, truth: np.ndarray, hard: np.ndarray, video: np.ndarray,
+               lengths: np.ndarray, question: np.ndarray, gold: np.ndarray) -> SlotTable:
+    """The SlotTable of tasks about video rows `video`, task i holding the
+    lengths[i] consecutive slots of `question` (positions in tax.questions)
+    and `gold`, on the (videos x labels) `truth` matrix and `hard` mask."""
+    owner = np.repeat(np.arange(len(video)), lengths)
+    slot_video = video[owner]
+    # Past a question's members the label is -1: it indexes the last label,
+    # and `valid` masks it out.
+    members = tax.member_table[question]
+    valid = members >= 0
+    is_true = truth[slot_video[:, None], members] & valid
+    # A positive question is hard when all of its positive members are.
+    positive = np.flatnonzero(is_true.any(axis=1))
+    is_hard = hard[slot_video[positive, None], members[positive]]
+    all_hard = ~(is_true[positive] & ~is_hard).any(axis=1)
+    del is_true, is_hard, members  # freed before the columns are built
+    gold = np.array(gold, dtype=bool)
+    gold_owner = owner[gold]
+    columns = dict(
+        owner=owner, video=slot_video, question=tax.question_ids[question], gold=gold,
+        positive=positive, hard_positive=positive[all_hard], gold_owner=gold_owner,
+        gold_ordinal=np.arange(len(gold_owner)) - np.searchsorted(gold_owner, gold_owner),
+        multi=np.flatnonzero(~gold & valid[:, 1:].any(axis=1)),
+    )
+    for column in columns.values():
+        column.flags.writeable = False
+    return SlotTable(**columns)
+
+
 def simulate_block(
     behavior: WorkerBehavior,
     tax: Taxonomy,
@@ -450,6 +505,7 @@ def simulate_block(
     question: np.ndarray,
     gold: np.ndarray,
     iteration: int = 0,
+    slots: SlotTable | None = None,
 ) -> EventTable:
     """Simulate task i: worker row worker[i] answering a size[i]-question
     subset of `tax` about video row video[i].
@@ -461,13 +517,19 @@ def simulate_block(
     video row. Task i's events are its lengths[i] consecutive slots:
     `question` holds each slot's position in tax.questions and `gold` flags
     gold duplicates, the other slots naming each question of the subset
-    once. Each distinct size resolves its operating point once, in task
-    order. Draws are keyed by (seed, worker, video, iteration, subset key,
-    stream) and count question ids, member label ids or gold ordinals, so a
-    task's events depend neither on the other tasks nor on its slot order.
+    once. `slots` is `slot_table` of these columns; a caller that runs
+    several passes over one set of tasks builds it once and passes it, and
+    without it the call builds its own. The events' video, question and gold
+    columns are the table's, read-only. Each distinct size resolves its
+    operating point once, in task order. Draws are keyed by (seed, worker,
+    video, iteration, subset key, stream) and count question ids, member
+    label ids or gold ordinals, so a task's events depend neither on the
+    other tasks nor on its slot order.
     """
     if (size < 1).any():
         raise ValueError("a task needs at least one question")
+    if slots is None:
+        slots = slot_table(tax, truth, hard, video, lengths, question, gold)
     # The operating point of each distinct size, resolved in task order so
     # that the first subset without a measured effect is the one named.
     sizes, first = np.unique(size, return_index=True)
@@ -489,50 +551,42 @@ def simulate_block(
     def stream(name: str, at=slice(None)) -> np.ndarray:
         return fold(task[at], id_key(name))
 
-    # One entry per slot: its task, question id and member labels, and the
-    # truth and hard flags of those labels. Past a question's members the
-    # label is -1: it indexes the last label, and `valid` masks it out.
-    owner = np.repeat(np.arange(len(worker)), lengths)
-    slot_video = video[owner]
-    qid = tax.question_ids[question]
-    members = tax.member_table[question]
-    valid = members >= 0
-    is_true = truth[slot_video[:, None], members] & valid
-    is_hard = hard[slot_video[:, None], members]
-    del members
-
-    # A positive question is hard when all of its positive members are. A
-    # gold duplicate repeats a question known positive for the video; its
-    # gate is drawn by its ordinal among the task's gold slots.
-    positive = np.flatnonzero(is_true.any(axis=1))
+    # A slot says yes at the false-positive rate, at the easy recall on a
+    # positive question (times the hard multiplier when its true members are
+    # all hard), and at the spammer rate for a spammer.
+    owner, qid = slots.owner, slots.question
     p_yes = fp[size][owner]
-    p_yes[positive] = easy(owner[positive])
-    all_hard = ~(is_true[positive] & ~is_hard[positive]).any(axis=1)
-    p_yes[positive[all_hard]] *= hard_mult
-    p_yes[spam[owner]] = SPAMMER_YES_RATE
+    p_yes[slots.positive] = easy(owner[slots.positive])
+    p_yes[slots.hard_positive] *= hard_mult
+    if spam.any():
+        p_yes[spam[owner]] = SPAMMER_YES_RATE
     gate = uniforms(stream("gate")[owner], qid) < p_yes
     del p_yes
-    at = owner[gold]
-    ordinal = np.arange(len(at)) - np.searchsorted(at, at)
+    # A gold duplicate repeats a question known positive for the video; its
+    # gate is drawn by its ordinal among the task's gold slots.
+    at = slots.gold_owner
     p_gold = np.where(spam[at], SPAMMER_YES_RATE, easy(at))
-    gate[gold] = uniforms(stream("gold", at), ordinal) < p_gold
+    gate[slots.gold] = uniforms(stream("gold", at), slots.gold_ordinal) < p_gold
 
     # A yes selects the first member (bit 0) of a gold duplicate or a
     # one-member question. On a multi-member question a spammer picks one
     # member at random and an honest worker runs `_select_members`.
     mask = gate.astype(np.uint64)
-    multi = np.flatnonzero(gate & ~gold & valid[:, 1:].any(axis=1))
+    multi = slots.multi[gate[slots.multi]]
     if len(multi):
-        at, n = owner[multi], valid[multi].sum(axis=1)
+        at, members = owner[multi], tax.member_table[question[multi]]
+        valid = members >= 0
+        n = valid.sum(axis=1)
         spam_pick = (uniforms(stream("spam-pick", at), qid[multi]) * n).astype(np.uint64)
         rm = easy(at)[:, None]
-        probs = np.where(is_true[multi], np.where(is_hard[multi], rm * hard_mult, rm),
+        slot_video = slots.video[multi, None]  # label -1 past the members: masked by valid
+        is_true = truth[slot_video, members] & valid
+        probs = np.where(is_true, np.where(hard[slot_video, members], rm * hard_mult, rm),
                          fp[size[at]][:, None])
-        probs *= valid[multi]
-        u = uniforms(stream("members", at)[:, None], tax.member_table[question[multi]])
+        probs *= valid
+        u = uniforms(stream("members", at)[:, None], members)
         picks = _select_members(probs, u, n)
         mask[multi] = np.where(spam[at], np.uint64(1) << spam_pick, picks)
-    del valid, is_true, is_hard
 
     # Log-normal elapsed-time noise from a Box-Muller pair of uniforms, then
     # the task's expected seconds, the worker's speed and the modifiers'
@@ -549,9 +603,9 @@ def simulate_block(
     total /= size
     elapsed = total[owner]
     slot_worker = worker[owner]
-    del key, total, task, owner
-    return EventTable(worker_ids, video_ids, slot_worker, slot_video, qid, mask, elapsed,
-                      np.full(len(qid), iteration), gold.copy())
+    del key, total, task
+    return EventTable(worker_ids, video_ids, slot_worker, slots.video, qid, mask, elapsed,
+                      np.full(len(qid), iteration), slots.gold)
 
 
 def make_random_truth(

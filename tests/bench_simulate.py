@@ -4,6 +4,9 @@ Not collected by a plain `pytest` run (the file name does not start with
 `test_`); run them explicitly:
 
     python -m pytest tests/bench_simulate.py --benchmark-only
+
+With `--benchmark-disable` each benchmarked call runs once, untimed, and
+the file is a quick correctness pass.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from annocamp.campaign import gate_positives, pack_hits, simulate_campaign
 from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
-from annocamp.evaluate import truth_matrix
+from annocamp.evaluate import aggregate, truth_matrix
 from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
 from annocamp.workersim import (
     ModifierSet,
@@ -67,6 +70,28 @@ def test_simulate_one_pass(benchmark, tax, pool, k, videos):
 
     events = benchmark(one_pass)
     assert len(events) == videos * 52
+
+
+def test_simulate_k52_five_aggregated_passes(benchmark, tax, pool):
+    # The paper's method at 1000 videos: one campaign of five k = 52 passes,
+    # each aggregated as it is yielded. Only a campaign of several passes
+    # shows the work its passes share.
+    behavior = fit_hard_mixture(default_behavior())
+    truths = make_random_truth(1000, 52, behavior.prevalence, SEED)
+
+    def campaign():
+        rows = 0
+        for events in simulate_campaign(tax, truths, 52, 5, behavior, SEED, pool=pool):
+            assert aggregate(events, tax).iterations == 1
+            rows += len(events)
+        return rows
+
+    events = benchmark(campaign)
+    assert events == 5 * 1000 * 52
+    benchmark.extra_info["events"] = events
+    # Under --benchmark-disable nothing is timed, so there is no rate.
+    if benchmark.stats is not None:
+        benchmark.extra_info["events_per_s"] = events / benchmark.stats.stats.median
 
 
 def test_simulate_one_pass_k5_bias_grouping_150_sample_videos(benchmark):

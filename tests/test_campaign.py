@@ -618,14 +618,21 @@ def test_campaign_deterministic_and_shard_invariant(tax, behavior, seed, k, shar
 
 
 @pytest.mark.parametrize("k, modifiers", [(5, BIAS), (52, NONE)])
-def test_passes_share_no_column(tax, behavior, k, modifiers):
-    # A pass is one simulator call: no pass's column may be a view of the
-    # packed HITs or of another pass's column.
-    passes = list(simulate_campaign(tax, make_random_truth(6, 52, 3.7, seed=2), k, 2,
+def test_passes_share_only_read_only_columns(tax, behavior, k, modifiers):
+    # The passes' events share the campaign's slot table's video, question
+    # and gold columns, which are read-only; every other column is the
+    # pass's own, shared with no other column of any pass.
+    passes = list(simulate_campaign(tax, make_random_truth(6, 52, 3.7, seed=2), k, 3,
                                     behavior, seed=1, modifiers=modifiers))
-    columns = [getattr(events, f.name) for events in passes for f in dataclasses.fields(events)
-               if isinstance(getattr(events, f.name), np.ndarray)]
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(columns) for b in columns[:i])
+    columns = [(f.name, getattr(events, f.name)) for events in passes
+               for f in dataclasses.fields(events) if isinstance(getattr(events, f.name), np.ndarray)]
+    shared = {(x, y) for i, (x, a) in enumerate(columns) for y, b in columns[:i]
+              if np.shares_memory(a, b)}
+    assert shared == {("video", "video"), ("question", "question"), ("gold", "gold")}
+    for events in passes:
+        for name in ("video", "question", "gold"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(events, name)[0] = 0
 
 
 @pytest.mark.parametrize("bundled", [False, True])
@@ -725,12 +732,14 @@ def test_one_call_per_pass_equals_the_per_subset_loop(sample_tax, seed, k, modif
                                                       spammers):
     # Mixed subset sizes (k = 5, 7 and 10 leave a last subset of 2, 3 and
     # 2), every modifier set with its regime errors, spammers, gold
-    # duplicates and videos of different lengths.
+    # duplicates and videos of different lengths. Three passes: the slot
+    # table simulate_campaign builds once serves two passes after the first,
+    # while the reference builds its own in every call.
     behavior = fit_hard_mixture(default_behavior())
     truths = make_random_truth(len(durations), sample_tax.label_count, 3.7, seed, min_labels=1)
     truths = [dataclasses.replace(t, duration_seconds=d) for t, d in zip(truths, durations)]
     pool = sample_worker_pool(5, behavior, spammers, seed)
-    args = (sample_tax, truths, k, 2, behavior, seed)
+    args = (sample_tax, truths, k, 3, behavior, seed)
     expected = passes_or_error(per_subset_passes, *args, modifiers=modifiers, pool=pool)
     assert passes_or_error(simulate_campaign, *args, modifiers=modifiers, pool=pool) == expected
 
@@ -961,7 +970,8 @@ def test_write_events_csv_rejects_an_id_that_would_not_read_back(sample_tax, beh
     ({"question": [0, 0]},
      "line 3: duplicates line 2 (same worker, video, question 0 and iteration)"),
     ({"members": [2, 0]}, "line 2: question 0: members bits past its members"),
-], ids=["elapsed-0", "elapsed-inf", "repeated-answer", "stray-members-bit"])
+    ({"question": [0, 9]}, "line 3: unknown question id 9"),
+], ids=["elapsed-0", "elapsed-inf", "repeated-answer", "stray-members-bit", "unknown-question"])
 def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, problem):
     # Named as ingest names them, by CSV line, before any file is opened.
     columns = dict(worker=[0, 0], video=[0, 0], question=[0, 1], members=[1, 0],
@@ -972,6 +982,21 @@ def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, probl
         write_events_csv(table, singleton_taxonomy(2), path)
     assert str(exc.value) == f"{path}: {problem}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_events_csv_names_the_row_of_an_unknown_question(tmp_path):
+    table = EventTable(("w",), ("v",), worker=[0], video=[0], question=[9], members=[1],
+                       elapsed=[1.0], iteration=[0], gold=[False])
+    path = tmp_path / "events.csv"
+    with pytest.raises(ValueError) as exc:
+        write_events_csv(table, singleton_taxonomy(2), path)
+    assert str(exc.value) == f"{path}: line 2: unknown question id 9"
+    assert list(tmp_path.iterdir()) == []
+    # ingest names such a row in the same words.
+    path.write_text("worker,video,question,gate,members,elapsed,iteration\nw,v,9,1,9,1.0,0\n")
+    with pytest.raises(ValueError) as exc:
+        ingest(path, singleton_taxonomy(2))
+    assert str(exc.value) == f"{path}: line 2: unknown question id 9"
 
 
 @settings(max_examples=100, deadline=None)

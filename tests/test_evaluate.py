@@ -15,6 +15,9 @@ from annocamp.evaluate import (
     truth_matrix,
 )
 from annocamp.taxonomy import (
+    Label,
+    QuestionGroup,
+    Taxonomy,
     TaxonomyError,
     members_mask,
     question_positions,
@@ -102,6 +105,19 @@ def test_aggregate_ignores_gold():
     events.append(make_event("v0", 1, True, 0, gold=True))
     matrix = aggregate(table(events, tax), tax)
     assert not matrix.binary(1).any()
+
+
+def test_aggregate_gives_a_label_of_two_questions_one_vote():
+    # A Taxonomy built directly skips _validate, so a label may belong to two
+    # questions; answering both in one (video, iteration), with no question
+    # answered twice, marks it twice, and it still gets one vote.
+    tax = Taxonomy((Label(0, "a"), Label(1, "b")),
+                   (QuestionGroup(0, "a?", (0,)), QuestionGroup(1, "a or b?", (1, 0))))
+    assert not tax.one_question_per_label
+    events = EventTable(("w",), ("v",), worker=[0, 0], video=[0, 0], question=[0, 1],
+                        members=[1, 2], elapsed=[1.0, 1.0], iteration=[0, 0],
+                        gold=[False, False])
+    assert aggregate(events, tax).votes.tolist() == [[1, 0]]
 
 
 def test_aggregate_rejects_video_outside_ids():
@@ -252,9 +268,19 @@ _GAPPED_TAX = taxonomy_from_mapping({
 })
 
 
-@pytest.mark.parametrize("tax", [_ORACLE_TAX, _GAPPED_TAX], ids=["oracle", "gapped"])
+# Question ids spanning too many values for a lookup table: searched.
+_WIDE_TAX = taxonomy_from_mapping({
+    "labels": [{"id": i, "name": f"l{i}"} for i in range(3)],
+    "questions": [{"id": 400, "prompt": "a", "members": [0]},
+                  {"id": 10, "prompt": "b", "members": [1]},
+                  {"id": 12, "prompt": "c", "members": [2]}],
+})
+
+
+@pytest.mark.parametrize("tax", [_ORACLE_TAX, _GAPPED_TAX, _WIDE_TAX],
+                         ids=["oracle", "gapped", "wide"])
 @settings(max_examples=100, deadline=None)
-@given(ids=st.lists(st.sampled_from([-2, 0, 9, 10, 10, 11, 12, 12, 13, 15, 40])))
+@given(ids=st.lists(st.sampled_from([-2, 0, 9, 10, 10, 11, 12, 12, 13, 15, 40, 400])))
 @example(ids=[])
 @example(ids=[11, -1, 12])  # negative
 @example(ids=[10, 12, 16, 11, 9])  # outside the taxonomy's ids

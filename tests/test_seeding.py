@@ -9,7 +9,7 @@ import pytest
 from annocamp.campaign import pack_hits, run_campaign
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, metrics, truth_matrix
-from annocamp.seeding import draw_key, id_key, order, uniforms
+from annocamp.seeding import draw_key, id_key, id_keys, key_order, order, uniforms
 from annocamp.taxonomy import partition_questions, singleton_taxonomy
 from annocamp.workersim import default_behavior, hard_pairs, make_random_truth
 
@@ -64,6 +64,18 @@ def test_hard_mask_matches_scalar_and_fraction():
     se = np.sqrt(h * (1 - h) / mask.size)
     assert abs(mask.mean() - h) < 4 * se
     assert not hard_pairs(11, ["v0"], range(52), 0.0).any()
+
+
+@pytest.mark.parametrize("shape", [(1000,), (3, 400)])
+def test_key_order_keeps_tied_keys_in_position_order(shape):
+    # A repeated key draws a repeated uniform; numpy's default sort would
+    # reorder these ties, the stable sort keeps them by position.
+    keys = draw_key(3, id_keys(np.arange(np.prod(shape)) % 10)).reshape(shape)
+    stable = np.argsort(uniforms(keys, 0), axis=-1, kind="stable")
+    assert np.array_equal(key_order(keys), stable)
+    distinct = draw_key(3, id_keys(range(np.prod(shape)))).reshape(shape)
+    assert np.array_equal(key_order(distinct),
+                          np.argsort(uniforms(distinct, 0), axis=-1, kind="stable"))
 
 
 def test_order_hits_every_permutation_uniformly():
