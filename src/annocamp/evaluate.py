@@ -62,11 +62,12 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     one (video, iteration) gets one vote. Given `video_ids`, every event's
     video must be among them.
 
-    Coverage is one count of the answers per (video, iteration, question).
-    When no such triple has two answers and no label belongs to two
-    questions (`Taxonomy.one_question_per_label`), no label can be marked
-    twice in one (video, iteration), and the marks are counted as they are;
-    otherwise each (video, iteration, label) is kept once by `group_ids`.
+    Coverage marks each (video, iteration, question) answered. When as many
+    are marked as there are answers, none was answered twice; if also no
+    label belongs to two questions (`Taxonomy.one_question_per_label`), no
+    label can be marked twice in one (video, iteration), and the marks are
+    counted as they are. Otherwise `group_ids` keeps each (video,
+    iteration, label) once.
     """
     evaluated = ~events.gold
     if not evaluated.any():
@@ -78,19 +79,17 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     passes, iteration = dense_codes(events.iteration[evaluated])
     # Every (video, iteration) pair present must answer every question.
     pair = video * len(passes) + iteration
-    questions = taxonomy.question_count
-    answers = np.bincount(pair * questions + slot,
-                          minlength=len(events.video_ids) * len(passes) * questions)
-    answers = answers.reshape(-1, questions)
+    asked = np.zeros((len(events.video_ids) * len(passes), taxonomy.question_count), dtype=bool)
+    asked[pair, slot] = True
     gaps = [
         (events.video_ids[p // len(passes)], int(passes[p % len(passes)]),
-         [q.id for q, count in zip(taxonomy.questions, answers[p].tolist()) if not count])
-        for p in np.flatnonzero(answers.any(axis=1) & ~answers.all(axis=1)).tolist()
+         [q.id for q, answered in zip(taxonomy.questions, asked[p]) if not answered])
+        for p in np.flatnonzero(asked.any(axis=1) & ~asked.all(axis=1)).tolist()
     ]
     if gaps:
         raise IncompleteIterationError(sorted(gaps))
-    repeated = answers.max(initial=0) > 1 or not taxonomy.one_question_per_label
-    del answers
+    repeated = np.count_nonzero(asked) < len(pair) or not taxonomy.one_question_per_label
+    del asked
 
     if video_ids is None:
         seen = np.flatnonzero(np.bincount(video, minlength=len(events.video_ids)))

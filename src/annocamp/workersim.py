@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -425,8 +426,7 @@ def _select_members(probs: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.n
     return (take.astype(np.uint64) << bit.astype(np.uint64)).sum(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class SlotTable:
+class SlotTable(NamedTuple):
     """What a pass's slots hold whatever workers answer them, built once by
     `slot_table` and read-only.
 
