@@ -427,8 +427,8 @@ def _select_members(probs: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.n
 
 
 class SlotTable(NamedTuple):
-    """What a pass's slots hold whatever workers answer them, built once by
-    `slot_table` and read-only.
+    """The part of a pass's slots that does not depend on who answers them,
+    built once by `slot_table` and read-only.
 
     Per slot: `owner` (its task), `video` (its video row), `question` (its
     question id) and `gold`; the last three are the event table's columns,
