@@ -46,7 +46,7 @@ from .evaluate import (
 from .output import atomic_open, write_csv
 from .planner import (NO_MODIFIERS, BudgetConstraint, best_plan, enumerate_plans,
                       plan_iteration_minutes)
-from .seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
+from .seeding import draw_key, fold, id_key, id_keys, key_order, uniforms
 from .taxonomy import (
     SubsetPlan,
     Taxonomy,
@@ -148,6 +148,7 @@ def pack_hits(
     grouping: bool = False,
     known_positives: dict | None = None,
     prevalence: float = DEFAULT_PREVALENCE,
+    video_keys: np.ndarray | None = None,
 ) -> Hits:
     """Deterministically pack videos into HITs at the effort target.
 
@@ -163,6 +164,9 @@ def pack_hits(
     over all HITs at once, each distinct subset size fills its tasks'
     slots as one (subsets x videos x slots) block, and one argsort
     shuffles the slots of every task.
+
+    `video_keys`, the `id_keys` of video_ids, spares a caller that holds
+    them a second hashing of the ids.
     """
     video_ids = tuple(video_ids)
     if not video_ids:
@@ -173,7 +177,8 @@ def pack_hits(
     if positive_bias and not known_positives:
         raise ValueError("positive bias requires known positive questions per video")
     n = len(video_ids)
-    video_keys = id_keys(video_ids)
+    if video_keys is None:
+        video_keys = id_keys(video_ids)
     sizes = np.array(list(map(len, subset_plan.subsets)), dtype=np.int64)
     ids = np.fromiter(chain.from_iterable(subset_plan.subsets), dtype=np.int64)
     first_id = np.cumsum(sizes) - sizes  # each subset's offset in ids
@@ -265,13 +270,15 @@ def pack_hits(
                 question=slots[asked], gold=is_gold[asked])
 
 
-def assign_workers(hits, pool, seed: int, iteration: int) -> list[Worker]:
-    """One worker per HIT: a seeded shuffle of the pool's worker ids, cycled.
-    Every worker in the pool is eligible; QC flags do not remove anyone."""
-    if not pool:
+def assign_workers(hits, worker_keys, seed: int, iteration: int) -> np.ndarray:
+    """Each HIT's worker row: the pool's rows in a seeded shuffle,
+    order(seed, worker ids, "assign", iteration), cycled over the HITs.
+    `worker_keys` are the `id_keys` of the pool's worker ids, by row. Every
+    worker in the pool is eligible; QC flags do not remove anyone."""
+    if not len(worker_keys):
         raise ValueError("the worker pool is empty")
-    perm = order(seed, [w.worker_id for w in pool], "assign", iteration)
-    return [pool[perm[i % len(pool)]] for i in range(len(hits))]
+    perm = key_order(draw_key(seed, "assign", iteration, worker_keys))
+    return perm[np.arange(len(hits)) % len(perm)]
 
 
 def campaign_rows(tax: Taxonomy, truths, pool, behavior: WorkerBehavior, seed: int,
@@ -281,6 +288,7 @@ def campaign_rows(tax: Taxonomy, truths, pool, behavior: WorkerBehavior, seed: i
     hard-pair mask and the time model's base scaled to each duration), and
     the per-question seconds."""
     video_ids = tuple(t.video_id for t in truths)
+    video_keys = id_keys(video_ids)
     durations, duration = np.unique([t.duration_seconds for t in truths], return_inverse=True)
     base = [scale_base_for_duration(model, d).base_seconds for d in durations.tolist()]
     return {
@@ -290,9 +298,9 @@ def campaign_rows(tax: Taxonomy, truths, pool, behavior: WorkerBehavior, seed: i
         "time_scale": np.array([w.time_scale for w in pool]),
         "spammer": np.array([w.spammer for w in pool], dtype=bool),
         "video_ids": video_ids,
-        "video_keys": id_keys(video_ids),
+        "video_keys": video_keys,
         "truth": truth_matrix(truths, tax.label_count, video_ids=video_ids),
-        "hard": hard_pairs(seed, video_ids, range(tax.label_count), behavior.hard_fraction),
+        "hard": hard_pairs(seed, video_keys, range(tax.label_count), behavior.hard_fraction),
         "base_seconds": np.array(base)[duration],
         "per_question_seconds": model.per_question_seconds,
     }
@@ -331,31 +339,28 @@ def simulate_campaign(
     if pool is None:
         pool = [Worker("w0")]
     video_ids = tuple(t.video_id for t in truths)
-    worker_row = {w.worker_id: i for i, w in enumerate(pool)}
-    if len(set(video_ids)) < len(truths) or len(worker_row) < len(pool):
+    if len(set(video_ids)) < len(truths) or len({w.worker_id for w in pool}) < len(pool):
         raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
     plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed, model)
     known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
     hits = pack_hits(video_ids, plan, budget, model, seed, positive_bias=modifiers.positive_bias,
                      grouping=modifiers.grouping, known_positives=known,
-                     prevalence=behavior.prevalence)
+                     prevalence=behavior.prevalence, video_keys=rows["video_keys"])
     # Each task's subset, by which its size and draws are keyed.
     subset = hits.subset[hits.hit]
     tasks = {
         "video": hits.video,
         "size": np.array(list(map(len, plan.subsets)))[subset],
-        "subset_key": id_keys(range(len(plan.subsets)))[subset],
+        "subset": subset,
         "lengths": hits.lengths,
         "question": question_positions(tax, hits.question),
         "gold": hits.gold,
     }
     tasks["slots"] = slot_table(tax, rows["truth"], rows["hard"], tasks["video"],
                                 tasks["lengths"], tasks["question"], tasks["gold"])
-    del subset
     for iteration in range(iterations):
-        picks = assign_workers(hits, pool, seed, iteration)
-        worker = np.array([worker_row[w.worker_id] for w in picks])[hits.hit]
+        worker = assign_workers(hits, rows["worker_keys"], seed, iteration)[hits.hit]
         yield simulate_block(behavior, tax, modifiers, seed, iteration=iteration, worker=worker,
                              **rows, **tasks)
 

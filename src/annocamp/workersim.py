@@ -23,8 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, REFERENCE_VIDEO_SECONDS  # noqa: F401 (re-exported)
-from .seeding import draw_key, fold, id_key, id_keys, order, uniforms
-from .taxonomy import Taxonomy
+from .seeding import (MASK, draw_key, fold, id_key, id_keys, mix, order, uniforms, white_uniforms,
+                      whiten)
+from .taxonomy import Taxonomy, dense_codes
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -394,8 +395,10 @@ def sample_worker_pool(
     ]
 
 
-def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.ndarray:
-    """The shared hard set as a (videos x labels) boolean mask.
+def hard_pairs(master_seed: int, video_keys: np.ndarray, labels,
+               hard_fraction: float) -> np.ndarray:
+    """The shared hard set as a (videos x labels) boolean mask, the videos
+    given by the `id_keys` of their ids.
 
     A pair's draw depends only on the campaign seed and the pair, so every
     worker and every iteration sees the same difficulty (the correlation
@@ -403,8 +406,8 @@ def hard_pairs(master_seed: int, video_ids, labels, hard_fraction: float) -> np.
     """
     labels = np.asarray(labels, dtype=np.uint64)
     if hard_fraction <= 0.0:
-        return np.zeros((len(video_ids), len(labels)), dtype=bool)
-    keys = draw_key(master_seed, id_keys(video_ids), "hard-pair")
+        return np.zeros((len(video_keys), len(labels)), dtype=bool)
+    keys = draw_key(master_seed, video_keys, "hard-pair")
     return uniforms(keys[:, None], labels) < hard_fraction
 
 
@@ -500,7 +503,7 @@ def simulate_block(
     worker: np.ndarray,
     video: np.ndarray,
     size: np.ndarray,
-    subset_key: np.ndarray,
+    subset: np.ndarray,
     lengths: np.ndarray,
     question: np.ndarray,
     gold: np.ndarray,
@@ -508,7 +511,7 @@ def simulate_block(
     slots: SlotTable | None = None,
 ) -> EventTable:
     """Simulate task i: worker row worker[i] answering a size[i]-question
-    subset of `tax` about video row video[i].
+    subset of `tax` about video row video[i], the subset indexed subset[i].
 
     `worker_ids`, `worker_keys`, `recall_scale`, `time_scale` and `spammer`
     are indexed by worker row; `video_ids`, `video_keys`, `truth` and `hard`
@@ -522,9 +525,15 @@ def simulate_block(
     without it the call builds its own. The events' video, question and gold
     columns are the table's, read-only. Each distinct size resolves its
     operating point once, in task order. Draws are keyed by (seed, worker,
-    video, iteration, subset key, stream) and count question ids, member
-    label ids or gold ordinals, so a task's events depend neither on the
-    other tasks nor on its slot order.
+    video, iteration, subset, stream) and count question ids, member label
+    ids or gold ordinals, so a task's events depend neither on the other
+    tasks nor on its slot order. Workers, videos and subsets enter the key
+    by the `id_key` of their id (`worker_keys`, `video_keys`, `id_key` of
+    the subset index). The task keys are built by the vocabulary, not by the
+    task: the seed is folded into the pool's keys, the video keys and the
+    subset keys are whitened, and only then is each gathered to the tasks
+    and mixed in; the counters are whitened the same way, over the question
+    and label ids, before they are gathered to the slots.
     """
     if (size < 1).any():
         raise ValueError("a task needs at least one question")
@@ -532,9 +541,9 @@ def simulate_block(
         slots = slot_table(tax, truth, hard, video, lengths, question, gold)
     # The operating point of each distinct size, resolved in task order so
     # that the first subset without a measured effect is the one named.
-    sizes, first = np.unique(size, return_index=True)
+    sizes = dense_codes(size)[0].tolist()
     points = np.zeros((4, size.max(initial=0) + 1))
-    for k in sizes[np.argsort(first)].tolist():
+    for k in sorted(sizes, key=lambda k: (size == k).argmax()):
         point = apply_modifiers(behavior, modifiers, k)
         points[:, k] = point.recall, point.fp_rate, point.time_ratio, point.extra_seconds
     recall, fp, time_ratio, extra = points
@@ -546,27 +555,42 @@ def simulate_block(
         return easy_recall(r, behavior.hard_fraction, hard_mult)
 
     spam = spammer[worker]
-    task = draw_key(seed, worker_keys[worker], video_keys[video], iteration, subset_key)
+    # The task key folds (seed, worker, video, iteration, subset): the seed
+    # goes into the pool's keys before they are gathered per task, and the
+    # video and subset fields are whitened over their vocabularies first.
+    task = draw_key(seed, worker_keys)[worker]
+    task = mix(task, whiten(video_keys)[video])
+    task = mix(task, whiten(id_key(iteration)))
+    task = mix(task, whiten(id_keys(range(subset.max(initial=-1) + 1)))[subset])
+    # The slots' counters, whitened over their vocabularies: question ids,
+    # and member label ids with the padding label -1 (2**64 - 1) last.
+    white_question = whiten(tax.question_ids)
+    white_label = whiten(np.arange(tax.label_count + 1))
+    white_label[-1] = whiten(MASK)
 
     def stream(name: str, at=slice(None)) -> np.ndarray:
         return fold(task[at], id_key(name))
 
     # A slot says yes at the false-positive rate, at the easy recall on a
     # positive question (times the hard multiplier when its true members are
-    # all hard), and at the spammer rate for a spammer.
+    # all hard), and at the spammer rate for a spammer. The uniforms are
+    # drawn first, so that their key and counter arrays are freed before
+    # the probabilities are built.
     owner, qid = slots.owner, slots.question
+    u = white_uniforms(stream("gate")[owner], white_question[question])
     p_yes = fp[size][owner]
     p_yes[slots.positive] = easy(owner[slots.positive])
     p_yes[slots.hard_positive] *= hard_mult
     if spam.any():
         p_yes[spam[owner]] = SPAMMER_YES_RATE
-    gate = uniforms(stream("gate")[owner], qid) < p_yes
-    del p_yes
+    gate = u < p_yes
+    del u, p_yes
     # A gold duplicate repeats a question known positive for the video; its
     # gate is drawn by its ordinal among the task's gold slots.
     at = slots.gold_owner
-    p_gold = np.where(spam[at], SPAMMER_YES_RATE, easy(at))
-    gate[slots.gold] = uniforms(stream("gold", at), slots.gold_ordinal) < p_gold
+    if len(at):
+        p_gold = np.where(spam[at], SPAMMER_YES_RATE, easy(at))
+        gate[slots.gold] = uniforms(stream("gold", at), slots.gold_ordinal) < p_gold
 
     # A yes selects the first member (bit 0) of a gold duplicate or a
     # one-member question. On a multi-member question a spammer picks one
@@ -577,14 +601,15 @@ def simulate_block(
         at, members = owner[multi], tax.member_table[question[multi]]
         valid = members >= 0
         n = valid.sum(axis=1)
-        spam_pick = (uniforms(stream("spam-pick", at), qid[multi]) * n).astype(np.uint64)
+        spam_pick = white_uniforms(stream("spam-pick", at), white_question[question[multi]])
+        spam_pick = (spam_pick * n).astype(np.uint64)
         rm = easy(at)[:, None]
         slot_video = slots.video[multi, None]  # label -1 past the members: masked by valid
         is_true = truth[slot_video, members] & valid
         probs = np.where(is_true, np.where(hard[slot_video, members], rm * hard_mult, rm),
                          fp[size[at]][:, None])
         probs *= valid
-        u = uniforms(stream("members", at)[:, None], members)
+        u = white_uniforms(stream("members", at)[:, None], white_label[members])
         picks = _select_members(probs, u, n)
         mask[multi] = np.where(spam[at], np.uint64(1) << spam_pick, picks)
 

@@ -16,6 +16,7 @@ from annocamp.campaign import gate_positives, pack_hits, simulate_campaign
 from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, truth_matrix
+from annocamp.seeding import fold, id_key, id_keys, order
 from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
 from annocamp.workersim import (
     ModifierSet,
@@ -27,6 +28,14 @@ from annocamp.workersim import (
 )
 
 SEED = 1
+
+
+def record_rate(benchmark, events: int) -> None:
+    """Record the events a benchmarked call made and, when it was timed,
+    their rate; under --benchmark-disable nothing is timed."""
+    benchmark.extra_info["events"] = events
+    if benchmark.stats is not None:
+        benchmark.extra_info["events_per_s"] = events / benchmark.stats.stats.median
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +79,7 @@ def test_simulate_one_pass(benchmark, tax, pool, k, videos):
 
     events = benchmark(one_pass)
     assert len(events) == videos * 52
+    record_rate(benchmark, len(events))
 
 
 def test_simulate_k52_five_aggregated_passes(benchmark, tax, pool):
@@ -88,10 +98,7 @@ def test_simulate_k52_five_aggregated_passes(benchmark, tax, pool):
 
     events = benchmark(campaign)
     assert events == 5 * 1000 * 52
-    benchmark.extra_info["events"] = events
-    # Under --benchmark-disable nothing is timed, so there is no rate.
-    if benchmark.stats is not None:
-        benchmark.extra_info["events_per_s"] = events / benchmark.stats.stats.median
+    record_rate(benchmark, events)
 
 
 def test_simulate_one_pass_k5_bias_grouping_150_sample_videos(benchmark):
@@ -107,6 +114,25 @@ def test_simulate_one_pass_k5_bias_grouping_150_sample_videos(benchmark):
 
     events = benchmark(one_pass)
     assert events.gold.any() and len(events) > 150 * tax.question_count
+
+
+def test_order_50_ids(benchmark):
+    # One pass's worker assignment: a shuffle of a 50-worker pool.
+    ids = [f"w{i:04d}" for i in range(50)]
+    perm = benchmark(order, SEED, ids, "assign", 0)
+    assert sorted(perm.tolist()) == list(range(50))
+
+
+@pytest.mark.parametrize("slots", [0, 15_600], ids=["scalar", "array"])
+def test_fold(benchmark, slots):
+    # A stream tag and a counter folded into a key: Python ints, or the
+    # per-slot keys and question ids of a k = 1 pass over 300 videos.
+    if slots:
+        key, counter = id_keys(range(slots)), np.arange(slots, dtype=np.uint64) % 52
+    else:
+        key, counter = id_key(SEED), 3
+    bits = benchmark(fold, key, id_key("gate"), counter)
+    assert bits.dtype == np.uint64 and len(bits) == max(slots, 1)
 
 
 def test_fit_hard_mixture(benchmark):

@@ -1,5 +1,7 @@
 """Reference views shared by the test modules."""
 
+import numpy as np
+
 from annocamp.taxonomy import mask_members
 from annocamp.workersim import EVENT_FIELDS
 
@@ -15,3 +17,22 @@ def event_rows(table, tax) -> list[tuple]:
     columns["video"] = [table.video_ids[v] for v in columns["video"]]
     columns["members"] = [decoded[answer] for answer in answers]
     return list(zip(*columns.values()))
+
+
+def _reference_mix(x: np.ndarray) -> np.ndarray:
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x ^= x >> 31
+    return x
+
+
+def reference_fold(key, *fields) -> np.ndarray:
+    """`seeding.fold` as plain numpy: every step on uint64 arrays, a scalar
+    as a 1-element array, each field whitened after it is broadcast."""
+    key = np.atleast_1d(np.asarray(key, dtype=np.uint64))
+    for value in fields:
+        value = np.atleast_1d(np.asarray(value, dtype=np.uint64))
+        key = _reference_mix(key ^ _reference_mix(value + 0x9E3779B97F4A7C15))
+    return key

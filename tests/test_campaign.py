@@ -684,7 +684,7 @@ def per_subset_passes(tax, truths, k, iterations, behavior, seed, *, modifiers, 
     question subset, its tasks s*n to s*n+n-1, the calls joined by
     EventTable.concat."""
     video_ids = tuple(t.video_id for t in truths)
-    worker_row = {w.worker_id: i for i, w in enumerate(pool)}
+    worker_ids = [w.worker_id for w in pool]
     plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed)
     known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
@@ -697,12 +697,13 @@ def per_subset_passes(tax, truths, k, iterations, behavior, seed, *, modifiers, 
                for s, subset in enumerate(plan.subsets)]
     question = question_positions(tax, hits.question)
     for iteration in range(iterations):
-        picks = assign_workers(hits, pool, seed, iteration)
-        worker = np.array([worker_row[w.worker_id] for w in picks])[hits.hit]
+        # Each HIT's worker: the seeded shuffle of the pool, cycled.
+        perm = order(seed, worker_ids, "assign", iteration)
+        worker = perm[np.arange(len(hits)) % len(pool)][hits.hit]
         yield EventTable.concat(
             simulate_block(behavior, tax, modifiers, seed, iteration=iteration,
                            worker=worker[tasks], video=hits.video[tasks], size=np.full(n, size),
-                           subset_key=id_keys([s] * n), lengths=hits.lengths[tasks],
+                           subset=np.full(n, s), lengths=hits.lengths[tasks],
                            question=question[slots], gold=hits.gold[slots], **rows)
             for s, size, tasks, slots in subsets
         )

@@ -57,7 +57,7 @@ def simulate_one(behavior, tax, video, seed, *, questions=None, worker=Worker("w
     return simulate_block(
         behavior, tax, NONE, seed, **campaign_rows(tax, [video], [worker], behavior, seed),
         worker=np.array([0]), video=np.array([0]), size=np.array([len(questions)]),
-        subset_key=id_keys([subset_index]), lengths=np.array([len(slots)]),
+        subset=np.array([subset_index]), lengths=np.array([len(slots)]),
         question=question_positions(tax, np.array(ids)), gold=np.array(gold),
     )
 
@@ -232,12 +232,12 @@ def test_mixture_union_converges_to_reachable_mass():
 
 
 def test_hard_pairs_shared_across_workers():
-    flags = [hard_pairs(9, ["v1"], [3], 0.3)[0, 0] for _ in range(5)]
+    flags = [hard_pairs(9, id_keys(["v1"]), [3], 0.3)[0, 0] for _ in range(5)]
     assert len(set(flags)) == 1
-    mask = hard_pairs(9, [f"v{i}" for i in range(2000)], range(7), 0.3)
+    mask = hard_pairs(9, id_keys(f"v{i}" for i in range(2000)), range(7), 0.3)
     froze = mask[np.arange(2000), np.arange(2000) % 7]
     assert froze.mean() == pytest.approx(0.3, abs=0.05)
-    assert not hard_pairs(9, ["v1"], [3], 0.0)[0, 0]
+    assert not hard_pairs(9, id_keys(["v1"]), [3], 0.0)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_simulated_recall_monotone_in_r():
         events = simulate_block(
             b, tax, NONE, seed=77, **campaign_rows(tax, truths, [Worker("w0")], b, 77),
             worker=np.zeros(n, int), video=np.arange(n), size=np.full(n, 52),
-            subset_key=id_keys([0] * n), lengths=np.full(n, 52),
+            subset=np.zeros(n, dtype=np.int64), lengths=np.full(n, 52),
             question=np.tile(np.arange(52), n), gold=np.zeros(52 * n, bool),
         )
         scored = metrics(aggregate(events, tax).binary(1), truth)
@@ -448,7 +448,6 @@ def test_block_equals_its_split_into_runs(seed, k, data):
     worker = np.array(data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
                                          max_size=n), label="workers"))
     size = np.array([len(subsets[s]) for s in subset.tolist()])
-    subset_key = id_keys(subset.tolist())
     lengths = np.array([len(task) for task in tasks])
     offsets = np.concatenate([[0], np.cumsum(lengths)])
 
@@ -456,7 +455,7 @@ def test_block_equals_its_split_into_runs(seed, k, data):
         slots = slice(offsets[start], offsets[stop])
         return simulate_block(
             b, tax, NONE, seed, worker=worker[start:stop], video=np.arange(start, stop),
-            size=size[start:stop], subset_key=subset_key[start:stop],
+            size=size[start:stop], subset=subset[start:stop],
             lengths=lengths[start:stop], question=question_positions(tax, question[slots]),
             gold=gold[slots], **rows,
         )
