@@ -41,12 +41,13 @@ def id_keys(ids) -> np.ndarray:
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, in place on a fresh array x: a bijection of
-    uint64 with full avalanche."""
-    x ^= x >> 30
+    uint64 with full avalanche. The three shifts share one scratch array."""
+    shifted = x >> 30
+    x ^= shifted
     x *= 0xBF58476D1CE4E5B9
-    x ^= x >> 27
+    x ^= np.right_shift(x, 27, out=shifted)
     x *= 0x94D049BB133111EB
-    x ^= x >> 31
+    x ^= np.right_shift(x, 31, out=shifted)
     return x
 
 
