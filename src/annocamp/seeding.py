@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 MASK = (1 << 64) - 1
-GOLDEN = 0x9E3779B97F4A7C15  # added to a field before it is whitened
+GOLDEN = 0x9E3779B97F4A7C15  # added to a field as it is whitened
 
 
 @lru_cache(maxsize=1 << 16)

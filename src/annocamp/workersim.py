@@ -555,9 +555,7 @@ def simulate_block(
         return easy_recall(r, behavior.hard_fraction, hard_mult)
 
     spam = spammer[worker]
-    # The task key folds (seed, worker, video, iteration, subset): the seed
-    # goes into the pool's keys before they are gathered per task, and the
-    # video and subset fields are whitened over their vocabularies first.
+    # The task key: (seed, worker, video, iteration, subset) folded by vocabulary.
     task = draw_key(seed, worker_keys)[worker]
     task = mix(task, whiten(video_keys)[video])
     task = mix(task, whiten(id_key(iteration)))
