@@ -17,6 +17,7 @@ reconciles single-pass anchors with measured multi-pass recall.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -129,18 +130,32 @@ def easy_recall(r, hard_fraction, hard_multiplier):
     return np.minimum(1.0, r / np.where(denom > 0, denom, np.inf))
 
 
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _power(x, n: int):
+    """x ** n elementwise by the C library's pow, as on Python floats.
+
+    numpy's vectorized power may differ from it in the last bit, and does so
+    on some CPUs and not on others; the difficulty fit compares errors that
+    close, so its result would depend on the machine.
+    """
+    return np.asarray(_libm_pow(x, float(n)), dtype=float)[()]
+
+
 def mixture_union_recall(r, n: int, hard_fraction, hard_multiplier):
     """Expected recall after n union-aggregated passes at single-pass recall r.
 
     A fraction `hard_fraction` of positive pairs is found at a reduced rate;
     the easy-pair rate is inflated so the single-pass marginal stays r. r,
-    `hard_fraction` and `hard_multiplier` broadcast as numpy arrays.
+    `hard_fraction` and `hard_multiplier` broadcast as numpy arrays; the
+    result is the same to the bit on every machine.
     """
     h = hard_fraction
     m = hard_multiplier
     r_easy = easy_recall(r, h, m)
-    easy_term = (1.0 - h) * (1.0 - (1.0 - r_easy) ** n)
-    hard_term = h * (1.0 - (1.0 - m * r_easy) ** n)
+    easy_term = (1.0 - h) * (1.0 - _power(1.0 - r_easy, n))
+    hard_term = h * (1.0 - _power(1.0 - m * r_easy, n))
     return easy_term + hard_term
 
 
