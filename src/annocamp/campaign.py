@@ -55,7 +55,6 @@ from .taxonomy import (
     mask_members,
     members_mask,
     partition_questions,
-    question_positions,
     singleton_taxonomy,
 )
 from .workersim import (
@@ -89,9 +88,10 @@ class Hits:
     subset) and `expected_seconds`; each pays `pay`. Per task (one video of
     one HIT, in HIT order; a subset has one task per video): `hit`, `video`
     (its row in `video_ids`) and `lengths` (its slot count). Per slot, task
-    by task in the order asked: `question` (its id) and `gold` (a bias duplicate).
-    `pack_hits` builds each column for the whole pass at once, from one
-    packing-order draw and one slot block per distinct subset size.
+    by task in the order asked: `question` (its position in the taxonomy's
+    questions, read-only) and `gold` (a bias duplicate). `pack_hits` builds
+    each column for the whole pass at once, from one packing-order draw and
+    one slot block per distinct subset size.
     """
 
     video_ids: tuple[str, ...]
@@ -165,8 +165,9 @@ def pack_hits(
     slots as one (subsets x videos x slots) block, and one argsort
     shuffles the slots of every task.
 
-    `video_keys`, the `id_keys` of video_ids, spares a caller that holds
-    them a second hashing of the ids.
+    Slots hold question positions (`subset_plan.positions`); the known
+    positives and the draws go by question id. `video_keys`, the `id_keys`
+    of video_ids, spares a caller that holds them a second hashing of the ids.
     """
     video_ids = tuple(video_ids)
     if not video_ids:
@@ -181,6 +182,7 @@ def pack_hits(
         video_keys = id_keys(video_ids)
     sizes = np.array(list(map(len, subset_plan.subsets)), dtype=np.int64)
     ids = np.fromiter(chain.from_iterable(subset_plan.subsets), dtype=np.int64)
+    positions = np.fromiter(chain.from_iterable(subset_plan.positions), dtype=np.int64)
     first_id = np.cumsum(sizes) - sizes  # each subset's offset in ids
     subset_keys = id_keys(range(len(sizes)))
     # Row s is subset s's packing order, the shuffle order(seed, video_ids,
@@ -202,7 +204,12 @@ def pack_hits(
         pools = [known_positives.get(v) or () for v in video_ids]
         pool_len = np.array(list(map(len, pools)), dtype=np.int64)
         pool_start = np.cumsum(pool_len) - pool_len
-        pooled = np.array([q for pool in pools for q in pool], dtype=np.int64)
+        position = dict(zip(ids.tolist(), positions.tolist()))
+        try:
+            pooled = np.array([position[q] for pool in pools for q in pool], dtype=np.int64)
+        except KeyError as exc:
+            unknown = exc.args[0]
+            raise ValueError(f"known positive question id {unknown} is not in the plan") from None
         # A HIT's duplicates go round-robin over its donors (the videos with
         # known positives, in pack order); a video's j-th gold slot repeats
         # its known positive j modulo their count.
@@ -229,13 +236,13 @@ def pack_hits(
     slots = np.empty((len(sizes), 1 if alike else n, lengths.max()), dtype=np.int64)
     for size_index, size in enumerate(distinct.tolist()):
         rows = np.flatnonzero(size_at == size_index)
-        subset_ids = ids[first_id[rows, None] + np.arange(size)]
-        base = subset_ids[:, None, :]  # every video of a subset alike
+        at = first_id[rows, None] + np.arange(size)
+        base = positions[at][:, None, :]  # every video of a subset alike
         if grouping and size > 1:
             # One question order shared by every video of a HIT: chunk c of
             # subset s has order(seed, subset, s, c, "order").
             chunk_keys = id_keys(range(chunks[rows[0]]))[:, None]
-            question_keys = id_keys(subset_ids.ravel().tolist()).reshape(len(rows), 1, size)
+            question_keys = id_keys(ids[at].ravel().tolist()).reshape(len(rows), 1, size)
             shared = key_order(draw_key(seed, subset_keys[rows, None, None], chunk_keys, "order",
                                         question_keys))
             base = np.take_along_axis(base, shared, axis=2)[:, chunk[rows[0]]]
@@ -264,10 +271,12 @@ def pack_hits(
         slots = placed
     asked = width < lengths[..., None]
     slots, is_gold = np.broadcast_to(slots, asked.shape), np.broadcast_to(is_gold, asked.shape)
+    question = slots[asked]
+    question.flags.writeable = False
     return Hits(video_ids, subset=hit_subset, chunk=hit_chunk,
                 expected_seconds=chunk_len * seconds[hit_subset], pay=budget.pay_per_hit,
                 hit=hit, video=packed.ravel(), lengths=lengths.ravel(),
-                question=slots[asked], gold=is_gold[asked])
+                question=question, gold=is_gold[asked])
 
 
 def assign_workers(hits, worker_keys, seed: int, iteration: int) -> np.ndarray:
@@ -326,12 +335,12 @@ def simulate_campaign(
     Built once, before the first pass: the HITs' task and slot columns
     (`pack_hits`), the worker, video and task columns `simulate_block`
     reads, and the slots' pass-invariant table (`slot_table`), whose video,
-    question and gold columns every pass's events share, read-only. A pass
-    is one `simulate_block` call over all of its tasks, which draws only
-    what its workers change. Every draw is a counter draw keyed by the ids
-    of the task's worker and video, so the events are a pure function of
-    the seed and do not depend on execution order. Each pass assigns the
-    HITs over the whole pool (default: one worker).
+    question (the HITs' own) and gold columns every pass's events share,
+    read-only. A pass is one `simulate_block` call over its tasks, which
+    draws only what its workers change. Every draw is a counter draw keyed
+    by the ids of the task's worker and video, so the events are a pure
+    function of the seed and do not depend on execution order. Each pass
+    assigns the HITs over the whole pool (default: one worker).
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
@@ -354,7 +363,7 @@ def simulate_campaign(
         "size": np.array(list(map(len, plan.subsets)))[subset],
         "subset": subset,
         "lengths": hits.lengths,
-        "question": question_positions(tax, hits.question),
+        "question": hits.question,
         "gold": hits.gold,
     }
     tasks["slots"] = slot_table(tax, rows["truth"], rows["hard"], tasks["video"],
@@ -378,7 +387,7 @@ def run_campaign(*args, **kwargs) -> EventTable:
 logger = logging.getLogger(__name__)
 
 # The first line of every sidecar; a file of another layout never reads.
-SIDECAR_FORMAT = b"annocamp events table 3\n"
+SIDECAR_FORMAT = b"annocamp events table 4\n"
 # Each EVENT_FIELDS column's dtype in the sidecar, in field order.
 SIDECAR_DTYPES = {name: np.dtype(dtype) for name, dtype in (
     ("worker", "<i4"), ("video", "<i4"), ("question", "<i4"), ("members", "<u8"),
@@ -408,7 +417,8 @@ def _save_sidecar(events, key: bytes, table: EventTable) -> None:
     The file is SIDECAR_FORMAT, the key, the row count and the two
     vocabulary sizes (`<i8`), each id's UTF-8 length (`<i8`, workers then
     videos), the ids' bytes, then each stored column's raw bytes in its
-    SIDECAR_DTYPES dtype, ROW_BYTES a row. `gate` is not stored: the table
+    SIDECAR_DTYPES dtype, ROW_BYTES a row: `question` holds positions in
+    tax.questions, as the table does. `gate` is not stored: the table
     derives it from `members`. The parts are written one by one.
     """
     for name, dtype in SIDECAR_DTYPES.items():
@@ -452,9 +462,9 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     The parts are read in order, each column straight into an array, and
     the file's size must be exactly what its counts give. A ValueError
     names the first way the file is not a sidecar (or one of another
-    format), or holds a table no CSV gives: a question the taxonomy lacks,
-    members bits past the question's members (`_stray_members`), an id code
-    outside its vocabulary, or a gold flag not 0 or 1.
+    format), or holds a table no CSV gives: a question position outside the
+    taxonomy, members bits past the question's members (`_stray_members`),
+    an id code outside its vocabulary, or a gold flag not 0 or 1.
     """
     size, head_size = os.fstat(fh.fileno()).st_size, len(SIDECAR_FORMAT) + len(key) + 24
     head = fh.read(head_size)
@@ -478,9 +488,9 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     raw = {name: np.fromfile(fh, dtype, rows) for name, dtype in SIDECAR_DTYPES.items()}
     if rows and raw["gold"].max() > 1:
         raise ValueError("a gold flag is neither 0 nor 1")
-    for name, ids in zip(("worker", "video"), vocabularies):
-        if rows and not 0 <= raw[name].min() <= raw[name].max() < len(ids):
-            raise ValueError(f"a {name} code outside its {len(ids)} ids")
+    for name, count in zip(("worker", "video", "question"), (*sizes, tax.question_count)):
+        if rows and not 0 <= raw[name].min() <= raw[name].max() < count:
+            raise ValueError(f"a {name} code outside its {count} values")
     table = EventTable(*vocabularies, **raw)
     if _stray_members(table.question, table.members, tax).any():
         raise ValueError("members bits past their question's members")
@@ -488,10 +498,9 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
 
 
 def _stray_members(question: np.ndarray, members: np.ndarray, tax: Taxonomy) -> np.ndarray:
-    """Whether each row's members bits lie past its question's (TaxonomyError if unknown)."""
-    questions, question = dense_codes(question)
+    """Whether each row's members bits lie past its question's (a position)."""
     limits = np.array([(1 << len(q.members)) - 1 for q in tax.questions], np.uint64)
-    return members > limits[question_positions(tax, questions)][question]
+    return members > limits[question]
 
 
 def _csv_fields(ids) -> list[str]:
@@ -527,7 +536,7 @@ def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
 
 
 def _answer_columns(answers: list, code) -> tuple:
-    """The question and members columns of answer codes into `answers`."""
+    """The question (position) and members columns of answer codes into `answers`."""
     question, members = zip(*answers) if answers else ((), ())
     return np.array(question, np.int64)[code], np.array(members, np.uint64)[code]
 
@@ -535,13 +544,14 @@ def _answer_columns(answers: list, code) -> tuple:
 def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     """Write an event table as CSV; the `gold` column appears iff a row is gold.
 
+    The table names questions by position in tax.questions, the CSV by id.
     A table `ingest` would not read back is a ValueError before the file is
-    opened: an id that would not read back unchanged, or, by CSV line as
-    `ingest` names them, rows that name a question the taxonomy lacks, whose
-    members bits lie past their question's members, whose elapsed time is
-    not positive and finite, or that repeat a non-gold (worker, video,
-    question, iteration). Each column's distinct
-    values are formatted once, and the rows joined ROW_CHUNK at a time. The
+    opened: an id that would not read back unchanged, or, by CSV line, rows
+    whose question position is outside the taxonomy, whose members bits lie
+    past their question's members, whose elapsed time is not positive and
+    finite, or that repeat a non-gold (worker, video, question, iteration).
+    Each column's distinct values (each answer's id and members, say) are
+    formatted once, and each ROW_CHUNK of rows is joined at once. The
     table as `ingest` returns it goes to the CSV's sidecar (`sidecar_path`),
     keyed by the SHA-256 digest of the bytes written, unless its columns do
     not fit the sidecar's narrow dtypes.
@@ -554,17 +564,21 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     breaks = [np.array([f.count("\n") + f.count("\r") - f.count("\r\n") for f in fs], np.int64)
               for fs in (workers, videos)]
     lines = 1 + np.cumsum(1 + breaks[0][table.worker] + breaks[1][table.video])
-    known = np.isin(table.question, tax.question_ids)
+    count = tax.question_count
+    known = (table.question >= 0) & (table.question < count)
     stray = np.flatnonzero(known)[_stray_members(table.question[known], table.members[known], tax)]
     _raise_problems(path, [
-        (lines[r], f"unknown question id {table.question[r]}") for r in np.flatnonzero(~known)
+        (lines[r], f"unknown question position {table.question[r]} (the taxonomy has {count} "
+                   "questions)") for r in np.flatnonzero(~known)
     ] + [
-        (lines[r], f"question {table.question[r]}: members bits past its members") for r in stray
-    ] + _row_problems(parsed, lines))
+        (lines[r], f"question {tax.question_ids[table.question[r]]}: members bits past its "
+                   "members") for r in stray
+    ] + _row_problems(parsed, lines, tax))
     del known  # not held through the write
     answer, first = group_ids(table.question, table.members)
-    texts = [f"{q},{int(mask != 0)},{';'.join(map(str, mask_members(tax.question(q), mask)))}"
-             for q, mask in zip(table.question[first].tolist(), table.members[first].tolist())]
+    texts = [f"{q.id},{int(mask != 0)},{';'.join(map(str, mask_members(q, mask)))}"
+             for q, mask in zip(map(tax.questions.__getitem__, table.question[first].tolist()),
+                                table.members[first].tolist())]
     seconds, elapsed = dense_codes(table.elapsed)
     iterations, iteration = dense_codes(table.iteration)
     columns = [
@@ -582,9 +596,9 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
         chunks = (
-            "".join([",".join(row) + "\n" for row in zip(*(
+            "\n".join(map(",".join, zip(*(
                 values[codes[start : start + ROW_CHUNK]].tolist() for values, codes in columns
-            ))])
+            )))) + "\n"
             for start in range(0, len(table), ROW_CHUNK)
         )
         for text in chain([header], chunks):
@@ -603,22 +617,24 @@ def _parse_bool(raw: str, column: str) -> bool:
 
 
 def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
-    """Index in `answers` of a raw (question, gate, members) answer, appended
-    as (question id, members mask); or the reason it is invalid."""
+    """Index in `answers` of a raw (question id, gate, members) answer, appended
+    as (question position, members mask); or the reason it is invalid."""
     try:
         question_id, gate = int(raw[0]), _parse_bool(raw[1], "gate")
         labels = [int(m) for m in raw[2].split(";") if m.strip()]
         selected = expand_answer(tax, question_id, gate, labels)
     except ValueError as exc:
         return str(exc)
-    answers.append((question_id, members_mask(tax.question(question_id), selected)))
+    position = tax.position(question_id)
+    answers.append((position, members_mask(tax.questions[position], selected)))
     return len(answers) - 1
 
 
-def _row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
+def _row_problems(table: EventTable, lines, tax: Taxonomy) -> list[tuple[int, str]]:
     """(line, reason) for each row the table-wide checks reject: a
     non-positive or non-finite elapsed time, or a second non-gold answer to
-    one (worker, video, question, iteration). Row r is on line lines[r].
+    one (worker, video, question, iteration), named by the question's id in
+    `tax`. Row r is on line lines[r].
 
     A repeat is looked for by sorting the checked rows' mixed-radix key of
     (worker, video, iteration, question), the vocabulary codes as they are
@@ -642,18 +658,20 @@ def _row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
     original = kept[first[task]]
     for row, first_row in zip(kept[original != kept], original[original != kept]):
         problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
-                         f"video, question {table.question[row]} and iteration)"))
+                         f"video, question {tax.question_ids[table.question[row]]} and "
+                         "iteration)"))
     return problems
 
 
 def ingest(source, tax: Taxonomy) -> EventTable:
     """The event table of an event CSV, validated, with its gold column.
 
+    The CSV names questions by id, the table by position in tax.questions.
     One ValueError names every bad row by line, the first 20 of them: a row
     with too few fields, a value that does not parse, an answer
-    `expand_answer` rejects (a gate that disagrees with its members, say), a
-    non-positive or non-finite elapsed time, or a second non-gold answer to
-    one (worker, video, question, iteration).
+    `expand_answer` rejects (an unknown question id, say), a non-positive
+    or non-finite elapsed time, or a second non-gold answer to one (worker,
+    video, question, iteration).
 
     The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
     keyed by the SHA-256 digests of the CSV's bytes and of the taxonomy's
@@ -665,7 +683,7 @@ def ingest(source, tax: Taxonomy) -> EventTable:
     data = Path(source).read_bytes()
     key = _sidecar_key(hashlib.sha256(data).digest(), tax)
     table = _load_sidecar(source, key, tax)
-    if table is not None and not _row_problems(table, range(len(table))):
+    if table is not None and not _row_problems(table, range(len(table)), tax):
         return table
     table = _parse_events(source, data, tax)
     _save_sidecar(source, key, table)
@@ -714,7 +732,7 @@ def _parse_events(source, data: bytes, tax: Taxonomy) -> EventTable:
     worker, video, code, iteration, gold = np.frombuffer(fields, np.int64).reshape(-1, 5).T
     table = EventTable(tuple(workers), tuple(videos), worker, video,
                        *_answer_columns(answers, code), np.frombuffer(elapsed), iteration, gold)
-    _raise_problems(source, problems + _row_problems(table, lines))
+    _raise_problems(source, problems + _row_problems(table, lines, tax))
     return table
 
 
@@ -730,7 +748,8 @@ def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
     """Per-worker task counts, median task seconds, gold recall, positive rate.
 
     Gold rows count only towards gold recall. A task is one (worker, video,
-    iteration); its seconds are summed in row order.
+    iteration); its seconds are summed in row order. One stable sort by
+    worker splits the task seconds into each worker's, in task order.
     """
     n, gold = len(table.worker_ids), table.gold
     worker = table.worker[~gold]
@@ -740,9 +759,12 @@ def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
     yes = np.bincount(worker[table.gate[~gold]], minlength=n)
     gold_asked = np.bincount(table.worker[gold], minlength=n)
     gold_yes = np.bincount(table.worker[gold & table.gate], minlength=n)
+    task_worker = worker[first]
+    bounds = [0, *np.cumsum(np.bincount(task_worker, minlength=n)).tolist()]
+    by_worker = seconds[np.argsort(task_worker, kind="stable")].tolist()
     stats = []
     for w in sorted(np.flatnonzero(answered).tolist(), key=table.worker_ids.__getitem__):
-        durations = seconds[worker[first] == w].tolist()
+        durations = by_worker[bounds[w] : bounds[w + 1]]
         stats.append(
             WorkerStats(
                 worker_id=table.worker_ids[w],
@@ -824,9 +846,9 @@ def build_verification_queue(
 ) -> list[VerificationTask]:
     """One verification task per unverified predicted-positive pair."""
     done = set(already_verified)
-    pairs = zip(*(a.tolist() for a in matrix.binary(threshold).nonzero()))
-    positives = ((matrix.video_ids[row], label) for row, label in pairs)
-    return [VerificationTask(*pair) for pair in positives if pair not in done]
+    row, label = matrix.binary(threshold).nonzero()
+    pairs = zip(np.array(matrix.video_ids, dtype=object)[row].tolist(), label.tolist())
+    return [VerificationTask(*pair) for pair in pairs if pair not in done]
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1001,7 @@ def _experiment_worker_correlations(seed: int):
     pool = sample_worker_pool(30, behavior, 0.0, seed)
     events = run_campaign(tax, truths, 52, 2, behavior, seed, pool=pool)
     # An event is positive when its question has a member the video shows.
-    members = tax.member_table[question_positions(tax, events.question)]
+    members = tax.member_table[events.question]
     truth = truth_matrix(truths, tax.label_count, video_ids=events.video_ids)
     positive = (truth[events.video[:, None], members] & (members >= 0)).any(axis=1)
     n = len(events.worker_ids)

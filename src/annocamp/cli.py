@@ -156,7 +156,7 @@ def cmd_pack_hits(args, config: dict) -> int:
         config["time_model"], args.seed, positive_bias=args.positive_bias,
         grouping=args.grouping, known_positives=known, prevalence=config["prevalence"],
     )
-    slots = iter(zip(hits.question.tolist(), hits.gold.tolist()))
+    slots = iter(zip(tax.question_ids[hits.question].tolist(), hits.gold.tolist()))
     tasks = iter(zip(hits.video.tolist(), hits.lengths.tolist()))
     doc = []
     for hit_id, subset, count, seconds in zip(hits.hit_ids, hits.subset.tolist(),
@@ -223,11 +223,10 @@ def cmd_aggregate(args, config: dict) -> int:
     _, _, matrix = _aggregated(args, config)
     binary = matrix.binary(args.threshold)
     header = ["video", "label", "votes", "positive"]
-    rows = [
-        [matrix.video_ids[row], label, int(matrix.votes[row, label]), int(binary[row, label])]
-        for row, label in zip(*(a.tolist() for a in matrix.votes.nonzero()))
-    ]
-    write_csv(args.out, header, rows)
+    row, label = matrix.votes.nonzero()
+    columns = (np.array(matrix.video_ids, dtype=object)[row], label, matrix.votes[row, label],
+               binary[row, label].view(np.uint8))
+    write_csv(args.out, header, zip(*(column.tolist() for column in columns)))
     return 0
 
 

@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .taxonomy import Taxonomy, dense_codes, question_positions
+from .taxonomy import Taxonomy, TaxonomyError, dense_codes
 
 
 class IncompleteIterationError(ValueError):
@@ -56,7 +56,9 @@ class Metrics:
 def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     """Fold an event table into a LabelMatrix of per-iteration votes.
 
-    Every (video, iteration) present in the table must cover all top-level
+    The table names each question by its position in `taxonomy.questions`,
+    which indexes the taxonomy's member table as it is; a position outside
+    it is a TaxonomyError. Every (video, iteration) present in the table must cover all top-level
     questions, otherwise IncompleteIterationError lists the gaps. Gold
     duplicate events never contribute, and a label marked by two answers in
     one (video, iteration) gets one vote. Given `video_ids`, every event's
@@ -75,7 +77,11 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     if evaluated.all():
         evaluated = slice(None)  # every row votes: read the columns as they are
     video = events.video[evaluated]
-    slot = question_positions(taxonomy, events.question[evaluated])
+    slot = events.question[evaluated]
+    if not 0 <= slot.min() <= slot.max() < taxonomy.question_count:
+        outside = slot[(slot < 0) | (slot >= taxonomy.question_count)][0]
+        raise TaxonomyError(f"unknown question position {outside} "
+                            f"(the taxonomy has {taxonomy.question_count} questions)")
     passes, iteration = dense_codes(events.iteration[evaluated])
     # Every (video, iteration) pair present must answer every question.
     pair = video * len(passes) + iteration

@@ -41,17 +41,13 @@ class QuestionGroup:
     members: tuple[int, ...]
 
 
-# The widest question-id span, per question, that `question_positions`
-# looks up in a table indexed by id; a wider span is searched.
-LOOKUP_SPAN_PER_QUESTION = 8
-
-
 @dataclass(frozen=True)
 class Taxonomy:
     """Labels and top-level questions, with lookup arrays built once, read-only:
     `member_table` holds label ids by (question position, member bit), -1 past
     a question's members, and `question_ids` the question ids by position.
-    `one_question_per_label` says whether no label is a member of two
+    Event and slot tables name a question by its position; `position` maps an
+    id to it. `one_question_per_label` says whether no label is a member of two
     questions (`_validate` requires it; a Taxonomy built directly may not)."""
 
     labels: tuple[Label, ...]
@@ -60,8 +56,6 @@ class Taxonomy:
     member_table: np.ndarray = field(init=False, repr=False, compare=False)
     question_ids: np.ndarray = field(init=False, repr=False, compare=False)
     one_question_per_label: bool = field(init=False, repr=False, compare=False)
-    _id_order: np.ndarray = field(init=False, repr=False, compare=False)
-    _position_of: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width = max((len(q.members) for q in self.questions), default=0)
@@ -70,18 +64,11 @@ class Taxonomy:
             table[row, : len(q.members)] = q.members
         ids = np.array([q.id for q in self.questions], dtype=np.int64)
         members = [m for q in self.questions for m in q.members]
-        object.__setattr__(self, "_question_index", {q.id: q for q in self.questions})
+        object.__setattr__(self, "_question_index",
+                           {q.id: p for p, q in enumerate(self.questions)})
         object.__setattr__(self, "one_question_per_label", len(set(members)) == len(members))
-        # Position by id offset from the lowest id, -1 where no question has
-        # the id, when the ids span few enough values.
-        position_of = None
-        if len(ids) and ids.max() - ids.min() < LOOKUP_SPAN_PER_QUESTION * len(ids):
-            position_of = np.full(ids.max() - ids.min() + 1, -1, dtype=np.intp)
-            position_of[ids - ids.min()] = np.arange(len(ids))
-        for name, array in (("member_table", table), ("question_ids", ids),
-                            ("_id_order", np.argsort(ids)), ("_position_of", position_of)):
-            if array is not None:
-                array.flags.writeable = False
+        for name, array in (("member_table", table), ("question_ids", ids)):
+            array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     @property
@@ -92,18 +79,25 @@ class Taxonomy:
     def question_count(self) -> int:
         return len(self.questions)
 
-    def question(self, question_id: int) -> QuestionGroup:
+    def position(self, question_id: int) -> int:
+        """The position in `questions` of the question with this id."""
         try:
             return self._question_index[question_id]
         except KeyError:
             raise TaxonomyError(f"unknown question id {question_id}") from None
 
+    def question(self, question_id: int) -> QuestionGroup:
+        return self.questions[self.position(question_id)]
+
 
 @dataclass(frozen=True)
 class SubsetPlan:
-    """An exact partition of the top-level question ids into k-sized subsets."""
+    """An exact partition of the top-level questions into k-sized subsets:
+    `subsets` names them by question id, `positions` by position in the
+    taxonomy's questions, subset for subset."""
 
     subsets: tuple[tuple[int, ...], ...]
+    positions: tuple[tuple[int, ...], ...]
 
 
 def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
@@ -194,11 +188,9 @@ def partition_questions(tax: Taxonomy, k: int, seed: int) -> SubsetPlan:
     if not 1 <= k <= qtop:
         raise ValueError(f"k must be in [1, {qtop}], got {k}")
     ids = [q.id for q in tax.questions]
-    shuffled = [ids[i] for i in order(seed, ids, "partition", k)]
-    subsets = tuple(
-        tuple(shuffled[i : i + k]) for i in range(0, len(shuffled), k)
-    )
-    return SubsetPlan(subsets)
+    shuffled = order(seed, ids, "partition", k).tolist()
+    positions = tuple(tuple(shuffled[i : i + k]) for i in range(0, qtop, k))
+    return SubsetPlan(tuple(tuple(ids[p] for p in subset) for subset in positions), positions)
 
 
 def expand_answer(
@@ -263,29 +255,3 @@ def dense_codes(column) -> tuple[np.ndarray, np.ndarray]:
             return values, offset if present.all() else (np.cumsum(present) - 1)[offset]
     return np.unique(column, return_inverse=True)
 
-
-def question_positions(tax: Taxonomy, question_ids: np.ndarray) -> np.ndarray:
-    """Positions in tax.questions of an array of question ids.
-
-    Where the taxonomy's ids span few values (`LOOKUP_SPAN_PER_QUESTION`),
-    each row looks its id up in the id -> position table the taxonomy built
-    once. Otherwise, or when a row's id is not in that table, only the
-    distinct ids (`dense_codes`, at most one per question unless an id is
-    unknown) are searched in the sorted taxonomy ids and the rows gather
-    their id's position; either way the result is that of a search per row.
-    An unknown id is a TaxonomyError naming the first row's unknown id.
-    """
-    table = tax._position_of
-    if table is not None and len(question_ids):
-        low = tax.question_ids[tax._id_order[0]]
-        if low <= question_ids.min() and question_ids.max() <= low + len(table) - 1:
-            positions = table[question_ids - low]
-            if positions.min() >= 0:
-                return positions
-    values, codes = dense_codes(question_ids)
-    order, ids = tax._id_order, tax.question_ids[tax._id_order]
-    found = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
-    unknown = ids[found] != values
-    if unknown.any():
-        raise TaxonomyError(f"unknown question id {question_ids[unknown[codes]][0]}")
-    return order[found][codes]

@@ -323,9 +323,14 @@ class EventTable:
     """Annotation events as columns: one numpy array per field, one row per answer.
 
     `worker` and `video` index the `worker_ids` and `video_ids` vocabularies;
-    `members` is the bitmask of the selected labels (`taxonomy.members_mask`);
-    `gold` rows are positive-bias duplicates, which never vote. `gate`, no
-    constructor argument, is `members != 0`, computed when the table is built.
+    `question` is the question's position in the taxonomy's questions (a
+    caller that builds a table passes positions; ids appear only in the
+    events CSV); `members` is the bitmask of the selected labels
+    (`taxonomy.members_mask`); `gold` rows are positive-bias duplicates,
+    which never vote. `gate`, no constructor argument, is `members != 0`,
+    computed when the table is built. A column may be a read-only view: a
+    simulated pass shares its video, question and gold columns with the
+    campaign, and its iteration column is one value broadcast.
     """
 
     worker_ids: tuple[str, ...]
@@ -449,10 +454,10 @@ class SlotTable(NamedTuple):
     built once by `slot_table` and read-only.
 
     Per slot: `owner` (its task), `video` (its video row), `question` (its
-    question id) and `gold`; the last three are the event table's columns,
-    shared by every pass's table. `positive` lists the slots whose question
-    has a true member for the video and `hard_positive` those of them whose
-    true members are all hard; `gold_owner` and `gold_ordinal` give each gold
+    position in tax.questions, the caller's array itself) and `gold`; the
+    last three are the event table's columns, shared by every pass's table.
+    `positive` lists the slots whose question has a true member for the
+    video and `hard_positive` those of them whose true members are all hard; `gold_owner` and `gold_ordinal` give each gold
     slot's task and its ordinal among the task's gold slots; `multi` lists
     the non-gold slots of questions with more than one member.
     """
@@ -488,7 +493,7 @@ def slot_table(tax: Taxonomy, truth: np.ndarray, hard: np.ndarray, video: np.nda
     gold = np.array(gold, dtype=bool)
     gold_owner = owner[gold]
     columns = dict(
-        owner=owner, video=slot_video, question=tax.question_ids[question], gold=gold,
+        owner=owner, video=slot_video, question=question, gold=gold,
         positive=positive, hard_positive=positive[all_hard], gold_owner=gold_owner,
         gold_ordinal=np.arange(len(gold_owner)) - np.searchsorted(gold_owner, gold_owner),
         multi=np.flatnonzero(~gold & valid[:, 1:].any(axis=1)),
@@ -538,7 +543,8 @@ def simulate_block(
     once. `slots` is `slot_table` of these columns; a caller that runs
     several passes over one set of tasks builds it once and passes it, and
     without it the call builds its own. The events' video, question and gold
-    columns are the table's, read-only. Each distinct size resolves its
+    columns are the table's, read-only, and their iteration column is
+    `iteration` broadcast, read-only with stride 0. Each distinct size resolves its
     operating point once, in task order. Draws are keyed by (seed, worker,
     video, iteration, subset, stream) and count question ids, member label
     ids or gold ordinals, so a task's events depend neither on the other
@@ -589,7 +595,7 @@ def simulate_block(
     # all hard), and at the spammer rate for a spammer. The uniforms are
     # drawn first, so that their key and counter arrays are freed before
     # the probabilities are built.
-    owner, qid = slots.owner, slots.question
+    owner = slots.owner
     u = white_uniforms(stream("gate")[owner], white_question[question])
     p_yes = fp[size][owner]
     p_yes[slots.positive] = easy(owner[slots.positive])
@@ -642,8 +648,8 @@ def simulate_block(
     elapsed = total[owner]
     slot_worker = worker[owner]
     del key, total, task
-    return EventTable(worker_ids, video_ids, slot_worker, slots.video, qid, mask, elapsed,
-                      np.full(len(qid), iteration), slots.gold)
+    return EventTable(worker_ids, video_ids, slot_worker, slots.video, slots.question, mask,
+                      elapsed, np.broadcast_to(np.int64(iteration), len(owner)), slots.gold)
 
 
 def make_random_truth(

@@ -99,9 +99,9 @@ def test_aggregate(benchmark, tax, events):
     report_rows(benchmark, len(events))
 
 
-def test_row_checks(benchmark, events):
+def test_row_checks(benchmark, tax, events):
     # The checks every ingest runs, the sidecar's included.
-    problems = benchmark(campaign._row_problems, events, range(len(events)))
+    problems = benchmark(campaign._row_problems, events, range(len(events)), tax)
     assert problems == []  # the simulator repeats no answer
     report_rows(benchmark, len(events))
 
@@ -114,7 +114,7 @@ def test_ingest_sidecar_208k(benchmark, tax, large_events_csv):
 
 def test_row_checks_208k(benchmark, tax, large_events_csv):
     table = ingest(large_events_csv, tax)
-    assert benchmark(campaign._row_problems, table, range(len(table))) == []
+    assert benchmark(campaign._row_problems, table, range(len(table)), tax) == []
     report_rows(benchmark, len(table))
 
 

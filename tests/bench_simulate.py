@@ -9,6 +9,8 @@ With `--benchmark-disable` each benchmarked call runs once, untimed, and
 the file is a quick correctness pass.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,8 @@ def test_simulate_one_pass(benchmark, tax, pool, k, videos):
 def test_simulate_k52_five_aggregated_passes(benchmark, tax, pool):
     # The paper's method at 1000 videos: one campaign of five k = 52 passes,
     # each aggregated as it is yielded. Only a campaign of several passes
-    # shows the work its passes share.
+    # shows the work its passes share. One more, untimed run records the
+    # campaign's tracemalloc peak above its start, in MiB.
     behavior = fit_hard_mixture(default_behavior())
     truths = make_random_truth(1000, 52, behavior.prevalence, SEED)
 
@@ -99,6 +102,12 @@ def test_simulate_k52_five_aggregated_passes(benchmark, tax, pool):
     events = benchmark(campaign)
     assert events == 5 * 1000 * 52
     record_rate(benchmark, events)
+    tracemalloc.start()
+    try:
+        campaign()
+        benchmark.extra_info["peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_simulate_one_pass_k5_bias_grouping_150_sample_videos(benchmark):

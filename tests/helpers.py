@@ -7,12 +7,14 @@ from annocamp.workersim import EVENT_FIELDS
 
 
 def event_rows(table, tax) -> list[tuple]:
-    """The row view of an event table: one (worker id, video id, question,
+    """The row view of an event table: one (worker id, video id, question id,
     member labels, elapsed, iteration, gold) tuple of Python values per
-    event, in table order. The gate is not stored: it is `bool(members)`."""
+    event, in table order, as the events CSV shows it. The gate is not
+    stored: it is `bool(members)`."""
     columns = {f.name: getattr(table, f.name).tolist() for f in EVENT_FIELDS}
     answers = list(zip(columns["question"], columns["members"]))
-    decoded = {(q, mask): mask_members(tax.question(q), mask) for q, mask in set(answers)}
+    decoded = {(q, mask): mask_members(tax.questions[q], mask) for q, mask in set(answers)}
+    columns["question"] = tax.question_ids[table.question].tolist()
     columns["worker"] = [table.worker_ids[w] for w in columns["worker"]]
     columns["video"] = [table.video_ids[v] for v in columns["video"]]
     columns["members"] = [decoded[answer] for answer in answers]

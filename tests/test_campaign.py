@@ -48,7 +48,6 @@ from annocamp.taxonomy import (
     Taxonomy,
     load_taxonomy,
     partition_questions,
-    question_positions,
     singleton_taxonomy,
 )
 from annocamp.workersim import (
@@ -91,21 +90,21 @@ def behavior():
 # ---------------------------------------------------------------------------
 
 
-def task_slots(hits):
+def task_slots(hits, tax):
     """Per task: (HIT number, video id, base question ids in the order asked,
     gold question ids in the order asked)."""
     ends = np.cumsum(hits.lengths).tolist()
-    question, gold = hits.question.tolist(), hits.gold.tolist()
+    question, gold = tax.question_ids[hits.question].tolist(), hits.gold.tolist()
     for hit, video, start, end in zip(hits.hit.tolist(), hits.video.tolist(), [0, *ends], ends):
         slots = list(zip(question[start:end], gold[start:end]))
         base = tuple(q for q, g in slots if not g)
         yield hit, hits.video_ids[video], base, tuple(q for q, g in slots if g)
 
 
-def base_orders(hits):
+def base_orders(hits, tax):
     """Per HIT: the base question orders of its videos, in task order."""
     orders = [[] for _ in range(len(hits))]
-    for hit, _, base, _ in task_slots(hits):
+    for hit, _, base, _ in task_slots(hits, tax):
         orders[hit].append(base)
     return orders
 
@@ -132,7 +131,7 @@ def test_pack_conservation(tax):
     plan = partition_questions(tax, 7, seed=1)
     hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=1)
     seen = {}
-    for hit, video, base, _ in task_slots(hits):
+    for hit, video, base, _ in task_slots(hits, tax):
         subset = set(plan.subsets[hits.subset[hit]])
         assert set(base) == subset
         for qid in base:
@@ -146,10 +145,10 @@ def test_pack_grouping_shares_question_order(tax):
     videos = [f"v{i}" for i in range(20)]
     plan = partition_questions(tax, 10, seed=2)
     hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2, grouping=True)
-    for orders in base_orders(hits):
+    for orders in base_orders(hits, tax):
         assert len(set(orders)) == 1
     loose = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
-    mixed = [len(set(orders)) for orders in base_orders(loose)]
+    mixed = [len(set(orders)) for orders in base_orders(loose, tax)]
     assert any(count > 1 for count in mixed)
 
 
@@ -206,7 +205,7 @@ def test_pack_gold_comes_from_known_positives(tax):
         known_positives=known,
     )
     assert len(hits) == 1
-    for _, video, _, gold in task_slots(hits):
+    for _, video, _, gold in task_slots(hits, tax):
         assert set(gold) <= set(known[video])
 
 
@@ -264,7 +263,7 @@ def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
         grouping=grouping,
         known_positives=known if positive_bias else None,
     )
-    tasks = list(task_slots(hits))
+    tasks = list(task_slots(hits, tax))
     subset_of = hits.subset.tolist()
     packed = [(video, subset_of[hit]) for hit, video, _, _ in tasks]
     # Each (video, subset) is packed exactly once.
@@ -278,7 +277,7 @@ def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
         assert set(gold) <= set(known[video])
         if not positive_bias:
             assert gold == ()
-    for hit, orders in enumerate(base_orders(hits)):
+    for hit, orders in enumerate(base_orders(hits, tax)):
         subset = plan.subsets[subset_of[hit]]
         if grouping:
             # One shared base order per HIT, gold slots or not.
@@ -412,7 +411,8 @@ def test_pack_columns_equal_the_hit_loop(sample_tax, seed, k, n, grouping, posit
     assert hits.hit.tolist() == [i for i, _, _ in tasks]
     assert [hits.video_ids[v] for v in hits.video.tolist()] == [v for _, v, _ in tasks]
     assert hits.lengths.tolist() == [len(s) for _, _, s in tasks]
-    assert hits.question.tolist() == [q.question_id for _, _, s in tasks for q in s]
+    assert sample_tax.question_ids[hits.question].tolist() == [
+        q.question_id for _, _, s in tasks for q in s]
     assert hits.gold.tolist() == [q.gold for _, _, s in tasks for q in s]
 
 
@@ -514,6 +514,11 @@ def _pack_hits_per_subset(
             "gold": is_gold[asked],
         })
     columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    # The slots as the taxonomy's positions, which the plan pairs with its ids.
+    position = dict(zip(itertools.chain(*subset_plan.subsets),
+                        itertools.chain(*subset_plan.positions)))
+    columns["question"] = np.array([position[q] for q in columns["question"].tolist()],
+                                   dtype=np.int64)
     return Hits(video_ids, pay=budget.pay_per_hit, **columns)
 
 
@@ -524,9 +529,12 @@ SUBSET_FIELDS = ("subset", "chunk", "expected_seconds", "hit", "video", "lengths
 def cut_plan(tax, order, cuts):
     """A hand-built SubsetPlan: the question ids in `order`, cut into
     subsets of the sizes in `cuts`, so that sizes may repeat in any order."""
-    ids = [tax.questions[i].id for i in order]
+    positions = order.tolist()
+    ids = [tax.questions[i].id for i in positions]
     starts = np.cumsum([0, *cuts]).tolist()
-    return SubsetPlan(tuple(tuple(ids[a:b]) for a, b in zip(starts, starts[1:]) if a < len(ids)))
+    cut = [(a, b) for a, b in zip(starts, starts[1:]) if a < len(ids)]
+    return SubsetPlan(tuple(tuple(ids[a:b]) for a, b in cut),
+                      tuple(tuple(positions[a:b]) for a, b in cut))
 
 
 KNOWN = [[3, 9], [0], [51, 7, 12], [20]] * 8
@@ -635,6 +643,34 @@ def test_passes_share_only_read_only_columns(tax, behavior, k, modifiers):
                 getattr(events, name)[0] = 0
 
 
+@pytest.mark.parametrize("k, modifiers", [(1, NONE), (5, BIAS), (52, NONE)])
+def test_the_question_column_is_one_buffer_from_packing_to_the_events(sample_tax, behavior,
+                                                                      monkeypatch, k, modifiers):
+    # pack_hits writes each slot's question position once: the slot table
+    # and every pass's events hold that array, read-only, and each pass's
+    # iteration column is its one value at stride 0.
+    made = {}
+
+    def spy(name, function):
+        def wrapper(*args, **kwargs):
+            made[name] = function(*args, **kwargs)
+            return made[name]
+        monkeypatch.setattr(campaign, name, wrapper)
+
+    spy("pack_hits", campaign.pack_hits)
+    spy("slot_table", campaign.slot_table)
+    truths = make_random_truth(6, sample_tax.label_count, 3.7, seed=2, min_labels=1)
+    passes = list(simulate_campaign(sample_tax, truths, k, 3, behavior, seed=1,
+                                    modifiers=modifiers))
+    question = made["pack_hits"].question
+    assert not question.flags.writeable
+    assert np.shares_memory(question, made["slot_table"].question)
+    for iteration, events in enumerate(passes):
+        assert np.shares_memory(question, events.question)
+        assert events.iteration.strides == (0,) and not events.iteration.flags.writeable
+        assert events.iteration.tolist() == [iteration] * len(events)
+
+
 @pytest.mark.parametrize("bundled", [False, True])
 @pytest.mark.parametrize("k", [1, 5, 52])
 @settings(max_examples=4, deadline=None)
@@ -695,7 +731,7 @@ def per_subset_passes(tax, truths, k, iterations, behavior, seed, *, modifiers, 
     bounds = np.concatenate([[0], np.cumsum(hits.lengths)])[::n].tolist()
     subsets = [(s, len(subset), slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
                for s, subset in enumerate(plan.subsets)]
-    question = question_positions(tax, hits.question)
+    question = hits.question
     for iteration in range(iterations):
         # Each HIT's worker: the seeded shuffle of the pool, cycled.
         perm = order(seed, worker_ids, "assign", iteration)
@@ -868,7 +904,8 @@ def event_tables(draw, tax, ids=ID_TEXT):
     video_ids = draw(st.lists(ids, min_size=1, max_size=3))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        q = draw(st.sampled_from(tax.questions[:4]))
+        position = draw(st.integers(0, 3))
+        q = tax.questions[position]
         mask = draw(st.integers(0, 2 ** len(q.members) - 1))
         if draw(st.integers(0, 19)) == 0:
             mask |= 1 << draw(st.integers(len(q.members), 63))
@@ -876,7 +913,7 @@ def event_tables(draw, tax, ids=ID_TEXT):
         rows.append((
             draw(st.integers(0, len(worker_ids) - 1)),
             draw(st.integers(0, len(video_ids) - 1)),
-            q.id, mask, elapsed, draw(st.integers(-1, 2)), draw(st.booleans()),
+            position, mask, elapsed, draw(st.integers(-1, 2)), draw(st.booleans()),
         ))
     if rows and draw(st.integers(0, 3)) == 0:
         copy = list(draw(st.sampled_from(rows)))
@@ -889,7 +926,7 @@ def event_tables(draw, tax, ids=ID_TEXT):
 def stray_rows(table, tax) -> list[int]:
     """The rows whose members bits lie past their question's members."""
     return [r for r, (q, mask) in enumerate(zip(table.question.tolist(), table.members.tolist()))
-            if mask >> len(tax.question(q).members)]
+            if mask >> len(tax.questions[q].members)]
 
 
 def csv_writer_bytes(table, tax) -> bytes:
@@ -938,8 +975,9 @@ def test_write_events_csv_bytes_are_csv_writers(sample_tax, tmp_path_factory, da
             assert str(exc) == f"id {unreadable[0]!r} would not read back from an events CSV"
         elif stray_rows(table, sample_tax):
             lines = csv_lines(csv_writer_bytes(table, sample_tax))
-            assert all(f"line {lines[r]}: question {table.question[r]}: members bits past its "
-                       "members" in str(exc) for r in stray_rows(table, sample_tax))
+            assert all(f"line {lines[r]}: question {sample_tax.question_ids[table.question[r]]}: "
+                       "members bits past its members" in str(exc)
+                       for r in stray_rows(table, sample_tax))
         else:
             path.write_bytes(csv_writer_bytes(table, sample_tax))
             assert ingest_outcome(path, sample_tax) == str(exc)
@@ -971,7 +1009,7 @@ def test_write_events_csv_rejects_an_id_that_would_not_read_back(sample_tax, beh
     ({"question": [0, 0]},
      "line 3: duplicates line 2 (same worker, video, question 0 and iteration)"),
     ({"members": [2, 0]}, "line 2: question 0: members bits past its members"),
-    ({"question": [0, 9]}, "line 3: unknown question id 9"),
+    ({"question": [0, 9]}, "line 3: unknown question position 9 (the taxonomy has 2 questions)"),
 ], ids=["elapsed-0", "elapsed-inf", "repeated-answer", "stray-members-bit", "unknown-question"])
 def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, problem):
     # Named as ingest names them, by CSV line, before any file is opened.
@@ -986,14 +1024,17 @@ def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, probl
 
 
 def test_write_events_csv_names_the_row_of_an_unknown_question(tmp_path):
-    table = EventTable(("w",), ("v",), worker=[0], video=[0], question=[9], members=[1],
-                       elapsed=[1.0], iteration=[0], gold=[False])
+    # A table names a question by its position, a CSV by its id.
     path = tmp_path / "events.csv"
-    with pytest.raises(ValueError) as exc:
-        write_events_csv(table, singleton_taxonomy(2), path)
-    assert str(exc.value) == f"{path}: line 2: unknown question id 9"
-    assert list(tmp_path.iterdir()) == []
-    # ingest names such a row in the same words.
+    for position in (9, 2, -1):
+        table = EventTable(("w",), ("v",), worker=[0], video=[0], question=[position],
+                           members=[1], elapsed=[1.0], iteration=[0], gold=[False])
+        with pytest.raises(ValueError) as exc:
+            write_events_csv(table, singleton_taxonomy(2), path)
+        assert str(exc.value) == (f"{path}: line 2: unknown question position {position} "
+                                  "(the taxonomy has 2 questions)")
+        assert list(tmp_path.iterdir()) == []
+    # ingest names a row of an unknown question id by that id.
     path.write_text("worker,video,question,gate,members,elapsed,iteration\nw,v,9,1,9,1.0,0\n")
     with pytest.raises(ValueError) as exc:
         ingest(path, singleton_taxonomy(2))
@@ -1017,9 +1058,10 @@ def test_ingest_of_the_sidecar_equals_the_csv_parse(sample_tax, tmp_path_factory
     assert sidecar_path(path).read_bytes() == written
 
 
-def group_ids_row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
+def group_ids_row_problems(table: EventTable, lines, tax) -> list[tuple[int, str]]:
     """`campaign._row_problems` as it was before its sort-based repeat
-    check, kept verbatim as the reference: `group_ids` names every repeat."""
+    check, kept as the reference: `group_ids` names every repeat, by its
+    question's id."""
     elapsed = table.elapsed
     bad = ~((elapsed > 0) & (elapsed < np.inf))
     problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
@@ -1030,7 +1072,8 @@ def group_ids_row_problems(table: EventTable, lines) -> list[tuple[int, str]]:
     original = kept[first[task]]
     for row, first_row in zip(kept[original != kept], original[original != kept]):
         problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
-                         f"video, question {table.question[row]} and iteration)"))
+                         f"video, question {tax.question_ids[table.question[row]]} and "
+                         "iteration)"))
     return problems
 
 
@@ -1059,7 +1102,8 @@ def test_row_checks_equal_the_group_ids_reference(sample_tax, data):
     lines = sorted(data.draw(st.lists(st.integers(2, 10**6), min_size=len(table),
                                       max_size=len(table), unique=True)))
     for at in (range(len(table)), lines):
-        assert campaign._row_problems(table, at) == group_ids_row_problems(table, at)
+        assert (campaign._row_problems(table, at, sample_tax)
+                == group_ids_row_problems(table, at, sample_tax))
 
 
 def test_table_a_narrow_column_cannot_hold_gets_no_sidecar(sample_tax, small_events, tmp_path):
@@ -1127,6 +1171,16 @@ def test_sidecar_of_another_taxonomy_is_ignored(sample_tax, small_events, tmp_pa
     assert ingest(path, reversed_members) == expected
 
 
+def format_3(data: bytes, tax) -> bytes:
+    """The sidecar as format 3 laid it out: its own format line, and the
+    question column by id where format 4 stores positions."""
+    rows = int(np.frombuffer(data, "<i8", 1, len(campaign.SIDECAR_FORMAT) + 64)[0])
+    at = len(data) - rows * campaign.ROW_BYTES + 8 * rows  # past worker and video
+    ids = tax.question_ids[np.frombuffer(data, "<i4", rows, at)].astype("<i4").tobytes()
+    return (b"annocamp events table 3\n" + data[len(campaign.SIDECAR_FORMAT) : at] + ids
+            + data[at + 4 * rows :])
+
+
 def format_2(data: bytes) -> bytes:
     """The sidecar as format 2 laid it out: its own format line, and a gate
     byte a row (set where members are) after the question column."""
@@ -1136,7 +1190,7 @@ def format_2(data: bytes) -> bytes:
     return b"annocamp events table 2\n" + data[len(campaign.SIDECAR_FORMAT) : at] + gate + data[at:]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "format-2"])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "format-2", "format-3"])
 def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events, tmp_path,
                                                         caplog, damage):
     path = tmp_path / "events.csv"
@@ -1145,7 +1199,8 @@ def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events
     sidecar = sidecar_path(path)
     data = sidecar.read_bytes()
     sidecar.write_bytes({"truncated": data[: len(data) // 2], "garbage": b"PK\x03\x04 junk",
-                         "empty": b"", "format-2": format_2(data)}[damage])
+                         "empty": b"", "format-2": format_2(data),
+                         "format-3": format_3(data, sample_tax)}[damage])
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
         assert [(r.name, r.levelname) for r in caplog.records] == [
@@ -1371,6 +1426,50 @@ def test_worker_stats_median_against_sort_oracle(tax, behavior):
             oracle = (durations[n // 2 - 1] + durations[n // 2]) / 2
         assert s.median_seconds_per_task == pytest.approx(oracle)
         assert s.tasks_completed == n
+
+
+def worker_stats_by_mask(table: EventTable) -> list[WorkerStats]:
+    """`worker_stats_from_events` as it was before its one stable sort by
+    worker, kept as the reference: a mask over every task for each worker."""
+    n, gold = len(table.worker_ids), table.gold
+    worker = table.worker[~gold]
+    task, first = group_ids(worker, table.video[~gold], table.iteration[~gold])
+    seconds = np.bincount(task, weights=table.elapsed[~gold])
+    answered = np.bincount(worker, minlength=n)
+    yes = np.bincount(worker[table.gate[~gold]], minlength=n)
+    gold_asked = np.bincount(table.worker[gold], minlength=n)
+    gold_yes = np.bincount(table.worker[gold & table.gate], minlength=n)
+    stats = []
+    for w in sorted(np.flatnonzero(answered).tolist(), key=table.worker_ids.__getitem__):
+        durations = seconds[worker[first] == w].tolist()
+        stats.append(WorkerStats(
+            worker_id=table.worker_ids[w],
+            tasks_completed=len(durations),
+            median_seconds_per_task=statistics.median(durations),
+            gold_recall=int(gold_yes[w]) / int(gold_asked[w]) if gold_asked[w] else None,
+            positive_rate=int(yes[w]) / int(answered[w]),
+        ))
+    return stats
+
+
+@st.composite
+def stats_tables(draw):
+    """Event tables of up to 5 workers, some of whom answer nothing or only
+    gold rows, over few videos and iterations, with positive elapsed times."""
+    workers = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, workers - 1), st.integers(0, 2), st.integers(0, 3),
+        st.integers(0, 1), st.floats(1e-3, 1e4), st.integers(0, 2), st.booleans(),
+    ), max_size=40))
+    columns = zip(*rows) if rows else [[]] * 7
+    return EventTable(tuple(f"w{i}" for i in draw(st.permutations(range(workers)))),
+                      ("a", "b", "c"), *columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=stats_tables())
+def test_worker_stats_equal_the_per_worker_mask_loop(table):
+    assert worker_stats_from_events(table) == worker_stats_by_mask(table)
 
 
 def test_gold_events_split_from_evaluation(tax, behavior, tmp_path):

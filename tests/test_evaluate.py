@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
 from annocamp.evaluate import (
     IncompleteIterationError,
     LabelMatrix,
@@ -20,11 +21,11 @@ from annocamp.taxonomy import (
     Taxonomy,
     TaxonomyError,
     members_mask,
-    question_positions,
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
-from annocamp.workersim import EventTable, fp_rate_from_precision
+from annocamp.workersim import (EventTable, WorkerBehavior, default_behavior,
+                                fp_rate_from_precision, make_random_truth)
 
 
 def make_event(video, question, gate, iteration, members=None, elapsed=1.0, gold=False,
@@ -36,7 +37,8 @@ def make_event(video, question, gate, iteration, members=None, elapsed=1.0, gold
 
 
 def table(rows, tax) -> EventTable:
-    """The EventTable of row-view tuples, vocabularies in order of appearance."""
+    """The EventTable of row-view tuples, vocabularies in order of appearance
+    and each question id at its position in the taxonomy."""
     rows = list(rows)
     workers = {r[0]: None for r in rows}
     videos = {r[1]: None for r in rows}
@@ -47,7 +49,7 @@ def table(rows, tax) -> EventTable:
         tuple(videos),
         worker=[worker_row[r[0]] for r in rows],
         video=[video_row[r[1]] for r in rows],
-        question=[r[2] for r in rows],
+        question=[tax.position(r[2]) for r in rows],
         members=[members_mask(tax.question(r[2]), r[4]) if r[4] else 0 for r in rows],
         elapsed=[r[5] for r in rows],
         iteration=[r[6] for r in rows],
@@ -280,27 +282,76 @@ _WIDE_TAX = taxonomy_from_mapping({
 @pytest.mark.parametrize("tax", [_ORACLE_TAX, _GAPPED_TAX, _WIDE_TAX],
                          ids=["oracle", "gapped", "wide"])
 @settings(max_examples=100, deadline=None)
-@given(ids=st.lists(st.sampled_from([-2, 0, 9, 10, 10, 11, 12, 12, 13, 15, 40, 400])))
-@example(ids=[])
-@example(ids=[11, -1, 12])  # negative
-@example(ids=[10, 12, 16, 11, 9])  # outside the taxonomy's ids
-@example(ids=[12, 11, 10, 10, 13, 15])  # inside their span but absent from the gapped one
-def test_question_positions_matches_a_lookup_per_row(tax, ids):
+@given(question_id=st.sampled_from([-2, 0, 9, 10, 11, 12, 13, 15, 40, 400]))
+def test_position_matches_a_lookup_per_id(tax, question_id):
     position = {q.id: p for p, q in enumerate(tax.questions)}
-    unknown = [i for i in ids if i not in position]
-    column = np.array(ids, dtype=np.int64)
-    if unknown:
-        with pytest.raises(TaxonomyError) as exc:
-            question_positions(tax, column)
-        assert str(exc.value) == f"unknown question id {unknown[0]}"
+    if question_id in position:
+        assert tax.position(question_id) == position[question_id]
+        assert tax.question(question_id) is tax.questions[position[question_id]]
     else:
-        assert question_positions(tax, column).tolist() == [position[i] for i in ids]
+        with pytest.raises(TaxonomyError) as exc:
+            tax.position(question_id)
+        assert str(exc.value) == f"unknown question id {question_id}"
+
+
+# _GAPPED_TAX under the ids 0, 1, 2, its questions in the same order.
+_RENUMBERED_TAX = Taxonomy(_GAPPED_TAX.labels, tuple(
+    QuestionGroup(i, q.prompt, q.members) for i, q in enumerate(_GAPPED_TAX.questions)))
+
+
+def simulated_matrix(tax, behavior, truths, k, path):
+    """simulate -> events CSV -> ingest -> aggregate: the CSV's bytes and
+    the matrix of two passes. ingest reads the writer's sidecar, then,
+    once that is deleted, parses the CSV to the same table."""
+    write_events_csv(run_campaign(tax, truths, k, 2, behavior, seed=3), tax, path)
+    events = ingest(path, tax)
+    sidecar_path(path).unlink()
+    assert ingest(path, tax) == events
+    return path.read_bytes(), aggregate(events, tax)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gapped_ids_give_the_matrix_of_their_renumbered_twin(tmp_path, k):
+    # Inside, a question is its position; at the file, its id. A worker who
+    # answers every question truly gives each video its true labels in both
+    # passes, on the gapped, unsorted ids as on the ids 0, 1, 2.
+    truthful = WorkerBehavior(recall_points=((1, 1.0), (3, 1.0)),
+                              fp_points=((1, 0.0), (3, 0.0)), prevalence=1.0, qtop=3)
+    truths = make_random_truth(8, 3, 1.0, seed=4)
+    data, gapped = simulated_matrix(_GAPPED_TAX, truthful, truths, k, tmp_path / "gapped.csv")
+    _, twin = simulated_matrix(_RENUMBERED_TAX, truthful, truths, k, tmp_path / "twin.csv")
+    questions = {line.split(b",")[2] for line in data.splitlines()[1:]}
+    assert questions == {b"15", b"10", b"12"}
+    truth = truth_matrix(truths, 3, gapped.video_ids)
+    assert gapped.video_ids == twin.video_ids
+    assert np.array_equal(gapped.votes, 2 * truth) and np.array_equal(twin.votes, 2 * truth)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_listing_the_questions_in_another_order_changes_no_event(tmp_path, k):
+    # The draws are keyed by question ids, so the same ids at other
+    # positions give the same events CSV, byte for byte, and the same matrix.
+    reversed_tax = Taxonomy(_GAPPED_TAX.labels, _GAPPED_TAX.questions[::-1])
+    truths = make_random_truth(8, 3, 1.0, seed=4)
+    data, matrix = simulated_matrix(_GAPPED_TAX, default_behavior(), truths, k,
+                                    tmp_path / "gapped.csv")
+    again, reversed_matrix = simulated_matrix(reversed_tax, default_behavior(), truths, k,
+                                              tmp_path / "reversed.csv")
+    assert again == data
+    assert matrix.video_ids == reversed_matrix.video_ids
+    assert np.array_equal(matrix.votes, reversed_matrix.votes)
 
 
 def test_aggregate_unknown_question():
+    # A table names a question by its position; one outside the taxonomy is unknown.
     tax = singleton_taxonomy(3)
-    with pytest.raises(ValueError, match="unknown question"):
-        aggregate(table([make_event("v0", 9, False, 0)], tax), tax)
+    for position in (9, 3, -1):
+        events = EventTable(("w",), ("v0",), worker=[0], video=[0], question=[position],
+                            members=[0], elapsed=[1.0], iteration=[0], gold=[False])
+        with pytest.raises(TaxonomyError) as exc:
+            aggregate(events, tax)
+        assert str(exc.value) == (f"unknown question position {position} "
+                                  "(the taxonomy has 3 questions)")
 
 
 def test_label_matrix_vote_bound():

@@ -15,7 +15,6 @@ from annocamp.taxonomy import (
     mask_members,
     members_mask,
     partition_questions,
-    question_positions,
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
@@ -232,10 +231,9 @@ def test_lookup_arrays_are_built_once_and_read_only(sample_tax):
     for array in (table, sample_tax.question_ids):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    ids = np.array([q.id for q in questions[::-3]])
-    assert question_positions(sample_tax, ids).tolist() == list(range(51, -1, -3))
+    assert [sample_tax.position(q.id) for q in questions[::-3]] == list(range(51, -1, -3))
     with pytest.raises(TaxonomyError, match="unknown question id 99"):
-        question_positions(sample_tax, np.array([0, 99]))
+        sample_tax.position(99)
     # The arrays do not enter comparison: equal taxonomies stay equal and hash alike.
     again = load_taxonomy(sample_taxonomy_path())
     assert again == sample_tax and hash(again) == hash(sample_tax)

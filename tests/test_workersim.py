@@ -15,7 +15,6 @@ from annocamp.seeding import id_keys
 from annocamp.taxonomy import (
     load_taxonomy,
     partition_questions,
-    question_positions,
     singleton_taxonomy,
 )
 from annocamp.cli import sample_taxonomy_path
@@ -53,12 +52,12 @@ def simulate_one(behavior, tax, video, seed, *, questions=None, worker=Worker("w
     flagged event per gold duplicate: the one-row case of simulate_block."""
     questions = list(tax.questions if questions is None else questions)
     slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
-    ids, gold = zip(*slots)
+    positions, gold = zip(*((tax.position(i), g) for i, g in slots))
     return simulate_block(
         behavior, tax, NONE, seed, **campaign_rows(tax, [video], [worker], behavior, seed),
         worker=np.array([0]), video=np.array([0]), size=np.array([len(questions)]),
         subset=np.array([subset_index]), lengths=np.array([len(slots)]),
-        question=question_positions(tax, np.array(ids)), gold=np.array(gold),
+        question=np.array(positions), gold=np.array(gold),
     )
 
 
@@ -441,6 +440,7 @@ def test_block_equals_its_split_into_runs(seed, k, data):
         slots = [(q, False) for q in subsets[s]] + [(q, True) for q in gold]
         tasks.append(data.draw(st.permutations(slots), label="slots"))
     question, gold = map(np.array, zip(*(s for task in tasks for s in task)))
+    question = np.array([tax.position(q) for q in question.tolist()])
     durations = data.draw(st.lists(st.sampled_from([10.0, 30.1, 55.0]), min_size=n,
                                    max_size=n), label="durations")
     truths = [replace(t, duration_seconds=d) for t, d in zip(truths, durations)]
@@ -456,7 +456,7 @@ def test_block_equals_its_split_into_runs(seed, k, data):
         return simulate_block(
             b, tax, NONE, seed, worker=worker[start:stop], video=np.arange(start, stop),
             size=size[start:stop], subset=subset[start:stop],
-            lengths=lengths[start:stop], question=question_positions(tax, question[slots]),
+            lengths=lengths[start:stop], question=question[slots],
             gold=gold[slots], **rows,
         )
 
