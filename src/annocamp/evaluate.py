@@ -84,9 +84,9 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
                             f"(the taxonomy has {taxonomy.question_count} questions)")
     passes, iteration = dense_codes(events.iteration[evaluated])
     # Every (video, iteration) pair present must answer every question.
-    pair = video * len(passes) + iteration
+    pair = video if len(passes) == 1 else video * len(passes) + iteration
     asked = np.zeros((len(events.video_ids) * len(passes), taxonomy.question_count), dtype=bool)
-    asked[pair, slot] = True
+    asked.ravel()[pair * taxonomy.question_count + slot] = True  # flat: faster than 2-D
     gaps = [
         (events.video_ids[p // len(passes)], int(passes[p % len(passes)]),
          [q.id for q, answered in zip(taxonomy.questions, asked[p]) if not answered])
@@ -114,14 +114,15 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     # Decode each affirmative answer's members bits to labels, keep each
     # (video, iteration, label) once and count its iterations per video.
     labels = taxonomy.label_count
-    yes = events.gate[evaluated]
+    yes = np.flatnonzero(events.gate[evaluated])  # one scan; its gathers are small
     table = taxonomy.member_table
     bits = np.arange(table.shape[1], dtype=np.uint64)
     answer, bit = np.nonzero(events.members[evaluated][yes, None] >> bits & np.uint64(1))
-    label = table[slot[yes][answer], bit]
-    rows = row[yes][answer]
+    answer = yes[answer]
+    label = table[slot[answer], bit]
+    rows = row[answer]
     if repeated:
-        marked = group_ids(pair[yes][answer], label)[1]
+        marked = group_ids(pair[answer], label)[1]
         rows, label = rows[marked], label[marked]
     votes = np.bincount(rows * labels + label, minlength=len(video_ids) * labels)
     return LabelMatrix(

@@ -249,7 +249,7 @@ def dense_codes(column) -> tuple[np.ndarray, np.ndarray]:
             # nor the cast to an index can wrap.
             offset = (work - low).astype(np.intp, copy=False)
             present = np.zeros(span, dtype=bool)
-            present[offset] = True
+            present[offset if span > 1 else 0] = True  # one value: marked once
             values = (np.flatnonzero(present).astype(work.dtype) + low).astype(column.dtype)
             # With no value missing from the span, each offset is its rank.
             return values, offset if present.all() else (np.cumsum(present) - 1)[offset]
