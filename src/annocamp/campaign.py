@@ -417,9 +417,9 @@ def _save_sidecar(events, key: bytes, table: EventTable) -> None:
     The file is SIDECAR_FORMAT, the key, the row count and the two
     vocabulary sizes (`<i8`), each id's UTF-8 length (`<i8`, workers then
     videos), the ids' bytes, then each stored column's raw bytes in its
-    SIDECAR_DTYPES dtype, ROW_BYTES a row: `question` holds positions in
-    tax.questions, as the table does. `gate` is not stored: the table
-    derives it from `members`. The parts are written one by one.
+    SIDECAR_DTYPES dtype, ROW_BYTES a row (`question` as positions). `gate`
+    is not stored: the table derives it from `members`. The parts are
+    written one by one.
     """
     for name, dtype in SIDECAR_DTYPES.items():
         column = getattr(table, name)
@@ -574,7 +574,7 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
         (lines[r], f"question {tax.question_ids[table.question[r]]}: members bits past its "
                    "members") for r in stray
     ] + _row_problems(parsed, lines, tax))
-    del known  # not held through the write
+    del known, lines, stray  # not held through the write
     answer, first = group_ids(table.question, table.members)
     texts = [f"{q.id},{int(mask != 0)},{';'.join(map(str, mask_members(q, mask)))}"
              for q, mask in zip(map(tax.questions.__getitem__, table.question[first].tolist()),
@@ -595,10 +595,12 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     header = ",".join(EVENT_COLUMNS + (("gold",) if gold else ())) + "\n"
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
+        # Each chunk's rows are joined at C level; the empty last row ends
+        # the chunk's last line without a copy of the chunk.
         chunks = (
-            "\n".join(map(",".join, zip(*(
+            "\n".join(chain(map(",".join, zip(*(
                 values[codes[start : start + ROW_CHUNK]].tolist() for values, codes in columns
-            )))) + "\n"
+            ))), [""]))
             for start in range(0, len(table), ROW_CHUNK)
         )
         for text in chain([header], chunks):

@@ -64,8 +64,7 @@ class Taxonomy:
             table[row, : len(q.members)] = q.members
         ids = np.array([q.id for q in self.questions], dtype=np.int64)
         members = [m for q in self.questions for m in q.members]
-        object.__setattr__(self, "_question_index",
-                           {q.id: p for p, q in enumerate(self.questions)})
+        object.__setattr__(self, "_question_index", {q.id: p for p, q in enumerate(self.questions)})
         object.__setattr__(self, "one_question_per_label", len(set(members)) == len(members))
         for name, array in (("member_table", table), ("question_ids", ids)):
             array.flags.writeable = False

@@ -322,15 +322,12 @@ def _column(dtype):
 class EventTable:
     """Annotation events as columns: one numpy array per field, one row per answer.
 
-    `worker` and `video` index the `worker_ids` and `video_ids` vocabularies;
-    `question` is the question's position in the taxonomy's questions (a
-    caller that builds a table passes positions; ids appear only in the
-    events CSV); `members` is the bitmask of the selected labels
-    (`taxonomy.members_mask`); `gold` rows are positive-bias duplicates,
-    which never vote. `gate`, no constructor argument, is `members != 0`,
-    computed when the table is built. A column may be a read-only view: a
-    simulated pass shares its video, question and gold columns with the
-    campaign, and its iteration column is one value broadcast.
+    `worker` and `video` index the `worker_ids` and `video_ids` vocabularies
+    and `question` the taxonomy's questions (by position, not id); `members`
+    is the bitmask of the selected labels (`taxonomy.members_mask`); `gold`
+    rows are positive-bias duplicates, which never vote. `gate`, no
+    constructor argument, is `members != 0`, computed when the table is
+    built. A simulated pass's columns may be read-only views (`simulate_block`).
     """
 
     worker_ids: tuple[str, ...]
@@ -454,7 +451,7 @@ class SlotTable(NamedTuple):
     built once by `slot_table` and read-only.
 
     Per slot: `owner` (its task), `video` (its video row), `question` (its
-    position in tax.questions, the caller's array itself) and `gold`; the
+    position in tax.questions, a view of the caller's array) and `gold`; the
     last three are the event table's columns, shared by every pass's table.
     `positive` lists the slots whose question has a true member for the
     video and `hard_positive` those of them whose true members are all hard; `gold_owner` and `gold_ordinal` give each gold
@@ -493,7 +490,7 @@ def slot_table(tax: Taxonomy, truth: np.ndarray, hard: np.ndarray, video: np.nda
     gold = np.array(gold, dtype=bool)
     gold_owner = owner[gold]
     columns = dict(
-        owner=owner, video=slot_video, question=question, gold=gold,
+        owner=owner, video=slot_video, question=question.view(), gold=gold,
         positive=positive, hard_positive=positive[all_hard], gold_owner=gold_owner,
         gold_ordinal=np.arange(len(gold_owner)) - np.searchsorted(gold_owner, gold_owner),
         multi=np.flatnonzero(~gold & valid[:, 1:].any(axis=1)),
