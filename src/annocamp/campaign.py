@@ -74,7 +74,7 @@ from .workersim import (
 
 # The events CSV columns; `gold` follows when a row is gold.
 EVENT_COLUMNS = ("worker", "video", "question", "gate", "members", "elapsed", "iteration")
-ROW_CHUNK = 4096  # rows the events CSV writer joins into text at a time
+ROW_CHUNK = 1024  # rows the events CSV writer joins at a time; they bound its memory
 
 
 HIT_ID = "hit-{:03d}-{:05d}"  # by subset index and chunk
