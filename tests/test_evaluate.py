@@ -270,7 +270,7 @@ _GAPPED_TAX = taxonomy_from_mapping({
 })
 
 
-# Question ids spanning too many values for a lookup table: searched.
+# Question ids spanning many more values than there are questions.
 _WIDE_TAX = taxonomy_from_mapping({
     "labels": [{"id": i, "name": f"l{i}"} for i in range(3)],
     "questions": [{"id": 400, "prompt": "a", "members": [0]},
