@@ -227,6 +227,9 @@ def test_pack_errors(tax):
             positive_bias=True,
             known_positives={"a": []},
         )
+    with pytest.raises(ValueError, match="^known positive question id 52 is not in the plan$"):
+        pack_hits(["a", "b"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0, positive_bias=True,
+                  known_positives={"a": [3], "b": [52]})
 
 
 def test_pack_hits_rejects_a_repeated_video_id(tax):
