@@ -58,11 +58,11 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
 
     The table names each question by its position in `taxonomy.questions`,
     which indexes the taxonomy's member table as it is; a position outside
-    it is a TaxonomyError. Every (video, iteration) present in the table must cover all top-level
-    questions, otherwise IncompleteIterationError lists the gaps. Gold
-    duplicate events never contribute, and a label marked by two answers in
-    one (video, iteration) gets one vote. Given `video_ids`, every event's
-    video must be among them.
+    it is a TaxonomyError. Every (video, iteration) present in the table
+    must cover all top-level questions, otherwise IncompleteIterationError
+    lists the gaps. Gold duplicate events never contribute, and a label
+    marked by two answers in one (video, iteration) gets one vote. Given
+    `video_ids`, every event's video must be among them.
 
     Coverage marks each (video, iteration, question) answered. When as many
     are marked as there are answers, none was answered twice; if also no

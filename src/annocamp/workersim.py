@@ -454,9 +454,10 @@ class SlotTable(NamedTuple):
     position in tax.questions, a view of the caller's array) and `gold`; the
     last three are the event table's columns, shared by every pass's table.
     `positive` lists the slots whose question has a true member for the
-    video and `hard_positive` those of them whose true members are all hard; `gold_owner` and `gold_ordinal` give each gold
-    slot's task and its ordinal among the task's gold slots; `multi` lists
-    the non-gold slots of questions with more than one member.
+    video and `hard_positive` those of them whose true members are all
+    hard; `gold_owner` and `gold_ordinal` give each gold slot's task and its
+    ordinal among the task's gold slots; `multi` lists the non-gold slots of
+    questions with more than one member.
     """
 
     owner: np.ndarray
@@ -541,8 +542,8 @@ def simulate_block(
     several passes over one set of tasks builds it once and passes it, and
     without it the call builds its own. The events' video, question and gold
     columns are the table's, read-only, and their iteration column is
-    `iteration` broadcast, read-only with stride 0. Each distinct size resolves its
-    operating point once, in task order. Draws are keyed by (seed, worker,
+    `iteration` broadcast, read-only with stride 0. Each distinct size
+    resolves its operating point once, in task order. Draws are keyed by (seed, worker,
     video, iteration, subset, stream) and count question ids, member label
     ids or gold ordinals, so a task's events depend neither on the other
     tasks nor on its slot order. Workers, videos and subsets enter the key
