@@ -55,10 +55,12 @@ from .taxonomy import (
     mask_members,
     members_mask,
     partition_questions,
+    question_positive,
     singleton_taxonomy,
 )
 from .workersim import (
     DEFAULT_PREVALENCE,
+    CampaignRows,
     EventTable,
     ModifierSet,
     Worker,
@@ -89,9 +91,9 @@ class Hits:
     one HIT, in HIT order; a subset has one task per video): `hit`, `video`
     (its row in `video_ids`) and `lengths` (its slot count). Per slot, task
     by task in the order asked: `question` (its position in the taxonomy's
-    questions, read-only) and `gold` (a bias duplicate). `pack_hits` builds
-    each column for the whole pass at once, from one packing-order draw and
-    one slot block per distinct subset size.
+    questions) and `gold` (a bias duplicate), both read-only. `pack_hits`
+    builds each column for the whole pass at once, from one packing-order
+    draw and one slot block per distinct subset size.
     """
 
     video_ids: tuple[str, ...]
@@ -133,7 +135,7 @@ class VerificationTask:
 def gate_positives(tax: Taxonomy, video_ids, truth: np.ndarray) -> dict[str, list[int]]:
     """Each video's question ids, in taxonomy order, whose member sets meet
     its true labels: its row of the (videos x labels) truth matrix."""
-    positive = (truth[:, tax.member_table] & (tax.member_table >= 0)).any(axis=2)
+    positive = question_positive(tax, truth)
     return {v: tax.question_ids[row].tolist() for v, row in zip(video_ids, positive)}
 
 
@@ -271,12 +273,12 @@ def pack_hits(
         slots = placed
     asked = width < lengths[..., None]
     slots, is_gold = np.broadcast_to(slots, asked.shape), np.broadcast_to(is_gold, asked.shape)
-    question = slots[asked]
-    question.flags.writeable = False
+    question, gold = slots[asked], is_gold[asked]
+    question.flags.writeable = gold.flags.writeable = False
     return Hits(video_ids, subset=hit_subset, chunk=hit_chunk,
                 expected_seconds=chunk_len * seconds[hit_subset], pay=budget.pay_per_hit,
                 hit=hit, video=packed.ravel(), lengths=lengths.ravel(),
-                question=question, gold=is_gold[asked])
+                question=question, gold=gold)
 
 
 def assign_workers(hits, worker_keys, seed: int, iteration: int) -> np.ndarray:
@@ -291,28 +293,26 @@ def assign_workers(hits, worker_keys, seed: int, iteration: int) -> np.ndarray:
 
 
 def campaign_rows(tax: Taxonomy, truths, pool, behavior: WorkerBehavior, seed: int,
-                  model: TimeModel = DEFAULT_TIME_MODEL) -> dict:
-    """The campaign's constants that `simulate_block` reads, built once: the
-    pool's columns by worker row, the truths' by video row (truth matrix,
-    hard-pair mask and the time model's base scaled to each duration), and
-    the per-question seconds."""
+                  model: TimeModel = DEFAULT_TIME_MODEL) -> CampaignRows:
+    """The CampaignRows of a pool and truths, built once; each video's base
+    seconds are the model's, scaled to its duration."""
     video_ids = tuple(t.video_id for t in truths)
     video_keys = id_keys(video_ids)
     durations, duration = np.unique([t.duration_seconds for t in truths], return_inverse=True)
     base = [scale_base_for_duration(model, d).base_seconds for d in durations.tolist()]
-    return {
-        "worker_ids": tuple(w.worker_id for w in pool),
-        "worker_keys": id_keys(w.worker_id for w in pool),
-        "recall_scale": np.array([w.recall_scale for w in pool]),
-        "time_scale": np.array([w.time_scale for w in pool]),
-        "spammer": np.array([w.spammer for w in pool], dtype=bool),
-        "video_ids": video_ids,
-        "video_keys": video_keys,
-        "truth": truth_matrix(truths, tax.label_count, video_ids=video_ids),
-        "hard": hard_pairs(seed, video_keys, range(tax.label_count), behavior.hard_fraction),
-        "base_seconds": np.array(base)[duration],
-        "per_question_seconds": model.per_question_seconds,
-    }
+    return CampaignRows(
+        worker_ids=tuple(w.worker_id for w in pool),
+        worker_keys=id_keys(w.worker_id for w in pool),
+        recall_scale=np.array([w.recall_scale for w in pool]),
+        time_scale=np.array([w.time_scale for w in pool]),
+        spammer=np.array([w.spammer for w in pool], dtype=bool),
+        video_ids=video_ids,
+        video_keys=video_keys,
+        truth=truth_matrix(truths, tax.label_count, video_ids=video_ids),
+        hard=hard_pairs(seed, video_keys, range(tax.label_count), behavior.hard_fraction),
+        base_seconds=np.array(base)[duration],
+        per_question_seconds=model.per_question_seconds,
+    )
 
 
 def simulate_campaign(
@@ -332,12 +332,11 @@ def simulate_campaign(
 
     Each pass lists the HITs' events in slot order, on the vocabularies of
     the pool's worker ids and the truths' video ids, which must be unique.
-    Built once, before the first pass: the HITs' task and slot columns
-    (`pack_hits`), the worker, video and task columns `simulate_block`
-    reads, and the slots' pass-invariant table (`slot_table`), whose video,
-    question (the HITs' own) and gold columns every pass's events share,
-    read-only. A pass is one `simulate_block` call over its tasks, which
-    draws only what its workers change. Every draw is a counter draw keyed
+    Built once, before the first pass: the HITs (`pack_hits`), the
+    campaign's constants (`campaign_rows`) and the HITs' pass-invariant slot
+    table (`slot_table`), whose video, question and gold columns every
+    pass's events share, read-only. A pass is one `simulate_block` call over
+    its tasks, which draws only what its workers change. Every draw is a counter draw keyed
     by the ids of the task's worker and video, so the events are a pure
     function of the seed and do not depend on execution order. Each pass
     assigns the HITs over the whole pool (default: one worker).
@@ -352,26 +351,15 @@ def simulate_campaign(
         raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
     plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed, model)
-    known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
+    known = gate_positives(tax, video_ids, rows.truth) if modifiers.positive_bias else None
     hits = pack_hits(video_ids, plan, budget, model, seed, positive_bias=modifiers.positive_bias,
                      grouping=modifiers.grouping, known_positives=known,
-                     prevalence=behavior.prevalence, video_keys=rows["video_keys"])
-    # Each task's subset, by which its size and draws are keyed.
-    subset = hits.subset[hits.hit]
-    tasks = {
-        "video": hits.video,
-        "size": np.array(list(map(len, plan.subsets)))[subset],
-        "subset": subset,
-        "lengths": hits.lengths,
-        "question": hits.question,
-        "gold": hits.gold,
-    }
-    tasks["slots"] = slot_table(tax, rows["truth"], rows["hard"], tasks["video"],
-                                tasks["lengths"], tasks["question"], tasks["gold"])
+                     prevalence=behavior.prevalence, video_keys=rows.video_keys)
+    slots = slot_table(tax, rows, hits.video, hits.subset[hits.hit], hits.lengths, hits.question,
+                       hits.gold)
     for iteration in range(iterations):
-        worker = assign_workers(hits, rows["worker_keys"], seed, iteration)[hits.hit]
-        yield simulate_block(behavior, tax, modifiers, seed, iteration=iteration, worker=worker,
-                             **rows, **tasks)
+        worker = assign_workers(hits, rows.worker_keys, seed, iteration)[hits.hit]
+        yield simulate_block(behavior, tax, modifiers, seed, rows, slots, worker, iteration)
 
 
 def run_campaign(*args, **kwargs) -> EventTable:
@@ -1003,9 +991,8 @@ def _experiment_worker_correlations(seed: int):
     pool = sample_worker_pool(30, behavior, 0.0, seed)
     events = run_campaign(tax, truths, 52, 2, behavior, seed, pool=pool)
     # An event is positive when its question has a member the video shows.
-    members = tax.member_table[events.question]
     truth = truth_matrix(truths, tax.label_count, video_ids=events.video_ids)
-    positive = (truth[events.video[:, None], members] & (members >= 0)).any(axis=1)
+    positive = question_positive(tax, truth)[events.video, events.question]
     n = len(events.worker_ids)
     positives = np.bincount(events.worker[positive], minlength=n).tolist()
     tp = np.bincount(events.worker[positive & events.gate], minlength=n).tolist()

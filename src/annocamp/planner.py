@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .costmodel import TimeModel, iteration_time
+from .costmodel import TimeModel, iteration_time, subset_sizes
 from .evaluate import union_precision
 from .workersim import (
     ModifierSet,
@@ -20,6 +20,7 @@ from .workersim import (
     apply_modifiers,
     mixture_union_recall,
     regime,
+    unmeasured,
 )
 
 logger = logging.getLogger(__name__)
@@ -74,7 +75,8 @@ def plan_iteration_minutes(
     """Minutes per complete pass at interface size k.
 
     Prefers the observed per-iteration time when the calibration measured
-    one for this k; otherwise falls back to the fitted time model.
+    one for this k; otherwise falls back to the fitted time model. The
+    modifiers' extra seconds are paid once per viewing (subset).
     """
     observed = behavior.observed_iteration_minutes(k)
     minutes = (
@@ -83,7 +85,8 @@ def plan_iteration_minutes(
         else iteration_time(model, k, behavior.qtop) / 60.0
     )
     adjusted = apply_modifiers(behavior, modifiers, k)
-    return minutes * adjusted.time_ratio + adjusted.extra_seconds / 60.0
+    viewings = len(subset_sizes(behavior.qtop, k))
+    return minutes * adjusted.time_ratio + adjusted.extra_seconds * viewings / 60.0
 
 
 def _predict(behavior: WorkerBehavior, k: int, n: int, modifiers: ModifierSet):
@@ -137,7 +140,8 @@ def enumerate_plans(
 
     `k_values` None means the calibration anchors, the interface sizes with
     measured accuracy; other sizes are interpolated. `beneficial_only` drops
-    the many-question bundle, measured as harmful. No precision floor here.
+    the many-question bundle, measured as harmful. A modifier set is offered
+    only where every subset size has its measured effect. No precision floor.
     """
     k_values = [k for k, _ in behavior.recall_points] if k_values is None else list(k_values)
     if not k_values or (max_n is not None and max_n < 1):
@@ -145,7 +149,10 @@ def enumerate_plans(
     budget = constraint.max_minutes_per_video
     plans = []
     for k in k_values:
+        sizes = set(subset_sizes(behavior.qtop, k))
         for modifiers in modifier_options(k, beneficial_only):
+            if any(unmeasured(modifiers, size) for size in sizes):
+                continue
             minutes = plan_iteration_minutes(behavior, model, k, modifiers)
             top = int(budget / minutes + 1e-9)
             if max_n is not None:

@@ -192,6 +192,13 @@ def partition_questions(tax: Taxonomy, k: int, seed: int) -> SubsetPlan:
     return SubsetPlan(tuple(tuple(ids[p] for p in subset) for subset in positions), positions)
 
 
+def question_positive(tax: Taxonomy, truth: np.ndarray) -> np.ndarray:
+    """Whether each question has a member true for each video: the (videos x
+    questions) matrix of a (videos x labels) boolean `truth` matrix."""
+    # Past a question's members the label -1 indexes the last label; the mask drops it.
+    return (truth[:, tax.member_table] & (tax.member_table >= 0)).any(axis=2)
+
+
 def expand_answer(
     tax: Taxonomy, question_id: int, gate: bool, selected_members
 ) -> frozenset[int]:

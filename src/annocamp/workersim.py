@@ -26,7 +26,7 @@ import numpy as np
 from .costmodel import DEFAULT_TIME_MODEL, REFERENCE_VIDEO_SECONDS  # noqa: F401 (re-exported)
 from .seeding import (MASK, draw_key, fold, id_key, id_keys, mix, order, uniforms, white_uniforms,
                       whiten)
-from .taxonomy import Taxonomy, dense_codes
+from .taxonomy import Taxonomy, dense_codes, question_positive
 
 ELAPSED_SIGMA = 0.25
 FEW_QUESTION_MAX = 7
@@ -96,7 +96,7 @@ class ModifierEffect:
 
 # A/B-measured effects, keyed by (modifier, regime). Regimes: interfaces with
 # at most FEW_QUESTION_MAX questions are "few", the rest "many". The summary
-# prompt costs a flat 36 s per iteration instead of scaling the time.
+# prompt costs a flat 36 s per viewing (one task) instead of scaling the time.
 MODIFIER_EFFECTS = {
     ("positive_bias", "few"): ModifierEffect(57.9 / 53.2, 81.3 / 79.0, 3.6 / 4.6),
     ("grouping", "few"): ModifierEffect(67.2 / 70.4, 81.4 / 77.7, 5.1 / 5.9),
@@ -108,6 +108,12 @@ MODIFIER_EFFECTS = {
 
 def regime(k: int) -> str:
     return "few" if k <= FEW_QUESTION_MAX else "many"
+
+
+def unmeasured(modifiers: ModifierSet, k: int) -> str | None:
+    """The first modifier switched on that has no measured effect at k questions."""
+    return next((name for name, _ in MODIFIERS
+                 if getattr(modifiers, name) and (name, regime(k)) not in MODIFIER_EFFECTS), None)
 
 
 def fp_rate_from_precision(recall: float, precision: float, prevalence: float, qtop: int) -> float:
@@ -286,15 +292,14 @@ def apply_modifiers(
     extra_seconds = 0.0
     if not modifiers.any:
         return AdjustedBehavior(r, f, time_ratio, extra_seconds)
+    if missing := unmeasured(modifiers, k):
+        raise ValueError(f"modifier {missing!r} has no measured effect in the {reg}-question "
+                         "regime")
     p = behavior.precision(k)
     for name, _ in MODIFIERS:
         if not getattr(modifiers, name):
             continue
-        effect = MODIFIER_EFFECTS.get((name, reg))
-        if effect is None:
-            raise ValueError(
-                f"modifier {name!r} has no measured effect in the {reg}-question regime"
-            )
+        effect = MODIFIER_EFFECTS[name, reg]
         r *= effect.recall_ratio
         p *= effect.precision_ratio
         time_ratio *= effect.time_ratio
@@ -446,20 +451,41 @@ def _select_members(probs: np.ndarray, u: np.ndarray, count: np.ndarray) -> np.n
     return (take.astype(np.uint64) << bit.astype(np.uint64)).sum(axis=1)
 
 
-class SlotTable(NamedTuple):
-    """The part of a pass's slots that does not depend on who answers them,
-    built once by `slot_table` and read-only.
+class CampaignRows(NamedTuple):
+    """A campaign's constants (`campaign.campaign_rows`): the pool's columns
+    by worker row, then the videos' by video row (the truth matrix and the
+    hard-pair mask are videos x labels), then the time model's slope."""
 
-    Per slot: `owner` (its task), `video` (its video row), `question` (its
-    position in tax.questions, a view of the caller's array) and `gold`; the
-    last three are the event table's columns, shared by every pass's table.
-    `positive` lists the slots whose question has a true member for the
-    video and `hard_positive` those of them whose true members are all
-    hard; `gold_owner` and `gold_ordinal` give each gold slot's task and its
-    ordinal among the task's gold slots; `multi` lists the non-gold slots of
-    questions with more than one member.
+    worker_ids: tuple[str, ...]
+    worker_keys: np.ndarray
+    recall_scale: np.ndarray
+    time_scale: np.ndarray
+    spammer: np.ndarray
+    video_ids: tuple[str, ...]
+    video_keys: np.ndarray
+    truth: np.ndarray
+    hard: np.ndarray
+    base_seconds: np.ndarray
+    per_question_seconds: float
+
+
+class SlotTable(NamedTuple):
+    """The part of a pass that does not depend on who answers it, built
+    once by `slot_table` and read-only.
+
+    Per task: `task_video` (its video row), `subset` (its subset's index)
+    and `size` (its subset's question count). Per slot: `owner` (its task),
+    `video`, `question` (its position in tax.questions) and `gold`, the
+    event table's columns shared by every pass. `positive` lists the slots
+    whose question has a true member for the video and `hard_positive`
+    those whose true members are all hard; `gold_owner` and `gold_ordinal`
+    give each gold slot's task and its ordinal among the task's gold slots;
+    `multi` lists the non-gold slots of multi-member questions.
     """
 
+    task_video: np.ndarray
+    subset: np.ndarray
+    size: np.ndarray
     owner: np.ndarray
     video: np.ndarray
     question: np.ndarray
@@ -471,34 +497,36 @@ class SlotTable(NamedTuple):
     multi: np.ndarray
 
 
-def slot_table(tax: Taxonomy, truth: np.ndarray, hard: np.ndarray, video: np.ndarray,
+def slot_table(tax: Taxonomy, campaign: CampaignRows, video: np.ndarray, subset: np.ndarray,
                lengths: np.ndarray, question: np.ndarray, gold: np.ndarray) -> SlotTable:
-    """The SlotTable of tasks about video rows `video`, task i holding the
-    lengths[i] consecutive slots of `question` (positions in tax.questions)
-    and `gold`, on the (videos x labels) `truth` matrix and `hard` mask."""
+    """The SlotTable of tasks about the campaign's video rows `video`, task
+    i asking subset[i] in the lengths[i] consecutive slots of `question`
+    (positions in tax.questions) and `gold`; its size is its count of
+    non-gold slots, at least one. The table's `task_video`, `subset`,
+    `question` and `gold` are views of these arrays."""
     owner = np.repeat(np.arange(len(video)), lengths)
-    slot_video = video[owner]
-    # Past a question's members the label is -1: it indexes the last label,
-    # and `valid` masks it out.
-    members = tax.member_table[question]
-    valid = members >= 0
-    is_true = truth[slot_video[:, None], members] & valid
-    # A positive question is hard when all of its positive members are.
-    positive = np.flatnonzero(is_true.any(axis=1))
-    is_hard = hard[slot_video[positive, None], members[positive]]
-    all_hard = ~(is_true[positive] & ~is_hard).any(axis=1)
-    del is_true, is_hard, members  # freed before the columns are built
-    gold = np.array(gold, dtype=bool)
+    gold = np.asarray(gold, dtype=bool)
     gold_owner = owner[gold]
-    columns = dict(
-        owner=owner, video=slot_video, question=question.view(), gold=gold,
-        positive=positive, hard_positive=positive[all_hard], gold_owner=gold_owner,
+    size = lengths - np.bincount(gold_owner, minlength=len(video))
+    if (size < 1).any():
+        raise ValueError("a task needs at least one question")
+    slot_video = video[owner]
+    # Each slot's cell in the flattened (videos x questions) matrices.
+    cell = slot_video * tax.question_count + question
+    positive = np.flatnonzero(question_positive(tax, campaign.truth).ravel()[cell])
+    # A positive question is hard when none of its true members is easy.
+    easy = question_positive(tax, campaign.truth & ~campaign.hard).ravel()[cell[positive]]
+    wide = np.array([len(q.members) > 1 for q in tax.questions], dtype=bool)
+    multi = np.flatnonzero(wide[question])
+    table = SlotTable(
+        task_video=video.view(), subset=subset.view(), size=size, owner=owner,
+        video=slot_video, question=question.view(), gold=gold.view(), positive=positive,
+        hard_positive=positive[~easy], gold_owner=gold_owner, multi=multi[~gold[multi]],
         gold_ordinal=np.arange(len(gold_owner)) - np.searchsorted(gold_owner, gold_owner),
-        multi=np.flatnonzero(~gold & valid[:, 1:].any(axis=1)),
     )
-    for column in columns.values():
+    for column in table:
         column.flags.writeable = False
-    return SlotTable(**columns)
+    return table
 
 
 def simulate_block(
@@ -506,58 +534,26 @@ def simulate_block(
     tax: Taxonomy,
     modifiers: ModifierSet,
     seed: int,
-    *,
-    worker_ids,
-    worker_keys: np.ndarray,
-    recall_scale: np.ndarray,
-    time_scale: np.ndarray,
-    spammer: np.ndarray,
-    video_ids,
-    video_keys: np.ndarray,
-    truth: np.ndarray,
-    hard: np.ndarray,
-    base_seconds: np.ndarray,
-    per_question_seconds: float,
+    campaign: CampaignRows,
+    slots: SlotTable,
     worker: np.ndarray,
-    video: np.ndarray,
-    size: np.ndarray,
-    subset: np.ndarray,
-    lengths: np.ndarray,
-    question: np.ndarray,
-    gold: np.ndarray,
     iteration: int = 0,
-    slots: SlotTable | None = None,
 ) -> EventTable:
-    """Simulate task i: worker row worker[i] answering a size[i]-question
-    subset of `tax` about video row video[i], the subset indexed subset[i].
+    """Pass `iteration` over the tasks of `slots`: task i is the campaign's
+    worker row worker[i] answering subset slots.subset[i] of `tax`.
 
-    `worker_ids`, `worker_keys`, `recall_scale`, `time_scale` and `spammer`
-    are indexed by worker row; `video_ids`, `video_keys`, `truth` and `hard`
-    (the campaign's videos x labels truth matrix and hard-pair mask) and
-    `base_seconds` (the time model's base, scaled to the video's duration) by
-    video row. Task i's events are its lengths[i] consecutive slots:
-    `question` holds each slot's position in tax.questions and `gold` flags
-    gold duplicates, the other slots naming each question of the subset
-    once. `slots` is `slot_table` of these columns; a caller that runs
-    several passes over one set of tasks builds it once and passes it, and
-    without it the call builds its own. The events' video, question and gold
-    columns are the table's, read-only, and their iteration column is
-    `iteration` broadcast, read-only with stride 0. Each distinct size
-    resolves its operating point once, in task order. Draws are keyed by (seed, worker,
-    video, iteration, subset, stream) and count question ids, member label
-    ids or gold ordinals, so a task's events depend neither on the other
-    tasks nor on its slot order. Workers, videos and subsets enter the key
-    by the `id_key` of their id (`worker_keys`, `video_keys`, `id_key` of
-    the subset index). The task keys are built by the vocabulary, not by the
-    task: the seed is folded into the pool's keys, the video keys and the
-    subset keys are whitened, and only then is each gathered to the tasks
-    and mixed in; the counters are whitened the same way, over the question
-    and label ids, before they are gathered to the slots.
+    The events' video, question and gold columns are the slot table's, and
+    their iteration column is `iteration` broadcast, read-only with stride
+    0. Each distinct size resolves its operating point once, in task order.
+    Draws are keyed by (seed, worker, video, iteration, subset, stream),
+    each entering by the `id_key` of its id, and count question ids, member
+    label ids or gold ordinals, so a task's events depend neither on the
+    other tasks nor on its slot order. The keys are built by vocabulary,
+    not by task: the seed is folded into the pool's keys, the video and
+    subset keys and the counters are whitened, and only then is each
+    gathered to the tasks or slots and mixed in.
     """
-    if (size < 1).any():
-        raise ValueError("a task needs at least one question")
-    if slots is None:
-        slots = slot_table(tax, truth, hard, video, lengths, question, gold)
+    size, video, subset = slots.size, slots.task_video, slots.subset
     # The operating point of each distinct size, resolved in task order so
     # that the first subset without a measured effect is the one named.
     sizes = dense_codes(size)[0].tolist()
@@ -570,13 +566,13 @@ def simulate_block(
 
     def easy(at: np.ndarray) -> np.ndarray:
         """The easy-pair recall of tasks `at`, their workers' scales applied."""
-        r = np.minimum(1.0, recall[size[at]] * recall_scale[worker[at]])
+        r = np.minimum(1.0, recall[size[at]] * campaign.recall_scale[worker[at]])
         return easy_recall(r, behavior.hard_fraction, hard_mult)
 
-    spam = spammer[worker]
+    spam = campaign.spammer[worker]
     # The task key: (seed, worker, video, iteration, subset) folded by vocabulary.
-    task = draw_key(seed, worker_keys)[worker]
-    task = mix(task, whiten(video_keys)[video])
+    task = draw_key(seed, campaign.worker_keys)[worker]
+    task = mix(task, whiten(campaign.video_keys)[video])
     task = mix(task, whiten(id_key(iteration)))
     task = mix(task, whiten(id_keys(range(subset.max(initial=-1) + 1)))[subset])
     # The slots' counters, whitened over their vocabularies: question ids,
@@ -593,7 +589,7 @@ def simulate_block(
     # all hard), and at the spammer rate for a spammer. The uniforms are
     # drawn first, so that their key and counter arrays are freed before
     # the probabilities are built.
-    owner = slots.owner
+    owner, question = slots.owner, slots.question
     u = white_uniforms(stream("gate")[owner], white_question[question])
     p_yes = fp[size][owner]
     p_yes[slots.positive] = easy(owner[slots.positive])
@@ -622,8 +618,8 @@ def simulate_block(
         spam_pick = (spam_pick * n).astype(np.uint64)
         rm = easy(at)[:, None]
         slot_video = slots.video[multi, None]  # label -1 past the members: masked by valid
-        is_true = truth[slot_video, members] & valid
-        probs = np.where(is_true, np.where(hard[slot_video, members], rm * hard_mult, rm),
+        is_true = campaign.truth[slot_video, members] & valid
+        probs = np.where(is_true, np.where(campaign.hard[slot_video, members], rm * hard_mult, rm),
                          fp[size[at]][:, None])
         probs *= valid
         u = white_uniforms(stream("members", at)[:, None], white_label[members])
@@ -638,16 +634,16 @@ def simulate_block(
     total *= np.cos(2.0 * np.pi * uniforms(key, 1))
     total *= ELAPSED_SIGMA
     np.exp(total, out=total)
-    total *= per_question_seconds * size + base_seconds[video]
-    total *= time_scale[worker]
+    total *= campaign.per_question_seconds * size + campaign.base_seconds[video]
+    total *= campaign.time_scale[worker]
     total *= time_ratio[size]
     total += extra[size]
     total /= size
     elapsed = total[owner]
     slot_worker = worker[owner]
     del key, total, task
-    return EventTable(worker_ids, video_ids, slot_worker, slots.video, slots.question, mask,
-                      elapsed, np.broadcast_to(np.int64(iteration), len(owner)), slots.gold)
+    return EventTable(campaign.worker_ids, campaign.video_ids, slot_worker, slots.video, question,
+                      mask, elapsed, np.broadcast_to(np.int64(iteration), len(owner)), slots.gold)
 
 
 def make_random_truth(

@@ -14,7 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from annocamp.campaign import gate_positives, pack_hits, simulate_campaign
+from annocamp.campaign import (assign_workers, campaign_rows, gate_positives, pack_hits,
+                               simulate_campaign)
 from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, truth_matrix
@@ -27,6 +28,8 @@ from annocamp.workersim import (
     fit_hard_mixture,
     make_random_truth,
     sample_worker_pool,
+    simulate_block,
+    slot_table,
 )
 
 SEED = 1
@@ -108,6 +111,42 @@ def test_simulate_k52_five_aggregated_passes(benchmark, tax, pool):
         benchmark.extra_info["peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def k52_campaign(tax, pool):
+    """A campaign of sim-k52x5's size, 1000 videos at k = 52: its behaviour,
+    truths, constants and HITs."""
+    behavior = fit_hard_mixture(default_behavior())
+    truths = make_random_truth(1000, 52, behavior.prevalence, SEED)
+    rows = campaign_rows(tax, truths, pool, behavior, SEED)
+    hits = pack_hits(rows.video_ids, partition_questions(tax, 52, SEED), HitBudget(),
+                     DEFAULT_TIME_MODEL, SEED, video_keys=rows.video_keys)
+    return behavior, truths, rows, hits
+
+
+def k52_slots(tax, rows, hits):
+    return slot_table(tax, rows, hits.video, hits.subset[hits.hit], hits.lengths, hits.question,
+                      hits.gold)
+
+
+def test_slot_table_k52(benchmark, tax, k52_campaign):
+    # The table a campaign builds once for all of its passes, timed apart
+    # from them; its events are its slots.
+    _, _, rows, hits = k52_campaign
+    slots = benchmark(k52_slots, tax, rows, hits)
+    assert len(slots.owner) == 1000 * 52
+    record_rate(benchmark, len(slots.owner))
+
+
+def test_simulate_block_k52(benchmark, tax, pool, k52_campaign):
+    # One pass on a prebuilt table: the work every pass of sim-k52x5 repeats.
+    behavior, truths, rows, hits = k52_campaign
+    slots = k52_slots(tax, rows, hits)
+    worker = assign_workers(hits, rows.worker_keys, SEED, 0)[hits.hit]
+    events = benchmark(simulate_block, behavior, tax, ModifierSet(), SEED, rows, slots, worker)
+    assert events == next(simulate_campaign(tax, truths, 52, 1, behavior, SEED, pool=pool))
+    record_rate(benchmark, len(events))
 
 
 def test_simulate_one_pass_k5_bias_grouping_150_sample_videos(benchmark):

@@ -2,8 +2,16 @@
 
 import numpy as np
 
-from annocamp.taxonomy import mask_members
+from annocamp.taxonomy import mask_members, taxonomy_from_mapping
 from annocamp.workersim import EVENT_FIELDS
+
+# Question ids with a gap, listed out of order.
+GAPPED_TAX = taxonomy_from_mapping({
+    "labels": [{"id": i, "name": f"l{i}"} for i in range(3)],
+    "questions": [{"id": 15, "prompt": "a", "members": [0]},
+                  {"id": 10, "prompt": "b", "members": [1]},
+                  {"id": 12, "prompt": "c", "members": [2]}],
+})
 
 
 def event_rows(table, tax) -> list[tuple]:

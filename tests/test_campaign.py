@@ -63,6 +63,7 @@ from annocamp.workersim import (
     regime,
     sample_worker_pool,
     simulate_block,
+    slot_table,
 )
 from helpers import event_rows
 
@@ -649,9 +650,9 @@ def test_passes_share_only_read_only_columns(tax, behavior, k, modifiers):
 @pytest.mark.parametrize("k, modifiers", [(1, NONE), (5, BIAS), (52, NONE)])
 def test_the_question_column_is_one_buffer_from_packing_to_the_events(sample_tax, behavior,
                                                                       monkeypatch, k, modifiers):
-    # pack_hits writes each slot's question position once: the slot table
-    # and every pass's events hold that array, read-only, and each pass's
-    # iteration column is its one value at stride 0.
+    # pack_hits writes each slot's question position and gold flag once: the
+    # slot table and every pass's events hold those arrays, read-only, and
+    # each pass's iteration column is its one value at stride 0.
     made = {}
 
     def spy(name, function):
@@ -665,11 +666,13 @@ def test_the_question_column_is_one_buffer_from_packing_to_the_events(sample_tax
     truths = make_random_truth(6, sample_tax.label_count, 3.7, seed=2, min_labels=1)
     passes = list(simulate_campaign(sample_tax, truths, k, 3, behavior, seed=1,
                                     modifiers=modifiers))
-    question = made["pack_hits"].question
-    assert not question.flags.writeable
-    assert np.shares_memory(question, made["slot_table"].question)
+    hits, slots = made["pack_hits"], made["slot_table"]
+    for name in ("question", "gold"):
+        assert not getattr(hits, name).flags.writeable
+        assert np.shares_memory(getattr(hits, name), getattr(slots, name))
+        for events in passes:
+            assert np.shares_memory(getattr(hits, name), getattr(events, name))
     for iteration, events in enumerate(passes):
-        assert np.shares_memory(question, events.question)
         assert events.iteration.strides == (0,) and not events.iteration.flags.writeable
         assert events.iteration.tolist() == [iteration] * len(events)
 
@@ -726,25 +729,24 @@ def per_subset_passes(tax, truths, k, iterations, behavior, seed, *, modifiers, 
     worker_ids = [w.worker_id for w in pool]
     plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed)
-    known = gate_positives(tax, video_ids, rows["truth"]) if modifiers.positive_bias else None
+    known = gate_positives(tax, video_ids, rows.truth) if modifiers.positive_bias else None
     hits = pack_hits(video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, seed,
                      positive_bias=modifiers.positive_bias, grouping=modifiers.grouping,
                      known_positives=known, prevalence=behavior.prevalence)
     n = len(video_ids)
     bounds = np.concatenate([[0], np.cumsum(hits.lengths)])[::n].tolist()
-    subsets = [(s, len(subset), slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
-               for s, subset in enumerate(plan.subsets)]
-    question = hits.question
+    subsets = [(s, slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
+               for s in range(len(plan.subsets))]
     for iteration in range(iterations):
         # Each HIT's worker: the seeded shuffle of the pool, cycled.
         perm = order(seed, worker_ids, "assign", iteration)
         worker = perm[np.arange(len(hits)) % len(pool)][hits.hit]
         yield EventTable.concat(
-            simulate_block(behavior, tax, modifiers, seed, iteration=iteration,
-                           worker=worker[tasks], video=hits.video[tasks], size=np.full(n, size),
-                           subset=np.full(n, s), lengths=hits.lengths[tasks],
-                           question=question[slots], gold=hits.gold[slots], **rows)
-            for s, size, tasks, slots in subsets
+            simulate_block(behavior, tax, modifiers, seed, rows,
+                           slot_table(tax, rows, hits.video[tasks], np.full(n, s),
+                                      hits.lengths[tasks], hits.question[at], hits.gold[at]),
+                           worker[tasks], iteration)
+            for s, tasks, at in subsets
         )
 
 
@@ -789,7 +791,7 @@ def test_one_simulator_call_per_pass(sample_tax, behavior, k, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(kwargs["worker"]))
+        calls.append(len(args[6]))
         return simulate_block(*args, **kwargs)
 
     monkeypatch.setattr(campaign, "simulate_block", counted)

@@ -26,6 +26,7 @@ from annocamp.taxonomy import (
 )
 from annocamp.workersim import (EventTable, WorkerBehavior, default_behavior,
                                 fp_rate_from_precision, make_random_truth)
+from helpers import GAPPED_TAX
 
 
 def make_event(video, question, gate, iteration, members=None, elapsed=1.0, gold=False,
@@ -261,15 +262,6 @@ def test_group_ids_matches_sorting(data, rows):
     assert np.array_equal(first, want_first)
 
 
-# Question ids with a gap, listed out of order.
-_GAPPED_TAX = taxonomy_from_mapping({
-    "labels": [{"id": i, "name": f"l{i}"} for i in range(3)],
-    "questions": [{"id": 15, "prompt": "a", "members": [0]},
-                  {"id": 10, "prompt": "b", "members": [1]},
-                  {"id": 12, "prompt": "c", "members": [2]}],
-})
-
-
 # Question ids spanning many more values than there are questions.
 _WIDE_TAX = taxonomy_from_mapping({
     "labels": [{"id": i, "name": f"l{i}"} for i in range(3)],
@@ -279,7 +271,7 @@ _WIDE_TAX = taxonomy_from_mapping({
 })
 
 
-@pytest.mark.parametrize("tax", [_ORACLE_TAX, _GAPPED_TAX, _WIDE_TAX],
+@pytest.mark.parametrize("tax", [_ORACLE_TAX, GAPPED_TAX, _WIDE_TAX],
                          ids=["oracle", "gapped", "wide"])
 @settings(max_examples=100, deadline=None)
 @given(question_id=st.sampled_from([-2, 0, 9, 10, 11, 12, 13, 15, 40, 400]))
@@ -294,9 +286,9 @@ def test_position_matches_a_lookup_per_id(tax, question_id):
         assert str(exc.value) == f"unknown question id {question_id}"
 
 
-# _GAPPED_TAX under the ids 0, 1, 2, its questions in the same order.
-_RENUMBERED_TAX = Taxonomy(_GAPPED_TAX.labels, tuple(
-    QuestionGroup(i, q.prompt, q.members) for i, q in enumerate(_GAPPED_TAX.questions)))
+# GAPPED_TAX under the ids 0, 1, 2, its questions in the same order.
+_RENUMBERED_TAX = Taxonomy(GAPPED_TAX.labels, tuple(
+    QuestionGroup(i, q.prompt, q.members) for i, q in enumerate(GAPPED_TAX.questions)))
 
 
 def simulated_matrix(tax, behavior, truths, k, path):
@@ -318,7 +310,7 @@ def test_gapped_ids_give_the_matrix_of_their_renumbered_twin(tmp_path, k):
     truthful = WorkerBehavior(recall_points=((1, 1.0), (3, 1.0)),
                               fp_points=((1, 0.0), (3, 0.0)), prevalence=1.0, qtop=3)
     truths = make_random_truth(8, 3, 1.0, seed=4)
-    data, gapped = simulated_matrix(_GAPPED_TAX, truthful, truths, k, tmp_path / "gapped.csv")
+    data, gapped = simulated_matrix(GAPPED_TAX, truthful, truths, k, tmp_path / "gapped.csv")
     _, twin = simulated_matrix(_RENUMBERED_TAX, truthful, truths, k, tmp_path / "twin.csv")
     questions = {line.split(b",")[2] for line in data.splitlines()[1:]}
     assert questions == {b"15", b"10", b"12"}
@@ -331,9 +323,9 @@ def test_gapped_ids_give_the_matrix_of_their_renumbered_twin(tmp_path, k):
 def test_listing_the_questions_in_another_order_changes_no_event(tmp_path, k):
     # The draws are keyed by question ids, so the same ids at other
     # positions give the same events CSV, byte for byte, and the same matrix.
-    reversed_tax = Taxonomy(_GAPPED_TAX.labels, _GAPPED_TAX.questions[::-1])
+    reversed_tax = Taxonomy(GAPPED_TAX.labels, GAPPED_TAX.questions[::-1])
     truths = make_random_truth(8, 3, 1.0, seed=4)
-    data, matrix = simulated_matrix(_GAPPED_TAX, default_behavior(), truths, k,
+    data, matrix = simulated_matrix(GAPPED_TAX, default_behavior(), truths, k,
                                     tmp_path / "gapped.csv")
     again, reversed_matrix = simulated_matrix(reversed_tax, default_behavior(), truths, k,
                                               tmp_path / "reversed.csv")

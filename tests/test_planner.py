@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import logging
 
 import pytest
 
+from annocamp import workersim
+from annocamp.campaign import run_campaign
 from annocamp.costmodel import DEFAULT_TIME_MODEL, TimeModel, iteration_time
 from annocamp.planner import (
     FEW_QUESTION_BUNDLE,
@@ -16,7 +19,9 @@ from annocamp.planner import (
     optimize,
     plan_iteration_minutes,
 )
-from annocamp.workersim import AccuracyAnchor, calibrate, default_behavior, fit_hard_mixture
+from annocamp.taxonomy import singleton_taxonomy
+from annocamp.workersim import (AccuracyAnchor, ModifierSet, calibrate, default_behavior,
+                                fit_hard_mixture, make_random_truth, unmeasured)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,39 @@ def test_iteration_minutes_prefers_observed(behavior):
 def test_iteration_minutes_folds_modifiers(behavior):
     minutes = plan_iteration_minutes(behavior, DEFAULT_TIME_MODEL, 1, FEW_QUESTION_BUNDLE)
     assert minutes == pytest.approx(8.61 * (3.6 / 4.6) * (5.1 / 5.9))
+
+
+@pytest.mark.parametrize("k", [13, 26, 52])
+def test_noise_free_simulated_minutes_equal_the_planned_minutes(monkeypatch, k):
+    # Every subset of these passes has k questions, and the summary prompt's
+    # 36 s are paid once per viewing by the planner as by the simulator.
+    monkeypatch.setattr(workersim, "ELAPSED_SIGMA", 0.0)
+    behavior = dataclasses.replace(default_behavior(), observed_minutes=())
+    truths = make_random_truth(3, 52, 3.7, seed=1)
+    sets = [ModifierSet(*flags) for flags in itertools.product([False, True], repeat=4)]
+    valid = [m for m in sets if not unmeasured(m, k)]
+    assert len(valid) == 8  # positive bias has no measured effect past FEW_QUESTION_MAX
+    for modifiers in valid:
+        events = run_campaign(singleton_taxonomy(52), truths, k, 1, behavior, seed=1,
+                              modifiers=modifiers)
+        minutes = sum(events.elapsed.tolist()) / 60.0 / len(truths)
+        planned = plan_iteration_minutes(behavior, DEFAULT_TIME_MODEL, k, modifiers)
+        assert minutes == pytest.approx(planned, rel=1e-12), modifiers.label()
+
+
+def test_every_enumerated_plan_simulates(independent):
+    # A modifier set is offered at k only when every subset size of the pass
+    # has a measured effect for it: at k = 10 the 2-question remainder has
+    # none for the summary prompt, so the many-question bundle is not listed.
+    plans = enumerate_plans(independent, DEFAULT_TIME_MODEL, BudgetConstraint(100.0),
+                            range(1, 53), max_n=1)
+    assert {p.k for p in plans} == set(range(1, 53))
+    bundled = {p.k for p in plans if p.modifiers == MANY_QUESTION_BUNDLE}
+    assert 13 in bundled and 10 not in bundled
+    truths = make_random_truth(2, 52, 3.7, seed=1, min_labels=1)
+    tax = singleton_taxonomy(52)
+    for plan in plans:
+        run_campaign(tax, truths, plan.k, 1, independent, seed=1, modifiers=plan.modifiers)
 
 
 def test_enumerate_reference_budget(behavior):

@@ -40,8 +40,9 @@ from annocamp.workersim import (
     mixture_union_recall,
     sample_worker_pool,
     simulate_block,
+    slot_table,
 )
-from helpers import event_rows
+from helpers import GAPPED_TAX, event_rows
 
 NONE = ModifierSet()
 
@@ -51,14 +52,12 @@ def simulate_one(behavior, tax, video, seed, *, questions=None, worker=Worker("w
     """One worker's task on one video, the questions in order and then one
     flagged event per gold duplicate: the one-row case of simulate_block."""
     questions = list(tax.questions if questions is None else questions)
-    slots = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
-    positions, gold = zip(*((tax.position(i), g) for i, g in slots))
-    return simulate_block(
-        behavior, tax, NONE, seed, **campaign_rows(tax, [video], [worker], behavior, seed),
-        worker=np.array([0]), video=np.array([0]), size=np.array([len(questions)]),
-        subset=np.array([subset_index]), lengths=np.array([len(slots)]),
-        question=np.array(positions), gold=np.array(gold),
-    )
+    asked = [(q.id, False) for q in questions] + [(q.id, True) for q in gold_questions]
+    positions, gold = zip(*((tax.position(i), g) for i, g in asked))
+    rows = campaign_rows(tax, [video], [worker], behavior, seed)
+    slots = slot_table(tax, rows, np.array([0]), np.array([subset_index]),
+                       np.array([len(asked)]), np.array(positions), np.array(gold))
+    return simulate_block(behavior, tax, NONE, seed, rows, slots, np.array([0]))
 
 
 def perfect_behavior(qtop=52):
@@ -346,12 +345,10 @@ def test_simulated_recall_monotone_in_r():
         b = flat_behavior(r, 0.005)
         # Every task is simulate_one's one-video case of this block.
         n = len(truths)
-        events = simulate_block(
-            b, tax, NONE, seed=77, **campaign_rows(tax, truths, [Worker("w0")], b, 77),
-            worker=np.zeros(n, int), video=np.arange(n), size=np.full(n, 52),
-            subset=np.zeros(n, dtype=np.int64), lengths=np.full(n, 52),
-            question=np.tile(np.arange(52), n), gold=np.zeros(52 * n, bool),
-        )
+        rows = campaign_rows(tax, truths, [Worker("w0")], b, 77)
+        slots = slot_table(tax, rows, np.arange(n), np.zeros(n, dtype=np.int64),
+                           np.full(n, 52), np.tile(np.arange(52), n), np.zeros(52 * n, bool))
+        events = simulate_block(b, tax, NONE, 77, rows, slots, np.zeros(n, int))
         scored = metrics(aggregate(events, tax).binary(1), truth)
         recalls.append(scored.recall)
     assert recalls[1] > recalls[0]
@@ -444,25 +441,62 @@ def test_block_equals_its_split_into_runs(seed, k, data):
     durations = data.draw(st.lists(st.sampled_from([10.0, 30.1, 55.0]), min_size=n,
                                    max_size=n), label="durations")
     truths = [replace(t, duration_seconds=d) for t, d in zip(truths, durations)]
-    rows = dict(campaign_rows(tax, truths, pool, b, seed), iteration=data.draw(st.integers(0, 3)))
+    rows = campaign_rows(tax, truths, pool, b, seed)
+    iteration = data.draw(st.integers(0, 3))
     worker = np.array(data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
                                          max_size=n), label="workers"))
-    size = np.array([len(subsets[s]) for s in subset.tolist()])
     lengths = np.array([len(task) for task in tasks])
     offsets = np.concatenate([[0], np.cumsum(lengths)])
 
     def run(start, stop):
-        slots = slice(offsets[start], offsets[stop])
-        return simulate_block(
-            b, tax, NONE, seed, worker=worker[start:stop], video=np.arange(start, stop),
-            size=size[start:stop], subset=subset[start:stop],
-            lengths=lengths[start:stop], question=question[slots],
-            gold=gold[slots], **rows,
-        )
+        at = slice(offsets[start], offsets[stop])
+        slots = slot_table(tax, rows, np.arange(start, stop), subset[start:stop],
+                           lengths[start:stop], question[at], gold[at])
+        return simulate_block(b, tax, NONE, seed, rows, slots, worker[start:stop], iteration)
 
     cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()), label="cuts")
     bounds = [0, *sorted(cuts), n]
     assert run(0, n) == EventTable.concat(run(a, z) for a, z in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("tax", [load_taxonomy(sample_taxonomy_path()), GAPPED_TAX],
+                         ids=["sample", "gapped"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_positive_slots_equal_a_loop_over_members(tax, data):
+    # A slot is positive when its question has a member true for its video,
+    # and hard-positive when every such member is a hard pair; gold slots
+    # are classified too. The reference walks each slot's members.
+    n = data.draw(st.integers(1, 4), label="videos")
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, tax.label_count - 1))
+    true_pairs = data.draw(st.sets(pair, max_size=3 * n), label="truth")
+    hard_pairs = data.draw(st.sets(st.sampled_from(sorted(true_pairs)) if true_pairs else pair)
+                           | st.sets(pair, max_size=n), label="hard")
+    truth, hard = np.zeros((2, n, tax.label_count), dtype=bool)
+    for matrix, pairs in ((truth, true_pairs), (hard, hard_pairs)):
+        matrix[tuple(np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T)] = True
+    video = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+                               label="tasks"))
+    # Questions drawn half the time among those with a true member.
+    met = sorted({p for p, q in enumerate(tax.questions) for v, m in true_pairs if m in q.members})
+    position = st.integers(0, tax.question_count - 1)
+    slot = st.tuples(st.sampled_from(met) | position if met else position, st.booleans())
+    tasks = [data.draw(st.lists(slot, min_size=1, max_size=5), label="slots") for _ in video]
+    tasks = [[(task[0][0], False), *task[1:]] for task in tasks]  # a non-gold slot first
+    question, gold = (np.array(c) for c in zip(*(s for task in tasks for s in task)))
+    rows = campaign_rows(tax, [VideoTruth(f"v{i}") for i in range(n)], [Worker("w0")],
+                         default_behavior(), 0)._replace(truth=truth, hard=hard)
+    slots = slot_table(tax, rows, video, np.zeros(len(video), np.int64),
+                       np.array(list(map(len, tasks))), question, gold)
+    positive, hard_positive = [], []
+    for i, (v, p) in enumerate(zip(slots.video.tolist(), question.tolist())):
+        true = [m for m in tax.questions[p].members if truth[v, m]]
+        if true:
+            positive.append(i)
+            if all(hard[v, m] for m in true):
+                hard_positive.append(i)
+    assert slots.positive.tolist() == positive
+    assert slots.hard_positive.tolist() == hard_positive
 
 
 # ---------------------------------------------------------------------------
