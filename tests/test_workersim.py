@@ -470,10 +470,10 @@ def test_positive_slots_equal_a_loop_over_members(tax, data):
     n = data.draw(st.integers(1, 4), label="videos")
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, tax.label_count - 1))
     true_pairs = data.draw(st.sets(pair, max_size=3 * n), label="truth")
-    hard_pairs = data.draw(st.sets(st.sampled_from(sorted(true_pairs)) if true_pairs else pair)
-                           | st.sets(pair, max_size=n), label="hard")
+    hard_set = data.draw(st.sets(st.sampled_from(sorted(true_pairs)) if true_pairs else pair)
+                         | st.sets(pair, max_size=n), label="hard")
     truth, hard = np.zeros((2, n, tax.label_count), dtype=bool)
-    for matrix, pairs in ((truth, true_pairs), (hard, hard_pairs)):
+    for matrix, pairs in ((truth, true_pairs), (hard, hard_set)):
         matrix[tuple(np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T)] = True
     video = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
                                label="tasks"))
@@ -488,8 +488,9 @@ def test_positive_slots_equal_a_loop_over_members(tax, data):
                          default_behavior(), 0)._replace(truth=truth, hard=hard)
     slots = slot_table(tax, rows, video, np.zeros(len(video), np.int64),
                        np.array(list(map(len, tasks))), question, gold)
+    slot_video = [v for v, task in zip(video.tolist(), tasks) for _ in task]
     positive, hard_positive = [], []
-    for i, (v, p) in enumerate(zip(slots.video.tolist(), question.tolist())):
+    for i, (v, p) in enumerate(zip(slot_video, question.tolist())):
         true = [m for m in tax.questions[p].members if truth[v, m]]
         if true:
             positive.append(i)
