@@ -25,7 +25,6 @@ from .planner import BudgetConstraint, Plan, enumerate_plans, optimize
 from .taxonomy import (
     Label,
     QuestionGroup,
-    SubsetPlan,
     Taxonomy,
     expand_answer,
     load_taxonomy,

@@ -48,7 +48,6 @@ from .planner import (NO_MODIFIERS, BudgetConstraint, best_plan, enumerate_plans
                       plan_iteration_minutes)
 from .seeding import draw_key, fold, id_key, id_keys, key_order, uniforms
 from .taxonomy import (
-    SubsetPlan,
     Taxonomy,
     dense_codes,
     expand_answer,
@@ -132,34 +131,30 @@ class VerificationTask:
     label: int
 
 
-def gate_positives(tax: Taxonomy, video_ids, truth: np.ndarray) -> dict[str, list[int]]:
-    """Each video's question ids, in taxonomy order, whose member sets meet
-    its true labels: its row of the (videos x labels) truth matrix."""
-    positive = question_positive(tax, truth)
-    return {v: tax.question_ids[row].tolist() for v, row in zip(video_ids, positive)}
-
-
 def pack_hits(
+    tax: Taxonomy,
     video_ids,
-    subset_plan: SubsetPlan,
+    subsets,
     budget: HitBudget,
     model: TimeModel,
     seed: int,
     *,
-    positive_bias: bool = False,
     grouping: bool = False,
-    known_positives: dict | None = None,
+    known: np.ndarray | None = None,
     prevalence: float = DEFAULT_PREVALENCE,
     video_keys: np.ndarray | None = None,
 ) -> Hits:
     """Deterministically pack videos into HITs at the effort target.
 
-    Each HIT holds one question subset over as many videos as fit the
-    target. With grouping, all videos in a HIT present the identical
-    question order. With positive bias, duplicates of questions known
-    positive for the member videos are injected until the expected
-    affirmative fraction reaches one third; duplicates are flagged gold and
-    excluded from the expected-time accounting.
+    Each HIT holds one question subset (`subsets`: tuples of positions in
+    `tax.questions`, as `partition_questions` returns them) over as many
+    videos as fit the target. With grouping, all videos in a HIT present
+    the identical question order. Given `known`, the (videos x questions)
+    boolean matrix of known positives (`question_positive`'s form, row i
+    for video_ids[i]), duplicates of questions known positive for the
+    member videos are injected until the expected affirmative fraction
+    reaches one third; duplicates are flagged gold and excluded from the
+    expected-time accounting.
 
     The pass is packed with no loop over subsets: one draw orders the
     videos of every subset, the HITs and their gold duplicates are sized
@@ -167,9 +162,9 @@ def pack_hits(
     slots as one (subsets x videos x slots) block, and one argsort
     shuffles the slots of every task.
 
-    Slots hold question positions (`subset_plan.positions`); the known
-    positives and the draws go by question id. `video_keys`, the `id_keys`
-    of video_ids, spares a caller that holds them a second hashing of the ids.
+    Slots hold question positions; only the grouping draw is keyed by
+    question ids (`tax.question_ids`). `video_keys`, the `id_keys` of
+    video_ids, spares a caller that holds them a second hashing of the ids.
     """
     video_ids = tuple(video_ids)
     if not video_ids:
@@ -177,15 +172,14 @@ def pack_hits(
     if len(set(video_ids)) < len(video_ids):
         repeated = next(v for v, count in Counter(video_ids).items() if count > 1)
         raise ValueError(f"video {repeated!r} is listed more than once")
-    if positive_bias and not known_positives:
-        raise ValueError("positive bias requires known positive questions per video")
     n = len(video_ids)
+    if known is not None and np.shape(known) != (n, tax.question_count):
+        raise ValueError(f"known has shape {np.shape(known)}, not {(n, tax.question_count)}")
     if video_keys is None:
         video_keys = id_keys(video_ids)
-    sizes = np.array(list(map(len, subset_plan.subsets)), dtype=np.int64)
-    ids = np.fromiter(chain.from_iterable(subset_plan.subsets), dtype=np.int64)
-    positions = np.fromiter(chain.from_iterable(subset_plan.positions), dtype=np.int64)
-    first_id = np.cumsum(sizes) - sizes  # each subset's offset in ids
+    sizes = np.array(list(map(len, subsets)), dtype=np.int64)
+    positions = np.fromiter(chain.from_iterable(subsets), dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # each subset's offset in positions
     subset_keys = id_keys(range(len(sizes)))
     # Row s is subset s's packing order, the shuffle order(seed, video_ids,
     # "pack", s): its task t is the video packed[s, t] of chunk t // per_hit.
@@ -201,22 +195,17 @@ def pack_hits(
     hit_chunk = np.arange(len(hit_subset)) - first_hit[hit_subset]
     chunk_len = np.bincount(hit)
     golds = np.zeros((len(sizes), n), dtype=np.int64)
-    if positive_bias:
-        # Each video's known positives, as one flat array with offsets.
-        pools = [known_positives.get(v) or () for v in video_ids]
-        pool_len = np.array(list(map(len, pools)), dtype=np.int64)
+    if known is not None:
+        # Each video's known positives in taxonomy order, as one flat array
+        # of positions with offsets.
+        pool_len = np.count_nonzero(known, axis=1)
         pool_start = np.cumsum(pool_len) - pool_len
-        position = dict(zip(ids.tolist(), positions.tolist()))
-        try:
-            pooled = np.array([position[q] for pool in pools for q in pool], dtype=np.int64)
-        except KeyError as exc:
-            unknown = exc.args[0]
-            raise ValueError(f"known positive question id {unknown} is not in the plan") from None
+        pooled = np.nonzero(known)[1]
         # A HIT's duplicates go round-robin over its donors (the videos with
         # known positives, in pack order); a video's j-th gold slot repeats
         # its known positive j modulo their count.
         hit_size = sizes[hit_subset]
-        expected_pos = chunk_len * prevalence * hit_size / len(ids)
+        expected_pos = chunk_len * prevalence * hit_size / len(positions)
         duplicates = np.maximum(0, np.rint((chunk_len * hit_size - 3.0 * expected_pos) / 2.0))
         duplicates = duplicates.astype(np.int64)
         donor = pool_len[packed].ravel() > 0
@@ -238,13 +227,12 @@ def pack_hits(
     slots = np.empty((len(sizes), 1 if alike else n, lengths.max()), dtype=np.int64)
     for size_index, size in enumerate(distinct.tolist()):
         rows = np.flatnonzero(size_at == size_index)
-        at = first_id[rows, None] + np.arange(size)
-        base = positions[at][:, None, :]  # every video of a subset alike
+        base = positions[first[rows, None, None] + np.arange(size)]  # its videos alike
         if grouping and size > 1:
             # One question order shared by every video of a HIT: chunk c of
             # subset s has order(seed, subset, s, c, "order").
             chunk_keys = id_keys(range(chunks[rows[0]]))[:, None]
-            question_keys = id_keys(ids[at].ravel().tolist()).reshape(len(rows), 1, size)
+            question_keys = id_keys(tax.question_ids[base].ravel().tolist()).reshape(base.shape)
             shared = key_order(draw_key(seed, subset_keys[rows, None, None], chunk_keys, "order",
                                         question_keys))
             base = np.take_along_axis(base, shared, axis=2)[:, chunk[rows[0]]]
@@ -332,14 +320,15 @@ def simulate_campaign(
 
     Each pass lists the HITs' events in slot order, on the vocabularies of
     the pool's worker ids and the truths' video ids, which must be unique.
-    Built once, before the first pass: the HITs (`pack_hits`), the
-    campaign's constants (`campaign_rows`) and the HITs' pass-invariant slot
-    table (`slot_table`), whose video, question and gold columns every
-    pass's events share, read-only. A pass is one `simulate_block` call over
-    its tasks, which draws only what its workers change. Every draw is a counter draw keyed
-    by the ids of the task's worker and video, so the events are a pure
-    function of the seed and do not depend on execution order. Each pass
-    assigns the HITs over the whole pool (default: one worker).
+    Built once, before the first pass: the HITs (`pack_hits`, given the
+    `question_positive` matrix under positive bias), the campaign's
+    constants (`campaign_rows`) and the HITs' pass-invariant slot table
+    (`slot_table`), whose video, question and gold columns every pass's
+    events share, read-only. A pass is one `simulate_block` call over its
+    tasks, which draws only what its workers change. Every draw is a
+    counter draw keyed by the ids of the task's worker and video, so the
+    events are a pure function of the seed and do not depend on execution
+    order. Each pass assigns the HITs over the whole pool (default: one worker).
     """
     if iterations < 1:
         raise ValueError("a campaign needs at least one iteration")
@@ -349,12 +338,11 @@ def simulate_campaign(
     video_ids = tuple(t.video_id for t in truths)
     if len(set(video_ids)) < len(truths) or len({w.worker_id for w in pool}) < len(pool):
         raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
-    plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed, model)
-    known = gate_positives(tax, video_ids, rows.truth) if modifiers.positive_bias else None
-    hits = pack_hits(video_ids, plan, budget, model, seed, positive_bias=modifiers.positive_bias,
-                     grouping=modifiers.grouping, known_positives=known,
-                     prevalence=behavior.prevalence, video_keys=rows.video_keys)
+    known = question_positive(tax, rows.truth) if modifiers.positive_bias else None
+    hits = pack_hits(tax, video_ids, partition_questions(tax, k, seed), budget, model, seed,
+                     grouping=modifiers.grouping, known=known, prevalence=behavior.prevalence,
+                     video_keys=rows.video_keys)
     slots = slot_table(tax, rows, hits.video, hits.subset[hits.hit], hits.lengths, hits.question,
                        hits.gold)
     for iteration in range(iterations):

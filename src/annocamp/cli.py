@@ -149,12 +149,12 @@ def cmd_pack_hits(args, config: dict) -> int:
     video_ids = [t.video_id for t in truths]
     known = None
     if args.positive_bias:
-        truth = evaluate.truth_matrix(truths, tax.label_count, video_ids)
-        known = campaign.gate_positives(tax, video_ids, truth)
+        known = taxonomy.question_positive(
+            tax, evaluate.truth_matrix(truths, tax.label_count, video_ids))
     hits = campaign.pack_hits(
-        video_ids, taxonomy.partition_questions(tax, args.k, args.seed), config["budget"],
-        config["time_model"], args.seed, positive_bias=args.positive_bias,
-        grouping=args.grouping, known_positives=known, prevalence=config["prevalence"],
+        tax, video_ids, taxonomy.partition_questions(tax, args.k, args.seed), config["budget"],
+        config["time_model"], args.seed, grouping=args.grouping, known=known,
+        prevalence=config["prevalence"],
     )
     slots = iter(zip(tax.question_ids[hits.question].tolist(), hits.gold.tolist()))
     tasks = iter(zip(hits.video.tolist(), hits.lengths.tolist()))

@@ -89,16 +89,6 @@ class Taxonomy:
         return self.questions[self.position(question_id)]
 
 
-@dataclass(frozen=True)
-class SubsetPlan:
-    """An exact partition of the top-level questions into k-sized subsets:
-    `subsets` names them by question id, `positions` by position in the
-    taxonomy's questions, subset for subset."""
-
-    subsets: tuple[tuple[int, ...], ...]
-    positions: tuple[tuple[int, ...], ...]
-
-
 def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
     seen_label_ids = set()
     for lab in labels:
@@ -138,15 +128,22 @@ def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
         raise TaxonomyError(f"labels not covered by any question: {sorted(uncovered)}")
 
 
+def _integer(value, entry: str) -> int:
+    """An id of the document, which must be an integer (not a bool)."""
+    if type(value) is not int:
+        raise TaxonomyError(f"{entry} must be an integer, got {value!r}")
+    return value
+
+
 def taxonomy_from_mapping(doc: dict) -> Taxonomy:
     """Build and validate a Taxonomy from an already-parsed document."""
     try:
-        labels = [Label(int(l["id"]), str(l["name"])) for l in doc["labels"]]
+        labels = [Label(_integer(l["id"], f"labels[{i}]: id"), str(l["name"]))
+                  for i, l in enumerate(doc["labels"])]
         questions = [
-            QuestionGroup(
-                int(q["id"]), str(q["prompt"]), tuple(int(m) for m in q["members"])
-            )
-            for q in doc["questions"]
+            QuestionGroup(_integer(q["id"], f"questions[{i}]: id"), str(q["prompt"]), tuple(
+                _integer(m, f"questions[{i}]: members[{j}]") for j, m in enumerate(q["members"])))
+            for i, q in enumerate(doc["questions"])
         ]
     except (KeyError, TypeError) as exc:
         raise TaxonomyError(f"malformed taxonomy document: {exc}") from exc
@@ -177,19 +174,20 @@ def singleton_taxonomy(n_questions: int) -> Taxonomy:
     return Taxonomy(labels, questions)
 
 
-def partition_questions(tax: Taxonomy, k: int, seed: int) -> SubsetPlan:
-    """Randomly partition the question ids into ceil(Q/k) subsets of size k.
+def partition_questions(tax: Taxonomy, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Randomly partition the questions into ceil(Q/k) subsets of size k,
+    each a tuple of positions in `tax.questions`.
 
-    The assignment is a pure function of (taxonomy content, k, seed); the
-    final subset may be smaller than k when Q mod k != 0.
+    The draw, order(seed, question ids, "partition", k), is keyed by the
+    question ids, so the assignment is a pure function of (taxonomy
+    content, k, seed); the final subset may be smaller than k when
+    Q mod k != 0.
     """
     qtop = tax.question_count
     if not 1 <= k <= qtop:
         raise ValueError(f"k must be in [1, {qtop}], got {k}")
-    ids = [q.id for q in tax.questions]
-    shuffled = order(seed, ids, "partition", k).tolist()
-    positions = tuple(tuple(shuffled[i : i + k]) for i in range(0, qtop, k))
-    return SubsetPlan(tuple(tuple(ids[p] for p in subset) for subset in positions), positions)
+    shuffled = order(seed, tax.question_ids.tolist(), "partition", k).tolist()
+    return tuple(tuple(shuffled[i : i + k]) for i in range(0, qtop, k))
 
 
 def question_positive(tax: Taxonomy, truth: np.ndarray) -> np.ndarray:

@@ -554,6 +554,13 @@ def simulate_block(
     gathered to the tasks or slots and mixed in.
     """
     size, video, subset = slots.size, slots.task_video, slots.subset
+    if len(worker) != len(size):
+        raise ValueError(f"{len(worker)} worker rows for the slot table's {len(size)} tasks")
+    outside = (worker < 0) | (worker >= len(campaign.worker_ids))
+    if outside.any():
+        task = outside.argmax()
+        raise ValueError(f"task {task}: worker row {worker[task]} is not in the pool's "
+                         f"{len(campaign.worker_ids)} rows")
     # The operating point of each distinct size, resolved in task order so
     # that the first subset without a measured effect is the one named.
     sizes = dense_codes(size)[0].tolist()

@@ -14,13 +14,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from annocamp.campaign import (assign_workers, campaign_rows, gate_positives, pack_hits,
-                               simulate_campaign)
+from annocamp.campaign import assign_workers, campaign_rows, pack_hits, simulate_campaign
 from annocamp.cli import sample_taxonomy_path
 from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, truth_matrix
 from annocamp.seeding import fold, id_key, id_keys, order
-from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
+from annocamp.taxonomy import (load_taxonomy, partition_questions, question_positive,
+                               singleton_taxonomy)
 from annocamp.workersim import (
     ModifierSet,
     Worker,
@@ -59,18 +59,18 @@ def test_pack_hits(benchmark, tax, k, videos):
     # k = 5 packs 10 subsets of 5 questions and one of 2: two subset sizes.
     plan = partition_questions(tax, k, SEED)
     videos = [f"v{i:05d}" for i in range(videos)]
-    hits = benchmark(pack_hits, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED)
-    assert len(hits.video) == len(videos) * len(plan.subsets)
+    hits = benchmark(pack_hits, tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED)
+    assert len(hits.video) == len(videos) * len(plan)
 
 
 def test_pack_hits_k5_bias_grouping_150_sample_videos(benchmark):
     tax = load_taxonomy(sample_taxonomy_path())
     truths = make_random_truth(150, tax.label_count, 3.7, SEED, min_labels=1)
     video_ids = [t.video_id for t in truths]
-    known = gate_positives(tax, video_ids, truth_matrix(truths, tax.label_count, video_ids))
+    known = question_positive(tax, truth_matrix(truths, tax.label_count, video_ids))
     plan = partition_questions(tax, 5, SEED)
-    hits = benchmark(pack_hits, video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED,
-                     positive_bias=True, grouping=True, known_positives=known)
+    hits = benchmark(pack_hits, tax, video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, SEED,
+                     grouping=True, known=known)
     assert hits.gold.any()
 
 
@@ -120,7 +120,7 @@ def k52_campaign(tax, pool):
     behavior = fit_hard_mixture(default_behavior())
     truths = make_random_truth(1000, 52, behavior.prevalence, SEED)
     rows = campaign_rows(tax, truths, pool, behavior, SEED)
-    hits = pack_hits(rows.video_ids, partition_questions(tax, 52, SEED), HitBudget(),
+    hits = pack_hits(tax, rows.video_ids, partition_questions(tax, 52, SEED), HitBudget(),
                      DEFAULT_TIME_MODEL, SEED, video_keys=rows.video_keys)
     return behavior, truths, rows, hits
 

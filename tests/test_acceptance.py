@@ -180,18 +180,12 @@ def test_criterion_7_hit_packing():
             videos = [f"v{i}" for i in range(n_videos)]
             plan = partition_questions(tax, k, seed=7)
             limit = task_time(model, k)
-            for seconds in pack_hits(videos, plan, budget, model, seed=7).expected_seconds:
+            for seconds in pack_hits(tax, videos, plan, budget, model, seed=7).expected_seconds:
                 assert seconds <= budget.target_seconds + 1e-9
                 assert seconds >= budget.target_seconds - limit - 1e-9
-            biased = pack_hits(
-                videos,
-                plan,
-                budget,
-                model,
-                seed=7,
-                positive_bias=True,
-                known_positives={v: [0] for v in videos},
-            )
+            known = np.zeros((n_videos, 52), dtype=bool)
+            known[:, 0] = True  # question 0 known positive for every video
+            biased = pack_hits(tax, videos, plan, budget, model, seed=7, known=known)
             slot_hit = np.repeat(biased.hit, biased.lengths)
             golds = np.bincount(slot_hit[biased.gold], minlength=len(biased))
             for slots, gold in zip(np.bincount(slot_hit).tolist(), golds.tolist()):

@@ -26,7 +26,6 @@ from annocamp.campaign import (
     assign_workers,
     build_verification_queue,
     campaign_rows,
-    gate_positives,
     ingest,
     pack_hits,
     qc_flag,
@@ -39,15 +38,15 @@ from annocamp.campaign import (
 )
 from annocamp.costmodel import (DEFAULT_TIME_MODEL, HitBudget, TimeModel, scale_base_for_duration,
                                 task_time, videos_per_hit)
-from annocamp.evaluate import LabelMatrix, aggregate, group_ids, truth_matrix, metrics
+from annocamp.evaluate import LabelMatrix, aggregate, group_ids, metrics
 from annocamp.planner import FEW_QUESTION_BUNDLE, BudgetConstraint, InfeasiblePlanError, optimize
 from annocamp.cli import sample_taxonomy_path
 from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
 from annocamp.taxonomy import (
-    SubsetPlan,
     Taxonomy,
     load_taxonomy,
     partition_questions,
+    question_positive,
     singleton_taxonomy,
 )
 from annocamp.workersim import (
@@ -118,10 +117,30 @@ def slot_counts(hits):
     return list(zip(base.tolist(), gold.tolist()))
 
 
+def known_matrix(tax, video_ids, known_positives):
+    """The (videos x questions) matrix of known positives, from each video's
+    known positive question ids (a video may have none, or no entry)."""
+    known = np.zeros((len(video_ids), tax.question_count), dtype=bool)
+    for row, video in enumerate(video_ids):
+        known[row, list(map(tax.position, known_positives.get(video, ())))] = True
+    return known
+
+
+def known_by_id(tax, video_ids, known):
+    """Each video's known positive question ids, in taxonomy order: the
+    reference packers' form of a known-positives matrix."""
+    return {v: tax.question_ids[row].tolist() for v, row in zip(video_ids, known)}
+
+
+def subset_ids(tax, subsets):
+    """The question ids of each subset of positions."""
+    return [tax.question_ids[list(subset)].tolist() for subset in subsets]
+
+
 def test_pack_reference_counts(tax):
     videos = [f"v{i}" for i in range(140)]
     plan = partition_questions(tax, 52, seed=0)
-    hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
+    hits = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
     assert len(hits) == 70
     assert np.bincount(hits.hit).tolist() == [2] * 70
     assert hits.pay == 0.40
@@ -130,10 +149,11 @@ def test_pack_reference_counts(tax):
 def test_pack_conservation(tax):
     videos = [f"v{i}" for i in range(30)]
     plan = partition_questions(tax, 7, seed=1)
-    hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=1)
+    hits = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=1)
+    subsets = subset_ids(tax, plan)
     seen = {}
     for hit, video, base, _ in task_slots(hits, tax):
-        subset = set(plan.subsets[hits.subset[hit]])
+        subset = set(subsets[hits.subset[hit]])
         assert set(base) == subset
         for qid in base:
             key = (video, qid)
@@ -145,10 +165,10 @@ def test_pack_conservation(tax):
 def test_pack_grouping_shares_question_order(tax):
     videos = [f"v{i}" for i in range(20)]
     plan = partition_questions(tax, 10, seed=2)
-    hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2, grouping=True)
+    hits = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2, grouping=True)
     for orders in base_orders(hits, tax):
         assert len(set(orders)) == 1
-    loose = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
+    loose = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
     mixed = [len(set(orders)) for orders in base_orders(loose, tax)]
     assert any(count > 1 for count in mixed)
 
@@ -158,11 +178,11 @@ def test_pack_expected_time_bound_on_full_hits(tax):
     videos = [f"v{i}" for i in range(72)]  # divisible by 2, 3, 4, 6, 8, 9
     for k in (1, 4, 9, 18, 52):
         plan = partition_questions(tax, k, seed=3)
-        hits = pack_hits(videos, plan, budget, DEFAULT_TIME_MODEL, seed=3)
+        hits = pack_hits(tax, videos, plan, budget, DEFAULT_TIME_MODEL, seed=3)
         for subset_index, seconds, count in zip(
             hits.subset.tolist(), hits.expected_seconds.tolist(), np.bincount(hits.hit).tolist()
         ):
-            size = len(plan.subsets[subset_index])
+            size = len(plan[subset_index])
             per_video = task_time(DEFAULT_TIME_MODEL, size)
             full = count == int(budget.target_seconds // per_video)
             assert seconds <= budget.target_seconds + 1e-9
@@ -172,19 +192,11 @@ def test_pack_expected_time_bound_on_full_hits(tax):
 
 def test_pack_positive_bias_fraction(tax):
     videos = [f"v{i}" for i in range(36)]
-    known = {v: [0, 3] for v in videos}
+    known = known_matrix(tax, videos, {v: [0, 3] for v in videos})
     g = 3.7
     for k in (3, 26, 52):
         plan = partition_questions(tax, k, seed=4)
-        hits = pack_hits(
-            videos,
-            plan,
-            HitBudget(),
-            DEFAULT_TIME_MODEL,
-            seed=4,
-            positive_bias=True,
-            known_positives=known,
-        )
+        hits = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=4, known=known)
         for base, gold in slot_counts(hits):
             assert gold > 0
             expected_true = base * g / 52
@@ -194,49 +206,33 @@ def test_pack_positive_bias_fraction(tax):
 
 def test_pack_gold_comes_from_known_positives(tax):
     videos = ["a", "b"]
-    known = {"a": [7], "b": [9]}
+    known_positives = {"a": [7], "b": [9]}
     plan = partition_questions(tax, 52, seed=5)
-    hits = pack_hits(
-        videos,
-        plan,
-        HitBudget(),
-        DEFAULT_TIME_MODEL,
-        seed=5,
-        positive_bias=True,
-        known_positives=known,
-    )
+    hits = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=5,
+                     known=known_matrix(tax, videos, known_positives))
     assert len(hits) == 1
     for _, video, _, gold in task_slots(hits, tax):
-        assert set(gold) <= set(known[video])
+        assert set(gold) <= set(known_positives[video])
 
 
 def test_pack_errors(tax):
     plan = partition_questions(tax, 52, seed=0)
     with pytest.raises(ValueError, match="empty video list"):
-        pack_hits([], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
-    with pytest.raises(ValueError, match="known positive"):
-        pack_hits(
-            ["a"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0, positive_bias=True
-        )
+        pack_hits(tax, [], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
     with pytest.raises(ValueError, match="no video has a known positive"):
-        pack_hits(
-            ["a"],
-            plan,
-            HitBudget(),
-            DEFAULT_TIME_MODEL,
-            seed=0,
-            positive_bias=True,
-            known_positives={"a": []},
-        )
-    with pytest.raises(ValueError, match="^known positive question id 52 is not in the plan$"):
-        pack_hits(["a", "b"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0, positive_bias=True,
-                  known_positives={"a": [3], "b": [52]})
+        pack_hits(tax, ["a"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0,
+                  known=np.zeros((1, 52), dtype=bool))
+    for shape in [(1, 52), (2, 51), (2,)]:
+        with pytest.raises(ValueError) as exc:
+            pack_hits(tax, ["a", "b"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0,
+                      known=np.ones(shape, dtype=bool))
+        assert str(exc.value) == f"known has shape {shape}, not (2, 52)"
 
 
 def test_pack_hits_rejects_a_repeated_video_id(tax):
     plan = partition_questions(tax, 52, seed=0)
     with pytest.raises(ValueError) as exc:
-        pack_hits(["a", "b", "a", "b"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
+        pack_hits(tax, ["a", "b", "a", "b"], plan, HitBudget(), DEFAULT_TIME_MODEL, seed=0)
     assert str(exc.value) == "video 'a' is listed more than once"
 
 
@@ -255,34 +251,35 @@ def test_pack_hits_rejects_a_repeated_video_id(tax):
 )
 def test_pack_properties(tax, seed, k, grouping, positive_bias, known_lists):
     videos = [f"v{i}" for i in range(len(known_lists))]
-    known = dict(zip(videos, known_lists))
+    known_positives = dict(zip(videos, known_lists))
     plan = partition_questions(tax, k, seed)
     hits = pack_hits(
+        tax,
         videos,
         plan,
         HitBudget(),
         DEFAULT_TIME_MODEL,
         seed,
-        positive_bias=positive_bias,
         grouping=grouping,
-        known_positives=known if positive_bias else None,
+        known=known_matrix(tax, videos, known_positives) if positive_bias else None,
     )
+    subsets = subset_ids(tax, plan)
     tasks = list(task_slots(hits, tax))
     subset_of = hits.subset.tolist()
     packed = [(video, subset_of[hit]) for hit, video, _, _ in tasks]
     # Each (video, subset) is packed exactly once.
-    assert len(packed) == len(set(packed)) == len(videos) * len(plan.subsets)
+    assert len(packed) == len(set(packed)) == len(videos) * len(plan)
     asked = {v: [] for v in videos}
     for hit, video, base, gold in tasks:
-        subset = plan.subsets[subset_of[hit]]
+        subset = subsets[subset_of[hit]]
         assert sorted(base) == sorted(subset)
         asked[video].extend(base)
         # Gold slots come only from the video's known positives.
-        assert set(gold) <= set(known[video])
+        assert set(gold) <= set(known_positives[video])
         if not positive_bias:
             assert gold == ()
     for hit, orders in enumerate(base_orders(hits, tax)):
-        subset = plan.subsets[subset_of[hit]]
+        subset = subsets[subset_of[hit]]
         if grouping:
             # One shared base order per HIT, gold slots or not.
             assert len(set(orders)) == 1
@@ -300,19 +297,21 @@ class _Slot(NamedTuple):
     gold: bool = False
 
 
-def _pack_hits_loop(video_ids, subset_plan, budget, model, seed, *, positive_bias=False,
-                    grouping=False, known_positives=None, prevalence=DEFAULT_PREVALENCE):
-    """The packer as one loop over HITs, each HIT's slots built as tuples:
-    (HIT id, subset index, video ids, slots per video, expected seconds)."""
+def _pack_hits_loop(tax, video_ids, subsets, budget, model, seed, *, grouping=False, known=None,
+                    prevalence=DEFAULT_PREVALENCE):
+    """The packer as one loop over HITs, each HIT's slots built as tuples
+    of question ids, from each video's known positives by id: (HIT id,
+    subset index, video ids, slots per video, expected seconds)."""
     video_ids = list(video_ids)
     if not video_ids:
         raise ValueError("cannot pack an empty video list")
-    if positive_bias and not known_positives:
-        raise ValueError("positive bias requires known positive questions per video")
-    qtop = sum(len(s) for s in subset_plan.subsets)
+    positive_bias = known is not None
+    known_positives = known_by_id(tax, video_ids, known) if positive_bias else None
+    subsets = subset_ids(tax, subsets)
+    qtop = sum(len(s) for s in subsets)
     video_keys = id_keys(video_ids)
     hits = []
-    for subset_index, subset in enumerate(subset_plan.subsets):
+    for subset_index, subset in enumerate(subsets):
         size = len(subset)
         per_hit = videos_per_hit(model, size, budget)
         packed = key_order(draw_key(seed, "pack", subset_index, video_keys))
@@ -372,11 +371,11 @@ def _packed_or_error(pack, *args, **kwargs):
 
 @settings(max_examples=60, deadline=None)
 @example(seed=0, k=5, n=20, grouping=False, positive_bias=True, known_lists=[[3]] * 40,
-         empty=set(range(1, 20)), missing=set()).via("a chunk with no donor")
+         empty=set(range(1, 20))).via("a chunk with no donor")
 @example(seed=0, k=5, n=60, grouping=True, positive_bias=True, known_lists=[[0, 3]] * 60,
-         empty=set(), missing=set()).via("the grouping case of test_pack_properties")
+         empty=set()).via("the grouping case of test_pack_properties")
 @example(seed=0, k=52, n=5, grouping=True, positive_bias=True, known_lists=[[7, 9]] * 40,
-         empty=set(), missing=set()).via("more gold slots than known positives")
+         empty=set()).via("more gold slots than known positives")
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.sampled_from([1, 5, 7, 52]),
@@ -386,21 +385,19 @@ def _packed_or_error(pack, *args, **kwargs):
     known_lists=st.lists(
         st.lists(st.integers(0, 51), min_size=1, max_size=4, unique=True), min_size=40, max_size=40
     ),
-    empty=st.sets(st.integers(0, 39), max_size=3),
-    missing=st.sets(st.integers(0, 39), max_size=3),
+    empty=st.sets(st.integers(0, 39), max_size=6),
 )
 def test_pack_columns_equal_the_hit_loop(sample_tax, seed, k, n, grouping, positive_bias,
-                                         known_lists, empty, missing):
+                                         known_lists, empty):
     """The columns are the per-HIT loop's HITs, flattened: the same HITs,
     tasks and slots in the same order, or the same error."""
     videos = [f"v{i}" for i in range(n)]
-    # Videos without known positives: an empty list, or no entry at all.
-    known = {v: [] if i in empty else known_lists[i] for i, v in enumerate(videos)
-             if i not in missing}
+    # The videos in `empty` have no known positive.
+    known = known_matrix(sample_tax, videos, {v: known_lists[i] for i, v in enumerate(videos)
+                                              if i not in empty})
     plan = partition_questions(sample_tax, k, seed)
-    args = (videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed)
-    kwargs = {"positive_bias": positive_bias, "grouping": grouping,
-              "known_positives": known if positive_bias else None}
+    args = (sample_tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed)
+    kwargs = {"grouping": grouping, "known": known if positive_bias else None}
     loop, loop_error = _packed_or_error(_pack_hits_loop, *args, **kwargs)
     hits, error = _packed_or_error(pack_hits, *args, **kwargs)
     assert error == loop_error
@@ -421,37 +418,38 @@ def test_pack_columns_equal_the_hit_loop(sample_tax, seed, k, n, grouping, posit
 
 
 def _pack_hits_per_subset(
+    tax: Taxonomy,
     video_ids,
-    subset_plan: SubsetPlan,
+    subsets,
     budget: HitBudget,
     model: TimeModel,
     seed: int,
     *,
-    positive_bias: bool = False,
     grouping: bool = False,
-    known_positives: dict | None = None,
+    known: np.ndarray | None = None,
     prevalence: float = DEFAULT_PREVALENCE,
 ) -> Hits:
     """The packer as one array program per question subset, in a loop over
-    the plan's subsets whose parts are joined at the end."""
+    the subsets whose parts are joined at the end, on question ids and each
+    video's known positives by id."""
     video_ids = tuple(video_ids)
     if not video_ids:
         raise ValueError("cannot pack an empty video list")
     if len(set(video_ids)) < len(video_ids):
         repeated = next(v for v, count in Counter(video_ids).items() if count > 1)
         raise ValueError(f"video {repeated!r} is listed more than once")
-    if positive_bias and not known_positives:
-        raise ValueError("positive bias requires known positive questions per video")
-    qtop = sum(len(s) for s in subset_plan.subsets)
+    positive_bias = known is not None
+    subsets = subset_ids(tax, subsets)
+    qtop = sum(len(s) for s in subsets)
     n = len(video_ids)
     video_keys = id_keys(video_ids)
     # Each video's known positives, as one flat array with offsets.
-    pools = [known_positives.get(v) or () for v in video_ids] if positive_bias else []
+    pools = list(known_by_id(tax, video_ids, known).values()) if positive_bias else []
     pool_len = np.array(list(map(len, pools)), dtype=np.int64)
     pool_start = np.cumsum(pool_len) - pool_len
     pooled = np.array([q for pool in pools for q in pool], dtype=np.int64)
     parts = []
-    for subset_index, subset in enumerate(subset_plan.subsets):
+    for subset_index, subset in enumerate(subsets):
         size = len(subset)
         per_hit = videos_per_hit(model, size, budget)
         # Task t is the video packed[t] of chunk t // per_hit; the shuffle
@@ -461,14 +459,14 @@ def _pack_hits_per_subset(
         chunk_len = np.bincount(chunk)
         chunks = len(chunk_len)
         # A task's slots are its base questions, then its gold duplicates.
-        subset_ids = np.array(subset, dtype=np.int64)
-        slots = np.broadcast_to(subset_ids, (n, size))
+        in_order = np.array(subset, dtype=np.int64)
+        slots = np.broadcast_to(in_order, (n, size))
         if grouping and size > 1:
             # One question order shared by every video of a HIT: chunk c's is
             # order(seed, subset, subset_index, c, "order").
             chunk_keys = id_keys(range(chunks))[:, None]
             shared = key_order(draw_key(seed, subset_index, chunk_keys, "order", id_keys(subset)))
-            slots = subset_ids[shared][chunk]
+            slots = in_order[shared][chunk]
         lengths = np.full(n, size)
         if positive_bias:
             # A chunk's duplicates go round-robin over its donors (the videos
@@ -518,10 +516,8 @@ def _pack_hits_per_subset(
             "gold": is_gold[asked],
         })
     columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    # The slots as the taxonomy's positions, which the plan pairs with its ids.
-    position = dict(zip(itertools.chain(*subset_plan.subsets),
-                        itertools.chain(*subset_plan.positions)))
-    columns["question"] = np.array([position[q] for q in columns["question"].tolist()],
+    # The slots as the taxonomy's positions.
+    columns["question"] = np.array([tax.position(q) for q in columns["question"].tolist()],
                                    dtype=np.int64)
     return Hits(video_ids, pay=budget.pay_per_hit, **columns)
 
@@ -530,15 +526,12 @@ SUBSET_FIELDS = ("subset", "chunk", "expected_seconds", "hit", "video", "lengths
                  "gold")
 
 
-def cut_plan(tax, order, cuts):
-    """A hand-built SubsetPlan: the question ids in `order`, cut into
+def cut_plan(order, cuts):
+    """Hand-built subsets: the question positions in `order`, cut into
     subsets of the sizes in `cuts`, so that sizes may repeat in any order."""
     positions = order.tolist()
-    ids = [tax.questions[i].id for i in positions]
     starts = np.cumsum([0, *cuts]).tolist()
-    cut = [(a, b) for a, b in zip(starts, starts[1:]) if a < len(ids)]
-    return SubsetPlan(tuple(tuple(ids[a:b]) for a, b in cut),
-                      tuple(tuple(positions[a:b]) for a, b in cut))
+    return tuple(tuple(positions[a:b]) for a, b in zip(starts, starts[1:]) if a < len(positions))
 
 
 KNOWN = [[3, 9], [0], [51, 7, 12], [20]] * 8
@@ -546,18 +539,18 @@ KNOWN = [[3, 9], [0], [51, 7, 12], [20]] * 8
 
 @settings(max_examples=80, deadline=None)
 @example(seed=0, k=52, n=1, cuts=None, grouping=True, positive_bias=True, known_lists=KNOWN,
-         empty=set(), missing=set(), repeat=False).via("one video")
+         empty=set(), repeat=False).via("one video")
 @example(seed=1, k=1, n=5, cuts=None, grouping=False, positive_bias=True, known_lists=KNOWN,
-         empty=set(), missing=set(), repeat=False).via("per_hit above the video count")
+         empty=set(), repeat=False).via("per_hit above the video count")
 @example(seed=2, k=5, n=30, cuts=None, grouping=True, positive_bias=True, known_lists=KNOWN,
-         empty={0, 3}, missing={7}, repeat=False).via("an uneven last subset, bias, grouping")
+         empty={0, 3, 7}, repeat=False).via("an uneven last subset, bias, grouping")
 @example(seed=3, k=1, n=30, cuts=[2, 1, 3, 1, 2, 5, 1] * 8, grouping=True, positive_bias=True,
-         known_lists=KNOWN, empty={1, 4}, missing=set(), repeat=False).via("sizes interleave")
+         known_lists=KNOWN, empty={1, 4}, repeat=False).via("sizes interleave")
 @example(seed=1, k=1, n=10, cuts=[1, 2] * 26, grouping=False, positive_bias=True,
-         known_lists=KNOWN, empty=set(range(5, 10)), missing=set(),
+         known_lists=KNOWN, empty=set(range(5, 10)),
          repeat=False).via("a HIT with no donor in subset 7, after subsets of another size")
 @example(seed=5, k=7, n=6, cuts=None, grouping=False, positive_bias=False, known_lists=KNOWN,
-         empty=set(), missing=set(), repeat=True).via("a repeated video id")
+         empty=set(), repeat=True).via("a repeated video id")
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 52),
@@ -569,25 +562,22 @@ KNOWN = [[3, 9], [0], [51, 7, 12], [20]] * 8
         st.lists(st.integers(0, 51), min_size=1, max_size=4, unique=True), min_size=30, max_size=30
     ),
     empty=st.sets(st.integers(0, 29), max_size=6),
-    missing=st.sets(st.integers(0, 29), max_size=3),
     repeat=st.booleans(),
 )
 def test_pack_hits_equals_the_per_subset_loop(sample_tax, seed, k, n, cuts, grouping,
-                                              positive_bias, known_lists, empty, missing,
-                                              repeat):
+                                              positive_bias, known_lists, empty, repeat):
     """Packing a pass at once gives the per-subset loop's columns, field by
     field, or the same error; `cuts` hand-builds the plan."""
     if cuts is None:
         plan = partition_questions(sample_tax, k, seed)
     else:
-        plan = cut_plan(sample_tax, order(seed, range(52), "cuts"), cuts)
+        plan = cut_plan(order(seed, range(52), "cuts"), cuts)
     videos = [f"v{i}" for i in range(n)] + (["v0"] if repeat else [])
-    # Videos without known positives: an empty list, or no entry at all.
-    known = {v: [] if i in empty else known_lists[i] for i, v in enumerate(videos[:n])
-             if i not in missing}
-    args = (videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed)
-    kwargs = {"positive_bias": positive_bias, "grouping": grouping,
-              "known_positives": known if positive_bias else None}
+    # The videos in `empty` have no known positive.
+    known = known_matrix(sample_tax, videos, {v: known_lists[i] for i, v in enumerate(videos[:n])
+                                              if i not in empty})
+    args = (sample_tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed)
+    kwargs = {"grouping": grouping, "known": known if positive_bias else None}
     loop, loop_error = _packed_or_error(_pack_hits_per_subset, *args, **kwargs)
     hits, error = _packed_or_error(pack_hits, *args, **kwargs)
     assert error == loop_error
@@ -729,14 +719,13 @@ def per_subset_passes(tax, truths, k, iterations, behavior, seed, *, modifiers, 
     worker_ids = [w.worker_id for w in pool]
     plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed)
-    known = gate_positives(tax, video_ids, rows.truth) if modifiers.positive_bias else None
-    hits = pack_hits(video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, seed,
-                     positive_bias=modifiers.positive_bias, grouping=modifiers.grouping,
-                     known_positives=known, prevalence=behavior.prevalence)
+    known = question_positive(tax, rows.truth) if modifiers.positive_bias else None
+    hits = pack_hits(tax, video_ids, plan, HitBudget(), DEFAULT_TIME_MODEL, seed,
+                     grouping=modifiers.grouping, known=known, prevalence=behavior.prevalence)
     n = len(video_ids)
     bounds = np.concatenate([[0], np.cumsum(hits.lengths)])[::n].tolist()
     subsets = [(s, slice(s * n, s * n + n), slice(bounds[s], bounds[s + 1]))
-               for s in range(len(plan.subsets))]
+               for s in range(len(plan))]
     for iteration in range(iterations):
         # Each HIT's worker: the seeded shuffle of the pool, cycled.
         perm = order(seed, worker_ids, "assign", iteration)
@@ -798,7 +787,7 @@ def test_one_simulator_call_per_pass(sample_tax, behavior, k, monkeypatch):
     truths = make_random_truth(20, sample_tax.label_count, 3.7, seed=1, min_labels=1)
     passes = list(simulate_campaign(sample_tax, truths, k, 3, behavior, seed=1,
                                     modifiers=BIAS if k < 52 else NONE))
-    tasks = 20 * len(partition_questions(sample_tax, k, seed=1).subsets)
+    tasks = 20 * len(partition_questions(sample_tax, k, seed=1))
     assert calls == [tasks] * 3 and len(passes) == 3
 
 
@@ -1283,18 +1272,6 @@ def test_assign_workers_requires_eligible_pool(tax, behavior):
         assign_workers([], [], seed=0, iteration=0)
     with pytest.raises(ValueError, match="^the worker pool is empty$"):
         run_campaign(tax, make_random_truth(5, 52, 3.7, seed=0), 5, 1, behavior, 0, pool=[])
-
-
-def test_gate_positives(tax, sample_tax):
-    truth = VideoTruth(video_id="v", labels=frozenset({3, 17}))
-    assert gate_positives(tax, ["v"], truth_matrix([truth], 52, ["v"])) == {"v": [3, 17]}
-    # Each video's positives in taxonomy order, with none for a video without.
-    truths = [VideoTruth("a", labels=frozenset({m for q in sample_tax.questions[::-5]
-                                                 for m in q.members[-1:]})),
-              VideoTruth("b")]
-    matrix = truth_matrix(truths, sample_tax.label_count, ["a", "b"])
-    expected = [q.id for q in sample_tax.questions if set(q.members) & truths[0].labels]
-    assert gate_positives(sample_tax, ["a", "b"], matrix) == {"a": expected, "b": []}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from annocamp.taxonomy import (
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
-from annocamp.workersim import (EventTable, WorkerBehavior, default_behavior,
+from annocamp.workersim import (EventTable, ModifierSet, WorkerBehavior, default_behavior,
                                 fp_rate_from_precision, make_random_truth)
 from helpers import GAPPED_TAX
 
@@ -291,11 +291,12 @@ _RENUMBERED_TAX = Taxonomy(GAPPED_TAX.labels, tuple(
     QuestionGroup(i, q.prompt, q.members) for i, q in enumerate(GAPPED_TAX.questions)))
 
 
-def simulated_matrix(tax, behavior, truths, k, path):
+def simulated_matrix(tax, behavior, truths, k, path, modifiers=ModifierSet()):
     """simulate -> events CSV -> ingest -> aggregate: the CSV's bytes and
     the matrix of two passes. ingest reads the writer's sidecar, then,
     once that is deleted, parses the CSV to the same table."""
-    write_events_csv(run_campaign(tax, truths, k, 2, behavior, seed=3), tax, path)
+    write_events_csv(run_campaign(tax, truths, k, 2, behavior, seed=3, modifiers=modifiers),
+                     tax, path)
     events = ingest(path, tax)
     sidecar_path(path).unlink()
     assert ingest(path, tax) == events
@@ -319,16 +320,22 @@ def test_gapped_ids_give_the_matrix_of_their_renumbered_twin(tmp_path, k):
     assert np.array_equal(gapped.votes, 2 * truth) and np.array_equal(twin.votes, 2 * truth)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_listing_the_questions_in_another_order_changes_no_event(tmp_path, k):
+@pytest.mark.parametrize("k, modifiers", [
+    *(pytest.param(k, ModifierSet(), id=str(k)) for k in (1, 2, 3)),
+    *(pytest.param(k, ModifierSet(grouping=True), id=f"{k}-grouping") for k in (1, 2, 3)),
+])
+def test_listing_the_questions_in_another_order_changes_no_event(tmp_path, k, modifiers):
     # The draws are keyed by question ids, so the same ids at other
-    # positions give the same events CSV, byte for byte, and the same matrix.
+    # positions give the same events CSV, byte for byte, and the same
+    # matrix; with grouping too, whose shared question orders are drawn by
+    # id. (Not with positive bias: its gold duplicates follow the
+    # taxonomy's order.)
     reversed_tax = Taxonomy(GAPPED_TAX.labels, GAPPED_TAX.questions[::-1])
     truths = make_random_truth(8, 3, 1.0, seed=4)
     data, matrix = simulated_matrix(GAPPED_TAX, default_behavior(), truths, k,
-                                    tmp_path / "gapped.csv")
+                                    tmp_path / "gapped.csv", modifiers)
     again, reversed_matrix = simulated_matrix(reversed_tax, default_behavior(), truths, k,
-                                              tmp_path / "reversed.csv")
+                                              tmp_path / "reversed.csv", modifiers)
     assert again == data
     assert matrix.video_ids == reversed_matrix.video_ids
     assert np.array_equal(matrix.votes, reversed_matrix.votes)

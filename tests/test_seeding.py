@@ -15,7 +15,8 @@ from annocamp.costmodel import DEFAULT_TIME_MODEL, HitBudget
 from annocamp.evaluate import aggregate, metrics, truth_matrix
 from annocamp.seeding import (draw_key, fold, id_key, id_keys, key_order, mix, order, uniforms,
                               white_uniforms, whiten)
-from annocamp.taxonomy import load_taxonomy, partition_questions, singleton_taxonomy
+from annocamp.taxonomy import (QuestionGroup, Taxonomy, load_taxonomy, partition_questions,
+                               singleton_taxonomy)
 from annocamp.workersim import (ModifierSet, default_behavior, fit_hard_mixture, hard_pairs,
                                 make_random_truth, sample_worker_pool)
 from helpers import reference_fold
@@ -98,9 +99,9 @@ def test_order_hits_every_permutation_uniformly():
 def test_k3_slot_orders_are_uniform_permutations():
     tax = singleton_taxonomy(3)
     plan = partition_questions(tax, 3, seed=2)
-    (subset,) = plan.subsets
+    (subset,) = plan
     videos = [f"v{i}" for i in range(6000)]
-    hits = pack_hits(videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
+    hits = pack_hits(tax, videos, plan, HitBudget(), DEFAULT_TIME_MODEL, seed=2)
     assert hits.lengths.tolist() == [3] * len(videos)
     seen = Counter(map(tuple, hits.question.reshape(-1, 3).tolist()))
     assert set(seen) == set(itertools.permutations(subset))
@@ -203,11 +204,19 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-# (k, bundled taxonomy, modifiers, spammer fraction)
+def _renumbered(tax):
+    """The taxonomy with question ids 1000 - 7 x position, so that no
+    question id equals its position."""
+    return Taxonomy(tax.labels, tuple(QuestionGroup(1000 - 7 * p, q.prompt, q.members)
+                                      for p, q in enumerate(tax.questions)))
+
+
+# (k, taxonomy, modifiers, spammer fraction)
 PINNED_CAMPAIGNS = {
-    "k1": (1, False, ModifierSet(), 0.0),
-    "k5": (5, True, ModifierSet(positive_bias=True, grouping=True), 0.1),
-    "k52": (52, True, ModifierSet(summary_prompt=True, forced_response=True), 0.0),
+    "k1": (1, "singleton", ModifierSet(), 0.0),
+    "k5": (5, "bundled", ModifierSet(positive_bias=True, grouping=True), 0.1),
+    "k52": (52, "bundled", ModifierSet(summary_prompt=True, forced_response=True), 0.0),
+    "k5-renumbered": (5, "renumbered", ModifierSet(positive_bias=True, grouping=True), 0.1),
 }
 
 
@@ -221,13 +230,20 @@ PINNED_CAMPAIGNS = {
     ("k52", 0, "72a27c2da6faa491"),
     ("k52", 7, "974cc667855a63f7"),
     ("k52", 2**32 - 1, "7d64c9ac2803bc3c"),
+    ("k5-renumbered", 0, "505346dbbdec698e"),
+    ("k5-renumbered", 7, "5e4a28259de498f3"),
+    ("k5-renumbered", 2**32 - 1, "a19bdcd9d97d2878"),
 ])
 def test_campaign_draws_are_pinned(case, seed, expected):
     # The integer columns of two passes over 30 videos and 20 workers. The
     # elapsed seconds are left out: log, cos and exp may differ in the last
-    # ulp from one CPU to another.
-    k, bundled, modifiers, spammers = PINNED_CAMPAIGNS[case]
-    tax = load_taxonomy(sample_taxonomy_path()) if bundled else singleton_taxonomy(52)
+    # ulp from one CPU to another. On the renumbered taxonomy an id taken
+    # for a position, or a position for an id, changes the digest.
+    k, taxonomy, modifiers, spammers = PINNED_CAMPAIGNS[case]
+    tax = singleton_taxonomy(52) if taxonomy == "singleton" else load_taxonomy(
+        sample_taxonomy_path())
+    if taxonomy == "renumbered":
+        tax = _renumbered(tax)
     behavior = fit_hard_mixture(default_behavior())
     truths = make_random_truth(30, tax.label_count, 3.7, seed, min_labels=1)
     pool = sample_worker_pool(20, behavior, spammers, seed)

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annocamp.cli import sample_taxonomy_path
+from annocamp.evaluate import truth_matrix
 from annocamp.taxonomy import (
+    Taxonomy,
     TaxonomyError,
     dense_codes,
     expand_answer,
@@ -15,9 +17,11 @@ from annocamp.taxonomy import (
     mask_members,
     members_mask,
     partition_questions,
+    question_positive,
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
+from annocamp.workersim import VideoTruth
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,33 @@ def test_validation_errors(mutate, message):
         taxonomy_from_mapping(doc)
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["labels"][1].update(id=0.9), "labels[1]: id must be an integer, got 0.9"),
+    (lambda d: d["labels"][1].update(id="1"), "labels[1]: id must be an integer, got '1'"),
+    (lambda d: d["labels"][2].update(id="x"), "labels[2]: id must be an integer, got 'x'"),
+    (lambda d: d["questions"][1].update(id=7.5), "questions[1]: id must be an integer, got 7.5"),
+    (lambda d: d["questions"][0].update(id=True),
+     "questions[0]: id must be an integer, got True"),
+    (lambda d: d["questions"][0].update(members=[0, 0.2]),
+     "questions[0]: members[1] must be an integer, got 0.2"),
+    (lambda d: d["questions"][1].update(members=[False]),
+     "questions[1]: members[0] must be an integer, got False"),
+])
+def test_ids_and_members_must_be_integers(tmp_path, mutate, message):
+    # A float, a string or a bool is refused, not truncated or parsed.
+    doc = {
+        "labels": [{"id": 0, "name": "a"}, {"id": 1, "name": "b"}, {"id": 2, "name": "c"}],
+        "questions": [
+            {"id": 0, "prompt": "p", "members": [0, 1]},
+            {"id": 1, "prompt": "q", "members": [2]},
+        ],
+    }
+    mutate(doc)
+    with pytest.raises(TaxonomyError) as exc:
+        load_taxonomy(write_tax(tmp_path, doc))
+    assert str(exc.value) == message
+
+
 def test_members_bitmask_holds_64_members(tmp_path):
     doc = {
         "labels": [{"id": i, "name": f"l{i}"} for i in range(65)],
@@ -121,48 +152,59 @@ def test_parse_error_names_file(tmp_path):
 
 def test_partition_whole_set(sample_tax):
     plan = partition_questions(sample_tax, 52, seed=1)
-    assert len(plan.subsets) == 1
-    assert len(plan.subsets[0]) == 52
+    assert len(plan) == 1
+    assert len(plan[0]) == 52
 
 
 def test_partition_exact_halves(sample_tax):
     plan = partition_questions(sample_tax, 26, seed=1)
-    assert [len(s) for s in plan.subsets] == [26, 26]
+    assert [len(s) for s in plan] == [26, 26]
 
 
 def test_partition_with_remainder(sample_tax):
     # ceil(52/5) = 11 subsets; all size 5 except a final 52 mod 5 = 2.
     plan = partition_questions(sample_tax, 5, seed=3)
     expected_count = math.ceil(52 / 5)
-    assert len(plan.subsets) == expected_count
-    assert [len(s) for s in plan.subsets] == [5] * 10 + [2]
+    assert len(plan) == expected_count
+    assert [len(s) for s in plan] == [5] * 10 + [2]
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 13, 26, 52])
 def test_partition_is_exact_partition(sample_tax, k):
     for seed in (0, 1, 99):
         plan = partition_questions(sample_tax, k, seed)
-        flat = [qid for subset in plan.subsets for qid in subset]
-        assert sorted(flat) == [q.id for q in sample_tax.questions]
+        flat = [position for subset in plan for position in subset]
+        assert sorted(flat) == list(range(sample_tax.question_count))
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 52), seed=st.integers(0, 2**32 - 1))
 def test_partition_property_exact(sample_tax, k, seed):
     plan = partition_questions(sample_tax, k, seed)
-    flat = [qid for subset in plan.subsets for qid in subset]
-    assert sorted(flat) == sorted(q.id for q in sample_tax.questions)
-    assert len(flat) == len(set(flat))
-    assert [len(s) for s in plan.subsets[:-1]] == [k] * (len(plan.subsets) - 1)
-    assert 1 <= len(plan.subsets[-1]) <= k
+    flat = [position for subset in plan for position in subset]
+    assert sorted(flat) == list(range(sample_tax.question_count))
+    assert [len(s) for s in plan[:-1]] == [k] * (len(plan) - 1)
+    assert 1 <= len(plan[-1]) <= k
+
+
+@pytest.mark.parametrize("k", [1, 5, 52])
+def test_partition_draw_is_keyed_by_question_ids(sample_tax, k):
+    # The same questions listed in reverse fall into the same subsets, in
+    # the same order: the subsets hold positions, the draw goes by id.
+    reversed_tax = Taxonomy(sample_tax.labels, sample_tax.questions[::-1])
+
+    def by_id(tax):
+        return [tax.question_ids[list(s)].tolist() for s in partition_questions(tax, k, seed=9)]
+
+    assert by_id(reversed_tax) == by_id(sample_tax)
 
 
 def test_partition_determinism(sample_tax):
     a = partition_questions(sample_tax, 7, seed=42)
     b = partition_questions(sample_tax, 7, seed=42)
     c = partition_questions(sample_tax, 7, seed=43)
-    assert a.subsets == b.subsets
-    assert a.subsets != c.subsets
+    assert a == b
+    assert a != c
 
 
 def test_partition_k_out_of_range(sample_tax):
@@ -170,6 +212,20 @@ def test_partition_k_out_of_range(sample_tax):
         partition_questions(sample_tax, 0, seed=1)
     with pytest.raises(ValueError):
         partition_questions(sample_tax, 53, seed=1)
+
+
+def test_question_positive(sample_tax):
+    truth = truth_matrix([VideoTruth("v", labels=frozenset({3, 17}))], 52, ["v"])
+    assert np.flatnonzero(question_positive(singleton_taxonomy(52), truth)).tolist() == [3, 17]
+    # A question is positive where a member label is true; none for a video without.
+    truths = [VideoTruth("a", labels=frozenset({m for q in sample_tax.questions[::-5]
+                                                 for m in q.members[-1:]})),
+              VideoTruth("b")]
+    positive = question_positive(sample_tax, truth_matrix(truths, sample_tax.label_count,
+                                                          ["a", "b"]))
+    expected = [p for p, q in enumerate(sample_tax.questions) if set(q.members) & truths[0].labels]
+    assert positive.shape == (2, 52) and positive.dtype == bool
+    assert np.flatnonzero(positive[0]).tolist() == expected and not positive[1].any()
 
 
 def test_expand_negative_gate(sample_tax):

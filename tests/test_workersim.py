@@ -427,17 +427,16 @@ def test_block_equals_its_split_into_runs(seed, k, data):
     pool = sample_worker_pool(6, b, 0.5, seed)
     n = data.draw(st.integers(1, 8), label="tasks")
     truths = make_random_truth(n, tax.label_count, 3.7, seed, min_labels=1)
-    subsets = partition_questions(tax, k, seed).subsets
+    subsets = partition_questions(tax, k, seed)
     subset = np.array(data.draw(st.lists(st.integers(0, len(subsets) - 1), min_size=n,
                                          max_size=n), label="subsets"))
     tasks = []
     for truth, s in zip(truths, subset.tolist()):
-        positives = [q.id for q in tax.questions if truth.labels & set(q.members)]
+        positives = [p for p, q in enumerate(tax.questions) if truth.labels & set(q.members)]
         gold = data.draw(st.lists(st.sampled_from(positives), max_size=3), label="gold")
         slots = [(q, False) for q in subsets[s]] + [(q, True) for q in gold]
         tasks.append(data.draw(st.permutations(slots), label="slots"))
     question, gold = map(np.array, zip(*(s for task in tasks for s in task)))
-    question = np.array([tax.position(q) for q in question.tolist()])
     durations = data.draw(st.lists(st.sampled_from([10.0, 30.1, 55.0]), min_size=n,
                                    max_size=n), label="durations")
     truths = [replace(t, duration_seconds=d) for t, d in zip(truths, durations)]
@@ -457,6 +456,26 @@ def test_block_equals_its_split_into_runs(seed, k, data):
     cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()), label="cuts")
     bounds = [0, *sorted(cuts), n]
     assert run(0, n) == EventTable.concat(run(a, z) for a, z in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("worker, message", [
+    ([0] * 43, "43 worker rows for the slot table's 44 tasks"),
+    ([0] * 45, "45 worker rows for the slot table's 44 tasks"),
+    ([0] * 40 + [1, 3, 2, 5], "task 41: worker row 3 is not in the pool's 3 rows"),
+    ([0] * 7 + [-1] + [2] * 36, "task 7: worker row -1 is not in the pool's 3 rows"),
+])
+def test_block_checks_its_worker_rows(worker, message):
+    # One row of the pool per task; a row of -1 would otherwise answer, and
+    # be written, as the pool's last worker.
+    tax = singleton_taxonomy(52)
+    b = default_behavior()
+    pool = [Worker(f"w{i}") for i in range(3)]
+    rows = campaign_rows(tax, make_random_truth(44, 52, 3.7, seed=1), pool, b, 1)
+    one = np.ones(44, dtype=np.int64)
+    slots = slot_table(tax, rows, np.arange(44), 0 * one, one, 0 * one, np.zeros(44, bool))
+    with pytest.raises(ValueError) as exc:
+        simulate_block(b, tax, NONE, 1, rows, slots, np.array(worker))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("tax", [load_taxonomy(sample_taxonomy_path()), GAPPED_TAX],
