@@ -556,11 +556,10 @@ def simulate_block(
     size, video, subset = slots.size, slots.task_video, slots.subset
     if len(worker) != len(size):
         raise ValueError(f"{len(worker)} worker rows for the slot table's {len(size)} tasks")
-    outside = (worker < 0) | (worker >= len(campaign.worker_ids))
-    if outside.any():
-        task = outside.argmax()
-        raise ValueError(f"task {task}: worker row {worker[task]} is not in the pool's "
-                         f"{len(campaign.worker_ids)} rows")
+    pool = len(campaign.worker_ids)
+    if worker.min(initial=0) < 0 or worker.max(initial=-1) >= pool:
+        task = np.flatnonzero((worker < 0) | (worker >= pool))[0]
+        raise ValueError(f"task {task}: worker row {worker[task]} is not in the pool's {pool} rows")
     # The operating point of each distinct size, resolved in task order so
     # that the first subset without a measured effect is the one named.
     sizes = dense_codes(size)[0].tolist()
