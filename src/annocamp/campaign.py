@@ -338,11 +338,11 @@ def simulate_campaign(
     video_ids = tuple(t.video_id for t in truths)
     if len(set(video_ids)) < len(truths) or len({w.worker_id for w in pool}) < len(pool):
         raise ValueError("a campaign's video ids and its pool's worker ids must be unique")
+    plan = partition_questions(tax, k, seed)
     rows = campaign_rows(tax, truths, pool, behavior, seed, model)
     known = question_positive(tax, rows.truth) if modifiers.positive_bias else None
-    hits = pack_hits(tax, video_ids, partition_questions(tax, k, seed), budget, model, seed,
-                     grouping=modifiers.grouping, known=known, prevalence=behavior.prevalence,
-                     video_keys=rows.video_keys)
+    hits = pack_hits(tax, video_ids, plan, budget, model, seed, grouping=modifiers.grouping,
+                     known=known, prevalence=behavior.prevalence, video_keys=rows.video_keys)
     slots = slot_table(tax, rows, hits.video, hits.subset[hits.hit], hits.lengths, hits.question,
                        hits.gold)
     for iteration in range(iterations):
