@@ -16,8 +16,6 @@ from .evaluate import (
     LabelMatrix,
     Metrics,
     aggregate,
-    analytic_union,
-    expected_recall,
     metrics,
     truth_matrix,
 )
@@ -44,6 +42,7 @@ from .workersim import (
     default_behavior,
     fit_hard_mixture,
     make_random_truth,
+    mixture_union_recall,
     sample_worker_pool,
 )
 

@@ -18,7 +18,6 @@ import statistics
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from inspect import signature
 from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
@@ -38,7 +37,6 @@ from .evaluate import (
     LabelMatrix,
     aggregate,
     event_stats,
-    expected_recall,
     group_ids,
     metrics,
     truth_matrix,
@@ -68,6 +66,7 @@ from .workersim import (
     fit_hard_mixture,
     hard_pairs,
     make_random_truth,
+    mixture_union_recall,
     sample_worker_pool,
     simulate_block,
     slot_table,
@@ -440,7 +439,7 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     names the first way the file is not a sidecar (or one of another
     format), or holds a table no CSV gives: a question position outside the
     taxonomy, members bits past the question's members (`_stray_members`),
-    an id code outside its vocabulary, or a gold flag not 0 or 1.
+    an id code outside its vocabulary (`EventTable`), or a gold flag not 0 or 1.
     """
     size, head_size = os.fstat(fh.fileno()).st_size, len(SIDECAR_FORMAT) + len(key) + 24
     head = fh.read(head_size)
@@ -464,9 +463,9 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     raw = {name: np.fromfile(fh, dtype, rows) for name, dtype in SIDECAR_DTYPES.items()}
     if rows and raw["gold"].max() > 1:
         raise ValueError("a gold flag is neither 0 nor 1")
-    for name, count in zip(("worker", "video", "question"), (*sizes, tax.question_count)):
-        if rows and not 0 <= raw[name].min() <= raw[name].max() < count:
-            raise ValueError(f"a {name} code outside its {count} values")
+    count = tax.question_count
+    if rows and not 0 <= raw["question"].min() <= raw["question"].max() < count:
+        raise ValueError(f"a question code outside its {count} values")
     table = EventTable(*vocabularies, **raw)
     if _stray_members(table.question, table.members, tax).any():
         raise ValueError("members bits past their question's members")
@@ -900,28 +899,27 @@ def _experiment_question_count_sweep(seed: int):
 
 
 def _experiment_expected_recall_budget(seed: int):
-    """The analytic expected recall at each sweep k within 8.61 min/video;
-    nothing is simulated, so the seed is unused."""
+    """The pass law's expected recall at each sweep k within 8.61 min/video,
+    for the passes (fractional) the budget buys; the seed is unused."""
     budget_minutes = 8.61
     behavior = default_behavior()
     header = ["k", "iteration_minutes", "budget_minutes", "expected_recall"]
     rows = []
     for k in _SWEEP_KS:
         minutes = plan_iteration_minutes(behavior, DEFAULT_TIME_MODEL, k)
-        value = expected_recall(behavior.recall(k), minutes, budget_minutes)
+        value = mixture_union_recall(behavior.recall(k), budget_minutes / minutes,
+                                     behavior.hard_fraction, behavior.hard_recall_multiplier)
         rows.append([k, _fmt(minutes), _fmt(budget_minutes), _fmt(value)])
     return header, rows
 
 
-def _experiment_multi_iteration(seed: int, videos: int = 150):
+def _experiment_multi_iteration(seed: int):
     """Each pass of the planner's plan at each planned k within 7.1
     min/video, priced by the fitted behaviour's observed minutes."""
     tax = singleton_taxonomy(52)
     behavior = _fitted_behavior()
     # Every video needs one known positive so gold duplicates have a donor.
-    truths = make_random_truth(
-        videos, tax.label_count, behavior.prevalence, seed, min_labels=1
-    )
+    truths = make_random_truth(150, tax.label_count, behavior.prevalence, seed, min_labels=1)
     header = ["k", "modifiers", "iterations", "minutes_per_video", "recall", "precision"]
     rows = []
     for plan, sim in _planned_runs(tax, truths, behavior, DEFAULT_TIME_MODEL, 7.1, seed):
@@ -935,7 +933,7 @@ def _experiment_multi_iteration(seed: int, videos: int = 150):
 _LENGTH_BINS = (("0-20s", 10.0), ("20-40s", REFERENCE_VIDEO_SECONDS), ("40-60s", 50.0))
 
 
-def _experiment_length_breakdown(seed: int, videos_per_bin: int = 120):
+def _experiment_length_breakdown(seed: int):
     """The last pass of the planner's plan at each planned k within 4.4
     min/video, per video-length bin; a k whose one pass does not fit a bin
     is left out of it."""
@@ -954,14 +952,8 @@ def _experiment_length_breakdown(seed: int, videos_per_bin: int = 120):
     ]
     rows = []
     for bin_index, (bin_label, duration) in enumerate(_LENGTH_BINS):
-        truths = make_random_truth(
-            videos_per_bin,
-            tax.label_count,
-            behavior.prevalence,
-            seed + bin_index,
-            duration_seconds=duration,
-            min_labels=1,
-        )
+        truths = make_random_truth(120, tax.label_count, behavior.prevalence, seed + bin_index,
+                                   duration_seconds=duration, min_labels=1)
         scaled = scale_base_for_duration(DEFAULT_TIME_MODEL, duration)
         for plan, sim in _planned_runs(tax, truths, behavior, scaled, 4.4, seed + bin_index):
             _, measured_minutes, recall, precision = sim[-1]
@@ -1015,15 +1007,13 @@ _EXPERIMENT_RUNNERS = {
 EXPERIMENTS = tuple(_EXPERIMENT_RUNNERS)
 
 
-def reproduce(name: str, seed: int, out_path, **overrides):
+def reproduce(name: str, seed: int, out_path):
     """Run a bundled experiment and write its figure-shaped CSV to `out_path`
     (None: stdout), which it returns.
 
-    Output is byte-identical for identical (name, seed, overrides) across
-    runs. `multi-iteration` and `length-breakdown` simulate the plans the
-    planner picks; the overrides they take, `videos` and `videos_per_bin`,
-    shrink the run, and the other experiments take none. An unknown name or
-    an override the experiment does not take is a ValueError.
+    Output is byte-identical for identical (name, seed) across runs.
+    `multi-iteration` and `length-breakdown` simulate the plans the planner
+    picks. An unknown name is a ValueError.
     """
     try:
         runner = _EXPERIMENT_RUNNERS[name]
@@ -1031,9 +1021,6 @@ def reproduce(name: str, seed: int, out_path, **overrides):
         raise ValueError(
             f"unknown experiment {name!r}; choose one of {', '.join(EXPERIMENTS)}"
         ) from None
-    unknown = [o for o in overrides if o not in list(signature(runner).parameters)[1:]]
-    if unknown:
-        raise ValueError(f"experiment {name!r} takes no override {unknown[0]!r}")
-    header, rows = runner(seed, **overrides)
+    header, rows = runner(seed)
     write_csv(out_path, header, rows)
     return out_path

@@ -114,9 +114,7 @@ def _behavior(config: dict, fit_correlation: bool = True) -> workersim.WorkerBeh
         config["anchors"], prevalence=config["prevalence"], qtop=config["qtop"]
     )
     if fit_correlation:
-        behavior = workersim.fit_hard_mixture(
-            behavior, k=config["qtop"], targets=config["correlation_targets"]
-        )
+        behavior = workersim.fit_hard_mixture(behavior, targets=config["correlation_targets"])
     return behavior
 
 

@@ -1,7 +1,7 @@
 """Aggregation of annotation events into label matrices plus all metrics.
 
 Covers the union consensus rule (a label is positive once any iteration
-marked it), closed-form expectations for repeated passes, micro-averaged
+marked it), the precision of repeated union-merged passes, micro-averaged
 precision/recall and event statistics.
 """
 
@@ -65,11 +65,11 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     `video_ids`, every event's video must be among them.
 
     Coverage marks each (video, iteration, question) answered. When as many
-    are marked as there are answers, none was answered twice; if also no
-    label belongs to two questions (`Taxonomy.one_question_per_label`), no
-    label can be marked twice in one (video, iteration), and the marks are
-    counted as they are. Otherwise `group_ids` keeps each (video,
-    iteration, label) once.
+    are marked as there are answers, none was answered twice, and since a
+    valid taxonomy puts each label in one question, no label can be marked
+    twice in one (video, iteration): the marks are counted as they are.
+    Otherwise (two workers answered one question in one pass) `group_ids`
+    keeps each (video, iteration, label) once.
     """
     evaluated = ~events.gold
     if not evaluated.any():
@@ -94,7 +94,7 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     ]
     if gaps:
         raise IncompleteIterationError(sorted(gaps))
-    repeated = np.count_nonzero(asked) < len(pair) or not taxonomy.one_question_per_label
+    repeated = np.count_nonzero(asked) < len(pair)
     del asked
 
     if video_ids is None:
@@ -130,27 +130,6 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
         votes=votes.reshape(len(video_ids), labels).astype(np.int16),
         iterations=len(passes),
     )
-
-
-def expected_recall(r: float, t_minutes: float, budget_minutes: float) -> float:
-    """Expected union recall when a budget buys budget/t annotation passes."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
-    if t_minutes <= 0:
-        raise ValueError("per-iteration time must be positive")
-    if budget_minutes < 0:
-        raise ValueError("budget must be non-negative")
-    return 1.0 - (1.0 - r) ** (budget_minutes / t_minutes)
-
-
-def analytic_union(
-    r: float, f: float, g: float, qtop: int, n: int
-) -> tuple[float, float]:
-    """Closed-form (recall, precision) after n independent union-merged passes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    recall = 1.0 - (1.0 - r) ** n
-    return recall, union_precision(recall, f, g, qtop, n)
 
 
 def union_precision(recall: float, f: float, g: float, qtop: int, n: int) -> float:

@@ -47,25 +47,23 @@ class Taxonomy:
     `member_table` holds label ids by (question position, member bit), -1 past
     a question's members, and `question_ids` the question ids by position.
     Event and slot tables name a question by its position; `position` maps an
-    id to it. `one_question_per_label` says whether no label is a member of two
-    questions (`_validate` requires it; a Taxonomy built directly may not)."""
+    id to it. However it is built, it is validated: `_validate` raises on the
+    first rule it breaks (one question per label, among others)."""
 
     labels: tuple[Label, ...]
     questions: tuple[QuestionGroup, ...]
     _question_index: dict = field(init=False, repr=False, compare=False)
     member_table: np.ndarray = field(init=False, repr=False, compare=False)
     question_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    one_question_per_label: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _validate(self.labels, self.questions)
         width = max((len(q.members) for q in self.questions), default=0)
         table = np.full((len(self.questions), width), -1)
         for row, q in enumerate(self.questions):
             table[row, : len(q.members)] = q.members
         ids = np.array([q.id for q in self.questions], dtype=np.int64)
-        members = [m for q in self.questions for m in q.members]
         object.__setattr__(self, "_question_index", {q.id: p for p, q in enumerate(self.questions)})
-        object.__setattr__(self, "one_question_per_label", len(set(members)) == len(members))
         for name, array in (("member_table", table), ("question_ids", ids)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -89,7 +87,7 @@ class Taxonomy:
         return self.questions[self.position(question_id)]
 
 
-def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
+def _validate(labels: tuple[Label, ...], questions: tuple[QuestionGroup, ...]) -> None:
     seen_label_ids = set()
     for lab in labels:
         if not lab.name:
@@ -128,27 +126,40 @@ def _validate(labels: list[Label], questions: list[QuestionGroup]) -> None:
         raise TaxonomyError(f"labels not covered by any question: {sorted(uncovered)}")
 
 
-def _integer(value, entry: str) -> int:
-    """An id of the document, which must be an integer (not a bool)."""
-    if type(value) is not int:
-        raise TaxonomyError(f"{entry} must be an integer, got {value!r}")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, entry: str, *at):
+    """A value of the document, which must be of the JSON type `kind` (a bool
+    is not an integer); `entry.format(*at)` names it, built only to raise."""
+    if type(value) is not kind:
+        raise TaxonomyError(f"{entry.format(*at)} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
+def _entries(doc: dict, key: str):
+    """(index, object) of each entry of the document's array `key`."""
+    return [(i, _typed(entry, dict, key + "[{}]", i))
+            for i, entry in enumerate(_typed(doc[key], list, key))]
+
+
 def taxonomy_from_mapping(doc: dict) -> Taxonomy:
-    """Build and validate a Taxonomy from an already-parsed document."""
+    """Build a Taxonomy from an already-parsed document, each value of its
+    JSON type (README, File formats) or a TaxonomyError naming its entry."""
+    _typed(doc, dict, "the taxonomy document")
     try:
-        labels = [Label(_integer(l["id"], f"labels[{i}]: id"), str(l["name"]))
-                  for i, l in enumerate(doc["labels"])]
-        questions = [
-            QuestionGroup(_integer(q["id"], f"questions[{i}]: id"), str(q["prompt"]), tuple(
-                _integer(m, f"questions[{i}]: members[{j}]") for j, m in enumerate(q["members"])))
-            for i, q in enumerate(doc["questions"])
-        ]
-    except (KeyError, TypeError) as exc:
+        labels = tuple(Label(_typed(l["id"], int, "labels[{}]: id", i),
+                             _typed(l["name"], str, "labels[{}]: name", i))
+                       for i, l in _entries(doc, "labels"))
+        questions = tuple(QuestionGroup(
+            _typed(q["id"], int, "questions[{}]: id", i),
+            _typed(q["prompt"], str, "questions[{}]: prompt", i),
+            tuple(_typed(m, int, "questions[{}]: members[{}]", i, j) for j, m in
+                  enumerate(_typed(q["members"], list, "questions[{}]: members", i))),
+        ) for i, q in _entries(doc, "questions"))
+    except KeyError as exc:
         raise TaxonomyError(f"malformed taxonomy document: {exc}") from exc
-    _validate(labels, questions)
-    return Taxonomy(tuple(labels), tuple(questions))
+    return Taxonomy(labels, questions)
 
 
 def load_taxonomy(source: str | Path) -> Taxonomy:

@@ -139,8 +139,8 @@ def easy_recall(r, hard_fraction, hard_multiplier):
 _libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
-def _power(x, n: int):
-    """x ** n elementwise by the C library's pow, as on Python floats.
+def _power(x, n: float):
+    """x ** n elementwise (n fractional too) by the C library's pow, as on Python floats.
 
     numpy's vectorized power may differ from it in the last bit, and does so
     on some CPUs and not on others; the difficulty fit compares errors that
@@ -149,11 +149,12 @@ def _power(x, n: int):
     return np.asarray(_libm_pow(x, float(n)), dtype=float)[()]
 
 
-def mixture_union_recall(r, n: int, hard_fraction, hard_multiplier):
+def mixture_union_recall(r, n: float, hard_fraction, hard_multiplier):
     """Expected recall after n union-aggregated passes at single-pass recall r.
 
     A fraction `hard_fraction` of positive pairs is found at a reduced rate;
-    the easy-pair rate is inflated so the single-pass marginal stays r. r,
+    the easy-pair rate is inflated so the single-pass marginal stays r. With
+    no hard pairs it is exactly 1 - (1 - r) ** n; n may be fractional. r,
     `hard_fraction` and `hard_multiplier` broadcast as numpy arrays; the
     result is the same to the bit on every machine.
     """
@@ -238,19 +239,18 @@ HARD_MULTIPLIER_GRID = np.arange(0.0, 0.5001, 0.02)
 
 
 def fit_hard_mixture(
-    behavior: WorkerBehavior,
-    k: int = DEFAULT_QTOP,
-    targets=DEFAULT_MULTI_PASS_RECALL,
+    behavior: WorkerBehavior, targets=DEFAULT_MULTI_PASS_RECALL
 ) -> WorkerBehavior:
     """Grid-search the difficulty mixture against measured multi-pass recall.
 
     Finds (hard_fraction, hard_recall_multiplier) minimizing squared error
     against the observed union recall at the given iteration counts, keeping
-    the single-pass recall anchored at recall(k). The whole grid is scored
+    the single-pass recall anchored at recall(qtop): the targets are measured
+    on the interface that asks every question. The whole grid is scored
     at once, then walked in (h, m) order: the fit moves to each point whose
     error is more than 1e-15 below the current fit's.
     """
-    r = behavior.recall(k)
+    r = behavior.recall(behavior.qtop)
     h, m = HARD_FRACTION_GRID[:, None], HARD_MULTIPLIER_GRID[None, :]
     sse = sum(
         ((mixture_union_recall(r, n, h, m) - target) ** 2 for n, target in targets),
@@ -333,6 +333,7 @@ class EventTable:
     rows are positive-bias duplicates, which never vote. `gate`, no
     constructor argument, is `members != 0`, computed when the table is
     built. A simulated pass's columns may be read-only views (`simulate_block`).
+    A worker or video code outside its vocabulary is a ValueError (rows from 0).
     """
 
     worker_ids: tuple[str, ...]
@@ -353,6 +354,12 @@ class EventTable:
         object.__setattr__(self, "gate", self.members != 0)
         if len({getattr(self, f.name).shape for f in EVENT_FIELDS}) > 1 or self.worker.ndim != 1:
             raise ValueError("event columns must be 1-D and of one length")
+        for name, ids in (("worker", self.worker_ids), ("video", self.video_ids)):
+            codes = getattr(self, name)
+            if len(codes) and not 0 <= codes.min() <= codes.max() < len(ids):
+                row = int(np.flatnonzero((codes < 0) | (codes >= len(ids)))[0])
+                raise ValueError(f"row {row}: {name} code {codes[row]} is not among the "
+                                 f"{len(ids)} {name} ids")
 
     def __len__(self) -> int:
         return len(self.worker)

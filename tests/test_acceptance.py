@@ -28,10 +28,9 @@ from annocamp.costmodel import (
 )
 from annocamp.evaluate import (
     aggregate,
-    analytic_union,
-    expected_recall,
     metrics,
     truth_matrix,
+    union_precision,
 )
 from annocamp.planner import BudgetConstraint, enumerate_plans, optimize
 from annocamp.taxonomy import partition_questions, singleton_taxonomy
@@ -84,10 +83,14 @@ def simulate_union_curve(behavior, n_videos, iterations, seed, checkpoints):
 
 def test_criterion_1_expected_recall_exactness():
     with criterion(1, "closed-form expected recall is exact", max_seconds=1.0):
-        assert expected_recall(0.45, 1.10, 8.61) == pytest.approx(0.99072, abs=1e-4)
+        # The independence law (no hard pairs) at the passes 8.61 minutes buy
+        # at 1.10 minutes a pass, against its direct evaluation.
+        value = mixture_union_recall(0.45, 8.61 / 1.10, 0.0, 0.0)
+        assert value == pytest.approx(1.0 - 0.55 ** (8.61 / 1.10), abs=1e-12)
+        assert value == pytest.approx(0.99072, abs=1e-4)
         rng = np.random.default_rng(11)
         for r in rng.random(100):
-            assert expected_recall(r, 1.7, 1.7) == pytest.approx(r, abs=1e-15)
+            assert mixture_union_recall(r, 1.7 / 1.7, 0.0, 0.0) == pytest.approx(r, abs=1e-15)
 
 
 def test_criterion_2_time_model_round_trip():
@@ -130,7 +133,9 @@ def test_criterion_4_independence_model_agreement():
         f = behavior.fp_rate(52)
         curve = simulate_union_curve(behavior, 10000, 5, seed=401, checkpoints={1, 3, 5})
         for n, (recall, precision, n_pos, n_pred) in curve.items():
-            a_recall, a_precision = analytic_union(0.45, f, 3.7, 52, n)
+            a_recall = 1.0 - 0.55**n  # the independence law, evaluated directly
+            assert mixture_union_recall(0.45, n, 0.0, 0.0) == pytest.approx(a_recall, abs=1e-12)
+            a_precision = union_precision(a_recall, f, 3.7, 52, n)
             se_r = math.sqrt(a_recall * (1 - a_recall) / n_pos)
             se_p = math.sqrt(a_precision * (1 - a_precision) / n_pred)
             assert abs(recall - a_recall) <= 3 * se_r, f"recall off at n={n}"

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import dataclasses
 import errno
-import hashlib
 import io
 import itertools
 import logging
@@ -1017,6 +1016,30 @@ def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, probl
     assert list(tmp_path.iterdir()) == []
 
 
+# The readers of a table that index the vocabularies by its codes. A code
+# outside them is refused when the table is built, so none of them meets it.
+CODE_READERS = {
+    "write_events_csv": lambda t, tmp: write_events_csv(t, singleton_taxonomy(1), tmp / "e.csv"),
+    "aggregate": lambda t, tmp: aggregate(t, singleton_taxonomy(1)),
+    "worker_stats_from_events": lambda t, tmp: worker_stats_from_events(t),
+}
+
+
+@pytest.mark.parametrize("column, row, code, count", [
+    ("worker", 1, -1, 2), ("worker", 1, 2, 2), ("video", 0, -1, 1), ("video", 1, 1, 1),
+], ids=["worker-negative", "worker-past-the-end", "video-negative", "video-past-the-end"])
+@pytest.mark.parametrize("reader", CODE_READERS)
+def test_codes_outside_the_vocabularies_are_refused(tmp_path, column, row, code, count, reader):
+    # A -1 would index the last id, and a code past the end no id at all.
+    columns = dict(worker=[0, 1], video=[0, 0], question=[0, 0], members=[1, 0],
+                   elapsed=[1.0, 2.0], iteration=[0, 1], gold=[False, False])
+    columns[column][row] = code
+    with pytest.raises(ValueError) as exc:
+        CODE_READERS[reader](EventTable(("w0", "w1"), ("v",), **columns), tmp_path)
+    assert str(exc.value) == f"row {row}: {column} code {code} is not among the {count} {column} ids"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_events_csv_names_the_row_of_an_unknown_question(tmp_path):
     # A table names a question by its position, a CSV by its id.
     path = tmp_path / "events.csv"
@@ -1210,15 +1233,26 @@ def first_row(mask) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-# Edits to a table that the CSV could never give, each as columns to replace.
+def with_value(data: bytes, column: str, row: int, value) -> bytes:
+    """The sidecar with one row's value of one column replaced."""
+    rows = int(np.frombuffer(data, "<i8", 1, len(campaign.SIDECAR_FORMAT) + 64)[0])
+    at = len(data) - rows * campaign.ROW_BYTES
+    for name, dtype in campaign.SIDECAR_DTYPES.items():
+        if name == column:
+            at += row * dtype.itemsize
+            return data[:at] + np.array(value, dtype).tobytes() + data[at + dtype.itemsize :]
+        at += rows * dtype.itemsize
+    raise KeyError(column)
+
+
+# Values that no CSV could give, each as the (column, row, value) to write
+# into the sidecar's bytes: an EventTable refuses such codes, so no
+# tampered table could be saved.
 TAMPERED = {
-    "stray-member-bit": lambda t: {"members": np.where(
-        np.arange(len(t)) == first_row(t.gate), np.uint64(1 << 40), t.members)},
-    "unknown-question": lambda t: {"question": np.where(
-        np.arange(len(t)) == 3, 999, t.question)},
-    "worker-past-vocabulary": lambda t: {"worker": np.where(
-        np.arange(len(t)) == 3, len(t.worker_ids), t.worker)},
-    "negative-video": lambda t: {"video": np.where(np.arange(len(t)) == 3, -1, t.video)},
+    "stray-member-bit": lambda t: ("members", first_row(t.gate), 1 << 40),
+    "unknown-question": lambda t: ("question", 3, 999),
+    "worker-past-vocabulary": lambda t: ("worker", 3, len(t.worker_ids)),
+    "negative-video": lambda t: ("video", 3, -1),
 }
 
 
@@ -1229,9 +1263,8 @@ def test_tampered_sidecar_is_not_trusted(sample_tax, small_events, tmp_path, cap
     path = tmp_path / "events.csv"
     write_events_csv(small_events, sample_tax, path)
     expected = csv_only(path, sample_tax)
-    key = campaign._sidecar_key(hashlib.sha256(path.read_bytes()).digest(), sample_tax)
-    tampered = dataclasses.replace(expected, **TAMPERED[tamper](expected))
-    campaign._save_sidecar(path, key, tampered)
+    sidecar = sidecar_path(path)
+    sidecar.write_bytes(with_value(sidecar.read_bytes(), *TAMPERED[tamper](expected)))
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
     assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.campaign", "WARNING")]
@@ -1593,16 +1626,6 @@ def test_reproduce_unknown_name(tmp_path):
         reproduce("nope", 0, tmp_path / "x.csv")
 
 
-@pytest.mark.parametrize("name, override", [("question-count-sweep", "videos"),
-                                            ("multi-iteration", "budget_minutes"),
-                                            ("length-breakdown", "videos")])
-def test_reproduce_names_an_override_the_experiment_does_not_take(tmp_path, name, override):
-    with pytest.raises(ValueError) as exc:
-        reproduce(name, 0, tmp_path / "x.csv", **{override: 5})
-    assert str(exc.value) == f"experiment {name!r} takes no override {override!r}"
-    assert list(tmp_path.iterdir()) == []
-
-
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -1627,7 +1650,7 @@ def warnings_of(caplog):
 
 def test_multi_iteration_many_questions_dominate(tmp_path, caplog):
     with caplog.at_level(logging.WARNING):
-        path = reproduce("multi-iteration", seed=3, out_path=tmp_path / "mi.csv", videos=80)
+        path = reproduce("multi-iteration", seed=3, out_path=tmp_path / "mi.csv")
     assert warnings_of(caplog) == []
     rows = read_csv(path)
     # Each k simulates every pass of the planner's plan at that k, 7.1 min/video.
@@ -1650,9 +1673,7 @@ def test_multi_iteration_many_questions_dominate(tmp_path, caplog):
 
 def test_length_breakdown_gap_grows_with_duration(tmp_path, caplog):
     with caplog.at_level(logging.WARNING):
-        path = reproduce(
-            "length-breakdown", seed=4, out_path=tmp_path / "lb.csv", videos_per_bin=100
-        )
+        path = reproduce("length-breakdown", seed=4, out_path=tmp_path / "lb.csv")
     assert warnings_of(caplog) == []
     rows = read_csv(path)
     # Each bin runs the planner's plan at each k that fits 4.4 min/video, its

@@ -8,15 +8,13 @@ from annocamp.evaluate import (
     IncompleteIterationError,
     LabelMatrix,
     aggregate,
-    analytic_union,
     event_stats,
-    expected_recall,
     group_ids,
     metrics,
     truth_matrix,
+    union_precision,
 )
 from annocamp.taxonomy import (
-    Label,
     QuestionGroup,
     Taxonomy,
     TaxonomyError,
@@ -25,7 +23,7 @@ from annocamp.taxonomy import (
     taxonomy_from_mapping,
 )
 from annocamp.workersim import (EventTable, ModifierSet, WorkerBehavior, default_behavior,
-                                fp_rate_from_precision, make_random_truth)
+                                fp_rate_from_precision, make_random_truth, mixture_union_recall)
 from helpers import GAPPED_TAX
 
 
@@ -108,19 +106,6 @@ def test_aggregate_ignores_gold():
     events.append(make_event("v0", 1, True, 0, gold=True))
     matrix = aggregate(table(events, tax), tax)
     assert not matrix.binary(1).any()
-
-
-def test_aggregate_gives_a_label_of_two_questions_one_vote():
-    # A Taxonomy built directly skips _validate, so a label may belong to two
-    # questions; answering both in one (video, iteration), with no question
-    # answered twice, marks it twice, and it still gets one vote.
-    tax = Taxonomy((Label(0, "a"), Label(1, "b")),
-                   (QuestionGroup(0, "a?", (0,)), QuestionGroup(1, "a or b?", (1, 0))))
-    assert not tax.one_question_per_label
-    events = EventTable(("w",), ("v",), worker=[0, 0], video=[0, 0], question=[0, 1],
-                        members=[1, 2], elapsed=[1.0, 1.0], iteration=[0, 0],
-                        gold=[False, False])
-    assert aggregate(events, tax).votes.tolist() == [[1, 0]]
 
 
 def test_aggregate_rejects_video_outside_ids():
@@ -363,10 +348,19 @@ def test_label_matrix_vote_bound():
 # ---------------------------------------------------------------------------
 
 
+# Each law is checked against a direct evaluation of its formula, never
+# against the code it is computed by.
+
+
+def independence(r, n):
+    """The union recall of n independent passes: the mixture law with no hard pairs."""
+    return mixture_union_recall(r, n, 0.0, 0.0)
+
+
 def test_expected_recall_reference_point():
     # Direct evaluation oracle: 1 - (1 - 0.45)^(8.61/1.10).
     oracle = 1.0 - 0.55 ** (8.61 / 1.10)
-    value = expected_recall(0.45, 1.10, 8.61)
+    value = independence(0.45, 8.61 / 1.10)
     assert value == pytest.approx(oracle, abs=1e-12)
     assert value == pytest.approx(0.9907, abs=1e-4)
 
@@ -374,55 +368,52 @@ def test_expected_recall_reference_point():
 def test_expected_recall_single_iteration_is_r():
     rng = np.random.default_rng(0)
     for r in rng.random(100):
-        assert expected_recall(r, 2.5, 2.5) == pytest.approx(r, abs=1e-15)
+        assert independence(r, 1.0) == pytest.approx(r, abs=1e-15)
 
 
 def test_expected_recall_edges():
-    assert expected_recall(0.0, 1.0, 50.0) == 0.0
-    assert expected_recall(0.7, 1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        expected_recall(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        expected_recall(1.5, 1.0, 1.0)
+    assert independence(0.0, 50.0) == 0.0
+    assert independence(0.7, 0.0) == 0.0
+    assert independence(1.0, 0.5) == 1.0
 
 
 def test_expected_recall_monotone():
     budgets = np.linspace(0.0, 20.0, 40)
-    values = [expected_recall(0.45, 1.1, t) for t in budgets]
+    values = [independence(0.45, t / 1.1) for t in budgets]
     assert all(b >= a for a, b in zip(values, values[1:]))
     rs = np.linspace(0.0, 1.0, 40)
-    values = [expected_recall(r, 1.1, 7.0) for r in rs]
+    values = [independence(r, 7.0 / 1.1) for r in rs]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@given(r=st.floats(0.0, 1.0), passes=st.floats(0.0, 50.0))
+def test_independence_law_is_the_power_law_at_fractional_passes(r, passes):
+    # Bit for bit: the expected-recall-budget experiment's column is this law
+    # at the fractional passes a budget buys.
+    assert independence(r, passes) == 1.0 - (1.0 - r) ** passes
 
 
 def test_analytic_union_inverts_calibration():
     f = fp_rate_from_precision(0.450, 0.864, 3.7, 52)
-    recall, precision = analytic_union(0.450, f, 3.7, 52, 1)
+    recall = independence(0.450, 1)
     assert recall == pytest.approx(0.450)
-    assert precision == pytest.approx(0.864, abs=1e-9)
+    assert union_precision(recall, f, 3.7, 52, 1) == pytest.approx(0.864, abs=1e-9)
 
 
 def test_analytic_union_three_iterations():
-    recall, _ = analytic_union(0.45, 0.005, 3.7, 52, 3)
+    recall = independence(0.45, 3)
     assert recall == pytest.approx(1 - 0.55**3, abs=1e-12)
     assert recall == pytest.approx(0.8336, abs=1e-4)
 
 
 def test_analytic_union_zero_fp_is_perfect_precision():
     for n in (1, 3, 10):
-        _, precision = analytic_union(0.45, 0.0, 3.7, 52, n)
-        assert precision == 1.0
-
-
-def test_analytic_union_matches_expected_recall_at_integer_n():
-    for n in (1, 2, 5, 9):
-        union, _ = analytic_union(0.45, 0.001, 3.7, 52, n)
-        assert union == pytest.approx(expected_recall(0.45, 1.1, n * 1.1), abs=1e-12)
+        assert union_precision(independence(0.45, n), 0.0, 3.7, 52, n) == 1.0
 
 
 def test_union_precision_non_increasing_in_n():
     f = fp_rate_from_precision(0.450, 0.864, 3.7, 52)
-    precisions = [analytic_union(0.45, f, 3.7, 52, n)[1] for n in range(1, 10)]
+    precisions = [union_precision(independence(0.45, n), f, 3.7, 52, n) for n in range(1, 10)]
     assert all(b <= a for a, b in zip(precisions, precisions[1:]))
 
 

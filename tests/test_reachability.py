@@ -37,9 +37,7 @@ ROOTS = (
 )
 
 # Definitions no root reaches that stay, each with its reason.
-KEEP = {
-    "evaluate.analytic_union": "the closed form acceptance criterion 4 checks the simulator against",
-}
+KEEP: dict[str, str] = {}
 
 
 def _references(node):
@@ -156,12 +154,18 @@ def test_kept_definitions_are_unreached():
     assert not [name for name in KEEP if name in reached], "a reached definition needs no KEEP entry"
 
 
-def test_walk_follows_module_attributes_and_imports():
+def test_walk_follows_module_attributes_and_imports(tmp_path, monkeypatch):
     reached = _reached(("cli.main",))
     # cli calls campaign.ingest as a module attribute; ingest calls
     # expand_answer through `from .taxonomy import`.
     assert {"campaign.ingest", "taxonomy.expand_answer", "output.atomic_open"} <= reached
-    assert "evaluate.analytic_union" not in reached
     # A dunder method of a reached class, and a method whose name a reached
     # body loads (`plan.modifiers.label()` in the plan command).
     assert {"workersim.EventTable.__len__", "workersim.ModifierSet.label"} <= reached
+    # A definition no reached body references stays unreached. In annocamp
+    # every definition is reached (cli's `__main__` guard reaches `main` at
+    # import time), so the walk runs on a two-module package.
+    (tmp_path / "a.py").write_text("from .b import used\n\n\ndef root():\n    return used()\n")
+    (tmp_path / "b.py").write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n")
+    monkeypatch.setitem(globals(), "PACKAGE", tmp_path)
+    assert _reached(("a.root",)) == {"a.root", "b.used"}

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from annocamp.cli import sample_taxonomy_path
 from annocamp.evaluate import truth_matrix
 from annocamp.taxonomy import (
+    Label,
+    QuestionGroup,
+    Taxonomy,
     TaxonomyError,
     dense_codes,
     expand_answer,
@@ -87,6 +90,21 @@ def test_label_in_two_groups_is_rejected(tmp_path):
          "questions[0]: members[1] must be an integer, got 0.2"),
         (lambda d: d["questions"][1].update(members=[False]),
          "questions[1]: members[0] must be an integer, got False"),
+        # So is a name or prompt that is not a JSON string, and a document,
+        # list or entry of another JSON type.
+        (lambda d: d["labels"][1].update(name=5), "labels[1]: name must be a string, got 5"),
+        (lambda d: d["labels"][2].update(name=None),
+         "labels[2]: name must be a string, got None"),
+        (lambda d: d["questions"][0].update(prompt=["x"]),
+         "questions[0]: prompt must be a string, got ['x']"),
+        (lambda d: d["questions"][1].update(members={"0": 2}),
+         "questions[1]: members must be an array, got {'0': 2}"),
+        (lambda d: d["questions"][1].update(members="2"),
+         "questions[1]: members must be an array, got '2'"),
+        (lambda d: d.update(labels={"0": "a"}), "labels must be an array, got {'0': 'a'}"),
+        (lambda d: d.update(questions={}), "questions must be an array, got {}"),
+        (lambda d: d["labels"].append("d"), "labels[3] must be an object, got 'd'"),
+        (lambda d: [d], "the taxonomy document must be an object, got [{"),
     ],
 )
 def test_validation_errors(mutate, message):
@@ -97,9 +115,18 @@ def test_validation_errors(mutate, message):
             {"id": 1, "prompt": "q", "members": [2]},
         ],
     }
-    mutate(doc)
+    doc = mutate(doc) or doc  # a mutation may return a document in place of its own
     with pytest.raises(TaxonomyError, match=re.escape(message)):
         taxonomy_from_mapping(doc)
+
+
+def test_a_directly_built_taxonomy_is_validated():
+    # Built without a document, a taxonomy is checked as a loaded one is.
+    labels = (Label(0, "a"), Label(1, "b"))
+    with pytest.raises(TaxonomyError, match=re.escape("label 0 appears in questions 0 and 1")):
+        Taxonomy(labels, (QuestionGroup(0, "a?", (0,)), QuestionGroup(1, "a or b?", (1, 0))))
+    with pytest.raises(TaxonomyError, match="label ids must be dense"):
+        Taxonomy((Label(1, "b"),), (QuestionGroup(0, "b?", (1,)),))
 
 
 def test_members_bitmask_holds_64_members(tmp_path):
