@@ -40,8 +40,9 @@ from .evaluate import (
     group_ids,
     metrics,
     truth_matrix,
+    voting_rows,
 )
-from .output import atomic_open, write_csv
+from .output import atomic_open, csv_chunks, file_digest, write_csv
 from .planner import (NO_MODIFIERS, BudgetConstraint, best_plan, enumerate_plans,
                       plan_iteration_minutes)
 from .seeding import draw_key, fold, id_key, id_keys, key_order, uniforms
@@ -526,7 +527,8 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     past their question's members, whose elapsed time is not positive and
     finite, or that repeat a non-gold (worker, video, question, iteration).
     Each column's distinct values (each answer's id and members, say) are
-    formatted once, and each ROW_CHUNK of rows is joined at once. The
+    formatted once, and each ROW_CHUNK of rows is joined at once
+    (`csv_chunks`). The
     table as `ingest` returns it goes to the CSV's sidecar (`sidecar_path`),
     keyed by the SHA-256 digest of the bytes written, unless its columns do
     not fit the sidecar's narrow dtypes.
@@ -566,18 +568,11 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     gold = table.gold.any()
     if gold:
         columns.append((["0", "1"], table.gold.view(np.uint8)))
-    columns = [(np.array(values, object), codes) for values, codes in columns]
     header = ",".join(EVENT_COLUMNS + (("gold",) if gold else ())) + "\n"
+    chunks = csv_chunks(columns, len(table), ROW_CHUNK)
+    del columns  # each value is then held once, with its separator, by the chunks
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
-        # Each chunk's rows are joined at C level; the empty last row ends
-        # the chunk's last line without a copy of the chunk.
-        chunks = (
-            "\n".join(chain(map(",".join, zip(*(
-                values[codes[start : start + ROW_CHUNK]].tolist() for values, codes in columns
-            ))), [""]))
-            for start in range(0, len(table), ROW_CHUNK)
-        )
         for text in chain([header], chunks):
             data = text.encode()
             digest.update(data)
@@ -657,11 +652,11 @@ def ingest(source, tax: Taxonomy) -> EventTable:
     checks on it; any problem sends it to the parse, so an error always
     names its lines.
     """
-    data = Path(source).read_bytes()
-    key = _sidecar_key(hashlib.sha256(data).digest(), tax)
-    table = _load_sidecar(source, key, tax)
+    table = _load_sidecar(source, _sidecar_key(file_digest(source), tax), tax)
     if table is not None and not _row_problems(table, range(len(table)), tax):
         return table
+    data = Path(source).read_bytes()  # the key is the digest of the bytes parsed
+    key = _sidecar_key(hashlib.sha256(data).digest(), tax)
     table = _parse_events(source, data, tax)
     _save_sidecar(source, key, table)
     return table
@@ -728,12 +723,12 @@ def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
     iteration); its seconds are summed in row order. One stable sort by
     worker splits the task seconds into each worker's, in task order.
     """
-    n, gold = len(table.worker_ids), table.gold
-    worker = table.worker[~gold]
-    task, first = group_ids(worker, table.video[~gold], table.iteration[~gold])
-    seconds = np.bincount(task, weights=table.elapsed[~gold])
+    n, gold, voting = len(table.worker_ids), table.gold, voting_rows(table.gold)
+    worker = table.worker[voting]
+    task, first = group_ids(worker, table.video[voting], table.iteration[voting])
+    seconds = np.bincount(task, weights=table.elapsed[voting])
     answered = np.bincount(worker, minlength=n)
-    yes = np.bincount(worker[table.gate[~gold]], minlength=n)
+    yes = np.bincount(worker[table.gate[voting]], minlength=n)
     gold_asked = np.bincount(table.worker[gold], minlength=n)
     gold_yes = np.bincount(table.worker[gold & table.gate], minlength=n)
     task_worker = worker[first]

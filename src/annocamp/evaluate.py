@@ -71,18 +71,16 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     Otherwise (two workers answered one question in one pass) `group_ids`
     keeps each (video, iteration, label) once.
     """
-    evaluated = ~events.gold
-    if not evaluated.any():
+    voting = voting_rows(events.gold)
+    video = events.video[voting]
+    if not len(video):
         raise ValueError("no events to aggregate")
-    if evaluated.all():
-        evaluated = slice(None)  # every row votes: read the columns as they are
-    video = events.video[evaluated]
-    slot = events.question[evaluated]
+    slot = events.question[voting]
     if not 0 <= slot.min() <= slot.max() < taxonomy.question_count:
         outside = slot[(slot < 0) | (slot >= taxonomy.question_count)][0]
         raise TaxonomyError(f"unknown question position {outside} "
                             f"(the taxonomy has {taxonomy.question_count} questions)")
-    passes, iteration = dense_codes(events.iteration[evaluated])
+    passes, iteration = dense_codes(events.iteration[voting])
     # Every (video, iteration) pair present must answer every question.
     pair = video if len(passes) == 1 else video * len(passes) + iteration
     asked = np.zeros((len(events.video_ids) * len(passes), taxonomy.question_count), dtype=bool)
@@ -114,10 +112,11 @@ def aggregate(events, taxonomy: Taxonomy, video_ids=None) -> LabelMatrix:
     # Decode each affirmative answer's members bits to labels, keep each
     # (video, iteration, label) once and count its iterations per video.
     labels = taxonomy.label_count
-    yes = np.flatnonzero(events.gate[evaluated])  # one scan; its gathers are small
+    yes = np.flatnonzero(events.gate[voting])  # one scan; its gathers are small
     table = taxonomy.member_table
     bits = np.arange(table.shape[1], dtype=np.uint64)
-    answer, bit = np.nonzero(events.members[evaluated][yes, None] >> bits & np.uint64(1))
+    members = events.members[yes if isinstance(voting, slice) else voting[yes]]
+    answer, bit = np.nonzero(members[:, None] >> bits & np.uint64(1))
     answer = yes[answer]
     label = table[slot[answer], bit]
     rows = row[answer]
@@ -172,11 +171,10 @@ def metrics(binary: np.ndarray, truth: np.ndarray) -> Metrics:
     """Micro-averaged recall and precision over all (video, label) pairs."""
     if binary.shape != truth.shape:
         raise ValueError(f"shape mismatch: {binary.shape} vs {truth.shape}")
-    tp = int(np.logical_and(binary, truth).sum())
-    fn = int(np.logical_and(~binary, truth).sum())
-    fp = int(np.logical_and(binary, ~truth).sum())
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    precision = tp / (tp + fp) if tp + fp > 0 else None
+    tp = int(np.count_nonzero(np.logical_and(binary, truth)))
+    positive, marked = int(np.count_nonzero(truth)), int(np.count_nonzero(binary))  # tp+fn, tp+fp
+    recall = tp / positive if positive else None
+    precision = tp / marked if marked else None
     return Metrics(recall=recall, precision=precision)
 
 
@@ -185,15 +183,22 @@ def event_stats(events) -> tuple[float, float]:
 
     Gold duplicates are excluded from both figures.
     """
-    evaluated = ~events.gold
-    if not evaluated.any():
+    voting = voting_rows(events.gold)
+    video = events.video[voting]
+    if not len(video):
         raise ValueError("no events")
-    video = events.video[evaluated]
-    seconds = sum(events.elapsed[evaluated].tolist())
-    passes = len(group_ids(video, events.iteration[evaluated])[1])
+    seconds = sum(events.elapsed[voting].tolist())
+    passes = len(group_ids(video, events.iteration[voting])[1])
     minutes_per_video = seconds / 60.0 / int(np.count_nonzero(np.bincount(video)))
-    affirmative_per_iteration = int(events.gate[evaluated].sum()) / passes
+    affirmative_per_iteration = int(np.count_nonzero(events.gate[voting])) / passes
     return minutes_per_video, affirmative_per_iteration
+
+
+def voting_rows(gold: np.ndarray):
+    """The rows that vote, all but the gold duplicates, as an index into the
+    event columns: slice(None) when no row is gold, so each column reads as
+    it is, and their positions otherwise, so each take copies only them."""
+    return np.flatnonzero(~gold) if gold.any() else slice(None)
 
 
 def group_ids(*columns) -> tuple[np.ndarray, np.ndarray]:

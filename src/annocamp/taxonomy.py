@@ -88,6 +88,18 @@ class Taxonomy:
 
 
 def _validate(labels: tuple[Label, ...], questions: tuple[QuestionGroup, ...]) -> None:
+    """Raise a TaxonomyError on the first rule the fields break: first each
+    field's type, entries named by index (a bool is not an integer, and a
+    container is a tuple, so the taxonomy hashes), then the rules between
+    labels and questions."""
+    for i, lab in enumerate(_typed(labels, tuple, "labels")):
+        _typed(_typed(lab, Label, "labels[{}]", i).id, int, "labels[{}]: id", i)
+        _typed(lab.name, str, "labels[{}]: name", i)
+    for i, q in enumerate(_typed(questions, tuple, "questions")):
+        _typed(_typed(q, QuestionGroup, "questions[{}]", i).id, int, "questions[{}]: id", i)
+        _typed(q.prompt, str, "questions[{}]: prompt", i)
+        for j, m in enumerate(_typed(q.members, tuple, "questions[{}]: members", i)):
+            _typed(m, int, "questions[{}]: members[{}]", i, j)
     seen_label_ids = set()
     for lab in labels:
         if not lab.name:
@@ -126,14 +138,15 @@ def _validate(labels: tuple[Label, ...], questions: tuple[QuestionGroup, ...]) -
         raise TaxonomyError(f"labels not covered by any question: {sorted(uncovered)}")
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+          tuple: "a tuple", Label: "a Label", QuestionGroup: "a QuestionGroup"}
 
 
 def _typed(value, kind: type, entry: str, *at):
-    """A value of the document, which must be of the JSON type `kind` (a bool
-    is not an integer); `entry.format(*at)` names it, built only to raise."""
+    """A value, which must be exactly of the type `kind` (a bool is not an
+    integer); `entry.format(*at)` names it, built only to raise."""
     if type(value) is not kind:
-        raise TaxonomyError(f"{entry.format(*at)} must be {_JSON_TYPES[kind]}, got {value!r}")
+        raise TaxonomyError(f"{entry.format(*at)} must be {_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -145,17 +158,14 @@ def _entries(doc: dict, key: str):
 
 def taxonomy_from_mapping(doc: dict) -> Taxonomy:
     """Build a Taxonomy from an already-parsed document, each value of its
-    JSON type (README, File formats) or a TaxonomyError naming its entry."""
+    JSON type (README, File formats) or a TaxonomyError naming its entry:
+    the document's objects and arrays are checked here, the values they
+    hold by `_validate`."""
     _typed(doc, dict, "the taxonomy document")
     try:
-        labels = tuple(Label(_typed(l["id"], int, "labels[{}]: id", i),
-                             _typed(l["name"], str, "labels[{}]: name", i))
-                       for i, l in _entries(doc, "labels"))
+        labels = tuple(Label(l["id"], l["name"]) for _, l in _entries(doc, "labels"))
         questions = tuple(QuestionGroup(
-            _typed(q["id"], int, "questions[{}]: id", i),
-            _typed(q["prompt"], str, "questions[{}]: prompt", i),
-            tuple(_typed(m, int, "questions[{}]: members[{}]", i, j) for j, m in
-                  enumerate(_typed(q["members"], list, "questions[{}]: members", i))),
+            q["id"], q["prompt"], tuple(_typed(q["members"], list, "questions[{}]: members", i))
         ) for i, q in _entries(doc, "questions"))
     except KeyError as exc:
         raise TaxonomyError(f"malformed taxonomy document: {exc}") from exc
@@ -252,9 +262,12 @@ def dense_codes(column) -> tuple[np.ndarray, np.ndarray]:
     its length is coded without a sort: each row marks its offset from the
     minimum in a table of the span, and the marked values are ranked by a
     running sum. (A mark, unlike `np.bincount`'s count, does not slow down
-    on runs of one value.) Any other column is sorted by `np.unique`.
+    on runs of one value.) A broadcast column (stride 0) is one value, and
+    any other column is sorted by `np.unique`.
     """
     column = np.asarray(column)
+    if column.ndim == 1 and len(column) and not column.strides[0]:  # one value, broadcast
+        return column[:1].copy(), np.zeros(len(column), np.intp)
     work = column.view(np.uint8) if column.dtype == bool else column
     if work.dtype.kind in "iu" and len(work):
         low, high = work.min(), work.max()

@@ -16,6 +16,7 @@ reconciles single-pass anchors with measured multi-pass recall.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -246,11 +247,21 @@ def fit_hard_mixture(
     Finds (hard_fraction, hard_recall_multiplier) minimizing squared error
     against the observed union recall at the given iteration counts, keeping
     the single-pass recall anchored at recall(qtop): the targets are measured
-    on the interface that asks every question. The whole grid is scored
-    at once, then walked in (h, m) order: the fit moves to each point whose
-    error is more than 1e-15 below the current fit's.
+    on the interface that asks every question. The search depends on
+    nothing else, so it runs once per process for each (recall, targets).
     """
-    r = behavior.recall(behavior.qtop)
+    h, m = _fit_grid(behavior.recall(behavior.qtop), tuple(map(tuple, targets)))
+    return replace(behavior, hard_fraction=h, hard_recall_multiplier=m)
+
+
+@functools.lru_cache
+def _fit_grid(r: float, targets: tuple) -> tuple[float, float]:
+    """The (h, m) grid point of least squared error at single-pass recall r.
+
+    The whole grid is scored at once, then walked in (h, m) order: the fit
+    moves to each point whose error is more than 1e-15 below the current
+    fit's.
+    """
     h, m = HARD_FRACTION_GRID[:, None], HARD_MULTIPLIER_GRID[None, :]
     sse = sum(
         ((mixture_union_recall(r, n, h, m) - target) ** 2 for n, target in targets),
@@ -261,11 +272,7 @@ def fit_hard_mixture(
         best += lower[0]
         level = errors[best]
     i, j = np.unravel_index(best, sse.shape)
-    return replace(
-        behavior,
-        hard_fraction=float(HARD_FRACTION_GRID[i]),
-        hard_recall_multiplier=float(HARD_MULTIPLIER_GRID[j]),
-    )
+    return float(HARD_FRACTION_GRID[i]), float(HARD_MULTIPLIER_GRID[j])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -298,7 +299,7 @@ def test_metrics_on_video_without_truth_exits_with_message(tmp_path, sample_vide
     events = tmp_path / "events.csv"
     run(["simulate", "--videos", sample_videos, "--k", "52", "--seed", "4",
          "--out", str(events)])
-    lines = open(sample_videos, encoding="utf-8").read().splitlines()
+    lines = Path(sample_videos).read_text(encoding="utf-8").splitlines()
     missing = json.loads(lines[-1])["video"]
     short = tmp_path / "short.jsonl"
     short.write_text("\n".join(lines[:-1]) + "\n")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
@@ -22,8 +22,9 @@ from annocamp.taxonomy import (
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
-from annocamp.workersim import (EventTable, ModifierSet, WorkerBehavior, default_behavior,
-                                fp_rate_from_precision, make_random_truth, mixture_union_recall)
+from annocamp.workersim import (EVENT_FIELDS, EventTable, ModifierSet, WorkerBehavior,
+                                default_behavior, fp_rate_from_precision, make_random_truth,
+                                mixture_union_recall)
 from helpers import GAPPED_TAX
 
 
@@ -192,6 +193,23 @@ def test_aggregate_matches_row_by_row_union(rows):
     assert matrix.video_ids == video_ids
     assert matrix.iterations == iterations
     assert np.array_equal(matrix.votes, votes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=oracle_events(), data=st.data())
+def test_a_row_permutation_of_a_table_aggregates_to_the_same_votes(rows, data):
+    # The rows of one table, vocabularies kept, in any order: gold rows,
+    # with answers of their own, land between the voting rows, which are
+    # taken by index. The votes and the event statistics do not move.
+    assume(any(row[-1] for row in rows))
+    events = table(rows, _ORACLE_TAX)
+    order = np.array(data.draw(st.permutations(range(len(rows)))), dtype=np.int64)
+    shuffled = EventTable(events.worker_ids, events.video_ids,
+                          *(getattr(events, f.name)[order] for f in EVENT_FIELDS))
+    base, moved = aggregate(events, _ORACLE_TAX), aggregate(shuffled, _ORACLE_TAX)
+    assert (moved.video_ids, moved.iterations) == (base.video_ids, base.iterations)
+    assert np.array_equal(moved.votes, base.votes)
+    assert event_stats(shuffled) == event_stats(events)
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,6 +481,7 @@ def test_metrics_counting_fixture():
     scored = metrics(pred, truth)
     assert scored.recall == pytest.approx(180 / 400, abs=1e-12)
     assert scored.precision == pytest.approx(180 / 206, abs=1e-12)
+    assert type(scored.recall) is float and type(scored.precision) is float  # not numpy's
 
 
 def test_metrics_shape_mismatch():
@@ -547,3 +566,4 @@ def test_event_stats():
     minutes, affirmative = event_stats(table(events, tax))
     assert minutes == pytest.approx((120 + 180) / 60 / 2)
     assert affirmative == pytest.approx(3 / 4)
+    assert type(minutes) is float and type(affirmative) is float  # not numpy's

@@ -6,7 +6,9 @@ walk follows name references through the parsed source: a name bound by a
 relative import resolves to its definition in the imported module, and a
 module's attribute (`campaign.ingest`) to that module's definition.
 Module-level statements always run, class bodies, decorators and default
-values included; a function body runs once its function is reached. A
+values included, except an `if __name__ == "__main__":` block, which runs
+only when its module runs as a script (cli's calls `main`, a root of its
+own); a function body runs once its function is reached. A
 method or property of a reached class is reached when it is a dunder
 method, or when a reached body (or a module-level statement) loads its name
 as an attribute. Annotations are never evaluated (every module imports
@@ -38,6 +40,8 @@ ROOTS = (
 
 # Definitions no root reaches that stay, each with its reason.
 KEEP: dict[str, str] = {}
+
+MAIN_GUARD = "__name__ == '__main__'"  # as ast.unparse spells the test
 
 
 def _references(node):
@@ -77,6 +81,8 @@ def _graph():
         bound = bindings[module] = {}
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             deferred = []
+            if isinstance(statement, ast.If) and ast.unparse(statement.test) == MAIN_GUARD:
+                continue
             if isinstance(statement, ast.ImportFrom) and statement.level == 1:
                 for alias in statement.names:
                     target = f"{statement.module}.{alias.name}" if statement.module else alias.name
@@ -162,9 +168,11 @@ def test_walk_follows_module_attributes_and_imports(tmp_path, monkeypatch):
     # A dunder method of a reached class, and a method whose name a reached
     # body loads (`plan.modifiers.label()` in the plan command).
     assert {"workersim.EventTable.__len__", "workersim.ModifierSet.label"} <= reached
-    # A definition no reached body references stays unreached. In annocamp
-    # every definition is reached (cli's `__main__` guard reaches `main` at
-    # import time), so the walk runs on a two-module package.
+    # A definition no reached body references stays unreached: a library
+    # root reaches no command. cli's `__main__` guard, which calls `main`,
+    # is not import-time code.
+    assert "campaign.ingest" not in _reached(("taxonomy.singleton_taxonomy",))
+    # The same on a two-module package, whole.
     (tmp_path / "a.py").write_text("from .b import used\n\n\ndef root():\n    return used()\n")
     (tmp_path / "b.py").write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n")
     monkeypatch.setitem(globals(), "PACKAGE", tmp_path)

@@ -70,6 +70,11 @@ def test_label_in_two_groups_is_rejected(tmp_path):
         load_taxonomy(write_tax(tmp_path, doc))
 
 
+def built(labels=(Label(0, "a"),), questions=(QuestionGroup(0, "a?", (0,)),)):
+    """A mutation that builds a one-label Taxonomy directly instead."""
+    return lambda doc: Taxonomy(labels, questions)
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -105,6 +110,24 @@ def test_label_in_two_groups_is_rejected(tmp_path):
         (lambda d: d.update(questions={}), "questions must be an array, got {}"),
         (lambda d: d["labels"].append("d"), "labels[3] must be an object, got 'd'"),
         (lambda d: [d], "the taxonomy document must be an object, got [{"),
+        # A directly built taxonomy is held to the same types, and its
+        # containers are tuples, so that it hashes.
+        (built(labels=(Label(0, 5),)), "labels[0]: name must be a string, got 5"),
+        (built(questions=(QuestionGroup(0, None, (0,)),)),
+         "questions[0]: prompt must be a string, got None"),
+        (built(labels=(Label(True, "a"),)), "labels[0]: id must be an integer, got True"),
+        (built(questions=(QuestionGroup(0.0, "a?", (0,)),)),
+         "questions[0]: id must be an integer, got 0.0"),
+        (built(questions=(QuestionGroup(0, "a?", (0.0,)),)),
+         "questions[0]: members[0] must be an integer, got 0.0"),
+        (built(labels=[Label(0, "a")]), "labels must be a tuple, got [Label(id=0, name='a')]"),
+        (built(questions=[]), "questions must be a tuple, got []"),
+        (built(questions=(QuestionGroup(0, "a?", [0]),)),
+         "questions[0]: members must be a tuple, got [0]"),
+        (built(labels=({"id": 0, "name": "a"},)),
+         "labels[0] must be a Label, got {'id': 0, 'name': 'a'}"),
+        (built(questions=((0, "a?", (0,)),)),
+         "questions[0] must be a QuestionGroup, got (0, 'a?', (0,))"),
     ],
 )
 def test_validation_errors(mutate, message):
@@ -115,9 +138,9 @@ def test_validation_errors(mutate, message):
             {"id": 1, "prompt": "q", "members": [2]},
         ],
     }
-    doc = mutate(doc) or doc  # a mutation may return a document in place of its own
     with pytest.raises(TaxonomyError, match=re.escape(message)):
-        taxonomy_from_mapping(doc)
+        # A mutation may return a document in place of its own, or raise itself.
+        taxonomy_from_mapping(mutate(doc) or doc)
 
 
 def test_a_directly_built_taxonomy_is_validated():
@@ -333,6 +356,15 @@ def test_dense_codes_matches_unique_on_int64(values):
 @example(np.array([2**64 - 1, 2**63, 2**64 - 1], dtype=np.uint64))
 @example(np.array([], dtype=bool))
 def test_dense_codes_matches_unique_on_bool_and_uint64(column):
+    assert_codes_like_unique(column)
+
+
+@pytest.mark.parametrize("length", [1, 2, 52_000])
+@pytest.mark.parametrize("value", [np.int64(-3), np.uint64(2**64 - 1), np.float64(1.5), True])
+def test_dense_codes_of_a_broadcast_column_is_its_one_value(value, length):
+    # A simulated pass's iteration column is one value, broadcast (stride 0).
+    column = np.broadcast_to(value, length)
+    assert column.strides == (0,)
     assert_codes_like_unique(column)
 
 

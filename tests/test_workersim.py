@@ -184,6 +184,26 @@ def test_fit_hard_mixture_hits_reference_points():
     assert 1 - 0.55**5 > 0.853 + 0.02
 
 
+def test_the_fit_runs_once_for_each_recall_and_targets():
+    # The grid search is kept per process by (recall(qtop), targets): the
+    # same pair is looked up, and other targets (a list, as a config's JSON
+    # gives them) or another anchored recall get a search of their own.
+    workersim._fit_grid.cache_clear()
+    default = fit_hard_mixture(default_behavior())
+    assert fit_hard_mixture(default_behavior()) == default
+    other = fit_hard_mixture(default_behavior(), targets=[[3, 0.8]])
+    anchors = (DEFAULT_ANCHORS[0], replace(DEFAULT_ANCHORS[1], recall=0.4))
+    lower = fit_hard_mixture(calibrate(anchors))
+    assert workersim._fit_grid.cache_info()[:2] == (1, 3)  # hits, misses
+    assert 0 < other.hard_fraction < default.hard_fraction
+    assert (lower.hard_fraction, lower.hard_recall_multiplier) != (
+        default.hard_fraction, default.hard_recall_multiplier)
+    # Each is what a fresh search gives.
+    workersim._fit_grid.cache_clear()
+    assert fit_hard_mixture(default_behavior(), targets=((3, 0.8),)) == other
+    assert fit_hard_mixture(calibrate(anchors)) == lower
+
+
 def test_mixture_without_easy_mass_finds_nothing():
     # h = 1, m = 0 leaves no detectable pair: the easy-recall denominator is 0.
     assert easy_recall(0.5, 1.0, 0.0) == 0.0
