@@ -42,7 +42,7 @@ from .evaluate import (
     truth_matrix,
     voting_rows,
 )
-from .output import atomic_open, csv_chunks, file_digest, write_csv
+from .output import atomic_open, csv_chunks, write_csv
 from .planner import (NO_MODIFIERS, BudgetConstraint, best_plan, enumerate_plans,
                       plan_iteration_minutes)
 from .seeding import draw_key, fold, id_key, id_keys, key_order, uniforms
@@ -562,15 +562,14 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
         (workers, table.worker),
         (videos, table.video),
         (texts, answer),
-        (list(map(repr, seconds.tolist())), elapsed),
-        (list(map(str, iterations.tolist())), iteration),
+        (map(repr, seconds.tolist()), elapsed),
+        (map(str, iterations.tolist()), iteration),
     ]
     gold = table.gold.any()
     if gold:
         columns.append((["0", "1"], table.gold.view(np.uint8)))
     header = ",".join(EVENT_COLUMNS + (("gold",) if gold else ())) + "\n"
     chunks = csv_chunks(columns, len(table), ROW_CHUNK)
-    del columns  # each value is then held once, with its separator, by the chunks
     digest = hashlib.sha256()
     with atomic_open(path, binary=True) as fh:
         for text in chain([header], chunks):
@@ -652,11 +651,11 @@ def ingest(source, tax: Taxonomy) -> EventTable:
     checks on it; any problem sends it to the parse, so an error always
     names its lines.
     """
-    table = _load_sidecar(source, _sidecar_key(file_digest(source), tax), tax)
+    data = Path(source).read_bytes()
+    key = _sidecar_key(hashlib.sha256(data).digest(), tax)
+    table = _load_sidecar(source, key, tax)
     if table is not None and not _row_problems(table, range(len(table)), tax):
         return table
-    data = Path(source).read_bytes()  # the key is the digest of the bytes parsed
-    key = _sidecar_key(hashlib.sha256(data).digest(), tax)
     table = _parse_events(source, data, tax)
     _save_sidecar(source, key, table)
     return table

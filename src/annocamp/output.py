@@ -9,13 +9,12 @@ and JSON documents, the experiments' CSVs); given None for a path, they
 write to stdout. `read_records` reads the small CSV inputs (timings, worker
 stats, verified pairs); bad input is a one-line error that names the file
 and the physical line. `csv_chunks` formats the rows of a large CSV a chunk
-at a time, and `file_digest` hashes a file without holding it.
+at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 import secrets
 import sys
@@ -80,20 +79,10 @@ def read_records(path, columns, parse) -> list:
     return records
 
 
-def file_digest(path, block: int = 1 << 16) -> bytes:
-    """The SHA-256 digest of a file's bytes, read a block at a time into one
-    buffer (`hashlib.file_digest` needs Python 3.11)."""
-    digest, buffer = hashlib.sha256(), bytearray(block)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            digest.update(memoryview(buffer)[:size])
-    return digest.digest()
-
-
 def csv_chunks(columns, rows: int, chunk: int):
     """The CSV text of `rows` rows, `chunk` rows at a time. Each column is a
-    pair: its distinct values as CSV fields, and each row's index among
-    them. Each distinct value is formatted with the separator that follows
+    pair: its distinct values as CSV fields (any iterable, read once), and
+    each row's index among them. Each distinct value is formatted with the separator that follows
     it once; a chunk's fields are gathered into one reused array, a column
     at a time, and joined at once."""
     ends = [","] * (len(columns) - 1) + ["\n"]

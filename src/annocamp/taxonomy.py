@@ -262,12 +262,9 @@ def dense_codes(column) -> tuple[np.ndarray, np.ndarray]:
     its length is coded without a sort: each row marks its offset from the
     minimum in a table of the span, and the marked values are ranked by a
     running sum. (A mark, unlike `np.bincount`'s count, does not slow down
-    on runs of one value.) A broadcast column (stride 0) is one value, and
-    any other column is sorted by `np.unique`.
+    on runs of one value.) Any other column is sorted by `np.unique`.
     """
     column = np.asarray(column)
-    if column.ndim == 1 and len(column) and not column.strides[0]:  # one value, broadcast
-        return column[:1].copy(), np.zeros(len(column), np.intp)
     work = column.view(np.uint8) if column.dtype == bool else column
     if work.dtype.kind in "iu" and len(work):
         low, high = work.min(), work.max()
