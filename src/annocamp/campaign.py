@@ -370,6 +370,8 @@ SIDECAR_DTYPES = {name: np.dtype(dtype) for name, dtype in (
     ("elapsed", "<f8"), ("iteration", "<i4"), ("gold", "u1"),
 )}
 ROW_BYTES = sum(dtype.itemsize for dtype in SIDECAR_DTYPES.values())
+# Bytes a read takes of a CSV hashed against its sidecar's key.
+HASH_BLOCK = 1 << 16
 
 
 def sidecar_path(events) -> Path:
@@ -646,19 +648,32 @@ def ingest(source, tax: Taxonomy) -> EventTable:
 
     The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
     keyed by the SHA-256 digests of the CSV's bytes and of the taxonomy's
-    questions. A call whose key matches reads the table from there, checks
-    that it is one a CSV could give (`_read_sidecar`) and runs the same row
-    checks on it; any problem sends it to the parse, so an error always
-    names its lines.
+    questions. Where a sidecar exists, the CSV is hashed as a stream
+    (`_file_digest`); a call whose key matches reads the table from the
+    sidecar, checks that it is one a CSV could give (`_read_sidecar`) and
+    runs the same row checks on it. Any problem, and a missing sidecar,
+    sends it to the parse, which reads and hashes the CSV's bytes once, so
+    an error always names its lines.
     """
+    if os.path.exists(sidecar_path(source)):
+        table = _load_sidecar(source, _sidecar_key(_file_digest(source), tax), tax)
+        if table is not None and not _row_problems(table, range(len(table)), tax):
+            return table
     data = Path(source).read_bytes()
-    key = _sidecar_key(hashlib.sha256(data).digest(), tax)
-    table = _load_sidecar(source, key, tax)
-    if table is not None and not _row_problems(table, range(len(table)), tax):
-        return table
     table = _parse_events(source, data, tax)
-    _save_sidecar(source, key, table)
+    _save_sidecar(source, _sidecar_key(hashlib.sha256(data).digest(), tax), table)
     return table
+
+
+def _file_digest(path) -> bytes:
+    """The SHA-256 digest of a file, read HASH_BLOCK bytes at a time into
+    one reused buffer."""
+    digest, block = hashlib.sha256(), bytearray(HASH_BLOCK)
+    view = memoryview(block)
+    with Path(path).open("rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.digest()
 
 
 def _parse_events(source, data: bytes, tax: Taxonomy) -> EventTable:

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from importlib import resources
 from itertools import islice
@@ -291,17 +292,28 @@ def cmd_plan(args, config: dict) -> int:
     return 0
 
 
+def _worker_stats(row) -> campaign.WorkerStats:
+    """One row of an `ingest` stats CSV; a ValueError names the first field
+    outside its range."""
+    tasks, seconds = int(row["tasks"]), float(row["median_seconds"])
+    gold = float(row["gold_recall"]) if row["gold_recall"] else None
+    rate = float(row["positive_rate"])
+    for column, value, ok, rule in (
+        ("tasks", tasks, tasks >= 1, "at least 1"),
+        ("median_seconds", seconds, 0 < seconds < math.inf, "finite and above 0"),
+        ("gold_recall", gold, gold is None or 0 <= gold <= 1, "empty or in [0, 1]"),
+        ("positive_rate", rate, 0 <= rate <= 1, "in [0, 1]"),
+    ):
+        if not ok:
+            raise ValueError(f"{column} must be {rule}, got {value}")
+    return campaign.WorkerStats(row["worker"], tasks, seconds, gold, rate)
+
+
 def cmd_qc(args, config: dict) -> int:
     stats = read_records(
         args.stats,
         ("worker", "tasks", "median_seconds", "gold_recall", "positive_rate"),
-        lambda row: campaign.WorkerStats(
-            worker_id=row["worker"],
-            tasks_completed=int(row["tasks"]),
-            median_seconds_per_task=float(row["median_seconds"]),
-            gold_recall=float(row["gold_recall"]) if row["gold_recall"] else None,
-            positive_rate=float(row["positive_rate"]),
-        ),
+        _worker_stats,
     )
     flags = campaign.qc_flag(
         stats, campaign.QcThresholds(mad_z=args.mad_z, min_workers=args.min_workers)

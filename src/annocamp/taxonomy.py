@@ -9,6 +9,7 @@ partitioning the top-level questions into fixed-size subsets.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,13 +174,20 @@ def taxonomy_from_mapping(doc: dict) -> Taxonomy:
 
 
 def load_taxonomy(source: str | Path) -> Taxonomy:
-    """Load and validate a taxonomy from a JSON file."""
+    """Load and validate a taxonomy from a JSON file. The file is read on
+    every call; its parse and checks are memoized on its text, so loading
+    the same bytes again in one process returns the same frozen Taxonomy,
+    and a rewritten file is parsed again."""
     text = Path(source).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return _parse_taxonomy(text)
     except json.JSONDecodeError as exc:
         raise TaxonomyError(f"cannot parse {source}: {exc}") from exc
-    return taxonomy_from_mapping(doc)
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_taxonomy(text: str) -> Taxonomy:
+    return taxonomy_from_mapping(json.loads(text))
 
 
 def singleton_taxonomy(n_questions: int) -> Taxonomy:

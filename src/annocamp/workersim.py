@@ -702,43 +702,60 @@ def load_truths(source) -> list[VideoTruth]:
 
     Each line is an object {"video": id, "duration": seconds, "labels":
     [ids]}; "duration" (default 30.1) and "labels" (default none) may be
-    left out, and any other key is an error. The duration must be a finite
-    and positive JSON number and the labels integers. A video id may appear
-    on one line only and may not hold a carriage return, which an events CSV
-    cannot carry unquoted.
+    left out, and any other key is an error. The video id must be a JSON
+    string, the duration a finite and positive JSON number and the labels
+    integers. A video id may appear on one line only and may not hold a
+    carriage return, which an events CSV cannot carry unquoted.
+
+    The file is read on every call; its parse and checks are memoized on its
+    text (`_parse_truths`), so loading the same bytes again in one process
+    parses nothing, and a rewritten file is parsed again. Each call returns
+    a new list of the frozen truths.
     """
-    truths, lines = [], {}
     with open(source, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise ValueError("not a JSON object")
-                unknown = [key for key in doc if key not in ("video", "duration", "labels")]
-                if unknown:
-                    raise ValueError(f"unknown key {unknown[0]!r}")
-                if "video" not in doc:
-                    raise ValueError("missing key 'video'")
-                video_id = str(doc["video"])
-                if "\r" in video_id:
-                    raise ValueError(f"video id {video_id!r} holds a carriage return")
-                if lines.setdefault(video_id, line_num) != line_num:
-                    raise ValueError(f"video {video_id!r} repeats line {lines[video_id]}")
-                duration = doc.get("duration", REFERENCE_VIDEO_SECONDS)
-                if type(duration) not in (int, float):
-                    raise ValueError(f"video {video_id!r}: duration must be a number, "
-                                     f"got {duration!r}")
-                duration = float(duration)
-                if not 0 < duration < np.inf:
-                    raise ValueError(f"video {video_id!r}: duration must be finite and "
-                                     f"positive, got {duration}")
-                labels = doc.get("labels", [])
-                if not isinstance(labels, list) or any(type(l) is not int for l in labels):
-                    raise ValueError(f"video {video_id!r}: labels must be an array of integers")
-                truths.append(VideoTruth(video_id, duration, frozenset(labels)))
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{source}: line {line_num}: {exc}") from exc
-    return truths
+        text = fh.read()
+    try:
+        return list(_parse_truths(text))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_truths(text: str) -> tuple[VideoTruth, ...]:
+    """The truths of a JSON-lines text; a ValueError names the line."""
+    truths, lines = [], {}
+    for line_num, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            unknown = [key for key in doc if key not in ("video", "duration", "labels")]
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
+            if "video" not in doc:
+                raise ValueError("missing key 'video'")
+            video_id = doc["video"]
+            if type(video_id) is not str:
+                raise ValueError(f"video must be a string, got {video_id!r}")
+            if "\r" in video_id:
+                raise ValueError(f"video id {video_id!r} holds a carriage return")
+            if lines.setdefault(video_id, line_num) != line_num:
+                raise ValueError(f"video {video_id!r} repeats line {lines[video_id]}")
+            duration = doc.get("duration", REFERENCE_VIDEO_SECONDS)
+            if type(duration) not in (int, float):
+                raise ValueError(f"video {video_id!r}: duration must be a number, "
+                                 f"got {duration!r}")
+            duration = float(duration)
+            if not 0 < duration < np.inf:
+                raise ValueError(f"video {video_id!r}: duration must be finite and "
+                                 f"positive, got {duration}")
+            labels = doc.get("labels", [])
+            if not isinstance(labels, list) or any(type(l) is not int for l in labels):
+                raise ValueError(f"video {video_id!r}: labels must be an array of integers")
+            truths.append(VideoTruth(video_id, duration, frozenset(labels)))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {line_num}: {exc}") from exc
+    return tuple(truths)

@@ -5,7 +5,9 @@ campaign over 150 videos of the bundled taxonomy (about 22k rows); the
 sidecar ingest and the row checks again at 208k rows, a k=5, two-pass
 campaign over 2000 videos and 50 workers; and aggregate on one k=52 pass
 over 1000 videos of the 52-question singleton taxonomy (52k rows). Each
-reports its rows per second.
+reports its rows per second. The input loaders, `load_taxonomy` on the
+bundled taxonomy and `load_truths` on the campaign's 150 videos, are timed
+as a first parse (their memo cleared before each call) and as a repeat.
 
 Not collected by a plain `pytest` run (the file name does not start with
 `test_`); run them explicitly:
@@ -16,9 +18,11 @@ With `--benchmark-disable` each benchmarked call runs once, untimed, and
 the file is a quick correctness pass.
 """
 
+import json
+
 import pytest
 
-from annocamp import campaign
+from annocamp import campaign, taxonomy, workersim
 from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
 from annocamp.cli import sample_taxonomy_path
 from annocamp.evaluate import aggregate
@@ -27,6 +31,7 @@ from annocamp.workersim import (
     ModifierSet,
     default_behavior,
     fit_hard_mixture,
+    load_truths,
     make_random_truth,
     sample_worker_pool,
 )
@@ -40,9 +45,13 @@ def tax():
 
 
 @pytest.fixture(scope="module")
-def events(tax):
+def truths(tax):
+    return make_random_truth(150, tax.label_count, 3.7, SEED, min_labels=1)
+
+
+@pytest.fixture(scope="module")
+def events(tax, truths):
     behavior = fit_hard_mixture(default_behavior())
-    truths = make_random_truth(150, tax.label_count, 3.7, SEED, min_labels=1)
     pool = sample_worker_pool(50, behavior, 0.1, SEED)
     return run_campaign(tax, truths, 5, 2, behavior, SEED, pool=pool,
                         modifiers=ModifierSet(positive_bias=True, grouping=True))
@@ -82,6 +91,15 @@ def test_ingest(benchmark, tax, events, events_csv):
     # Each call parses: the sidecar is deleted before it.
     drop_sidecar = lambda: sidecar_path(events_csv).unlink(missing_ok=True)  # noqa: E731
     table = benchmark.pedantic(ingest, (events_csv, tax), setup=drop_sidecar, rounds=20)
+    assert len(table) == len(events)
+    report_rows(benchmark, len(events))
+
+
+def test_ingest_stale_sidecar(benchmark, tax, events, events_csv):
+    # Each call finds a sidecar under another key: the CSV is hashed as a
+    # stream, then read, hashed and parsed.
+    stale = lambda: campaign._save_sidecar(events_csv, bytes(64), events)  # noqa: E731
+    table = benchmark.pedantic(ingest, (events_csv, tax), setup=stale, rounds=20)
     assert len(table) == len(events)
     report_rows(benchmark, len(events))
 
@@ -127,3 +145,35 @@ def test_aggregate_k52_pass(benchmark):
     matrix = benchmark(aggregate, events, tax)
     assert matrix.iterations == 1
     report_rows(benchmark, len(events))
+
+
+@pytest.fixture(scope="module")
+def truths_jsonl(truths, tmp_path_factory):
+    path = tmp_path_factory.mktemp("truths") / "truth.jsonl"
+    path.write_text("".join(json.dumps({"video": t.video_id, "duration": t.duration_seconds,
+                                        "labels": sorted(t.labels)}) + "\n" for t in truths))
+    return path
+
+
+def test_load_taxonomy_first(benchmark, tax):
+    loaded = benchmark.pedantic(load_taxonomy, (sample_taxonomy_path(),),
+                                setup=taxonomy._parse_taxonomy.cache_clear, rounds=50)
+    assert loaded == tax
+    report_rows(benchmark, tax.label_count)
+
+
+def test_load_taxonomy_repeat(benchmark, tax):
+    assert benchmark(load_taxonomy, sample_taxonomy_path()) == tax
+    report_rows(benchmark, tax.label_count)
+
+
+def test_load_truths_first(benchmark, truths, truths_jsonl):
+    loaded = benchmark.pedantic(load_truths, (truths_jsonl,),
+                                setup=workersim._parse_truths.cache_clear, rounds=50)
+    assert loaded == truths
+    report_rows(benchmark, len(truths))
+
+
+def test_load_truths_repeat(benchmark, truths, truths_jsonl):
+    assert benchmark(load_truths, truths_jsonl) == truths
+    report_rows(benchmark, len(truths))

@@ -1162,6 +1162,48 @@ def test_ingest_reads_the_sidecar_without_parsing(sample_tax, small_events, tmp_
     assert ingest(path, sample_tax) == expected
 
 
+def test_a_sidecar_hit_never_reads_the_csv_whole(sample_tax, small_events, tmp_path,
+                                                monkeypatch):
+    # On a hit the CSV is hashed a block at a time, never held whole.
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    expected = csv_only(path, sample_tax)
+
+    def read_bytes(self):
+        raise AssertionError(f"{self} was read whole")
+
+    monkeypatch.setattr(campaign.Path, "read_bytes", read_bytes)
+    assert ingest(path, sample_tax) == expected
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["no-sidecar", "sidecar"])
+def test_ingest_hashes_the_csv_once(sample_tax, small_events, tmp_path, monkeypatch, sidecar):
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    if not sidecar:
+        sidecar_path(path).unlink()
+    sizes, sha256 = [], campaign.hashlib.sha256
+
+    class Counted:
+        """A SHA-256 that records how many bytes it hashed."""
+
+        def __init__(self, data=b""):
+            self.inner, self.size = sha256(), 0
+            self.update(data)
+
+        def update(self, data):
+            self.inner.update(data)
+            self.size += len(data)
+
+        def digest(self):
+            sizes.append(self.size)
+            return self.inner.digest()
+
+    monkeypatch.setattr(campaign, "hashlib", types.SimpleNamespace(sha256=Counted))
+    ingest(path, sample_tax)
+    assert sizes.count(path.stat().st_size) == 1
+
+
 def test_stale_sidecar_is_ignored(sample_tax, small_events, tmp_path):
     path = tmp_path / "events.csv"
     write_events_csv(small_events, sample_tax, path)

@@ -222,6 +222,37 @@ def test_qc_stats_errors_name_column_or_line(tmp_path):
         main(["qc", "--stats", str(stats)])
 
 
+STATS_HEADER = "worker,tasks,median_seconds,gold_recall,positive_rate\n"
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("w9,0,40.0,,0.1", "tasks must be at least 1, got 0"),
+    ("w9,-4,inf,1.7,-0.5", "tasks must be at least 1, got -4"),
+    ("w9,3,nan,,0.1", "median_seconds must be finite and above 0, got nan"),
+    ("w9,3,inf,,0.1", "median_seconds must be finite and above 0, got inf"),
+    ("w9,3,0,,0.1", "median_seconds must be finite and above 0, got 0.0"),
+    ("w9,3,40.0,1.7,0.1", "gold_recall must be empty or in [0, 1], got 1.7"),
+    ("w9,3,40.0,nan,0.1", "gold_recall must be empty or in [0, 1], got nan"),
+    ("w9,3,40.0,-0.5,0.1", "gold_recall must be empty or in [0, 1], got -0.5"),
+    ("w9,3,40.0,,-0.5", "positive_rate must be in [0, 1], got -0.5"),
+    ("w9,3,40.0,,nan", "positive_rate must be in [0, 1], got nan"),
+])
+def test_qc_rejects_a_stat_outside_its_range_by_line(tmp_path, row, reason):
+    # A nan median would poison the pool's median and flag honest workers.
+    stats = tmp_path / "stats.csv"
+    stats.write_text(STATS_HEADER + "".join(f"w{i},3,{40 + i},,0.1\n" for i in range(5))
+                     + row + "\nw8,3,nan,,0.1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["qc", "--stats", str(stats)])
+    assert str(exc.value) == f"annocamp qc: {stats}: line 7: {reason}"
+
+
+def test_qc_accepts_stats_at_the_ends_of_their_ranges(tmp_path):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(STATS_HEADER + "w0,1,0.001,0,0\nw1,3,40,1,1\nw2,2,41,,0.5\n")
+    run(["qc", "--stats", str(stats), "--min-workers", "2", "--out", str(tmp_path / "flags.csv")])
+
+
 def test_verify_queue_done_errors_name_column_or_line(tmp_path, sample_videos):
     events = tmp_path / "events.csv"
     run(["simulate", "--videos", sample_videos, "--k", "52", "--seed", "4",

@@ -57,6 +57,34 @@ def test_minimal_taxonomy(tmp_path):
     assert tax.question_count == 1
 
 
+def test_load_taxonomy_parses_a_rewritten_file_again(tmp_path):
+    # The parse is memoized on the file's text, not on its path.
+    doc = {
+        "labels": [{"id": 0, "name": "solo"}],
+        "questions": [{"id": 0, "prompt": "solo?", "members": [0]}],
+    }
+    path = write_tax(tmp_path, doc)
+    first = load_taxonomy(path)
+    assert load_taxonomy(path) is first
+    doc["labels"].append({"id": 1, "name": "duet"})
+    doc["questions"].append({"id": 1, "prompt": "duet?", "members": [1]})
+    path.write_text(json.dumps(doc))
+    assert load_taxonomy(path).label_count == 2
+
+
+def test_load_taxonomy_error_names_the_path_of_each_call(tmp_path):
+    path = write_tax(tmp_path, {
+        "labels": [{"id": 0, "name": "solo"}],
+        "questions": [{"id": 0, "prompt": "solo?", "members": [0]}],
+    })
+    load_taxonomy(path)
+    other = tmp_path / "other.json"
+    for broken in (path, other):
+        broken.write_text("{not json")
+        with pytest.raises(TaxonomyError, match=f"^cannot parse {re.escape(str(broken))}: "):
+            load_taxonomy(broken)
+
+
 def test_label_in_two_groups_is_rejected(tmp_path):
     doc = {
         "labels": [{"id": i, "name": f"l{i}"} for i in range(10)],

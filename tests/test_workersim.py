@@ -632,9 +632,42 @@ def test_load_truths_reads_every_field(tmp_path):
     path = tmp_path / "truths.jsonl"
     path.write_text(
         '{"video": "a", "duration": 20, "labels": [5, 1]}\n'
-        '\n{"video": "b", "duration": 42.0, "labels": []}\n{"video": 7}\n'
+        '\n{"video": "b", "duration": 42.0, "labels": []}\n{"video": "7"}\n'
     )
     assert load_truths(path) == truths
+
+
+@pytest.mark.parametrize("video", ["null", "5", '["a"]', "true"])
+def test_load_truths_rejects_a_video_id_that_is_not_a_string(tmp_path, video):
+    path = tmp_path / "ids.jsonl"
+    path.write_text(f'{{"video": "b"}}\n{{"video": {video}}}\n')
+    with pytest.raises(ValueError) as exc:
+        load_truths(path)
+    shown = repr(json.loads(video))
+    assert str(exc.value) == f"{path}: line 2: video must be a string, got {shown}"
+
+
+def test_load_truths_parses_a_rewritten_file_again(tmp_path):
+    # The parse is memoized on the file's text, not on its path; each call
+    # returns a list of its own.
+    path = tmp_path / "truths.jsonl"
+    path.write_text('{"video": "a", "labels": [1]}\n')
+    first = load_truths(path)
+    first.append(VideoTruth("appended"))
+    assert load_truths(path) == [VideoTruth("a", labels=frozenset({1}))]
+    path.write_text('{"video": "b"}\n{"video": "c", "duration": 12}\n')
+    assert load_truths(path) == [VideoTruth("b"), VideoTruth("c", 12.0)]
+
+
+def test_load_truths_error_names_the_path_of_each_call(tmp_path):
+    path, other = tmp_path / "truths.jsonl", tmp_path / "other.jsonl"
+    path.write_text('{"video": "a"}\n')
+    load_truths(path)
+    for broken in (path, other):
+        broken.write_text('{"video": "a"}\n{"video": "a"}\n')
+        with pytest.raises(ValueError) as exc:
+            load_truths(broken)
+        assert str(exc.value) == f"{broken}: line 2: video 'a' repeats line 1"
 
 
 def test_load_truths_reports_line(tmp_path):
