@@ -13,6 +13,7 @@ import hashlib
 import io
 import logging
 import math
+import mmap
 import os
 import statistics
 from array import array
@@ -363,11 +364,12 @@ def run_campaign(*args, **kwargs) -> EventTable:
 logger = logging.getLogger(__name__)
 
 # The first line of every sidecar; a file of another layout never reads.
-SIDECAR_FORMAT = b"annocamp events table 4\n"
-# Each EVENT_FIELDS column's dtype in the sidecar, in field order.
+SIDECAR_FORMAT = b"annocamp events table 5\n"
+# Each EVENT_FIELDS column's dtype in the sidecar, in field order: the
+# table's own, gold as bytes (viewed as bool once each is 0 or 1).
 SIDECAR_DTYPES = {name: np.dtype(dtype) for name, dtype in (
-    ("worker", "<i4"), ("video", "<i4"), ("question", "<i4"), ("members", "<u8"),
-    ("elapsed", "<f8"), ("iteration", "<i4"), ("gold", "u1"),
+    ("worker", "<i8"), ("video", "<i8"), ("question", "<i8"), ("members", "<u8"),
+    ("elapsed", "<f8"), ("iteration", "<i8"), ("gold", "u1"),
 )}
 ROW_BYTES = sum(dtype.itemsize for dtype in SIDECAR_DTYPES.values())
 # Bytes a read takes of a CSV hashed against its sidecar's key.
@@ -376,7 +378,7 @@ HASH_BLOCK = 1 << 16
 
 def sidecar_path(events) -> Path:
     """The table sidecar of an events CSV: `<events>.table`, beside it, a flat
-    file of the table in narrow dtypes (`_save_sidecar` gives the layout)."""
+    file of the table's columns (`_save_sidecar` gives the layout)."""
     events = Path(events)
     return events.with_name(events.name + ".table")
 
@@ -387,33 +389,35 @@ def _sidecar_key(csv_digest: bytes, tax: Taxonomy) -> bytes:
     return csv_digest + hashlib.sha256(questions).digest()
 
 
+def _columns_at(ids_end: int) -> int:
+    """Where a sidecar's columns start: the first 8-byte boundary at or past
+    the end of its ids."""
+    return -(-ids_end // 8) * 8
+
+
 def _save_sidecar(events, key: bytes, table: EventTable) -> None:
     """Save `table` under `key` as the CSV's sidecar; where no file can be
-    written, or a column does not fit its SIDECAR_DTYPES dtype, there is no
-    sidecar.
+    written, there is no sidecar.
 
     The file is SIDECAR_FORMAT, the key, the row count and the two
     vocabulary sizes (`<i8`), each id's UTF-8 length (`<i8`, workers then
-    videos), the ids' bytes, then each stored column's raw bytes in its
-    SIDECAR_DTYPES dtype, ROW_BYTES a row (`question` as positions). `gate`
-    is not stored: the table derives it from `members`. The parts are
-    written one by one.
+    videos), the ids' bytes, zeros up to an 8-byte boundary, then each
+    stored column's raw bytes in its SIDECAR_DTYPES dtype, ROW_BYTES a row
+    (`question` as positions). `gate` is not stored: the table derives it
+    from `members`. The parts are written one by one, and the file replaces
+    the old one whole (`atomic_open`), so a table mapped from it stays as
+    it was read.
     """
-    for name, dtype in SIDECAR_DTYPES.items():
-        column = getattr(table, name)
-        if dtype.kind == "i" and len(column) and not (
-            np.iinfo(dtype).min <= column.min() and column.max() <= np.iinfo(dtype).max
-        ):
-            logger.debug("no table sidecar for %s: %s values do not fit %s", events, name, dtype)
-            return
     ids = [[i.encode() for i in vocabulary] for vocabulary in (table.worker_ids, table.video_ids)]
+    counts = np.array([len(table), *map(len, ids)], "<i8")
+    lengths = np.array([len(i) for i in chain(*ids)], "<i8")
+    text = b"".join(chain(*ids))
+    ids_end = len(SIDECAR_FORMAT) + len(key) + counts.nbytes + lengths.nbytes + len(text)
     try:
         with atomic_open(sidecar_path(events), binary=True) as fh:
-            fh.write(SIDECAR_FORMAT)
-            fh.write(key)
-            fh.write(np.array([len(table), *map(len, ids)], "<i8"))
-            fh.write(np.array([len(i) for i in chain(*ids)], "<i8"))
-            fh.write(b"".join(chain(*ids)))
+            for part in (SIDECAR_FORMAT, key, counts, lengths, text,
+                         bytes(_columns_at(ids_end) - ids_end)):
+                fh.write(part)
             for name, dtype in SIDECAR_DTYPES.items():
                 fh.write(np.ascontiguousarray(getattr(table, name), dtype))
     except OSError as exc:
@@ -437,12 +441,14 @@ def _load_sidecar(events, key: bytes, tax: Taxonomy) -> EventTable | None:
 def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     """The table of an open sidecar file, None if it holds another key.
 
-    The parts are read in order, each column straight into an array, and
-    the file's size must be exactly what its counts give. A ValueError
-    names the first way the file is not a sidecar (or one of another
-    format), or holds a table no CSV gives: a question position outside the
-    taxonomy, members bits past the question's members (`_stray_members`),
-    an id code outside its vocabulary (`EventTable`), or a gold flag not 0 or 1.
+    The header is read; on a key match the file is mapped read-only and
+    each column is a read-only view of the mapping, neither copied nor
+    widened. The file's size must be exactly what its counts give. A
+    ValueError names the first way the file is not a sidecar (or one of
+    another format), or holds a table no CSV gives: a question position
+    outside the taxonomy, members bits past the question's members
+    (`_stray_members`), an id code outside its vocabulary (`EventTable`), or
+    a gold flag not 0 or 1.
     """
     size, head_size = os.fstat(fh.fileno()).st_size, len(SIDECAR_FORMAT) + len(key) + 24
     head = fh.read(head_size)
@@ -455,21 +461,26 @@ def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
     rows, *sizes = np.frombuffer(head, "<i8", 3, len(head) - 24).tolist()
     if min(rows, *sizes) < 0 or len(head) + 8 * sum(sizes) + rows * ROW_BYTES > size:
         raise ValueError("row or vocabulary counts outside the file")
-    lengths = np.frombuffer(fh.read(8 * sum(sizes)), "<i8").tolist()
-    expected = len(head) + 8 * len(lengths) + sum(lengths) + rows * ROW_BYTES
-    if min(lengths, default=0) < 0 or size != expected:
-        raise ValueError(f"{size} bytes where its counts give {expected}")
-    ends = list(accumulate(lengths, initial=0))
-    text = fh.read(ends[-1])
-    ids = [text[a:b].decode() for a, b in zip(ends, ends[1:])]
+    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    size = len(data)
+    lengths = np.frombuffer(data, "<i8", sum(sizes), head_size).tolist()
+    ends = list(accumulate(lengths, initial=head_size + 8 * len(lengths)))
+    at = _columns_at(ends[-1])
+    if min(lengths, default=0) < 0 or size != at + rows * ROW_BYTES:
+        raise ValueError(f"{size} bytes where its counts give {at + rows * ROW_BYTES}")
+    ids = [data[a:b].decode() for a, b in zip(ends, ends[1:])]
     vocabularies = (tuple(ids[: sizes[0]]), tuple(ids[sizes[0] :]))
-    raw = {name: np.fromfile(fh, dtype, rows) for name, dtype in SIDECAR_DTYPES.items()}
-    if rows and raw["gold"].max() > 1:
+    columns = {}
+    for name, dtype in SIDECAR_DTYPES.items():
+        columns[name] = np.frombuffer(data, dtype, rows, at)
+        at += rows * dtype.itemsize
+    if rows and columns["gold"].max() > 1:
         raise ValueError("a gold flag is neither 0 nor 1")
+    columns["gold"] = columns["gold"].view(bool)
     count = tax.question_count
-    if rows and not 0 <= raw["question"].min() <= raw["question"].max() < count:
+    if rows and not 0 <= columns["question"].min() <= columns["question"].max() < count:
         raise ValueError(f"a question code outside its {count} values")
-    table = EventTable(*vocabularies, **raw)
+    table = EventTable(*vocabularies, **columns)
     if _stray_members(table.question, table.members, tax).any():
         raise ValueError("members bits past their question's members")
     return table
@@ -504,13 +515,16 @@ def _csv_fields(ids) -> list[str]:
 
 def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """The ids that `codes` use, numbered by first use as `ingest` numbers
-    them, and the codes on that vocabulary."""
-    inverse, first = group_ids(codes)
-    names = [ids[u] for u in codes[first].tolist()]
+    them, and the codes on that vocabulary. Each id's first row is found by
+    one `np.minimum.at` over the vocabulary."""
+    rows = len(codes)
+    first = np.full(len(ids), rows)
+    np.minimum.at(first, codes, np.arange(rows))
     index: dict = {}
-    for rank in np.argsort(first).tolist():
-        index.setdefault(names[rank], len(index))
-    return tuple(index), np.array([index[n] for n in names], np.int64)[inverse]
+    renumber = np.zeros(len(ids), np.int64)
+    for u in np.argsort(first)[: np.count_nonzero(first < rows)].tolist():
+        renumber[u] = index.setdefault(ids[u], len(index))
+    return tuple(index), renumber[codes]
 
 
 def _answer_columns(answers: list, code) -> tuple:
@@ -528,32 +542,34 @@ def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
     whose question position is outside the taxonomy, whose members bits lie
     past their question's members, whose elapsed time is not positive and
     finite, or that repeat a non-gold (worker, video, question, iteration).
-    Each column's distinct values (each answer's id and members, say) are
-    formatted once, and each ROW_CHUNK of rows is joined at once
-    (`csv_chunks`). The
-    table as `ingest` returns it goes to the CSV's sidecar (`sidecar_path`),
-    keyed by the SHA-256 digest of the bytes written, unless its columns do
-    not fit the sidecar's narrow dtypes.
+    The checks run on the columns; only when one fails are the CSV lines
+    counted and the rows named. Each column's distinct values (each
+    answer's id and members, say) are formatted once, and each ROW_CHUNK of
+    rows is joined at once (`csv_chunks`). The table as `ingest` returns it
+    goes to the CSV's sidecar (`sidecar_path`), keyed by the SHA-256 digest
+    of the bytes written.
     """
     workers, videos = _csv_fields(table.worker_ids), _csv_fields(table.video_ids)
     (worker_ids, worker), (video_ids, video) = (_first_seen(table.worker_ids, table.worker),
                                                 _first_seen(table.video_ids, table.video))
     parsed = replace(table, worker_ids=worker_ids, video_ids=video_ids, worker=worker, video=video)
-    # ingest counts physical lines, and a quoted id may hold line breaks.
-    breaks = [np.array([f.count("\n") + f.count("\r") - f.count("\r\n") for f in fs], np.int64)
-              for fs in (workers, videos)]
-    lines = 1 + np.cumsum(1 + breaks[0][table.worker] + breaks[1][table.video])
-    count = tax.question_count
-    known = (table.question >= 0) & (table.question < count)
-    stray = np.flatnonzero(known)[_stray_members(table.question[known], table.members[known], tax)]
-    _raise_problems(path, [
-        (lines[r], f"unknown question position {table.question[r]} (the taxonomy has {count} "
-                   "questions)") for r in np.flatnonzero(~known)
-    ] + [
-        (lines[r], f"question {tax.question_ids[table.question[r]]}: members bits past its "
-                   "members") for r in stray
-    ] + _row_problems(parsed, lines, tax))
-    del known, lines, stray  # not held through the write
+    count, question = tax.question_count, table.question
+    if ((len(table) and not 0 <= question.min() <= question.max() < count)
+            or _stray_members(question, table.members, tax).any()
+            or _row_problems(parsed, range(len(table)), tax)):
+        known = (question >= 0) & (question < count)
+        # ingest counts physical lines, and a quoted id may hold line breaks.
+        breaks = [np.array([f.count("\n") + f.count("\r") - f.count("\r\n") for f in fs],
+                           np.int64) for fs in (workers, videos)]
+        lines = 1 + np.cumsum(1 + breaks[0][table.worker] + breaks[1][table.video])
+        stray = np.flatnonzero(known)[_stray_members(question[known], table.members[known], tax)]
+        _raise_problems(path, [
+            (lines[r], f"unknown question position {question[r]} (the taxonomy has {count} "
+                       "questions)") for r in np.flatnonzero(~known)
+        ] + [
+            (lines[r], f"question {tax.question_ids[question[r]]}: members bits past its "
+                       "members") for r in stray
+        ] + _row_problems(parsed, lines, tax))
     answer, first = group_ids(table.question, table.members)
     texts = [f"{q.id},{int(mask != 0)},{';'.join(map(str, mask_members(q, mask)))}"
              for q, mask in zip(map(tax.questions.__getitem__, table.question[first].tolist()),
@@ -619,13 +635,18 @@ def _row_problems(table: EventTable, lines, tax: Taxonomy) -> list[tuple[int, st
     bad = ~((elapsed > 0) & (elapsed < np.inf))
     problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
                 for r in np.flatnonzero(bad)]
-    kept = np.flatnonzero(~bad & ~table.gold)
-    iterations, iteration = dense_codes(table.iteration)
-    questions, question = dense_codes(table.question)
-    key = (table.worker * len(table.video_ids) + table.video) * len(iterations) + iteration
-    key = np.sort((key * len(questions) + question)[kept])
+    checked = ~bad & ~table.gold
+    key = table.worker * len(table.video_ids)
+    key += table.video
+    for column in (table.iteration, table.question):
+        values, codes = dense_codes(column)
+        key *= len(values)
+        key += codes
+    key = key[checked]
+    key.sort()
     if not (key[1:] == key[:-1]).any():
         return problems
+    kept = np.flatnonzero(checked)
     columns = (table.worker, table.video, table.iteration, table.question)
     task, first = group_ids(*(c[kept] for c in columns))
     original = kept[first[task]]

@@ -300,7 +300,7 @@ def _worker_stats(row) -> campaign.WorkerStats:
     rate = float(row["positive_rate"])
     for column, value, ok, rule in (
         ("tasks", tasks, tasks >= 1, "at least 1"),
-        ("median_seconds", seconds, 0 < seconds < math.inf, "finite and above 0"),
+        ("median_seconds", seconds, 0 <= seconds < math.inf, "finite and at least 0"),
         ("gold_recall", gold, gold is None or 0 <= gold <= 1, "empty or in [0, 1]"),
         ("positive_rate", rate, 0 <= rate <= 1, "in [0, 1]"),
     ):

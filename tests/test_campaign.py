@@ -6,7 +6,9 @@ import io
 import itertools
 import logging
 import math
+import mmap
 import statistics
+import tracemalloc
 import types
 from collections import Counter
 from typing import NamedTuple
@@ -1123,15 +1125,6 @@ def test_row_checks_equal_the_group_ids_reference(sample_tax, data):
                 == group_ids_row_problems(table, at, sample_tax))
 
 
-def test_table_a_narrow_column_cannot_hold_gets_no_sidecar(sample_tax, small_events, tmp_path):
-    wide = dataclasses.replace(small_events, iteration=small_events.iteration + 2**31)
-    path = tmp_path / "events.csv"
-    write_events_csv(wide, sample_tax, path)
-    assert not sidecar_path(path).exists()
-    assert ingest(path, sample_tax).iteration.min() == 2**31
-    assert not sidecar_path(path).exists()
-
-
 @pytest.fixture
 def small_events(sample_tax, behavior):
     truths = make_random_truth(6, sample_tax.label_count, 3.7, seed=5, min_labels=1)
@@ -1149,16 +1142,80 @@ def csv_only(path, tax):
     return ingest(copy, tax)
 
 
+def refuse_to_parse(*args):
+    raise AssertionError("the CSV was parsed")
+
+
+def test_a_table_past_the_int32_range_round_trips_through_its_sidecar(sample_tax, small_events,
+                                                                      tmp_path, monkeypatch):
+    wide = dataclasses.replace(small_events, iteration=small_events.iteration + 2**31)
+    path = tmp_path / "events.csv"
+    write_events_csv(wide, sample_tax, path)
+    expected = csv_only(path, sample_tax)
+    assert expected.iteration.min() == 2**31
+    monkeypatch.setattr(campaign, "_parse_events", refuse_to_parse)
+    assert ingest(path, sample_tax) == expected
+
+
+def buffer_root(column: np.ndarray):
+    """The object whose memory a numpy array views, past any arrays and memoryviews."""
+    root = column
+    while isinstance(root, np.ndarray) and root.base is not None:
+        root = root.base
+    return root.obj if isinstance(root, memoryview) else root
+
+
+def test_a_sidecar_hit_maps_its_columns_read_only(sample_tax, small_events, tmp_path):
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    table = ingest(path, sample_tax)
+    columns = [getattr(table, f.name) for f in EVENT_FIELDS]
+    assert not any(column.flags.writeable for column in columns)
+    roots = [buffer_root(column) for column in columns]
+    assert isinstance(roots[0], mmap.mmap)
+    assert all(root is roots[0] for root in roots)
+
+
+def test_a_mapped_table_outlives_a_rewrite_of_its_files(sample_tax, small_events, tmp_path):
+    # The writer replaces the CSV and its sidecar whole, so a table mapped
+    # from the old sidecar keeps the old rows.
+    path = tmp_path / "events.csv"
+    write_events_csv(small_events, sample_tax, path)
+    table = ingest(path, sample_tax)
+    copied = EventTable(table.worker_ids, table.video_ids,
+                        *(np.array(getattr(table, f.name)) for f in EVENT_FIELDS))
+    other = EventTable(small_events.worker_ids, small_events.video_ids,
+                       *(getattr(small_events, f.name)[::2] for f in EVENT_FIELDS))
+    write_events_csv(other, sample_tax, path)
+    assert len(ingest(path, sample_tax)) == len(other)
+    assert table == copied
+
+
+def test_an_ingest_hit_allocates_less_than_its_columns(sample_tax, behavior, tmp_path):
+    # The columns are views of the mapped file: a hit allocates only its
+    # checks' working arrays and the derived gate.
+    truths = make_random_truth(100, sample_tax.label_count, 3.7, seed=3, min_labels=1)
+    pool = sample_worker_pool(20, behavior, 0.1, seed=3)
+    events = run_campaign(sample_tax, truths, 5, 2, behavior, seed=3, pool=pool,
+                          modifiers=ModifierSet(positive_bias=True, grouping=True))
+    path = tmp_path / "events.csv"
+    write_events_csv(events, sample_tax, path)
+    ingest(path, sample_tax)
+    tracemalloc.start()
+    try:
+        table = ingest(path, sample_tax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(getattr(table, f.name).nbytes for f in EVENT_FIELDS)
+
+
 def test_ingest_reads_the_sidecar_without_parsing(sample_tax, small_events, tmp_path,
                                                   monkeypatch):
     path = tmp_path / "events.csv"
     write_events_csv(small_events, sample_tax, path)
     expected = csv_only(path, sample_tax)
-
-    def parse(*args):
-        raise AssertionError("the CSV was parsed")
-
-    monkeypatch.setattr(campaign, "_parse_events", parse)
+    monkeypatch.setattr(campaign, "_parse_events", refuse_to_parse)
     assert ingest(path, sample_tax) == expected
 
 
@@ -1230,26 +1287,46 @@ def test_sidecar_of_another_taxonomy_is_ignored(sample_tax, small_events, tmp_pa
     assert ingest(path, reversed_members) == expected
 
 
+FORMAT_LINE = len(b"annocamp events table 4\n")  # every format's first line is this long
+# Format 4's column dtypes, in field order: 33 bytes a row.
+FORMAT_4_DTYPES = ("<i4", "<i4", "<i4", "<u8", "<f8", "<i4", "u1")
+FORMAT_4_ROW_BYTES = sum(np.dtype(d).itemsize for d in FORMAT_4_DTYPES)
+
+
+def format_4(data: bytes) -> bytes:
+    """The sidecar as format 4 laid it out: its own format line, the columns
+    straight after the ids, and worker, video, question and iteration as int32."""
+    rows, workers, videos = np.frombuffer(data, "<i8", 3, FORMAT_LINE + 64).tolist()
+    lengths = np.frombuffer(data, "<i8", workers + videos, FORMAT_LINE + 88)
+    ids_end = FORMAT_LINE + 88 + lengths.nbytes + int(lengths.sum())
+    at, columns = len(data) - rows * campaign.ROW_BYTES, []
+    for dtype, old in zip(campaign.SIDECAR_DTYPES.values(), FORMAT_4_DTYPES):
+        columns.append(np.frombuffer(data, dtype, rows, at).astype(old).tobytes())
+        at += rows * dtype.itemsize
+    return b"annocamp events table 4\n" + data[FORMAT_LINE:ids_end] + b"".join(columns)
+
+
 def format_3(data: bytes, tax) -> bytes:
-    """The sidecar as format 3 laid it out: its own format line, and the
-    question column by id where format 4 stores positions."""
-    rows = int(np.frombuffer(data, "<i8", 1, len(campaign.SIDECAR_FORMAT) + 64)[0])
-    at = len(data) - rows * campaign.ROW_BYTES + 8 * rows  # past worker and video
+    """The format-4 sidecar `data` as format 3 laid it out: its own format
+    line, and the question column by id where format 4 stores positions."""
+    rows = int(np.frombuffer(data, "<i8", 1, FORMAT_LINE + 64)[0])
+    at = len(data) - rows * FORMAT_4_ROW_BYTES + 8 * rows  # past worker and video
     ids = tax.question_ids[np.frombuffer(data, "<i4", rows, at)].astype("<i4").tobytes()
-    return (b"annocamp events table 3\n" + data[len(campaign.SIDECAR_FORMAT) : at] + ids
-            + data[at + 4 * rows :])
+    return b"annocamp events table 3\n" + data[FORMAT_LINE:at] + ids + data[at + 4 * rows :]
 
 
 def format_2(data: bytes) -> bytes:
-    """The sidecar as format 2 laid it out: its own format line, and a gate
-    byte a row (set where members are) after the question column."""
-    rows = int(np.frombuffer(data, "<i8", 1, len(campaign.SIDECAR_FORMAT) + 64)[0])
-    at = len(data) - rows * campaign.ROW_BYTES + 12 * rows  # past worker, video and question
+    """The format-4 sidecar `data` as format 2 laid it out: its own format
+    line, and a gate byte a row (set where members are) after the question
+    column."""
+    rows = int(np.frombuffer(data, "<i8", 1, FORMAT_LINE + 64)[0])
+    at = len(data) - rows * FORMAT_4_ROW_BYTES + 12 * rows  # past worker, video and question
     gate = (np.frombuffer(data, "<u8", rows, at) != 0).astype("u1").tobytes()
-    return b"annocamp events table 2\n" + data[len(campaign.SIDECAR_FORMAT) : at] + gate + data[at:]
+    return b"annocamp events table 2\n" + data[FORMAT_LINE:at] + gate + data[at:]
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "format-2", "format-3"])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "format-2", "format-3",
+                                    "format-4"])
 def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events, tmp_path,
                                                         caplog, damage):
     path = tmp_path / "events.csv"
@@ -1257,15 +1334,17 @@ def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events
     expected = csv_only(path, sample_tax)
     sidecar = sidecar_path(path)
     data = sidecar.read_bytes()
+    assert data.startswith(b"annocamp events table 5\n")
     sidecar.write_bytes({"truncated": data[: len(data) // 2], "garbage": b"PK\x03\x04 junk",
-                         "empty": b"", "format-2": format_2(data),
-                         "format-3": format_3(data, sample_tax)}[damage])
+                         "empty": b"", "format-2": format_2(format_4(data)),
+                         "format-3": format_3(format_4(data), sample_tax),
+                         "format-4": format_4(data)}[damage])
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
         assert [(r.name, r.levelname) for r in caplog.records] == [
             ("annocamp.campaign", "WARNING")
         ]
-        # The parse wrote a good sidecar, of this format, in its place.
+        # The parse wrote a good sidecar, of format 5, in its place.
         assert sidecar.read_bytes() == data
         assert ingest(path, sample_tax) == expected
         assert len(caplog.records) == 1

@@ -228,9 +228,9 @@ STATS_HEADER = "worker,tasks,median_seconds,gold_recall,positive_rate\n"
 @pytest.mark.parametrize("row, reason", [
     ("w9,0,40.0,,0.1", "tasks must be at least 1, got 0"),
     ("w9,-4,inf,1.7,-0.5", "tasks must be at least 1, got -4"),
-    ("w9,3,nan,,0.1", "median_seconds must be finite and above 0, got nan"),
-    ("w9,3,inf,,0.1", "median_seconds must be finite and above 0, got inf"),
-    ("w9,3,0,,0.1", "median_seconds must be finite and above 0, got 0.0"),
+    ("w9,3,nan,,0.1", "median_seconds must be finite and at least 0, got nan"),
+    ("w9,3,inf,,0.1", "median_seconds must be finite and at least 0, got inf"),
+    ("w9,3,-1,,0.1", "median_seconds must be finite and at least 0, got -1.0"),
     ("w9,3,40.0,1.7,0.1", "gold_recall must be empty or in [0, 1], got 1.7"),
     ("w9,3,40.0,nan,0.1", "gold_recall must be empty or in [0, 1], got nan"),
     ("w9,3,40.0,-0.5,0.1", "gold_recall must be empty or in [0, 1], got -0.5"),
@@ -249,8 +249,20 @@ def test_qc_rejects_a_stat_outside_its_range_by_line(tmp_path, row, reason):
 
 def test_qc_accepts_stats_at_the_ends_of_their_ranges(tmp_path):
     stats = tmp_path / "stats.csv"
-    stats.write_text(STATS_HEADER + "w0,1,0.001,0,0\nw1,3,40,1,1\nw2,2,41,,0.5\n")
+    stats.write_text(STATS_HEADER + "w0,1,0,0,0\nw1,3,40,1,1\nw2,2,41,,0.5\n")
     run(["qc", "--stats", str(stats), "--min-workers", "2", "--out", str(tmp_path / "flags.csv")])
+
+
+def test_qc_reads_the_stats_of_a_median_that_rounds_to_zero(tmp_path):
+    # ingest writes medians to six decimals, so a 0.1-us task reads 0.000000.
+    events, stats = tmp_path / "events.csv", tmp_path / "stats.csv"
+    events.write_text("worker,video,question,gate,members,elapsed,iteration\n"
+                      + "".join(f"w{i},v0,0,0,,{1e-07 if i == 0 else 40 + i},0\n"
+                                for i in range(6)))
+    run(["ingest", "--events", str(events), "--out", str(stats)])
+    assert read_csv(stats)[0] == {"worker": "w0", "tasks": "1", "median_seconds": "0.000000",
+                                  "gold_recall": "", "positive_rate": "0.000000"}
+    run(["qc", "--stats", str(stats), "--out", str(tmp_path / "flags.csv")])
 
 
 def test_verify_queue_done_errors_name_column_or_line(tmp_path, sample_videos):
