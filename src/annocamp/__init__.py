@@ -12,6 +12,7 @@ from .costmodel import (
     task_time,
     videos_per_hit,
 )
+from .events import EventTable
 from .evaluate import (
     LabelMatrix,
     Metrics,
@@ -32,7 +33,6 @@ from .taxonomy import (
 from .workersim import (
     DEFAULT_ANCHORS,
     AccuracyAnchor,
-    EventTable,
     ModifierSet,
     VideoTruth,
     Worker,

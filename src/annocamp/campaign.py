@@ -1,27 +1,20 @@
-"""Operational campaign plumbing: HIT generation, ingestion, QC, experiments.
+"""Operational campaign plumbing: HIT packing, simulation, QC, experiments.
 
 A campaign turns a question-subset plan plus a video list into HIT
 specifications (optionally with gold positive-bias duplicates), simulates
-or ingests the resulting annotation events, tracks per-worker statistics
-for outlier flagging, and drives the bundled desk-scale experiments.
+the resulting annotation events pass by pass, tracks per-worker statistics
+for outlier flagging, queues predicted positives for verification, and
+drives the bundled desk-scale experiments. The event table and its files
+live in `events`.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
-import logging
 import math
-import mmap
-import os
 import statistics
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
-from operator import itemgetter
-from pathlib import Path
+from itertools import chain
 
 import numpy as np
 
@@ -43,16 +36,14 @@ from .evaluate import (
     truth_matrix,
     voting_rows,
 )
-from .output import atomic_open, csv_chunks, write_csv
+from .events import EventTable
+from .output import write_csv
 from .planner import (NO_MODIFIERS, BudgetConstraint, best_plan, enumerate_plans,
                       plan_iteration_minutes)
 from .seeding import draw_key, fold, id_key, id_keys, key_order, uniforms
 from .taxonomy import (
     Taxonomy,
     dense_codes,
-    expand_answer,
-    mask_members,
-    members_mask,
     partition_questions,
     question_positive,
     singleton_taxonomy,
@@ -60,7 +51,6 @@ from .taxonomy import (
 from .workersim import (
     DEFAULT_PREVALENCE,
     CampaignRows,
-    EventTable,
     ModifierSet,
     Worker,
     WorkerBehavior,
@@ -73,10 +63,6 @@ from .workersim import (
     simulate_block,
     slot_table,
 )
-
-# The events CSV columns; `gold` follows when a row is gold.
-EVENT_COLUMNS = ("worker", "video", "question", "gate", "members", "elapsed", "iteration")
-ROW_CHUNK = 1024  # rows the events CSV writer joins at a time; they bound its memory
 
 
 HIT_ID = "hit-{:03d}-{:05d}"  # by subset index and chunk
@@ -357,398 +343,8 @@ def run_campaign(*args, **kwargs) -> EventTable:
 
 
 # ---------------------------------------------------------------------------
-# Event CSV export / ingestion
+# Worker statistics and quality control
 # ---------------------------------------------------------------------------
-
-
-logger = logging.getLogger(__name__)
-
-# The first line of every sidecar; a file of another layout never reads.
-SIDECAR_FORMAT = b"annocamp events table 5\n"
-# Each EVENT_FIELDS column's dtype in the sidecar, in field order: the
-# table's own, gold as bytes (viewed as bool once each is 0 or 1).
-SIDECAR_DTYPES = {name: np.dtype(dtype) for name, dtype in (
-    ("worker", "<i8"), ("video", "<i8"), ("question", "<i8"), ("members", "<u8"),
-    ("elapsed", "<f8"), ("iteration", "<i8"), ("gold", "u1"),
-)}
-ROW_BYTES = sum(dtype.itemsize for dtype in SIDECAR_DTYPES.values())
-# Bytes a read takes of a CSV hashed against its sidecar's key.
-HASH_BLOCK = 1 << 16
-
-
-def sidecar_path(events) -> Path:
-    """The table sidecar of an events CSV: `<events>.table`, beside it, a flat
-    file of the table's columns (`_save_sidecar` gives the layout)."""
-    events = Path(events)
-    return events.with_name(events.name + ".table")
-
-
-def _sidecar_key(csv_digest: bytes, tax: Taxonomy) -> bytes:
-    """The CSV's digest, then a digest of the question table ingest reads it by."""
-    questions = repr([(q.id, q.members) for q in tax.questions]).encode()
-    return csv_digest + hashlib.sha256(questions).digest()
-
-
-def _columns_at(ids_end: int) -> int:
-    """Where a sidecar's columns start: the first 8-byte boundary at or past
-    the end of its ids."""
-    return -(-ids_end // 8) * 8
-
-
-def _save_sidecar(events, key: bytes, table: EventTable) -> None:
-    """Save `table` under `key` as the CSV's sidecar; where no file can be
-    written, there is no sidecar.
-
-    The file is SIDECAR_FORMAT, the key, the row count and the two
-    vocabulary sizes (`<i8`), each id's UTF-8 length (`<i8`, workers then
-    videos), the ids' bytes, zeros up to an 8-byte boundary, then each
-    stored column's raw bytes in its SIDECAR_DTYPES dtype, ROW_BYTES a row
-    (`question` as positions). `gate` is not stored: the table derives it
-    from `members`. The parts are written one by one, and the file replaces
-    the old one whole (`atomic_open`), so a table mapped from it stays as
-    it was read.
-    """
-    ids = [[i.encode() for i in vocabulary] for vocabulary in (table.worker_ids, table.video_ids)]
-    counts = np.array([len(table), *map(len, ids)], "<i8")
-    lengths = np.array([len(i) for i in chain(*ids)], "<i8")
-    text = b"".join(chain(*ids))
-    ids_end = len(SIDECAR_FORMAT) + len(key) + counts.nbytes + lengths.nbytes + len(text)
-    try:
-        with atomic_open(sidecar_path(events), binary=True) as fh:
-            for part in (SIDECAR_FORMAT, key, counts, lengths, text,
-                         bytes(_columns_at(ids_end) - ids_end)):
-                fh.write(part)
-            for name, dtype in SIDECAR_DTYPES.items():
-                fh.write(np.ascontiguousarray(getattr(table, name), dtype))
-    except OSError as exc:
-        logger.debug("no table sidecar for %s: %s", events, exc)
-
-
-def _load_sidecar(events, key: bytes, tax: Taxonomy) -> EventTable | None:
-    """The table of the CSV's sidecar if it holds `key`; None if it is
-    missing, stale, or unreadable or damaged (with a warning)."""
-    path = sidecar_path(events)
-    try:
-        with open(path, "rb") as fh:
-            return _read_sidecar(fh, key, tax)
-    except FileNotFoundError:
-        return None
-    except Exception as exc:  # whatever is wrong with the file, the CSV stands in
-        logger.warning("ignoring table sidecar %s: %s", path, exc)
-        return None
-
-
-def _read_sidecar(fh, key: bytes, tax: Taxonomy) -> EventTable | None:
-    """The table of an open sidecar file, None if it holds another key.
-
-    The header is read; on a key match the file is mapped read-only and
-    each column is a read-only view of the mapping, neither copied nor
-    widened. The file's size must be exactly what its counts give. A
-    ValueError names the first way the file is not a sidecar (or one of
-    another format), or holds a table no CSV gives: a question position
-    outside the taxonomy, members bits past the question's members
-    (`_stray_members`), an id code outside its vocabulary (`EventTable`), or
-    a gold flag not 0 or 1.
-    """
-    size, head_size = os.fstat(fh.fileno()).st_size, len(SIDECAR_FORMAT) + len(key) + 24
-    head = fh.read(head_size)
-    if not head.startswith(SIDECAR_FORMAT):
-        raise ValueError("not an events table sidecar")
-    if len(head) < head_size:
-        raise ValueError(f"{size} bytes, too few for its header")
-    if head[len(SIDECAR_FORMAT) : -24] != key:
-        return None
-    rows, *sizes = np.frombuffer(head, "<i8", 3, len(head) - 24).tolist()
-    if min(rows, *sizes) < 0 or len(head) + 8 * sum(sizes) + rows * ROW_BYTES > size:
-        raise ValueError("row or vocabulary counts outside the file")
-    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    size = len(data)
-    lengths = np.frombuffer(data, "<i8", sum(sizes), head_size).tolist()
-    ends = list(accumulate(lengths, initial=head_size + 8 * len(lengths)))
-    at = _columns_at(ends[-1])
-    if min(lengths, default=0) < 0 or size != at + rows * ROW_BYTES:
-        raise ValueError(f"{size} bytes where its counts give {at + rows * ROW_BYTES}")
-    ids = [data[a:b].decode() for a, b in zip(ends, ends[1:])]
-    vocabularies = (tuple(ids[: sizes[0]]), tuple(ids[sizes[0] :]))
-    columns = {}
-    for name, dtype in SIDECAR_DTYPES.items():
-        columns[name] = np.frombuffer(data, dtype, rows, at)
-        at += rows * dtype.itemsize
-    if rows and columns["gold"].max() > 1:
-        raise ValueError("a gold flag is neither 0 nor 1")
-    columns["gold"] = columns["gold"].view(bool)
-    count = tax.question_count
-    if rows and not 0 <= columns["question"].min() <= columns["question"].max() < count:
-        raise ValueError(f"a question code outside its {count} values")
-    table = EventTable(*vocabularies, **columns)
-    if _stray_members(table.question, table.members, tax).any():
-        raise ValueError("members bits past their question's members")
-    return table
-
-
-def _stray_members(question: np.ndarray, members: np.ndarray, tax: Taxonomy) -> np.ndarray:
-    """Whether each row's members bits lie past its question's (a position)."""
-    limits = np.array([(1 << len(q.members)) - 1 for q in tax.questions], np.uint64)
-    return members > limits[question]
-
-
-def _csv_fields(ids) -> list[str]:
-    """Each id as csv.writer writes it inside a row. A ValueError names the
-    first id that would not read back unchanged (csv.writer leaves a lone
-    carriage return unquoted)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    fields = []
-    for i in ids:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((i, ""))  # the empty second field keeps an empty id unquoted
-        fields.append(buf.getvalue()[:-2])
-        try:
-            back = list(csv.reader([fields[-1] + ","]))
-        except csv.Error:
-            back = None
-        if back != [[i, ""]]:
-            raise ValueError(f"id {i!r} would not read back from an events CSV")
-    return fields
-
-
-def _first_seen(ids, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The ids that `codes` use, numbered by first use as `ingest` numbers
-    them, and the codes on that vocabulary. Each id's first row is found by
-    one `np.minimum.at` over the vocabulary."""
-    rows = len(codes)
-    first = np.full(len(ids), rows)
-    np.minimum.at(first, codes, np.arange(rows))
-    index: dict = {}
-    renumber = np.zeros(len(ids), np.int64)
-    for u in np.argsort(first)[: np.count_nonzero(first < rows)].tolist():
-        renumber[u] = index.setdefault(ids[u], len(index))
-    return tuple(index), renumber[codes]
-
-
-def _answer_columns(answers: list, code) -> tuple:
-    """The question (position) and members columns of answer codes into `answers`."""
-    question, members = zip(*answers) if answers else ((), ())
-    return np.array(question, np.int64)[code], np.array(members, np.uint64)[code]
-
-
-def write_events_csv(table: EventTable, tax: Taxonomy, path) -> None:
-    """Write an event table as CSV; the `gold` column appears iff a row is gold.
-
-    The table names questions by position in tax.questions, the CSV by id.
-    A table `ingest` would not read back is a ValueError before the file is
-    opened: an id that would not read back unchanged, or, by CSV line, rows
-    whose question position is outside the taxonomy, whose members bits lie
-    past their question's members, whose elapsed time is not positive and
-    finite, or that repeat a non-gold (worker, video, question, iteration).
-    The checks run on the columns; only when one fails are the CSV lines
-    counted and the rows named. Each column's distinct values (each
-    answer's id and members, say) are formatted once, and each ROW_CHUNK of
-    rows is joined at once (`csv_chunks`). The table as `ingest` returns it
-    goes to the CSV's sidecar (`sidecar_path`), keyed by the SHA-256 digest
-    of the bytes written.
-    """
-    workers, videos = _csv_fields(table.worker_ids), _csv_fields(table.video_ids)
-    (worker_ids, worker), (video_ids, video) = (_first_seen(table.worker_ids, table.worker),
-                                                _first_seen(table.video_ids, table.video))
-    parsed = replace(table, worker_ids=worker_ids, video_ids=video_ids, worker=worker, video=video)
-    count, question = tax.question_count, table.question
-    if ((len(table) and not 0 <= question.min() <= question.max() < count)
-            or _stray_members(question, table.members, tax).any()
-            or _row_problems(parsed, range(len(table)), tax)):
-        known = (question >= 0) & (question < count)
-        # ingest counts physical lines, and a quoted id may hold line breaks.
-        breaks = [np.array([f.count("\n") + f.count("\r") - f.count("\r\n") for f in fs],
-                           np.int64) for fs in (workers, videos)]
-        lines = 1 + np.cumsum(1 + breaks[0][table.worker] + breaks[1][table.video])
-        stray = np.flatnonzero(known)[_stray_members(question[known], table.members[known], tax)]
-        _raise_problems(path, [
-            (lines[r], f"unknown question position {question[r]} (the taxonomy has {count} "
-                       "questions)") for r in np.flatnonzero(~known)
-        ] + [
-            (lines[r], f"question {tax.question_ids[question[r]]}: members bits past its "
-                       "members") for r in stray
-        ] + _row_problems(parsed, lines, tax))
-    answer, first = group_ids(table.question, table.members)
-    texts = [f"{q.id},{int(mask != 0)},{';'.join(map(str, mask_members(q, mask)))}"
-             for q, mask in zip(map(tax.questions.__getitem__, table.question[first].tolist()),
-                                table.members[first].tolist())]
-    seconds, elapsed = dense_codes(table.elapsed)
-    iterations, iteration = dense_codes(table.iteration)
-    columns = [
-        (workers, table.worker),
-        (videos, table.video),
-        (texts, answer),
-        (map(repr, seconds.tolist()), elapsed),
-        (map(str, iterations.tolist()), iteration),
-    ]
-    gold = table.gold.any()
-    if gold:
-        columns.append((["0", "1"], table.gold.view(np.uint8)))
-    header = ",".join(EVENT_COLUMNS + (("gold",) if gold else ())) + "\n"
-    chunks = csv_chunks(columns, len(table), ROW_CHUNK)
-    digest = hashlib.sha256()
-    with atomic_open(path, binary=True) as fh:
-        for text in chain([header], chunks):
-            data = text.encode()
-            digest.update(data)
-            fh.write(data)
-    _save_sidecar(path, _sidecar_key(digest.digest(), tax), parsed)
-
-
-def _parse_bool(raw: str, column: str) -> bool:
-    if raw in ("0", "1"):
-        return raw == "1"
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    raise ValueError(f"{column} must be 0/1 or true/false, got {raw!r}")
-
-
-def _answer_code(tax: Taxonomy, raw: tuple[str, str, str], answers: list):
-    """Index in `answers` of a raw (question id, gate, members) answer, appended
-    as (question position, members mask); or the reason it is invalid."""
-    try:
-        question_id, gate = int(raw[0]), _parse_bool(raw[1], "gate")
-        labels = [int(m) for m in raw[2].split(";") if m.strip()]
-        selected = expand_answer(tax, question_id, gate, labels)
-    except ValueError as exc:
-        return str(exc)
-    position = tax.position(question_id)
-    answers.append((position, members_mask(tax.questions[position], selected)))
-    return len(answers) - 1
-
-
-def _row_problems(table: EventTable, lines, tax: Taxonomy) -> list[tuple[int, str]]:
-    """(line, reason) for each row the table-wide checks reject: a
-    non-positive or non-finite elapsed time, or a second non-gold answer to
-    one (worker, video, question, iteration), named by the question's id in
-    `tax`. Row r is on line lines[r].
-
-    A repeat is looked for by sorting the checked rows' mixed-radix key of
-    (worker, video, iteration, question), the vocabulary codes as they are
-    and the other two by `dense_codes`, and comparing neighbours; only when
-    one repeats does `group_ids` name each repeat by the first line of its
-    answer.
-    """
-    elapsed = table.elapsed
-    bad = ~((elapsed > 0) & (elapsed < np.inf))
-    problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
-                for r in np.flatnonzero(bad)]
-    checked = ~bad & ~table.gold
-    key = table.worker * len(table.video_ids)
-    key += table.video
-    for column in (table.iteration, table.question):
-        values, codes = dense_codes(column)
-        key *= len(values)
-        key += codes
-    key = key[checked]
-    key.sort()
-    if not (key[1:] == key[:-1]).any():
-        return problems
-    kept = np.flatnonzero(checked)
-    columns = (table.worker, table.video, table.iteration, table.question)
-    task, first = group_ids(*(c[kept] for c in columns))
-    original = kept[first[task]]
-    for row, first_row in zip(kept[original != kept], original[original != kept]):
-        problems.append((lines[row], f"duplicates line {lines[first_row]} (same worker, "
-                         f"video, question {tax.question_ids[table.question[row]]} and "
-                         "iteration)"))
-    return problems
-
-
-def ingest(source, tax: Taxonomy) -> EventTable:
-    """The event table of an event CSV, validated, with its gold column.
-
-    The CSV names questions by id, the table by position in tax.questions.
-    One ValueError names every bad row by line, the first 20 of them: a row
-    with too few fields, a value that does not parse, an answer
-    `expand_answer` rejects (an unknown question id, say), a non-positive
-    or non-finite elapsed time, or a second non-gold answer to one (worker,
-    video, question, iteration).
-
-    The table of a CSV that parses is saved in its sidecar (`sidecar_path`),
-    keyed by the SHA-256 digests of the CSV's bytes and of the taxonomy's
-    questions. Where a sidecar exists, the CSV is hashed as a stream
-    (`_file_digest`); a call whose key matches reads the table from the
-    sidecar, checks that it is one a CSV could give (`_read_sidecar`) and
-    runs the same row checks on it. Any problem, and a missing sidecar,
-    sends it to the parse, which reads and hashes the CSV's bytes once, so
-    an error always names its lines.
-    """
-    if os.path.exists(sidecar_path(source)):
-        table = _load_sidecar(source, _sidecar_key(_file_digest(source), tax), tax)
-        if table is not None and not _row_problems(table, range(len(table)), tax):
-            return table
-    data = Path(source).read_bytes()
-    table = _parse_events(source, data, tax)
-    _save_sidecar(source, _sidecar_key(hashlib.sha256(data).digest(), tax), table)
-    return table
-
-
-def _file_digest(path) -> bytes:
-    """The SHA-256 digest of a file, read HASH_BLOCK bytes at a time into
-    one reused buffer."""
-    digest, block = hashlib.sha256(), bytearray(HASH_BLOCK)
-    view = memoryview(block)
-    with Path(path).open("rb", buffering=0) as fh:
-        while size := fh.readinto(block):
-            digest.update(view[:size])
-    return digest.digest()
-
-
-def _parse_events(source, data: bytes, tax: Taxonomy) -> EventTable:
-    """The validated event table of the CSV bytes `data`, read from `source`."""
-    workers: dict[str, int] = {}
-    videos: dict[str, int] = {}
-    codes: dict[tuple[str, str, str], int | str] = {}  # raw answer -> _answer_code
-    answers: list[tuple[int, int]] = []
-    fields = array("q")  # worker, video, answer code, iteration and gold of each row
-    elapsed, lines, problems = array("d"), array("q"), []
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in EVENT_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{source}: missing columns {missing}")
-        at = [header.index(c) for c in EVENT_COLUMNS + ("gold",) if c in header]
-        width = max(at) + 1
-        answer_of = itemgetter(*at[2:5])
-        for row in reader:
-            if len(row) < width:
-                if row:  # a blank line reads as []
-                    problems.append((reader.line_num, f"too few fields ({len(row)} of {width})"))
-                continue
-            code = codes.get(raw := answer_of(row))
-            if code is None:
-                code = codes[raw] = _answer_code(tax, raw, answers)
-            try:
-                if isinstance(code, str):
-                    raise ValueError(code)
-                seconds, iteration = float(row[at[5]]), int(row[at[6]])
-                gold = len(at) > 7 and row[at[7]] != "" and _parse_bool(row[at[7]], "gold")
-            except ValueError as exc:
-                problems.append((reader.line_num, str(exc)))
-                continue
-            worker = workers.setdefault(row[at[0]], len(workers))
-            video = videos.setdefault(row[at[1]], len(videos))
-            fields.extend((worker, video, code, iteration, gold))
-            elapsed.append(seconds)
-            lines.append(reader.line_num)
-
-    worker, video, code, iteration, gold = np.frombuffer(fields, np.int64).reshape(-1, 5).T
-    table = EventTable(tuple(workers), tuple(videos), worker, video,
-                       *_answer_columns(answers, code), np.frombuffer(elapsed), iteration, gold)
-    _raise_problems(source, problems + _row_problems(table, lines, tax))
-    return table
-
-
-def _raise_problems(source, problems: list[tuple[int, str]]) -> None:
-    """One ValueError naming the first 20 (line, reason) problems by line, if any."""
-    if problems:
-        shown = "; ".join(f"line {line}: {reason}" for line, reason in sorted(problems)[:20])
-        more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
-        raise ValueError(f"{source}: {shown}{more}")
 
 
 def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
@@ -784,15 +380,19 @@ def worker_stats_from_events(table: EventTable) -> list[WorkerStats]:
     return stats
 
 
-# ---------------------------------------------------------------------------
-# Quality control
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class QcThresholds:
+    """A robust z beyond `mad_z`, finite and above 0, flags a worker; a
+    signal needs `min_workers` workers, at least 1, that report it."""
+
     mad_z: float = 3.0
     min_workers: int = 5
+
+    def __post_init__(self):
+        if not 0 < self.mad_z < math.inf:
+            raise ValueError(f"mad_z must be finite and above 0, got {self.mad_z}")
+        if self.min_workers < 1:
+            raise ValueError(f"min_workers must be at least 1, got {self.min_workers}")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import campaign, costmodel, evaluate, planner, taxonomy, workersim
-from .output import read_records, write_csv, write_text
+from . import campaign, costmodel, evaluate, events, planner, taxonomy, workersim
+from .output import read_records, read_text, write_csv, write_text
 
 
 def sample_taxonomy_path() -> Path:
@@ -92,7 +92,10 @@ def load_config(path: str | None) -> dict:
     """Every setting, resolved: each section of the JSON config document at
     `path` (None: no document) replaces its default. An unknown key or a
     section that does not parse is a one-line ValueError that names it."""
-    doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = {} if path is None else json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("config: must be a JSON object")
     config = {key: default for key, (default, _) in SECTIONS.items()}
@@ -122,8 +125,8 @@ def _behavior(config: dict, fit_correlation: bool = True) -> workersim.WorkerBeh
 def _aggregated(args, config: dict):
     """The taxonomy, the events of `--events` and their vote matrix."""
     tax = _taxonomy(args, config)
-    events = campaign.ingest(args.events, tax)
-    return tax, events, evaluate.aggregate(events, tax)
+    table = events.ingest(args.events, tax)
+    return tax, table, evaluate.aggregate(table, tax)
 
 
 def _fmt_opt(value) -> str:
@@ -177,43 +180,23 @@ def cmd_simulate(args, config: dict) -> int:
     tax = _taxonomy(args, config)
     truths = workersim.load_truths(args.videos)
     behavior = _behavior(config)
-    pool = (
-        workersim.sample_worker_pool(args.workers, behavior, args.spammer_fraction, args.seed)
-        if args.workers
-        else None
-    )
-    events = campaign.run_campaign(
-        tax,
-        truths,
-        args.k,
-        args.iterations,
-        behavior,
-        args.seed,
-        modifiers=workersim.ModifierSet(
-            **{name: getattr(args, name) for name, _ in workersim.MODIFIERS}
-        ),
-        model=config["time_model"],
-        budget=config["budget"],
-        pool=pool,
-    )
-    campaign.write_events_csv(events, tax, args.out)
+    pool = (workersim.sample_worker_pool(args.workers, behavior, args.spammer_fraction, args.seed)
+            if args.workers else None)
+    modifiers = workersim.ModifierSet(**{name: getattr(args, name)
+                                         for name, _ in workersim.MODIFIERS})
+    table = campaign.run_campaign(tax, truths, args.k, args.iterations, behavior, args.seed,
+                                  modifiers=modifiers, model=config["time_model"],
+                                  budget=config["budget"], pool=pool)
+    events.write_events_csv(table, tax, args.out)
     return 0
 
 
 def cmd_ingest(args, config: dict) -> int:
     tax = _taxonomy(args, config)
-    stats = campaign.worker_stats_from_events(campaign.ingest(args.events, tax))
+    stats = campaign.worker_stats_from_events(events.ingest(args.events, tax))
     header = ["worker", "tasks", "median_seconds", "gold_recall", "positive_rate"]
-    rows = [
-        [
-            s.worker_id,
-            s.tasks_completed,
-            f"{s.median_seconds_per_task:.6f}",
-            _fmt_opt(s.gold_recall),
-            f"{s.positive_rate:.6f}",
-        ]
-        for s in stats
-    ]
+    rows = ([s.worker_id, s.tasks_completed, f"{s.median_seconds_per_task:.6f}",
+             _fmt_opt(s.gold_recall), f"{s.positive_rate:.6f}"] for s in stats)
     write_csv(args.out, header, rows)
     return 0
 
@@ -230,31 +213,15 @@ def cmd_aggregate(args, config: dict) -> int:
 
 
 def cmd_metrics(args, config: dict) -> int:
-    tax, events, matrix = _aggregated(args, config)
+    tax, table, matrix = _aggregated(args, config)
     truths = workersim.load_truths(args.videos)
     truth = evaluate.truth_matrix(truths, tax.label_count, matrix.video_ids)
     scored = evaluate.metrics(matrix.binary(args.threshold), truth)
-    minutes, affirmative = evaluate.event_stats(events)
-    header = [
-        "experiment",
-        "k",
-        "iterations",
-        "modifiers",
-        "recall",
-        "precision",
-        "minutes_per_video",
-    ]
-    rows = [
-        [
-            args.experiment,
-            args.k if args.k is not None else "",
-            matrix.iterations,
-            args.modifiers,
-            _fmt_opt(scored.recall),
-            _fmt_opt(scored.precision),
-            f"{minutes:.6f}",
-        ]
-    ]
+    minutes, affirmative = evaluate.event_stats(table)
+    header = ["experiment", "k", "iterations", "modifiers", "recall", "precision",
+              "minutes_per_video"]
+    rows = [[args.experiment, "" if args.k is None else args.k, matrix.iterations, args.modifiers,
+             _fmt_opt(scored.recall), _fmt_opt(scored.precision), f"{minutes:.6f}"]]
     write_csv(args.out, header, rows)
     return 0
 
@@ -265,9 +232,11 @@ def cmd_plan(args, config: dict) -> int:
         max_minutes_per_video=args.budget_minutes,
         min_precision=args.min_precision,
     )
-    k_values = (
-        [int(k) for k in args.k_values.split(",")] if args.k_values else None
-    )
+    try:
+        k_values = [int(k) for k in args.k_values.split(",")] if args.k_values else None
+    except ValueError:
+        message = f"--k-values must be comma-separated integers, got {args.k_values!r}"
+        raise ValueError(message) from None
     if args.enumerate:
         plans = planner.enumerate_plans(
             behavior,
@@ -364,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     tax = _parent("--taxonomy", default=None, help="taxonomy JSON (default: the config's)")
     videos = _parent("--videos", required=True, help="ground-truth JSONL")
-    events = _parent("--events", required=True, help="events CSV")
+    events_csv = _parent("--events", required=True, help="events CSV")
     threshold = _parent("--threshold", type=int, default=1, help="votes that make a positive")
     independence = _parent("--independence", action="store_true",
                            help="skip fitting the multi-pass difficulty mixture")
@@ -396,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, _ in workersim.MODIFIERS:
         p.add_argument("--" + name.replace("_", "-"), action="store_true")
 
-    command("ingest", "validate events, emit worker stats", tax, events)
-    command("aggregate", "fold events into labels", tax, events, threshold)
+    command("ingest", "validate events, emit worker stats", tax, events_csv)
+    command("aggregate", "fold events into labels", tax, events_csv, threshold)
 
-    p = command("metrics", "score aggregated labels vs truth", tax, events, videos, threshold)
+    p = command("metrics", "score aggregated labels vs truth", tax, events_csv, videos, threshold)
     p.add_argument("--experiment", default="adhoc")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--modifiers", default="none")
@@ -421,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mad-z", type=float, default=qc.mad_z)
     p.add_argument("--min-workers", type=int, default=qc.min_workers)
 
-    p = command("verify-queue", "queue predicted positives", tax, events, threshold)
+    p = command("verify-queue", "queue predicted positives", tax, events_csv, threshold)
     p.add_argument("--done", default=None, help="CSV of already-verified video,label pairs")
 
     p = command("reproduce", "run a bundled experiment")

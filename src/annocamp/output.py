@@ -6,15 +6,17 @@ or as bytes. A file appears at its path complete or not at all: contents go
 to a temporary file in the same directory, which then replaces the path.
 `write_csv` and `write_text` write every small output (the commands' CSVs
 and JSON documents, the experiments' CSVs); given None for a path, they
-write to stdout. `read_records` reads the small CSV inputs (timings, worker
-stats, verified pairs); bad input is a one-line error that names the file
-and the physical line. `csv_chunks` formats the rows of a large CSV a chunk
-at a time.
+write to stdout. `read_text` reads a small input file whole, and
+`read_records` reads the small CSV inputs (timings, worker stats, verified
+pairs); bad input, bytes that are not UTF-8 included, is a one-line error
+that names the file and the physical line. `csv_chunks` formats the rows of
+a large CSV a chunk at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import secrets
 import sys
@@ -62,20 +64,36 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def decoded(path, data: bytes) -> str:
+    """`data`, the bytes of the file at `path`, as UTF-8 text; a byte that
+    does not decode is a one-line ValueError naming the file and the
+    physical line it is on."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path` (`decoded`)."""
+    return decoded(path, Path(path).read_bytes())
+
+
 def read_records(path, columns, parse) -> list:
     """parse(row) for each row of a CSV that has `columns`; a missing column
     or a bad value is a one-line ValueError naming the file (and line)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        records = []
-        for row in reader:
-            try:
-                records.append(parse(row))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    records = []
+    for row in reader:
+        try:
+            records.append(parse(row))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -10,6 +10,7 @@ simulate its plans.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .costmodel import TimeModel, iteration_time, subset_sizes
@@ -44,8 +45,9 @@ class BudgetConstraint:
     min_precision: float | None = None
 
     def __post_init__(self):
-        if self.max_minutes_per_video <= 0:
-            raise ValueError("budget must be positive")
+        budget = self.max_minutes_per_video
+        if not 0 < budget < math.inf:
+            raise ValueError(f"budget must be finite and positive, got {budget}")
         if self.min_precision is not None and not 0.0 <= self.min_precision <= 1.0:
             raise ValueError("min_precision must lie in [0, 1]")
 

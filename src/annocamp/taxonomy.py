@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .output import read_text
 from .seeding import order
 
 # An answer's selected labels are stored as a bitmask over its question's
@@ -178,7 +179,7 @@ def load_taxonomy(source: str | Path) -> Taxonomy:
     every call; its parse and checks are memoized on its text, so loading
     the same bytes again in one process returns the same frozen Taxonomy,
     and a rewritten file is parsed again."""
-    text = Path(source).read_text(encoding="utf-8")
+    text = read_text(source)
     try:
         return _parse_taxonomy(text)
     except json.JSONDecodeError as exc:

@@ -25,6 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .costmodel import DEFAULT_TIME_MODEL, REFERENCE_VIDEO_SECONDS  # noqa: F401 (re-exported)
+from .events import EventTable
+from .output import read_text
 from .seeding import (MASK, draw_key, fold, id_key, id_keys, mix, order, uniforms, white_uniforms,
                       whiten)
 from .taxonomy import Taxonomy, dense_codes, question_positive
@@ -324,73 +326,6 @@ class VideoTruth:
     video_id: str
     duration_seconds: float = REFERENCE_VIDEO_SECONDS
     labels: frozenset[int] = frozenset()
-
-
-def _column(dtype):
-    return field(metadata={"dtype": dtype})
-
-
-@dataclass(frozen=True, eq=False)
-class EventTable:
-    """Annotation events as columns: one numpy array per field, one row per answer.
-
-    `worker` and `video` index the `worker_ids` and `video_ids` vocabularies
-    and `question` the taxonomy's questions (by position, not id); `members`
-    is the bitmask of the selected labels (`taxonomy.members_mask`); `gold`
-    rows are positive-bias duplicates, which never vote. `gate`, no
-    constructor argument, is `members != 0`, computed when the table is
-    built. A simulated pass's columns may be read-only views (`simulate_block`).
-    A worker or video code outside its vocabulary is a ValueError (rows from 0).
-    """
-
-    worker_ids: tuple[str, ...]
-    video_ids: tuple[str, ...]
-    worker: np.ndarray = _column(np.int64)
-    video: np.ndarray = _column(np.int64)
-    question: np.ndarray = _column(np.int64)
-    members: np.ndarray = _column(np.uint64)
-    elapsed: np.ndarray = _column(np.float64)
-    iteration: np.ndarray = _column(np.int64)
-    gold: np.ndarray = _column(bool)
-    gate: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        for f in EVENT_FIELDS:
-            column = np.asarray(getattr(self, f.name), f.metadata["dtype"])
-            object.__setattr__(self, f.name, column)
-        object.__setattr__(self, "gate", self.members != 0)
-        if len({getattr(self, f.name).shape for f in EVENT_FIELDS}) > 1 or self.worker.ndim != 1:
-            raise ValueError("event columns must be 1-D and of one length")
-        for name, ids in (("worker", self.worker_ids), ("video", self.video_ids)):
-            codes = getattr(self, name)
-            if len(codes) and not 0 <= codes.min() <= codes.max() < len(ids):
-                row = int(np.flatnonzero((codes < 0) | (codes >= len(ids)))[0])
-                raise ValueError(f"row {row}: {name} code {codes[row]} is not among the "
-                                 f"{len(ids)} {name} ids")
-
-    def __len__(self) -> int:
-        return len(self.worker)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EventTable):
-            return NotImplemented
-        return (self.worker_ids, self.video_ids) == (other.worker_ids, other.video_ids) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in EVENT_FIELDS
-        )
-
-    @classmethod
-    def concat(cls, tables) -> "EventTable":
-        """The rows of tables that share their vocabularies, in order; a lone table itself."""
-        first, *rest = tables
-        if not rest:
-            return first
-        if any((t.worker_ids, t.video_ids) != (first.worker_ids, first.video_ids) for t in rest):
-            raise ValueError("event tables with different vocabularies cannot be concatenated")
-        columns = (np.concatenate([getattr(t, f.name) for t in (first, *rest)])
-                   for f in EVENT_FIELDS)
-        return cls(first.worker_ids, first.video_ids, *columns)
-
-EVENT_FIELDS = tuple(f for f in fields(EventTable)[2:] if f.init)
 
 
 @dataclass(frozen=True)
@@ -712,8 +647,7 @@ def load_truths(source) -> list[VideoTruth]:
     parses nothing, and a rewritten file is parsed again. Each call returns
     a new list of the frozen truths.
     """
-    with open(source, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(source)
     try:
         return list(_parse_truths(text))
     except ValueError as exc:

@@ -22,10 +22,11 @@ import json
 
 import pytest
 
-from annocamp import campaign, taxonomy, workersim
-from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
+from annocamp import events as eventfile, taxonomy, workersim
+from annocamp.campaign import run_campaign
 from annocamp.cli import sample_taxonomy_path
 from annocamp.evaluate import aggregate
+from annocamp.events import ingest, sidecar_path, write_events_csv
 from annocamp.taxonomy import load_taxonomy, singleton_taxonomy
 from annocamp.workersim import (
     ModifierSet,
@@ -98,7 +99,7 @@ def test_ingest(benchmark, tax, events, events_csv):
 def test_ingest_stale_sidecar(benchmark, tax, events, events_csv):
     # Each call finds a sidecar under another key: the CSV is hashed as a
     # stream, then read, hashed and parsed.
-    stale = lambda: campaign._save_sidecar(events_csv, bytes(64), events)  # noqa: E731
+    stale = lambda: eventfile._save_sidecar(events_csv, bytes(64), events)  # noqa: E731
     table = benchmark.pedantic(ingest, (events_csv, tax), setup=stale, rounds=20)
     assert len(table) == len(events)
     report_rows(benchmark, len(events))
@@ -119,7 +120,7 @@ def test_aggregate(benchmark, tax, events):
 
 def test_row_checks(benchmark, tax, events):
     # The checks every ingest runs, the sidecar's included.
-    problems = benchmark(campaign._row_problems, events, range(len(events)), tax)
+    problems = benchmark(eventfile._row_problems, events, range(len(events)), tax)
     assert problems == []  # the simulator repeats no answer
     report_rows(benchmark, len(events))
 
@@ -132,7 +133,7 @@ def test_ingest_sidecar_208k(benchmark, tax, large_events_csv):
 
 def test_row_checks_208k(benchmark, tax, large_events_csv):
     table = ingest(large_events_csv, tax)
-    assert benchmark(campaign._row_problems, table, range(len(table)), tax) == []
+    assert benchmark(eventfile._row_problems, table, range(len(table)), tax) == []
     report_rows(benchmark, len(table))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from annocamp.taxonomy import mask_members, taxonomy_from_mapping
-from annocamp.workersim import EVENT_FIELDS
+from annocamp.events import EVENT_FIELDS
 
 # Question ids with a gap, listed out of order.
 GAPPED_TAX = taxonomy_from_mapping({

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annocamp import campaign
+from annocamp import events as eventfile
 from annocamp.campaign import (
     HIT_ID,
     Hits,
@@ -27,19 +28,17 @@ from annocamp.campaign import (
     assign_workers,
     build_verification_queue,
     campaign_rows,
-    ingest,
     pack_hits,
     qc_flag,
     reproduce,
     run_campaign,
-    sidecar_path,
     simulate_campaign,
     worker_stats_from_events,
-    write_events_csv,
 )
 from annocamp.costmodel import (DEFAULT_TIME_MODEL, HitBudget, TimeModel, scale_base_for_duration,
                                 task_time, videos_per_hit)
 from annocamp.evaluate import LabelMatrix, aggregate, group_ids, metrics
+from annocamp.events import EVENT_FIELDS, EventTable, ingest, sidecar_path, write_events_csv
 from annocamp.planner import FEW_QUESTION_BUNDLE, BudgetConstraint, InfeasiblePlanError, optimize
 from annocamp.cli import sample_taxonomy_path
 from annocamp.seeding import draw_key, fold, id_key, id_keys, key_order, order, uniforms
@@ -52,8 +51,6 @@ from annocamp.taxonomy import (
 )
 from annocamp.workersim import (
     DEFAULT_PREVALENCE,
-    EVENT_FIELDS,
-    EventTable,
     ModifierSet,
     VideoTruth,
     Worker,
@@ -847,7 +844,7 @@ def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monke
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["events.csv", sidecar_path(path).name]
     writes = []
-    atomic_open = campaign.atomic_open
+    atomic_open = eventfile.atomic_open
 
     @contextlib.contextmanager
     def disk_full_on_third_write(target, binary=False):
@@ -859,8 +856,8 @@ def test_write_events_csv_replaces_the_file_whole(tax, behavior, tmp_path, monke
                 return fh.write(data)
             yield types.SimpleNamespace(write=write)
 
-    monkeypatch.setattr(campaign, "ROW_CHUNK", 50)
-    monkeypatch.setattr(campaign, "atomic_open", disk_full_on_third_write)
+    monkeypatch.setattr(eventfile, "ROW_CHUNK", 50)
+    monkeypatch.setattr(eventfile, "atomic_open", disk_full_on_third_write)
     with pytest.raises(OSError, match="No space left"):
         write_events_csv(run_campaign(tax, truths, 52, 1, behavior, seed=3), tax, path)
     assert len(writes) == 3  # the header, 50 rows, then the failure
@@ -919,9 +916,10 @@ def event_tables(draw, tax, ids=ID_TEXT):
 
 
 def stray_rows(table, tax) -> list[int]:
-    """The rows whose members bits lie past their question's members."""
+    """The rows whose members bits lie past their question's members, the
+    question one of `tax`."""
     return [r for r, (q, mask) in enumerate(zip(table.question.tolist(), table.members.tolist()))
-            if mask >> len(tax.questions[q].members)]
+            if 0 <= q < tax.question_count and mask >> len(tax.questions[q].members)]
 
 
 def csv_writer_bytes(table, tax) -> bytes:
@@ -929,7 +927,7 @@ def csv_writer_bytes(table, tax) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     gold = table.gold.any()
-    writer.writerow(campaign.EVENT_COLUMNS + (("gold",) if gold else ()))
+    writer.writerow(eventfile.EVENT_COLUMNS + (("gold",) if gold else ()))
     for worker, video, q, members, elapsed, iteration, is_gold in event_rows(table, tax):
         row = (worker, video, q, int(bool(members)), ";".join(map(str, members)),
                repr(elapsed), iteration, int(is_gold))
@@ -978,8 +976,8 @@ def test_write_events_csv_bytes_are_csv_writers(sample_tax, tmp_path_factory, da
             assert ingest_outcome(path, sample_tax) == str(exc)
         return
     assert path.read_bytes() == csv_writer_bytes(table, sample_tax)
-    worker_ids, worker = campaign._first_seen(table.worker_ids, table.worker)
-    video_ids, video = campaign._first_seen(table.video_ids, table.video)
+    worker_ids, worker = eventfile._first_seen(table.worker_ids, table.worker)
+    video_ids, video = eventfile._first_seen(table.video_ids, table.video)
     expected = dataclasses.replace(table, worker_ids=worker_ids, video_ids=video_ids,
                                    worker=worker, video=video)
     assert ingest(path, sample_tax) == expected
@@ -1005,7 +1003,14 @@ def test_write_events_csv_rejects_an_id_that_would_not_read_back(sample_tax, beh
      "line 3: duplicates line 2 (same worker, video, question 0 and iteration)"),
     ({"members": [2, 0]}, "line 2: question 0: members bits past its members"),
     ({"question": [0, 9]}, "line 3: unknown question position 9 (the taxonomy has 2 questions)"),
-], ids=["elapsed-0", "elapsed-inf", "repeated-answer", "stray-members-bit", "unknown-question"])
+    # A repeated unknown position is named on each line, never as a repeat.
+    ({"question": [9, 9]}, "line 2: unknown question position 9 (the taxonomy has 2 questions); "
+                           "line 3: unknown question position 9 (the taxonomy has 2 questions)"),
+    ({"question": [-1, -1]}, "line 2: unknown question position -1 (the taxonomy has 2 "
+                             "questions); line 3: unknown question position -1 (the taxonomy "
+                             "has 2 questions)"),
+], ids=["elapsed-0", "elapsed-inf", "repeated-answer", "stray-members-bit", "unknown-question",
+        "repeated-position-past-the-end", "repeated-negative-position"])
 def test_write_events_csv_refuses_rows_ingest_would_reject(tmp_path, edit, problem):
     # Named as ingest names them, by CSV line, before any file is opened.
     columns = dict(worker=[0, 0], video=[0, 0], question=[0, 1], members=[1, 0],
@@ -1078,14 +1083,22 @@ def test_ingest_of_the_sidecar_equals_the_csv_parse(sample_tax, tmp_path_factory
 
 
 def group_ids_row_problems(table: EventTable, lines, tax) -> list[tuple[int, str]]:
-    """`campaign._row_problems` as it was before its sort-based repeat
-    check, kept as the reference: `group_ids` names every repeat, by its
-    question's id."""
+    """`eventfile._row_problems` as it was before its sort-based repeat
+    check, with the position and members checks that it took over from the
+    writer and the sidecar reader, kept as the reference: a row of an
+    unknown question is named and checked no further, and `group_ids` names
+    every repeat, by its question's id."""
+    count = tax.question_count
+    unknown = (table.question < 0) | (table.question >= count)
+    problems = [(lines[r], f"unknown question position {table.question[r]} (the taxonomy has "
+                           f"{count} questions)") for r in np.flatnonzero(unknown)]
+    problems += [(lines[r], f"question {tax.question_ids[table.question[r]]}: members bits past "
+                            "its members") for r in stray_rows(table, tax)]
     elapsed = table.elapsed
     bad = ~((elapsed > 0) & (elapsed < np.inf))
-    problems = [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
-                for r in np.flatnonzero(bad)]
-    kept = np.flatnonzero(~bad & ~table.gold)
+    problems += [(lines[r], "elapsed must be " + ("finite" if elapsed[r] > 0 else "positive"))
+                 for r in np.flatnonzero(bad)]
+    kept = np.flatnonzero(~bad & ~table.gold & ~unknown)
     columns = (table.worker, table.video, table.iteration, table.question)
     task, first = group_ids(*(c[kept] for c in columns))
     original = kept[first[task]]
@@ -1098,11 +1111,15 @@ def group_ids_row_problems(table: EventTable, lines, tax) -> list[tuple[int, str
 
 @st.composite
 def tables_with_repeats(draw, tax):
-    """`event_tables`, then copies of some rows, each with its own elapsed
-    time and gold flag, shuffled in among them."""
+    """`event_tables`, some rows moved to a question position outside `tax`,
+    then copies of some rows, each with its own elapsed time and gold flag,
+    shuffled in among them."""
     table = draw(event_tables(tax))
     rows = list(range(len(table)))
     columns = {f.name: getattr(table, f.name).tolist() for f in EVENT_FIELDS}
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        columns["question"][draw(st.sampled_from(rows))] = draw(
+            st.sampled_from([-1, tax.question_count, tax.question_count + 7]))
     for _ in range(draw(st.integers(0, 6)) if rows else 0):
         row = draw(st.sampled_from(rows))
         for name, column in columns.items():
@@ -1121,7 +1138,7 @@ def test_row_checks_equal_the_group_ids_reference(sample_tax, data):
     lines = sorted(data.draw(st.lists(st.integers(2, 10**6), min_size=len(table),
                                       max_size=len(table), unique=True)))
     for at in (range(len(table)), lines):
-        assert (campaign._row_problems(table, at, sample_tax)
+        assert (eventfile._row_problems(table, at, sample_tax)
                 == group_ids_row_problems(table, at, sample_tax))
 
 
@@ -1153,7 +1170,7 @@ def test_a_table_past_the_int32_range_round_trips_through_its_sidecar(sample_tax
     write_events_csv(wide, sample_tax, path)
     expected = csv_only(path, sample_tax)
     assert expected.iteration.min() == 2**31
-    monkeypatch.setattr(campaign, "_parse_events", refuse_to_parse)
+    monkeypatch.setattr(eventfile, "_parse_events", refuse_to_parse)
     assert ingest(path, sample_tax) == expected
 
 
@@ -1215,7 +1232,7 @@ def test_ingest_reads_the_sidecar_without_parsing(sample_tax, small_events, tmp_
     path = tmp_path / "events.csv"
     write_events_csv(small_events, sample_tax, path)
     expected = csv_only(path, sample_tax)
-    monkeypatch.setattr(campaign, "_parse_events", refuse_to_parse)
+    monkeypatch.setattr(eventfile, "_parse_events", refuse_to_parse)
     assert ingest(path, sample_tax) == expected
 
 
@@ -1229,7 +1246,7 @@ def test_a_sidecar_hit_never_reads_the_csv_whole(sample_tax, small_events, tmp_p
     def read_bytes(self):
         raise AssertionError(f"{self} was read whole")
 
-    monkeypatch.setattr(campaign.Path, "read_bytes", read_bytes)
+    monkeypatch.setattr(eventfile.Path, "read_bytes", read_bytes)
     assert ingest(path, sample_tax) == expected
 
 
@@ -1239,7 +1256,7 @@ def test_ingest_hashes_the_csv_once(sample_tax, small_events, tmp_path, monkeypa
     write_events_csv(small_events, sample_tax, path)
     if not sidecar:
         sidecar_path(path).unlink()
-    sizes, sha256 = [], campaign.hashlib.sha256
+    sizes, sha256 = [], eventfile.hashlib.sha256
 
     class Counted:
         """A SHA-256 that records how many bytes it hashed."""
@@ -1256,7 +1273,7 @@ def test_ingest_hashes_the_csv_once(sample_tax, small_events, tmp_path, monkeypa
             sizes.append(self.size)
             return self.inner.digest()
 
-    monkeypatch.setattr(campaign, "hashlib", types.SimpleNamespace(sha256=Counted))
+    monkeypatch.setattr(eventfile, "hashlib", types.SimpleNamespace(sha256=Counted))
     ingest(path, sample_tax)
     assert sizes.count(path.stat().st_size) == 1
 
@@ -1299,8 +1316,8 @@ def format_4(data: bytes) -> bytes:
     rows, workers, videos = np.frombuffer(data, "<i8", 3, FORMAT_LINE + 64).tolist()
     lengths = np.frombuffer(data, "<i8", workers + videos, FORMAT_LINE + 88)
     ids_end = FORMAT_LINE + 88 + lengths.nbytes + int(lengths.sum())
-    at, columns = len(data) - rows * campaign.ROW_BYTES, []
-    for dtype, old in zip(campaign.SIDECAR_DTYPES.values(), FORMAT_4_DTYPES):
+    at, columns = len(data) - rows * eventfile.ROW_BYTES, []
+    for dtype, old in zip(eventfile.SIDECAR_DTYPES.values(), FORMAT_4_DTYPES):
         columns.append(np.frombuffer(data, dtype, rows, at).astype(old).tobytes())
         at += rows * dtype.itemsize
     return b"annocamp events table 4\n" + data[FORMAT_LINE:ids_end] + b"".join(columns)
@@ -1342,7 +1359,7 @@ def test_unreadable_sidecar_falls_back_with_one_warning(sample_tax, small_events
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
         assert [(r.name, r.levelname) for r in caplog.records] == [
-            ("annocamp.campaign", "WARNING")
+            ("annocamp.events", "WARNING")
         ]
         # The parse wrote a good sidecar, of format 5, in its place.
         assert sidecar.read_bytes() == data
@@ -1356,9 +1373,9 @@ def first_row(mask) -> int:
 
 def with_value(data: bytes, column: str, row: int, value) -> bytes:
     """The sidecar with one row's value of one column replaced."""
-    rows = int(np.frombuffer(data, "<i8", 1, len(campaign.SIDECAR_FORMAT) + 64)[0])
-    at = len(data) - rows * campaign.ROW_BYTES
-    for name, dtype in campaign.SIDECAR_DTYPES.items():
+    rows = int(np.frombuffer(data, "<i8", 1, len(eventfile.SIDECAR_FORMAT) + 64)[0])
+    at = len(data) - rows * eventfile.ROW_BYTES
+    for name, dtype in eventfile.SIDECAR_DTYPES.items():
         if name == column:
             at += row * dtype.itemsize
             return data[:at] + np.array(value, dtype).tobytes() + data[at + dtype.itemsize :]
@@ -1388,14 +1405,14 @@ def test_tampered_sidecar_is_not_trusted(sample_tax, small_events, tmp_path, cap
     sidecar.write_bytes(with_value(sidecar.read_bytes(), *TAMPERED[tamper](expected)))
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
-    assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.campaign", "WARNING")]
+    assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.events", "WARNING")]
 
 
 def vocabulary_length_past_the_end(data: bytes) -> bytes:
     """The sidecar with its first id length raised past the end of the file.
     That length follows the format line, the key (two SHA-256 digests) and
     the three counts."""
-    at = len(campaign.SIDECAR_FORMAT) + 64 + 24
+    at = len(eventfile.SIDECAR_FORMAT) + 64 + 24
     return data[:at] + np.array(len(data), "<i8").tobytes() + data[at + 8 :]
 
 
@@ -1418,7 +1435,7 @@ def test_damaged_sidecar_body_falls_back_with_one_warning(sample_tax, small_even
     sidecar.write_bytes(SIDECAR_DAMAGE[damage](sidecar.read_bytes()))
     with caplog.at_level(logging.WARNING, logger="annocamp"):
         assert ingest(path, sample_tax) == expected
-    assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.campaign", "WARNING")]
+    assert [(r.name, r.levelname) for r in caplog.records] == [("annocamp.events", "WARNING")]
 
 
 def test_assign_workers_requires_eligible_pool(tax, behavior):
@@ -1696,6 +1713,22 @@ def test_qc_requires_enough_workers():
         qc_flag(stats_pool(4, seed=4))
     flags = qc_flag(stats_pool(4, seed=4) + stats_pool(3, seed=5), QcThresholds(min_workers=7))
     assert isinstance(flags, list)
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ({"mad_z": math.nan}, "mad_z must be finite and above 0, got nan"),
+    ({"mad_z": math.inf}, "mad_z must be finite and above 0, got inf"),
+    ({"mad_z": -1.0}, "mad_z must be finite and above 0, got -1.0"),
+    ({"mad_z": 0.0}, "mad_z must be finite and above 0, got 0.0"),
+    ({"min_workers": 0}, "min_workers must be at least 1, got 0"),
+], ids=["mad-z-nan", "mad-z-inf", "mad-z-negative", "mad-z-0", "min-workers-0"])
+def test_qc_thresholds_refuse_values_that_make_no_sense(thresholds, message):
+    # A nan z flags no one, a negative one every worker, and no workers at
+    # all have no median.
+    with pytest.raises(ValueError) as exc:
+        QcThresholds(**thresholds)
+    assert str(exc.value) == message
+    assert QcThresholds() == QcThresholds(mad_z=3.0, min_workers=5)
 
 
 def test_qc_handles_missing_gold():

@@ -6,6 +6,7 @@ import pytest
 
 from annocamp import campaign, cli, planner
 from annocamp.cli import main, sample_taxonomy_path
+from annocamp.events import sidecar_path
 
 
 def run(argv):
@@ -421,7 +422,7 @@ def test_config_rejects_bad_correlation_targets(tmp_path, targets, reason):
 
 def test_unwritable_sidecar_fails_neither_simulate_nor_ingest(tmp_path, sample_videos):
     events = tmp_path / "events.csv"
-    sidecar = campaign.sidecar_path(events)
+    sidecar = sidecar_path(events)
     sidecar.mkdir()  # a directory where the sidecar goes
     run(["simulate", "--videos", sample_videos, "--k", "5", "--workers", "4", "--seed", "3",
          "--out", str(events)])
@@ -452,3 +453,74 @@ def test_config_malformed_section_is_one_line(tmp_path, sample_videos, doc, sect
     message = str(exc.value)
     assert message.startswith(f"annocamp simulate: config: {section}")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--budget-minutes", "inf"], "budget must be finite and positive, got inf"),
+    (["--budget-minutes", "nan"], "budget must be finite and positive, got nan"),
+    (["--budget-minutes", "0"], "budget must be finite and positive, got 0.0"),
+    (["--budget-minutes", "5", "--k-values", "5,x"],
+     "--k-values must be comma-separated integers, got '5,x'"),
+], ids=["budget-inf", "budget-nan", "budget-0", "k-values"])
+def test_plan_refuses_a_bad_budget_or_k_list_in_one_line(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", *argv])
+    assert str(exc.value) == f"annocamp plan: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mad-z", "nan"], "mad_z must be finite and above 0, got nan"),
+    (["--mad-z", "-1"], "mad_z must be finite and above 0, got -1.0"),
+    (["--min-workers", "0"], "min_workers must be at least 1, got 0"),
+], ids=["mad-z-nan", "mad-z-negative", "min-workers-0"])
+def test_qc_refuses_thresholds_that_make_no_sense(tmp_path, argv, message):
+    stats = tmp_path / "stats.csv"
+    stats.write_text("worker,tasks,median_seconds,gold_recall,positive_rate\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["qc", "--stats", str(stats), *argv])
+    assert str(exc.value) == f"annocamp qc: {message}"
+
+
+def with_byte_ff(path: Path, line: int) -> None:
+    """Put a 0xff byte, which is never UTF-8, at the start of a line of the file."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("name", ["events", "videos", "taxonomy", "timings", "stats", "done",
+                                  "config"])
+def test_an_input_that_does_not_decode_or_parse_names_its_file(tmp_path, sample_videos,
+                                                               sample_timings, name):
+    events, videos = tmp_path / "events.csv", tmp_path / "videos.jsonl"
+    videos.write_bytes(Path(sample_videos).read_bytes())
+    run(["simulate", "--videos", str(videos), "--k", "5", "--out", str(events)])
+    run(["ingest", "--events", str(events), "--out", str(tmp_path / "stats.csv")])
+    files = {"events": events, "videos": videos, "taxonomy": tmp_path / "taxonomy.json",
+             "timings": tmp_path / "timings.csv", "stats": tmp_path / "stats.csv",
+             "done": tmp_path / "done.csv", "config": tmp_path / "config.json"}
+    files["taxonomy"].write_bytes(sample_taxonomy_path().read_bytes())
+    files["timings"].write_bytes(Path(sample_timings).read_bytes())
+    files["done"].write_text("video,label\nv0,1\n")
+    argv = {
+        "events": ["ingest", "--events", str(events)],
+        "videos": ["metrics", "--events", str(events), "--videos", str(videos)],
+        "taxonomy": ["ingest", "--events", str(events), "--taxonomy", str(files["taxonomy"])],
+        "timings": ["fit-time", "--timings", str(files["timings"])],
+        "stats": ["qc", "--stats", str(files["stats"])],
+        "done": ["verify-queue", "--events", str(events), "--done", str(files["done"])],
+        "config": ["calibrate", "--config", str(files["config"])],
+    }[name]
+    path = files[name]
+    if name == "config":
+        path.write_text("{'budget': 5}")
+        expected = (f"cannot parse {path}: Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1)")
+    else:
+        with_byte_ff(path, 2)
+        at = path.read_bytes().index(b"\xff")
+        expected = (f"{path}: line 2: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                    "invalid start byte")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value) == f"annocamp {argv[0]}: {expected}"

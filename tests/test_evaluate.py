@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from annocamp.campaign import ingest, run_campaign, sidecar_path, write_events_csv
+from annocamp.campaign import run_campaign
 from annocamp.evaluate import (
     IncompleteIterationError,
     LabelMatrix,
@@ -14,6 +14,7 @@ from annocamp.evaluate import (
     truth_matrix,
     union_precision,
 )
+from annocamp.events import EVENT_FIELDS, EventTable, ingest, sidecar_path, write_events_csv
 from annocamp.taxonomy import (
     QuestionGroup,
     Taxonomy,
@@ -22,9 +23,8 @@ from annocamp.taxonomy import (
     singleton_taxonomy,
     taxonomy_from_mapping,
 )
-from annocamp.workersim import (EVENT_FIELDS, EventTable, ModifierSet, WorkerBehavior,
-                                default_behavior, fp_rate_from_precision, make_random_truth,
-                                mixture_union_recall)
+from annocamp.workersim import (ModifierSet, WorkerBehavior, default_behavior,
+                                fp_rate_from_precision, make_random_truth, mixture_union_recall)
 from helpers import GAPPED_TAX
 
 

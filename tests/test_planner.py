@@ -244,6 +244,10 @@ def test_constraint_validation():
         BudgetConstraint(max_minutes_per_video=0.0)
     with pytest.raises(ValueError):
         BudgetConstraint(max_minutes_per_video=1.0, min_precision=1.5)
+    # A budget that is not finite would buy passes without end, or none.
+    for budget in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^budget must be finite and positive, got {budget}$"):
+            BudgetConstraint(max_minutes_per_video=budget)
 
 
 def test_plan_records_prediction_source(behavior, independent):

@@ -4,7 +4,7 @@ The roots are the command line (`cli.main`), the bundled experiments
 (`campaign.reproduce`) and the library calls bench/workload.py makes. The
 walk follows name references through the parsed source: a name bound by a
 relative import resolves to its definition in the imported module, and a
-module's attribute (`campaign.ingest`) to that module's definition.
+module's attribute (`events.ingest`) to that module's definition.
 Module-level statements always run, class bodies, decorators and default
 values included, except an `if __name__ == "__main__":` block, which runs
 only when its module runs as a script (cli's calls `main`, a root of its
@@ -162,16 +162,16 @@ def test_kept_definitions_are_unreached():
 
 def test_walk_follows_module_attributes_and_imports(tmp_path, monkeypatch):
     reached = _reached(("cli.main",))
-    # cli calls campaign.ingest as a module attribute; ingest calls
+    # cli calls events.ingest as a module attribute; ingest calls
     # expand_answer through `from .taxonomy import`.
-    assert {"campaign.ingest", "taxonomy.expand_answer", "output.atomic_open"} <= reached
+    assert {"events.ingest", "taxonomy.expand_answer", "output.atomic_open"} <= reached
     # A dunder method of a reached class, and a method whose name a reached
     # body loads (`plan.modifiers.label()` in the plan command).
-    assert {"workersim.EventTable.__len__", "workersim.ModifierSet.label"} <= reached
+    assert {"events.EventTable.__len__", "workersim.ModifierSet.label"} <= reached
     # A definition no reached body references stays unreached: a library
     # root reaches no command. cli's `__main__` guard, which calls `main`,
     # is not import-time code.
-    assert "campaign.ingest" not in _reached(("taxonomy.singleton_taxonomy",))
+    assert "events.ingest" not in _reached(("taxonomy.singleton_taxonomy",))
     # The same on a two-module package, whole.
     (tmp_path / "a.py").write_text("from .b import used\n\n\ndef root():\n    return used()\n")
     (tmp_path / "b.py").write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n")

@@ -11,6 +11,7 @@ from annocamp import workersim
 from annocamp.campaign import campaign_rows
 from annocamp.costmodel import DEFAULT_TIME_MODEL, scale_base_for_duration, task_time
 from annocamp.evaluate import aggregate, metrics, truth_matrix
+from annocamp.events import EventTable
 from annocamp.seeding import id_keys
 from annocamp.taxonomy import (
     load_taxonomy,
@@ -20,7 +21,6 @@ from annocamp.taxonomy import (
 from annocamp.cli import sample_taxonomy_path
 from annocamp.workersim import (
     DEFAULT_ANCHORS,
-    EventTable,
     HARD_FRACTION_GRID,
     HARD_MULTIPLIER_GRID,
     AccuracyAnchor,
